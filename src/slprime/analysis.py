@@ -25,7 +25,7 @@ from .errors import (
     LimitTooLarge,
     OutOfDomain,
 )
-from .primes import sieve
+from .primes import prime_table
 from .shoot import _propagate_scaled
 from .spectrum import Spectrum
 
@@ -50,18 +50,6 @@ class IncompatReport:
     note: str
 
 
-def _prime_table_for(n: int):
-    if n < 6:
-        return sieve(15)
-    ln = math.log(n)
-    bound = math.ceil(n * (ln + math.log(ln))) + 10
-    table = sieve(bound)
-    while table.count < n:
-        bound *= 2
-        table = sieve(bound)
-    return table
-
-
 def incompatibility_report(spectrum: Spectrum, n_max: int) -> IncompatReport:
     """Tabulate p_n/lambda_n for n = 1..n_max and judge its decay.
 
@@ -77,7 +65,7 @@ def incompatibility_report(spectrum: Spectrum, n_max: int) -> IncompatReport:
         raise InsufficientData(
             f"spectrum holds {len(spectrum.eigenvalues)} eigenvalues, report needs {n_max}"
         )
-    table = _prime_table_for(n_max)
+    table = prime_table(n_max)
     rows = []
     for ev in spectrum.eigenvalues[:n_max]:
         p = table.nth(ev.index)
@@ -264,7 +252,7 @@ def partial_sum_primes(epsilon: float, n_terms: int):
         raise OutOfDomain(f"need at least one term, got {n_terms}")
     if n_terms > 10**7:
         raise LimitTooLarge(f"n_terms capped at 1e7, got {n_terms}")
-    table = _prime_table_for(n_terms)
+    table = prime_table(n_terms)
     terms = table.primes[:n_terms].astype(np.float64) ** (-(0.5 + epsilon))
     sums = np.cumsum(terms)
     return tuple((m, float(sums[m - 1])) for m in _checkpoints(n_terms))

@@ -33,7 +33,7 @@ from .coeff import (
 from .errors import BadConfig, SlprimeError
 from .inverse import SearchConfig, search
 from .nonlinear import NonlinearProblem, nonlinear_spectrum
-from .primes import cesaro, nth_prime, pnt_asymptotic
+from .primes import cesaro, pnt_asymptotic, prime_table
 from .spectrum import SolverOptions, compute_spectrum
 
 __all__ = ["run", "main", "document_to_problem", "problem_to_document"]
@@ -239,9 +239,10 @@ def _cmd_nonlinear(args) -> int:
         raise BadConfig(f"--n-max must be >= 1, got {args.n_max}")
     rows_nl = nonlinear_spectrum(nl, args.n_max, opts)
     cfg = _config_hash({"command": "nonlinear", "doc": doc, "n_max": args.n_max})
+    table = prime_table(args.n_max)
     rows = []
     for row in rows_nl:
-        p = nth_prime(row.index)
+        p = table.nth(row.index)
         gap = None if row.lam is None else row.lam - p
         rows.append((row.index, row.mu, row.lam, p, gap))
     _write_csv(args.out, ("n", "mu", "lambda", "p_n", "lambda_minus_p"), rows, cfg)
@@ -264,9 +265,10 @@ def _cmd_primes(args) -> int:
     if args.n_max < 1:
         raise BadConfig(f"--n-max must be >= 1, got {args.n_max}")
     cfg = _config_hash({"command": "primes", "n_max": args.n_max})
+    table = prime_table(args.n_max)
     rows = []
     for n in _prime_checkpoints(args.n_max):
-        p = nth_prime(n)
+        p = table.nth(n)
         asym = pnt_asymptotic(n) if n >= 2 else None
         ces = cesaro(n) if n >= 3 else None
         err_a = None if asym is None else abs(asym - p) / p
@@ -512,13 +514,7 @@ def run(argv) -> int:
         return 0 if exc.code in (None, 0) else 2
     try:
         return args.handler(args)
-    except BadConfig as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SlprimeError as exc:
+    except (OSError, SlprimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import LimitTooLarge, OutOfDomain
 
-__all__ = ["PrimeTable", "sieve", "nth_prime", "pnt_asymptotic", "cesaro"]
+__all__ = ["PrimeTable", "sieve", "prime_table", "nth_prime", "pnt_asymptotic", "cesaro"]
 
 _SIEVE_MAX = 1_000_000_000
 
@@ -39,35 +39,46 @@ class PrimeTable:
 
 
 def sieve(limit: int) -> PrimeTable:
-    """Eratosthenes up to and including limit."""
+    """Eratosthenes up to and including limit, over the odd numbers only."""
     limit = int(limit)
     if limit < 2:
         raise OutOfDomain(f"sieve limit must be >= 2, got {limit}")
     if limit > _SIEVE_MAX:
         raise LimitTooLarge(f"sieve limit {limit} exceeds {_SIEVE_MAX}")
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return PrimeTable(limit=limit, primes=np.flatnonzero(flags).astype(np.int64))
+    flags = np.ones((limit + 1) // 2, dtype=bool)  # flags[i] stands for 2i + 1
+    for i in range(1, (math.isqrt(limit) - 1) // 2 + 1):
+        if flags[i]:
+            p = 2 * i + 1
+            flags[p * p // 2 :: p] = False
+    # slot 0 (the number 1) stays set and becomes the prime 2 below
+    primes = np.flatnonzero(flags).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return PrimeTable(limit=limit, primes=primes)
+
+
+def prime_table(n: int) -> PrimeTable:
+    """One sieve holding the first n primes (n >= 1).
+
+    Sieves to the Rosser bound p_n < n(log n + log log n), valid for
+    n >= 6; the primes below 15 cover n < 6.
+    """
+    if n < 1:
+        raise OutOfDomain(f"prime index must be >= 1, got {n}")
+    bound = 15
+    if n >= 6:
+        ln = math.log(n)
+        bound = math.ceil(n * (ln + math.log(ln))) + 10
+    table = sieve(min(bound, _SIEVE_MAX))
+    if table.count < n:
+        raise LimitTooLarge(f"prime #{n} lies beyond the sieve ceiling {_SIEVE_MAX}")
+    return table
 
 
 def nth_prime(n: int) -> int:
-    """The n-th prime, sieving to the Rosser bound n(log n + log log n) first."""
-    if n < 1:
-        raise OutOfDomain(f"prime index must be >= 1, got {n}")
-    if n < 6:
-        return (2, 3, 5, 7, 11)[n - 1]
-    ln = math.log(n)
-    bound = math.ceil(n * (ln + math.log(ln))) + 10
-    while True:
-        table = sieve(min(bound, _SIEVE_MAX))
-        if table.count >= n:
-            return table.nth(n)
-        if bound >= _SIEVE_MAX:
-            raise LimitTooLarge(f"prime #{n} lies beyond the sieve ceiling {_SIEVE_MAX}")
-        bound *= 2
+    """The n-th prime (n >= 1), 1-indexed: nth_prime(1) = 2."""
+    return prime_table(n).nth(n)
 
 
 def pnt_asymptotic(n: int) -> float:

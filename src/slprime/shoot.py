@@ -273,6 +273,20 @@ def _theta_scan(widths, svals, qvals, rvals, alpha, lam):
                     cw, sg = _kernel_series(z)
                 u1 = cw * u - s * h * sg * v
                 v1 = k * h * sg * u + cw * v
+                if u1 == 0.0 and v1 == 0.0:
+                    # the incoming state lay on the decaying direction and the
+                    # e^w parts cancelled exactly (only possible when z < 0);
+                    # redo the piece with e^w factored out so the e^{-2w}
+                    # remainder keeps the state off (0, 0)
+                    a = s * h / w
+                    b = k * h / w
+                    e = math.exp(-2.0 * w)
+                    u1 = (u - a * v) + e * (u + a * v)
+                    v1 = (b * u + v) + e * (v - b * u)
+                    if u1 == 0.0 and v1 == 0.0:
+                        # e underflowed (w > ~370): the e^{-w} part alone
+                        # gives the direction
+                        u1, v1 = u + a * v, v - b * u
                 # non-oscillatory: at most one zero in (0, h], seen as a sign flip
                 if u1 == 0.0:
                     zc = 1

@@ -1,4 +1,4 @@
-"""Eigenvalue location by bisection on the terminal Prufer angle.
+"""Eigenvalue location by Brent's method on the terminal Prufer angle.
 
 theta(b; lambda) is non-decreasing in lambda for right-definite problems,
 so the n-th eigenvalue is the unique real root of
@@ -9,6 +9,13 @@ Brackets start from the Weyl guess lambda ~ (n pi / C)^2 and expand
 geometrically; expansion that reaches the lambda cap without attaining
 the target angle raises EigenvalueNotFound, which for Atkinson-type
 problems is the expected way a finite spectrum announces its end.
+
+Inside the bracket a Brent-Dekker iteration (inverse quadratic and
+secant steps, safeguarded by bisection; Brent, Algorithms for
+Minimization without Derivatives, 1973) closes in on the root, since
+theta(b) is smooth and increasing in lambda.  Where theta(b)
+is so steep that the bracket reaches its tolerance before the angle
+does, plain bisection continues to float exhaustion.
 """
 
 from __future__ import annotations
@@ -67,11 +74,6 @@ class Spectrum:
     def values(self) -> list[float]:
         return [ev.value for ev in self.eigenvalues]
 
-    def csv_rows(self):
-        return [
-            (ev.index, ev.value, ev.oscillation, ev.residual) for ev in self.eigenvalues
-        ]
-
 
 def _solver_pieces(problem: SLProblem):
     widths, svals, qvals, rvals = problem.coeffs.piece_arrays()
@@ -85,28 +87,37 @@ def _solver_pieces(problem: SLProblem):
 def eigenvalue(
     problem: SLProblem, n: int, opts: SolverOptions = DEFAULT_OPTIONS
 ) -> Eigenvalue:
-    """n-th eigenvalue (n >= 1) by bracket expansion + bisection on theta(b)."""
+    """n-th eigenvalue (n >= 1) by bracket expansion + Brent's method on theta(b).
+
+    Stops once the bracket is within max(lambda_tol_abs, lambda_tol_rel
+    |lambda|) and |theta(b) - target| <= angle_tol at the returned point,
+    the bracket end with the smaller angle mismatch; value, residual and
+    oscillation all come from that one theta-scan.
+    """
     if n < 1:
         raise OutOfDomain(f"eigenvalue index must be >= 1, got {n}")
     pieces = _solver_pieces(problem)
     alpha, beta = problem.bc.alpha, problem.bc.beta
     target = beta + (n - 1) * _PI
 
-    def theta(lam: float):
+    def scan(lam: float):
+        """(lambda, theta(b) - target, winding, frac): everything one theta-scan gives."""
         winding, frac, _, _ = _theta_scan(*pieces, alpha, lam)
-        return winding * _PI + frac, winding, frac
+        # (winding - n + 1) pi is exact near the root, so f keeps the
+        # precision of frac instead of that of the large target angle
+        return lam, (winding - n + 1) * _PI + (frac - beta), winding, frac
 
-    c = weyl_constant(problem.coeffs)
-    guess = (n * _PI / c) ** 2 if c > 0.0 else float(n * n)
+    weyl_c = weyl_constant(problem.coeffs)
+    guess = (n * _PI / weyl_c) ** 2 if weyl_c > 0.0 else float(n * n)
     cap = opts.lambda_cap
     guess = min(cap, max(-cap, guess))
 
-    th_g, _, _ = theta(guess)
+    at_guess = scan(guess)
     step = max(1.0, 0.05 * abs(guess))
-    if th_g >= target:
-        hi, lo = guess, max(guess - step, -cap)
-        while theta(lo)[0] >= target:
-            if lo <= -cap:
+    if at_guess[1] >= 0.0:
+        hi, lo = at_guess, scan(max(guess - step, -cap))
+        while lo[1] >= 0.0:
+            if lo[0] <= -cap:
                 raise EigenvalueNotFound(
                     f"no lambda above -{cap:g} brings theta(b) below the target angle "
                     f"{target:.6g} for n = {n}",
@@ -115,11 +126,11 @@ def eigenvalue(
                 )
             hi = lo
             step *= 2.0
-            lo = max(guess - step, -cap)
+            lo = scan(max(guess - step, -cap))
     else:
-        lo, hi = guess, min(guess + step, cap)
-        while theta(hi)[0] < target:
-            if hi >= cap:
+        lo, hi = at_guess, scan(min(guess + step, cap))
+        while hi[1] < 0.0:
+            if hi[0] >= cap:
                 raise EigenvalueNotFound(
                     f"theta(b) stays below the target angle {target:.6g} up to the "
                     f"lambda cap {cap:g}; no eigenvalue n = {n}",
@@ -128,28 +139,64 @@ def eigenvalue(
                 )
             lo = hi
             step *= 2.0
-            hi = min(guess + step, cap)
+            hi = scan(min(guess + step, cap))
 
-    # bisect: theta(lo) < target <= theta(hi)
-    lam_hat = th_hat = wind_hat = frac_hat = None
+    # Brent-Dekker on f = theta(b) - target, f(lo) < 0 <= f(hi).  b is the
+    # best point so far, c the other end of the bracket (f = 0 counts as
+    # above), a the previous b; d is the last step and e the one before.
+    b, c = (lo, hi) if abs(lo[1]) < abs(hi[1]) else (hi, lo)
+    a = c
+    d = e = c[0] - b[0]
     for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        th, wind, frac = theta(mid)
-        lam_hat, th_hat, wind_hat, frac_hat = mid, th, wind, frac
-        if th < target:
-            lo = mid
+        tol = max(opts.lambda_tol_abs, opts.lambda_tol_rel * abs(b[0]))
+        m = 0.5 * (c[0] - b[0])
+        if abs(c[0] - b[0]) <= tol:
+            if abs(b[1]) <= opts.angle_tol:
+                break
+            # the bracket is at tolerance but theta(b) is too steep for the
+            # angle to be: bisect on until the floats run out
+            x = b[0] + m
+            if x == b[0] or x == c[0]:
+                break
         else:
-            hi = mid
-        tol = max(opts.lambda_tol_abs, opts.lambda_tol_rel * abs(mid))
-        if (hi - lo) <= tol and abs(th - target) <= opts.angle_tol:
-            break
-    if lam_hat is None:
-        lam_hat = hi
-        th_hat, wind_hat, frac_hat = theta(hi)
+            tol1 = 0.5 * tol
+            if b[1] == 0.0:
+                # b is a root; the interpolation's sign tests cannot orient a
+                # zero step, so close the bracket in by the minimum step
+                d = 0.0
+            elif abs(e) >= tol1 and abs(a[1]) > abs(b[1]):
+                # secant through a, b, or inverse quadratic through a, b, c
+                s = b[1] / a[1]
+                if a[0] == c[0]:
+                    p = 2.0 * m * s
+                    q = 1.0 - s
+                else:
+                    qa = a[1] / c[1]
+                    qb = b[1] / c[1]
+                    p = s * (2.0 * m * qa * (qa - qb) - (b[0] - a[0]) * (qb - 1.0))
+                    q = (qa - 1.0) * (qb - 1.0) * (s - 1.0)
+                if p > 0.0:
+                    q = -q
+                else:
+                    p = -p
+                # accept the interpolated step only while it stays well inside
+                # the bracket and shrinks faster than bisection would
+                if 2.0 * p < min(3.0 * m * q - abs(tol1 * q), abs(e * q)):
+                    e, d = d, p / q
+                else:
+                    d = e = m
+            else:
+                d = e = m
+            x = b[0] + (d if abs(d) > tol1 else math.copysign(tol1, m))
+        a, b = b, scan(x)
+        if (b[1] >= 0.0) == (c[1] >= 0.0):
+            c = a
+            d = e = b[0] - a[0]
+        if abs(c[1]) < abs(b[1]):
+            a, b, c = b, c, b
 
-    residual = abs(th_hat - target)
+    lam_hat, f_hat, wind_hat, frac_hat = b
+    residual = abs(f_hat)
     # a terminal crossing counted in the winding is the boundary zero at b,
     # not an interior one; frac ~ 0 is the signature of that configuration
     kappa = min(1e-8, 0.5 * beta)

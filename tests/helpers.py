@@ -122,3 +122,33 @@ def bisect_lambda_over_log(n, lo=2.7182818284590455, hi=None, iters=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def mp_boundary_function(problem, lam, dps=60):
+    """u(b) cos(beta) + v(b) sin(beta) at real lam, in dps-digit mpmath arithmetic.
+
+    Zero exactly at the eigenvalues.  Built from the trig/hyperbolic
+    formulas piece by piece, without the package's kernels, scaling or
+    Prufer bookkeeping.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        lam = mp.mpf(lam)
+        alpha = mp.mpf(problem.bc.alpha)
+        beta = mp.mpf(problem.bc.beta)
+        u, v = mp.sin(alpha), -mp.cos(alpha)
+        for h, s, q, r in zip(*problem.coeffs.piece_arrays()):
+            h, s, q, r = (mp.mpf(x) for x in (h, s, q, r))
+            k = lam * r - q
+            z = s * k * h * h
+            if z > 0:
+                w = mp.sqrt(z)
+                c, sig = mp.cos(w), mp.sin(w) / w
+            elif z < 0:
+                w = mp.sqrt(-z)
+                c, sig = mp.cosh(w), mp.sinh(w) / w
+            else:
+                c, sig = mp.mpf(1), mp.mpf(1)
+            u, v = c * u - s * h * sig * v, k * h * sig * u + c * v
+        return u * mp.cos(beta) + v * mp.sin(beta)

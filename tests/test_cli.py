@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import slprime.primes as primes_mod
 from slprime.cli import document_to_problem, problem_to_document, run
 from slprime.errors import BadConfig
 
@@ -211,13 +212,18 @@ def test_nonlinear_command(tmp_path, capsys):
     assert run(["nonlinear", "--config", cfg]) == 2
 
 
-def test_primes_command(tmp_path):
+def test_primes_command(tmp_path, monkeypatch):
+    limits = []
+    sieve = primes_mod.sieve
+    monkeypatch.setattr(primes_mod, "sieve", lambda limit: limits.append(limit) or sieve(limit))
     out = tmp_path / "p.csv"
     assert run(["primes", "--n-max", "100", "--out", str(out)]) == 0
+    assert len(limits) == 1  # one table serves every checkpoint
     lines = out.read_text().splitlines()
     assert lines[1] == "n,p_n,n_log_n,cesaro,rel_err_pnt,rel_err_cesaro"
     rows = {int(ln.split(",")[0]): ln.split(",") for ln in lines[2:]}
     assert int(rows[100][1]) == 541
+    assert [int(rows[n][1]) for n in range(1, 11)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert rows[1][2] == ""  # n log n undefined at n = 1
     assert rows[2][3] == ""  # cesaro needs n >= 3
 

@@ -12,6 +12,10 @@ from slprime.primes import PrimeTable, cesaro, nth_prime, pnt_asymptotic, sieve
 def test_sieve_matches_trial_division():
     table = sieve(10_000)
     assert table.primes.tolist() == trial_division_primes(10_000)
+    # small limits, odd squares and primes among them, hit the sieve's edges
+    reference = trial_division_primes(130)
+    for limit in range(2, 131):
+        assert sieve(limit).primes.tolist() == [p for p in reference if p <= limit], limit
 
 
 def test_sieve_counts_frozen():

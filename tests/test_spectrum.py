@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_problem
-from slprime.coeff import constant, make_piecewise, problem, unit_problem
+import slprime.spectrum as spectrum_mod
+from helpers import mp_boundary_function, random_problem
+from slprime.coeff import constant, make_piecewise, problem, unit_problem, weyl_constant
 from slprime.errors import EigenvalueNotFound, InsufficientData, NotRightDefinite
+from slprime.shoot import prufer_angle
 from slprime.spectrum import (
     SolverOptions,
     compute_spectrum,
@@ -24,6 +26,18 @@ def test_unit_problem_closed_form():
         ev = eigenvalue(prob, n)
         assert ev.value == pytest.approx(n * n * PI2, rel=1e-10)
         assert ev.index == n
+        assert ev.oscillation == n - 1
+
+
+def test_unit_problem_high_index_within_tolerance():
+    # theta(b) - target is formed from the winding offset and the fractional
+    # angle, so its resolution does not degrade as n pi grows; formed as
+    # theta(b) minus the full target it lost ~6.5x the lambda tolerance here
+    opts = SolverOptions()
+    for n in (5216, 7919, 10_000):
+        exact = (n * math.pi) ** 2
+        ev = eigenvalue(unit_problem(), n, opts)
+        assert abs(ev.value - exact) <= max(opts.lambda_tol_abs, opts.lambda_tol_rel * exact)
         assert ev.oscillation == n - 1
 
 
@@ -172,3 +186,127 @@ def test_low_cap_reports_not_found_with_cap():
         eigenvalue(unit_problem(), 50, opts)  # lambda_50 ~ 2.5e4 > cap
     assert err.value.index == 50
     assert err.value.cap == 100.0
+
+
+def bisection_eigenvalue(prob, n, opts=SolverOptions()):
+    """Reference: the plain bisection on theta(b) that the Brent iteration replaced.
+
+    Same Weyl-guess bracket expansion and stopping rule; returns
+    (lambda, oscillation) from the last midpoint.
+    """
+    target = prob.bc.beta + (n - 1) * math.pi
+
+    def theta(lam):
+        angle = prufer_angle(prob, lam)
+        return angle.theta_b, angle.winding
+
+    c = weyl_constant(prob.coeffs)
+    guess = (n * math.pi / c) ** 2 if c > 0.0 else float(n * n)
+    step = max(1.0, 0.05 * abs(guess))
+    if theta(guess)[0] >= target:
+        hi, lo = guess, guess - step
+        while theta(lo)[0] >= target:
+            hi, step = lo, 2.0 * step
+            lo = guess - step
+    else:
+        lo, hi = guess, guess + step
+        while theta(hi)[0] < target:
+            lo, step = hi, 2.0 * step
+            hi = guess + step
+    lam = th = wind = None
+    for _ in range(300):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        lam, (th, wind) = mid, theta(mid)
+        if th < target:
+            lo = mid
+        else:
+            hi = mid
+        tol = max(opts.lambda_tol_abs, opts.lambda_tol_rel * abs(mid))
+        if hi - lo <= tol and abs(th - target) <= opts.angle_tol:
+            break
+    frac = th - wind * math.pi
+    oscillation = wind - 1 if frac < min(1e-8, 0.5 * prob.bc.beta) else wind
+    return lam, oscillation
+
+
+def test_brent_agrees_with_bisection():
+    opts = SolverOptions()
+    rng = np.random.default_rng(2024)
+    hyperbolic = 0
+    for _ in range(30):
+        # q up to +-50 puts low eigenvalues in the hyperbolic regime of some pieces
+        prob = random_problem(rng, max_pieces=6, q_scale=50.0)
+        widths, svals, qvals, rvals = prob.coeffs.piece_arrays()
+        for ev in compute_spectrum(prob, 15, opts).eigenvalues:
+            lam, oscillation = bisection_eigenvalue(prob, ev.index, opts)
+            tol = max(opts.lambda_tol_abs, opts.lambda_tol_rel * abs(lam))
+            assert abs(ev.value - lam) <= 2.0 * tol, (ev, lam)
+            # where forward shooting loses the decaying solution, theta(b)
+            # jumps between adjacent floats and the two methods may stop on
+            # either side of the jump; the residual then flags the eigenvalue
+            assert ev.oscillation == oscillation or ev.residual > 1e-6, (ev, oscillation)
+            hyperbolic += any(
+                s * (ev.value * r - q) < 0.0 for s, q, r in zip(svals, qvals, rvals)
+            )
+    assert hyperbolic > 20  # the hyperbolic branch really was exercised
+
+
+def test_scan_budget_per_eigenvalue(monkeypatch):
+    calls = [0]
+    scan = spectrum_mod._theta_scan
+
+    def counting_scan(*args):
+        calls[0] += 1
+        return scan(*args)
+
+    monkeypatch.setattr(spectrum_mod, "_theta_scan", counting_scan)
+    rng = np.random.default_rng(7)
+    found = 0
+    for _ in range(20):
+        found += len(compute_spectrum(random_problem(rng, max_pieces=8), 20).eigenvalues)
+    found += len(compute_spectrum(unit_problem(), 100).eigenvalues)
+    # plain bisection needs about 42 scans per eigenvalue here
+    assert calls[0] / found <= 20.0, calls[0] / found
+
+
+def _one_piece(h, s, q, r, alpha, beta):
+    return problem(
+        make_piecewise([0.0, h], [s]),
+        make_piecewise([0.0, h], [q]),
+        make_piecewise([0.0, h], [r]),
+        alpha=alpha,
+        beta=beta,
+    )
+
+
+def test_decaying_state_collapse_does_not_crash():
+    # the boundary state lies on the decaying direction of the piece, so
+    # the e^w parts of the propagated state cancel to exactly (0, 0):
+    # in the w > 35 branch (first), the cosh/sinh branch (second), and
+    # with e^{-2w} underflowing as well (third)
+    deep = _one_piece(
+        2.0, 0.5316758066664767, -15.405866193351272, 2.885849219094312,
+        3.122678863375931, 2.3766886530905076,
+    )
+    shallow = _one_piece(
+        0.3606446788449189, 1.0535257230056778, 31.729974611563563, 2.5639236166158685,
+        3.125953519546041, 1.0,
+    )
+    underflow = _one_piece(
+        1.105849379485729, 2.603218874814671, -7.731277880234153, 0.9691644825584158,
+        3.1372608538259112, 1.0,
+    )
+    # theta(b) itself is not resolved at these lambda in float64; only
+    # the absence of a crash is asserted
+    assert math.isfinite(prufer_angle(shallow, -1667.3713110438507).theta_b)
+    assert math.isfinite(prufer_angle(underflow, -143151.27393635263).theta_b)
+    for prob in (deep, shallow):
+        spec = compute_spectrum(prob, 30)
+        assert len(spec.eigenvalues) == 30 and not spec.truncated
+        for ev in spec.eigenvalues:
+            d = 1e-9 * max(1.0, abs(ev.value))
+            left = mp_boundary_function(prob, ev.value - d)
+            right = mp_boundary_function(prob, ev.value + d)
+            assert left * right < 0, ev
