@@ -10,6 +10,8 @@ map lambda -> (pi lambda / log lambda)^2, and searches potentials whose
 composed spectrum approaches the squared primes.
 """
 
+__version__ = "0.1.0"
+
 from .coeff import (
     BoundaryCondition,
     CoefficientSet,
@@ -42,7 +44,7 @@ from .errors import (
     OutOfDomain,
     SlprimeError,
 )
-from .shoot import AngleResult, State, TransferMatrix, integrate_system, piece_matrix, prufer_angle
+from .shoot import AngleResult, State, integrate_system_scaled, prufer_angle
 from .spectrum import (
     DEFAULT_OPTIONS,
     Eigenvalue,
@@ -74,5 +76,3 @@ from .analysis import (
     partial_sum_spectrum,
 )
 from .inverse import SearchConfig, SearchResult, TargetRow, objective, search, target_mu
-
-__version__ = "0.1.0"

@@ -12,6 +12,7 @@ Three independent signatures, each testable numerically:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -141,6 +142,8 @@ def growth_check(problem: SLProblem, lam: complex, x_samples: int = 32) -> Growt
     stencil straddling a coefficient jump would measure the neighbour).
     """
     lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise OutOfDomain(f"growth bound needs finite lambda, got {lam!r}")
     if abs(lam) < 1.0:
         raise OutOfDomain(f"growth bound needs |lambda| >= 1, got {abs(lam):g}")
     if x_samples < 1:
@@ -196,6 +199,8 @@ def order_estimate(
     radii = tuple(float(rr) for rr in radii)
     if len(radii) < 3:
         raise OutOfDomain(f"need at least 3 radii, got {len(radii)}")
+    if not all(map(math.isfinite, radii)):
+        raise OutOfDomain(f"radii must be finite, got {radii}")
     if any(r1 <= r0 for r0, r1 in zip(radii, radii[1:])) or radii[0] <= 0:
         raise OutOfDomain("radii must be positive and strictly increasing")
     if angular_samples < 4:

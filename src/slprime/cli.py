@@ -16,6 +16,7 @@ import math
 import sys
 from pathlib import Path
 
+from . import __version__
 from .analysis import (
     growth_check,
     incompatibility_report,
@@ -38,7 +39,6 @@ from .spectrum import SolverOptions, compute_spectrum
 
 __all__ = ["run", "main", "document_to_problem", "problem_to_document"]
 
-_VERSION = "0.1.0"
 _ANGLE_STRINGS = {"pi": math.pi, "pi/2": math.pi / 2}
 
 
@@ -155,16 +155,19 @@ def problem_to_document(problem: SLProblem, opts: SolverOptions | None = None) -
     }
 
 
-def _load_problem(path: str) -> tuple[SLProblem, SolverOptions, dict]:
+def _read_json(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise BadConfig(f"cannot read config '{path}': {exc}") from exc
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise BadConfig(f"{path}: invalid JSON: {exc}") from exc
-    problem, opts = document_to_problem(doc)
+
+
+def _load_problem(path: str) -> tuple[SLProblem, SolverOptions, dict]:
+    problem, opts = document_to_problem(_read_json(path))
     return problem, opts, problem_to_document(problem, opts)
 
 
@@ -186,7 +189,7 @@ def _fmt(value) -> str:
 
 def _write_csv(out_path: str | None, header, rows, cfg_hash: str) -> None:
     buf = io.StringIO()
-    buf.write(f"# slprime {_VERSION} config_sha256={cfg_hash}\n")
+    buf.write(f"# slprime {__version__} config_sha256={cfg_hash}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
@@ -375,14 +378,7 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise BadConfig(f"cannot read config '{args.config}': {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BadConfig(f"{args.config}: invalid JSON: {exc}") from exc
+    doc = _read_json(args.config)
     _expect_fields(
         doc,
         "document",

@@ -20,9 +20,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coeff import DIRICHLET, CoefficientSet, Interval, PiecewiseConstant, SLProblem, constant
+from .coeff import PiecewiseConstant
 from .errors import BadConfig
-from .nonlinear import BRANCH_MIN, invert_map
+from .nonlinear import BRANCH_MIN, NonlinearProblem, invert_map
 from .primes import nth_prime
 from .spectrum import compute_spectrum
 
@@ -51,21 +51,11 @@ def _uniform_mesh(pieces: int) -> tuple[float, ...]:
     return tuple(float(x) for x in np.linspace(0.0, 1.0, pieces + 1))
 
 
-def _assemble(q: PiecewiseConstant) -> SLProblem:
-    a, b = q.breakpoints[0], q.breakpoints[-1]
-    one = constant(1.0, a, b).refine(q.breakpoints)
-    return SLProblem(
-        interval=Interval(a, b),
-        coeffs=CoefficientSet(s=one, q=q, r=one),
-        bc=DIRICHLET,
-    )
-
-
 def objective(q: PiecewiseConstant, n_targets: int) -> float:
     """Relative squared misfit sum_n ((mu_n(q) - mu*_n) / mu*_n)^2."""
     if n_targets < 1:
         raise BadConfig(f"need at least one target, got {n_targets}")
-    spec = compute_spectrum(_assemble(q), n_targets)
+    spec = compute_spectrum(NonlinearProblem(q).base(), n_targets)
     if spec.truncated:
         return math.inf
     total = 0.0
@@ -92,6 +82,8 @@ class SearchConfig:
             raise BadConfig(f"pieces must be >= 1, got {self.pieces}")
         if not (self.bound > 0.0 and math.isfinite(self.bound)):
             raise BadConfig(f"bound must be positive and finite, got {self.bound}")
+        if self.seed < 0:
+            raise BadConfig(f"seed must be >= 0, got {self.seed}")
         if self.targets < 1:
             raise BadConfig(f"targets must be >= 1, got {self.targets}")
         if self.restarts < 1:
@@ -225,7 +217,7 @@ def search(config: SearchConfig | None = None) -> SearchResult:
             best_vals, best_j = vals, j_val
 
     best_q = PiecewiseConstant(mesh, best_vals)
-    spec = compute_spectrum(_assemble(best_q), cfg.targets)
+    spec = compute_spectrum(NonlinearProblem(best_q).base(), cfg.targets)
     rows = []
     for ev, t in zip(spec.eigenvalues, targets):
         lam = invert_map(ev.value) if ev.value >= BRANCH_MIN else None

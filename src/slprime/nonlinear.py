@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .coeff import BoundaryCondition, PiecewiseConstant, SLProblem, refine_common_mesh
+from .coeff import DIRICHLET, CoefficientSet, PiecewiseConstant, SLProblem
 from .errors import DomainMismatch, NoRoot, OutOfDomain
 from .spectrum import DEFAULT_OPTIONS, SolverOptions, compute_spectrum
 
@@ -46,9 +46,9 @@ class NonlinearProblem:
             )
 
     def base(self) -> SLProblem:
-        ones = PiecewiseConstant(self.q.breakpoints, (1.0,) * len(self.q.values))
-        coeffs = refine_common_mesh(ones, self.q, ones)
-        return SLProblem(coeffs.interval, coeffs, BoundaryCondition(0.0, math.pi))
+        q = self.q
+        one = PiecewiseConstant(q.breakpoints, (1.0,) * len(q.values))
+        return SLProblem(q.interval, CoefficientSet(s=one, q=q, r=one), DIRICHLET)
 
 
 def lambda_map(lam: float) -> float:
@@ -74,30 +74,24 @@ def invert_map(mu: float, branch: str = "principal") -> float:
     if not math.isfinite(mu) or mu < BRANCH_MIN:
         raise NoRoot(f"Lambda(lambda) >= (pi e)^2 = {BRANCH_MIN:.6f} everywhere, no root for mu = {mu}")
     t = math.sqrt(mu) / math.pi  # solve lambda / log(lambda) = t, t >= e
-    if branch == "principal":
+    principal = branch == "principal"
+    if principal:
         lo, hi = _E, max(2.0 * _E, t)
         while _ratio(hi) < t:
             lo = hi
             hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi or (hi - lo) <= 1e-12 * mid:
-                break
-            if _ratio(mid) < t:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-    # lower branch: ratio decreases from +inf (lambda -> 1+) to e
-    lo = 1.5
-    while _ratio(lo) < t:
-        lo = 1.0 + 0.5 * (lo - 1.0)
-    hi = _E
+    else:
+        # lower branch: ratio decreases from +inf (lambda -> 1+) to e
+        lo, hi = 1.5, _E
+        while _ratio(lo) < t:
+            lo = 1.0 + 0.5 * (lo - 1.0)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi or (hi - lo) <= 1e-12 * mid:
             break
-        if _ratio(mid) >= t:
+        # the root lies above mid where ratio(mid) < t on the increasing
+        # principal branch, and where ratio(mid) >= t on the lower one
+        if (_ratio(mid) < t) == principal:
             lo = mid
         else:
             hi = mid

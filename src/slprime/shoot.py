@@ -33,12 +33,8 @@ from .errors import NotRightDefinite, OutOfDomain
 
 __all__ = [
     "State",
-    "TransferMatrix",
     "AngleResult",
     "boundary_state",
-    "phase_kernels",
-    "piece_matrix",
-    "integrate_system",
     "integrate_system_scaled",
     "prufer_angle",
 ]
@@ -58,39 +54,10 @@ class State:
     u: complex
     v: complex
 
-    def norm_sq(self) -> float:
-        return abs(self.u) ** 2 + abs(self.v) ** 2
-
 
 def boundary_state(alpha: float) -> State:
     """Unit-amplitude state satisfying the left condition u cos(alpha) + v sin(alpha) = 0."""
     return State(math.sin(alpha), -math.cos(alpha))
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    m11: complex
-    m12: complex
-    m21: complex
-    m22: complex
-
-    @property
-    def det(self) -> complex:
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-    def apply(self, state: State) -> State:
-        return State(
-            self.m11 * state.u + self.m12 * state.v,
-            self.m21 * state.u + self.m22 * state.v,
-        )
-
-    def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        return TransferMatrix(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-        )
 
 
 def _kernel_series(z):
@@ -100,55 +67,20 @@ def _kernel_series(z):
     return c, sg
 
 
-def phase_kernels(z):
-    """(c, sigma) = (cos sqrt(z), sin sqrt(z)/sqrt(z)) for real or complex z."""
-    if isinstance(z, complex):
-        if abs(z) < _SERIES_CUT:
-            return _kernel_series(z)
-        w = cmath.sqrt(z)
-        return cmath.cos(w), cmath.sin(w) / w
-    if abs(z) < _SERIES_CUT:
-        return _kernel_series(z)
-    if z > 0.0:
-        w = math.sqrt(z)
-        return math.cos(w), math.sin(w) / w
-    w = math.sqrt(-z)
-    return math.cosh(w), math.sinh(w) / w
-
-
-def piece_matrix(s: float, q: float, r: float, lam, h: float) -> TransferMatrix:
-    """Exact transfer matrix across one constant piece of width h."""
-    if h <= 0.0:
-        raise OutOfDomain(f"piece width must be positive, got {h}")
-    k = lam * r - q
-    z = s * k * h * h
-    c, sg = phase_kernels(z)
-    return TransferMatrix(c, -s * h * sg, k * h * sg, c)
-
-
-def integrate_system(problem: SLProblem, lam, init: State | None = None) -> State:
-    """Propagate init (default: the left boundary state) from a to b.
-
-    Plain matrix product; entries can overflow for |Im sqrt(z)| beyond
-    ~700 on a single piece -- use integrate_system_scaled for moduli that
-    large.
-    """
-    state = boundary_state(problem.bc.alpha) if init is None else init
-    widths, svals, qvals, rvals = problem.coeffs.piece_arrays()
-    for h, s, q, r in zip(widths, svals, qvals, rvals):
-        state = piece_matrix(s, q, r, lam, h).apply(state)
-    return state
-
-
 def _scaled_piece(s, q, r, lam, h):
-    """Scaled matrix entries (m11, m12, m21, m22, ls): true matrix = e^ls * M."""
+    """Transfer matrix across one piece for complex lambda, scaled against overflow.
+
+    Returns (m11, m12, m21, m22, ls) with the true matrix = e^ls * M.
+    """
     k = lam * r - q
-    z = s * k * h * h
-    zc = complex(z)
-    w = cmath.sqrt(zc)
+    z = complex(s * k * h * h)
+    w = cmath.sqrt(z)
     m = abs(w.imag)
     if m < 30.0:
-        c, sg = phase_kernels(zc)
+        if abs(z) < _SERIES_CUT:
+            c, sg = _kernel_series(z)
+        else:
+            c, sg = cmath.cos(w), cmath.sin(w) / w
         return c, -s * h * sg, k * h * sg, c, 0.0
     # cos w = (e^{iw} + e^{-iw})/2, sin w likewise; factor e^m out so both
     # exponentials have nonpositive real part
@@ -175,10 +107,11 @@ def _propagate_scaled(widths, svals, qvals, rvals, lam, u, v):
 
 
 def integrate_system_scaled(problem: SLProblem, lam, init: State | None = None):
-    """Like integrate_system but overflow-free: returns (State, log_scale).
+    """Propagate init (default: the left boundary state) from a to b: (State, log_scale).
 
-    The true terminal state is e^log_scale times the returned one; use the
-    log form directly when |lambda| is large enough that exp would overflow.
+    Works for real and complex lambda.  The true terminal state is
+    e^log_scale times the returned one; use the log form directly when
+    |lambda| is large enough that exp would overflow.
     """
     state = boundary_state(problem.bc.alpha) if init is None else init
     widths, svals, qvals, rvals = problem.coeffs.piece_arrays()
@@ -305,6 +238,16 @@ def _theta_scan(widths, svals, qvals, rvals, alpha, lam):
     return winding, frac, u, v
 
 
+def _solver_pieces(problem: SLProblem):
+    """(widths, s, q, r) of a problem whose theta(b) can locate eigenvalues."""
+    widths, svals, qvals, rvals = problem.coeffs.piece_arrays()
+    if not any(v > 0.0 for v in svals):
+        raise NotRightDefinite("s vanishes identically; u cannot oscillate")
+    if not any(v > 0.0 for v in rvals):
+        raise NotRightDefinite("r vanishes identically; theta(b) does not depend on lambda")
+    return widths, svals, qvals, rvals
+
+
 def prufer_angle(problem: SLProblem, lam: float) -> AngleResult:
     """theta(b; lambda) for real lambda on a right-definite problem.
 
@@ -314,10 +257,5 @@ def prufer_angle(problem: SLProblem, lam: float) -> AngleResult:
     """
     if isinstance(lam, complex) or not math.isfinite(lam):
         raise OutOfDomain(f"prufer_angle needs real finite lambda, got {lam!r}")
-    widths, svals, qvals, rvals = problem.coeffs.piece_arrays()
-    if not any(v > 0.0 for v in svals):
-        raise NotRightDefinite("s vanishes identically; u cannot oscillate")
-    if not any(v > 0.0 for v in rvals):
-        raise NotRightDefinite("r vanishes identically; theta(b) does not depend on lambda")
-    winding, frac, _, _ = _theta_scan(widths, svals, qvals, rvals, problem.bc.alpha, lam)
+    winding, frac, _, _ = _theta_scan(*_solver_pieces(problem), problem.bc.alpha, lam)
     return AngleResult(theta_b=winding * _PI + frac, winding=winding)

@@ -24,8 +24,8 @@ import math
 from dataclasses import dataclass, field
 
 from .coeff import CoefficientSet, SLProblem, weyl_constant
-from .errors import EigenvalueNotFound, InsufficientData, NotRightDefinite, OutOfDomain
-from .shoot import _theta_scan
+from .errors import EigenvalueNotFound, InsufficientData, OutOfDomain
+from .shoot import _solver_pieces, _theta_scan
 
 __all__ = [
     "SolverOptions",
@@ -73,15 +73,6 @@ class Spectrum:
 
     def values(self) -> list[float]:
         return [ev.value for ev in self.eigenvalues]
-
-
-def _solver_pieces(problem: SLProblem):
-    widths, svals, qvals, rvals = problem.coeffs.piece_arrays()
-    if not any(v > 0.0 for v in svals):
-        raise NotRightDefinite("s vanishes identically; u cannot oscillate")
-    if not any(v > 0.0 for v in rvals):
-        raise NotRightDefinite("r vanishes identically; theta(b) does not depend on lambda")
-    return widths, svals, qvals, rvals
 
 
 def eigenvalue(

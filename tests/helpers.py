@@ -4,6 +4,7 @@ Everything here deliberately avoids the package's transfer-matrix code path,
 so agreement between the two is evidence, not tautology.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -50,12 +51,16 @@ def hand_piece_matrix(s, q, r, lam, h):
     """Transfer matrix for one constant piece, from the trig/hyperbolic formulas.
 
     Re-derived from the system u' = -s v, v' = (lam r - q) u instead of the
-    unified kernel the package uses.
+    unified kernel the package uses.  Complex lam goes through the
+    hyperbolic form cosh(sqrt(-z)), not the package's cos(sqrt(z)).
     """
     k = lam * r - q
     z = s * k * h * h
     if abs(z) < 1e-30:
         c, sig = 1.0, 1.0
+    elif isinstance(z, complex):
+        w = cmath.sqrt(-z)
+        c, sig = cmath.cosh(w), cmath.sinh(w) / w
     elif z > 0:
         w = math.sqrt(z)
         c, sig = math.cos(w), math.sin(w) / w

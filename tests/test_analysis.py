@@ -61,6 +61,9 @@ def test_growth_guards():
         growth_check(unit_problem(), 0.5)  # |lambda| < 1
     with pytest.raises(OutOfDomain):
         growth_check(unit_problem(), 10.0, x_samples=0)
+    for lam in (math.nan, math.inf, complex(-100.0, math.nan)):
+        with pytest.raises(OutOfDomain):
+            growth_check(unit_problem(), lam)
 
 
 def test_order_estimate_unit_problem():
@@ -87,6 +90,9 @@ def test_order_estimate_flags_and_guards():
         order_estimate(unit_problem(), [1e3, 1e2, 1e4])
     with pytest.raises(OutOfDomain):
         order_estimate(unit_problem(), [1e2, 1e3, 1e4], angular_samples=3)
+    for bad in ([1e2, 1e3, math.nan], [1e2, math.nan, 1e4], [1e2, 1e3, math.inf]):
+        with pytest.raises(OutOfDomain):
+            order_estimate(unit_problem(), bad)
     with pytest.raises(DegenerateModulus):
         order_estimate(unit_problem(), [1.05, 1.1, 1.2])  # M(R) never reaches 10
 

@@ -126,6 +126,15 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     not_json.write_text("{broken")
     assert run(["spectrum", "--config", str(not_json)]) == 2
 
+    search_cfg = tmp_path / "search.json"
+    search_cfg.write_text(json.dumps({"pieces": 2, "targets": 2, "restarts": 1}))
+    out = str(tmp_path / "res.json")
+    assert run(["invert", "--config", str(search_cfg), "--seed", "-1", "--out", out]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    search_cfg.write_text(json.dumps({"pieces": 2, "seed": -1}))
+    assert run(["invert", "--config", str(search_cfg), "--out", out]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
 
 def test_unknown_command_exit_two(capsys):
     assert run(["bogus"]) == 2
@@ -168,6 +177,9 @@ def test_growth_command(tmp_path, capsys):
     assert out.read_text().splitlines()[1] == "x,measured,bound,slack"
     # |lambda| < 1 is a validation error
     assert run(["growth", "--config", cfg, "--lambda-re", "0.5"]) == 2
+    # so is a non-finite lambda, which would otherwise print a nan slack
+    assert run(["growth", "--config", cfg, "--lambda-re", "nan"]) == 2
+    assert run(["growth", "--config", cfg, "--lambda-im", "inf"]) == 2
 
 
 def test_order_command(tmp_path, capsys):
@@ -182,6 +194,9 @@ def test_order_command(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "VERDICT: INCONCLUSIVE order" in captured.out
+    # a non-finite radius is a validation error, not a radius left out of the fit
+    for radii in ("1e2,1e3,nan", "1e2,1e3,1e4,1e400"):
+        assert run(["order", "--config", cfg, "--radii", radii]) == 2
 
 
 def test_series_command(tmp_path, capsys):

@@ -127,6 +127,8 @@ def test_search_config_validation():
         SearchConfig(restarts=0)
     with pytest.raises(BadConfig):
         SearchConfig(initial_step=0.0)
+    with pytest.raises(BadConfig):
+        SearchConfig(seed=-1)  # numpy's default_rng rejects negative seeds
     cfg = SearchConfig(bound=120.0)
     assert cfg.step0 == 30.0
     assert SearchConfig(initial_step=7.0).step0 == 7.0

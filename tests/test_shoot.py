@@ -9,17 +9,21 @@ from scipy.integrate import solve_ivp
 from helpers import hand_piece_matrix, random_problem, rk4_prufer_angle
 from slprime.coeff import constant, make_piecewise, problem, unit_problem
 from slprime.errors import NotRightDefinite, OutOfDomain
-from slprime.shoot import (
-    State,
-    boundary_state,
-    integrate_system,
-    integrate_system_scaled,
-    phase_kernels,
-    piece_matrix,
-    prufer_angle,
-)
+from slprime.shoot import _scaled_piece, boundary_state, integrate_system_scaled, prufer_angle
 
 rng = np.random.default_rng(20260814)
+
+
+def kernel_matrix(s, q, r, lam, h):
+    """The package's per-piece kernel as a plain 2x2 array, its scale e^ls multiplied back in."""
+    m11, m12, m21, m22, ls = _scaled_piece(s, q, r, lam, h)
+    return np.array([[m11, m12], [m21, m22]]) * math.exp(ls)
+
+
+def terminal_state(prob, lam):
+    """(u(b), v(b)) from integrate_system_scaled, scale multiplied back in."""
+    st, log_scale = integrate_system_scaled(prob, lam)
+    return st.u * math.exp(log_scale), st.v * math.exp(log_scale)
 
 
 def test_boundary_state_alignment():
@@ -34,19 +38,22 @@ def test_boundary_state_alignment():
 
 
 def test_phase_kernels_match_series_and_trig():
-    # across the series/trig switchover the kernels must agree to machine precision
+    # across the series/trig switchover the kernels must agree to machine
+    # precision; with s = r = h = 1 and q = 0 the piece has z = lambda, and
+    # its matrix holds c = m11 and sigma = -m12
     for z in (1e-6, 9.9e-5, 1.01e-4, 1e-3, -1e-6, -9.9e-5, -1.01e-4, -1e-3):
-        c, sig = phase_kernels(z)
+        c, m12, _, _, ls = _scaled_piece(1.0, 0.0, 1.0, z, 1.0)
+        assert ls == 0.0 and c.imag == 0.0 and m12.imag == 0.0
         if z > 0:
             w = math.sqrt(z)
-            assert c == pytest.approx(math.cos(w), abs=1e-15)
-            assert sig == pytest.approx(math.sin(w) / w, abs=1e-15)
+            assert c.real == pytest.approx(math.cos(w), abs=1e-15)
+            assert -m12.real == pytest.approx(math.sin(w) / w, abs=1e-15)
         else:
             w = math.sqrt(-z)
-            assert c == pytest.approx(math.cosh(w), rel=1e-15)
-            assert sig == pytest.approx(math.sinh(w) / w, rel=1e-15)
-    c, sig = phase_kernels(0.0)
-    assert (c, sig) == (1.0, 1.0)
+            assert c.real == pytest.approx(math.cosh(w), rel=1e-15)
+            assert -m12.real == pytest.approx(math.sinh(w) / w, rel=1e-15)
+    c, m12, _, _, _ = _scaled_piece(1.0, 0.0, 1.0, 0.0, 1.0)
+    assert (c, -m12) == (1.0, 1.0)
 
 
 def test_piece_matrix_against_hand_formulas():
@@ -56,12 +63,19 @@ def test_piece_matrix_against_hand_formulas():
         (1.0, 0.0, 1.0, -25.0, 1.0),
         (0.0, 3.0, 2.0, 7.0, 0.5),  # s = 0: shear piece
         (1.5, 2.0, 0.0, 9.0, 0.3),  # r = 0: lambda drops out
+        (1.0, 2.0, 3.0, 4.0 - 7.0j, 0.5),  # complex lambda, |Im sqrt(z)| ~ 1.5
+        # |Im sqrt(z)| >= 30: the kernel factors e^|Im sqrt(z)| out into ls
+        (1.0, 0.0, 1.0, -(40.0**2), 1.0),  # sqrt(z) = 40i
+        (2.0, -5.0, 0.5, -4910.0, 0.5),  # sqrt(z) = 35i
+        (1.0, 0.0, 1.0, -825.0 + 1400.0j, 1.0),  # sqrt(z) = 20 + 35i
     ]
     for s, q, r, lam, h in cases:
-        m = piece_matrix(s, q, r, lam, h)
+        got = kernel_matrix(s, q, r, lam, h)
         ref = hand_piece_matrix(s, q, r, lam, h)
-        got = np.array([[m.m11, m.m12], [m.m21, m.m22]], dtype=float)
         assert np.allclose(got, ref, rtol=1e-13, atol=1e-15), (s, q, r, lam, h)
+    # the scaled branch really is taken on the last three cases
+    for s, q, r, lam, h in cases[-3:]:
+        assert _scaled_piece(s, q, r, lam, h)[4] >= 30.0
 
 
 def test_piece_matrix_unimodular_in_safe_regime():
@@ -77,18 +91,9 @@ def test_piece_matrix_unimodular_in_safe_regime():
         z = s * (lam * r - q) * h * h
         if z < -45.0:
             continue
-        m = piece_matrix(s, q, r, lam, h)
-        assert m.det == pytest.approx(1.0, abs=1e-10), (s, q, r, lam, h, z)
-
-
-def test_matmul_matches_sequential_apply():
-    m1 = piece_matrix(2.0, 1.0, 3.0, 5.0, 0.3)
-    m2 = piece_matrix(0.0, -2.0, 1.0, 5.0, 0.6)
-    st = State(0.3, -1.2)
-    combined = (m2 @ m1).apply(st)
-    stepped = m2.apply(m1.apply(st))
-    assert combined.u == pytest.approx(stepped.u, rel=1e-14)
-    assert combined.v == pytest.approx(stepped.v, rel=1e-14)
+        m = kernel_matrix(s, q, r, lam, h)
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        assert det == pytest.approx(1.0, abs=1e-10), (s, q, r, lam, h, z)
 
 
 def test_integrate_system_against_solve_ivp():
@@ -113,10 +118,10 @@ def test_integrate_system_against_solve_ivp():
             dense_output=False,
             max_step=min(widths) / 4,
         )
-        got = integrate_system(prob, lam)
+        u, v = terminal_state(prob, lam)
         scale = max(1.0, abs(sol.y[0, -1]), abs(sol.y[1, -1]))
-        assert abs(got.u - sol.y[0, -1]) / scale < 1e-7, trial
-        assert abs(got.v - sol.y[1, -1]) / scale < 1e-7, trial
+        assert abs(u - sol.y[0, -1]) / scale < 1e-7, trial
+        assert abs(v - sol.y[1, -1]) / scale < 1e-7, trial
 
 
 def test_integrate_split_consistency():
@@ -126,25 +131,33 @@ def test_integrate_split_consistency():
     r = constant(0.9, 0.0, 2.0)
     whole = problem(s, q, r)
     for lam in (-80.0, -1.0, 0.0, 17.0, 400.0):
-        ref = integrate_system(whole, lam)
+        ref_u, ref_v = terminal_state(whole, lam)
         mesh = (0.0, 0.17, 0.5, 1.111, 1.9, 2.0)
         split = problem(s.refine(mesh), q.refine(mesh), r.refine(mesh))
-        got = integrate_system(split, lam)
-        scale = max(abs(ref.u), abs(ref.v))
-        assert abs(got.u - ref.u) / scale < 1e-12
-        assert abs(got.v - ref.v) / scale < 1e-12
+        u, v = terminal_state(split, lam)
+        scale = max(abs(ref_u), abs(ref_v))
+        assert abs(u - ref_u) / scale < 1e-12
+        assert abs(v - ref_v) / scale < 1e-12
 
 
 def test_scaled_propagation_matches_plain_when_safe():
-    prob = unit_problem()
-    for lam in (-500.0, 40.0, 1e4):
-        plain = integrate_system(prob, lam)
-        st, log_scale = integrate_system_scaled(prob, lam)
-        u = st.u * math.exp(log_scale)
-        v = st.v * math.exp(log_scale)
-        scale = max(abs(plain.u), abs(plain.v))
-        assert abs(u - plain.u) / scale < 1e-12
-        assert abs(v - plain.v) / scale < 1e-12
+    # plain: the unscaled product of the hand-derived piece matrices
+    prob = problem(
+        make_piecewise([0.0, 0.3, 1.0], [1.0, 2.0]),
+        make_piecewise([0.0, 0.6, 1.0], [5.0, -3.0]),
+        make_piecewise([0.0, 1.0], [1.5]),
+        alpha=0.4,
+    )
+    widths, sv, qv, rv = prob.coeffs.piece_arrays()
+    st0 = boundary_state(prob.bc.alpha)
+    for lam in (-500.0, 40.0, 1e4, 30.0 - 200.0j):
+        plain = np.array([st0.u, st0.v])
+        for h, s, q, r in zip(widths, sv, qv, rv):
+            plain = hand_piece_matrix(s, q, r, lam, h) @ plain
+        u, v = terminal_state(prob, lam)
+        scale = max(abs(plain[0]), abs(plain[1]))
+        assert abs(u - plain[0]) / scale < 1e-12
+        assert abs(v - plain[1]) / scale < 1e-12
 
 
 def test_scaled_propagation_survives_huge_negative_lambda():
@@ -205,7 +218,3 @@ def test_prufer_angle_requires_right_definite_content():
     with pytest.raises(OutOfDomain):
         prufer_angle(unit_problem(), math.nan)
 
-
-def test_piece_matrix_rejects_nonpositive_width():
-    with pytest.raises(OutOfDomain):
-        piece_matrix(1.0, 0.0, 1.0, 1.0, 0.0)
