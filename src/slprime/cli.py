@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -224,17 +225,12 @@ def _cmd_spectrum(args) -> int:
 def _cmd_nonlinear(args) -> int:
     if args.config is not None:
         problem, opts, doc = _load_problem(args.config)
-        ivl = problem.interval
-        ones_ok = (
-            set(problem.coeffs.s.values) == {1.0}
-            and set(problem.coeffs.r.values) == {1.0}
-            and (ivl.a, ivl.b) == (0.0, 1.0)
-        )
-        if not ones_ok:
-            raise BadConfig(
-                "nonlinear needs s = r = 1 on [0, 1]; only coefficients.q may vary"
-            )
         nl = NonlinearProblem(problem.coeffs.q)
+        if problem != nl.base():
+            raise BadConfig(
+                "nonlinear needs s = r = 1 on [0, 1] with Dirichlet ends; "
+                "only coefficients.q may vary"
+            )
     else:
         nl = NonlinearProblem(PiecewiseConstant((0.0, 1.0), (0.0,)))
         opts, doc = SolverOptions(), None
@@ -399,15 +395,7 @@ def _cmd_invert(args) -> int:
     cfg_obj = SearchConfig(**kwargs)
 
     result = search(cfg_obj)
-    cfg_dict = {
-        "pieces": cfg_obj.pieces,
-        "bound": cfg_obj.bound,
-        "targets": cfg_obj.targets,
-        "seed": cfg_obj.seed,
-        "restarts": cfg_obj.restarts,
-        "max_iters": cfg_obj.max_iters,
-        "initial_step": cfg_obj.initial_step,
-    }
+    cfg_dict = dataclasses.asdict(cfg_obj)
     cfg_hash = _config_hash({"command": "invert", "config": cfg_dict})
     payload = {
         "config": cfg_dict,

@@ -51,7 +51,7 @@ class InsufficientData(SlprimeError):
 
 
 class NoRoot(SlprimeError):
-    """The nonlinear parameter map has no root on the requested branch."""
+    """The nonlinear parameter map has no root on the principal branch."""
 
 
 class LimitTooLarge(SlprimeError):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .coeff import PiecewiseConstant
 from .errors import BadConfig
-from .nonlinear import BRANCH_MIN, NonlinearProblem, invert_map
+from .nonlinear import NonlinearProblem, lambda_map, nonlinear_spectrum
 from .primes import nth_prime
 from .spectrum import compute_spectrum
 
@@ -43,8 +43,7 @@ _STEP_FLOOR_REL = 1e-6
 @lru_cache(maxsize=None)
 def target_mu(n: int) -> float:
     """Target n-th composed eigenvalue (pi p_n / log p_n)^2."""
-    p = nth_prime(n)
-    return (math.pi * p / math.log(p)) ** 2
+    return lambda_map(nth_prime(n))
 
 
 def _uniform_mesh(pieces: int) -> tuple[float, ...]:
@@ -177,8 +176,7 @@ def _pattern_search(cfg: SearchConfig, k: int, targets: tuple[float, ...]):
 
 
 def _restart_job(args):
-    cfg, k, targets = args
-    return k, _pattern_search(cfg, k, targets)
+    return _pattern_search(*args)
 
 
 def search(config: SearchConfig | None = None) -> SearchResult:
@@ -207,29 +205,25 @@ def search(config: SearchConfig | None = None) -> SearchResult:
             outcomes = [_restart_job(job) for job in jobs]
     else:
         outcomes = [_restart_job(job) for job in jobs]
-    outcomes.sort(key=lambda pair: pair[0])
 
     best_vals, best_j = zero, baseline
     traces = []
-    for k, (vals, j_val, trace) in outcomes:
+    for vals, j_val, trace in outcomes:
         traces.append(trace)
         if j_val < best_j:
             best_vals, best_j = vals, j_val
 
     best_q = PiecewiseConstant(mesh, best_vals)
-    spec = compute_spectrum(NonlinearProblem(best_q).base(), cfg.targets)
-    rows = []
-    for ev, t in zip(spec.eigenvalues, targets):
-        lam = invert_map(ev.value) if ev.value >= BRANCH_MIN else None
-        rows.append(
-            TargetRow(
-                index=ev.index,
-                prime=nth_prime(ev.index),
-                target=t,
-                achieved=ev.value,
-                implied_lambda=lam,
-            )
+    rows = [
+        TargetRow(
+            index=row.index,
+            prime=nth_prime(row.index),
+            target=t,
+            achieved=row.mu,
+            implied_lambda=row.lam,
         )
+        for row, t in zip(nonlinear_spectrum(NonlinearProblem(best_q), cfg.targets), targets)
+    ]
     return SearchResult(
         config=cfg,
         best_q=best_q,

@@ -62,36 +62,25 @@ def _ratio(lam: float) -> float:
     return lam / math.log(lam)
 
 
-def invert_map(mu: float, branch: str = "principal") -> float:
-    """Root of Lambda(lambda) = mu on the requested branch, to 1e-12 relative.
+def invert_map(mu: float) -> float:
+    """Root of Lambda(lambda) = mu on the principal branch, to 1e-12 relative.
 
-    principal: lambda >= e (Lambda increasing); lower: 1 < lambda <= e
-    (Lambda decreasing).  Raises NoRoot when mu < (pi e)^2, the minimum of
-    Lambda -- the reason eigenvalue indices with small mu are simply absent.
+    The principal branch is lambda >= e, where Lambda increases.  Raises
+    NoRoot when mu < (pi e)^2, the minimum of Lambda -- the reason
+    eigenvalue indices with small mu are simply absent.
     """
-    if branch not in ("principal", "lower"):
-        raise OutOfDomain(f"branch must be 'principal' or 'lower', got {branch!r}")
     if not math.isfinite(mu) or mu < BRANCH_MIN:
         raise NoRoot(f"Lambda(lambda) >= (pi e)^2 = {BRANCH_MIN:.6f} everywhere, no root for mu = {mu}")
     t = math.sqrt(mu) / math.pi  # solve lambda / log(lambda) = t, t >= e
-    principal = branch == "principal"
-    if principal:
-        lo, hi = _E, max(2.0 * _E, t)
-        while _ratio(hi) < t:
-            lo = hi
-            hi *= 2.0
-    else:
-        # lower branch: ratio decreases from +inf (lambda -> 1+) to e
-        lo, hi = 1.5, _E
-        while _ratio(lo) < t:
-            lo = 1.0 + 0.5 * (lo - 1.0)
+    lo, hi = _E, max(2.0 * _E, t)
+    while _ratio(hi) < t:
+        lo = hi
+        hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi or (hi - lo) <= 1e-12 * mid:
             break
-        # the root lies above mid where ratio(mid) < t on the increasing
-        # principal branch, and where ratio(mid) >= t on the lower one
-        if (_ratio(mid) < t) == principal:
+        if _ratio(mid) < t:
             lo = mid
         else:
             hi = mid
@@ -112,7 +101,7 @@ def nonlinear_spectrum(
     base = compute_spectrum(problem.base(), n_max, opts)
     rows = []
     for ev in base.eigenvalues:
-        lam = invert_map(ev.value, "principal") if ev.value >= BRANCH_MIN else None
+        lam = invert_map(ev.value) if ev.value >= BRANCH_MIN else None
         rows.append(NonlinearRow(index=ev.index, mu=ev.value, lam=lam))
     return tuple(rows)
 

@@ -91,9 +91,8 @@ def _scaled_piece(s, q, r, lam, h):
     return c, -s * h * sg, k * h * sg, c, m
 
 
-def _propagate_scaled(widths, svals, qvals, rvals, lam, u, v):
-    """Normalized propagation; returns (u, v, log_scale) with true state = e^log_scale * (u, v)."""
-    ls = 0.0
+def _propagate_scaled(widths, svals, qvals, rvals, lam, u, v, ls=0.0):
+    """Normalized propagation of e^ls (u, v); returns (u, v, log_scale), true state e^log_scale (u, v)."""
     for h, s, q, r in zip(widths, svals, qvals, rvals):
         m11, m12, m21, m22, piece_ls = _scaled_piece(s, q, r, lam, h)
         u, v = m11 * u + m12 * v, m21 * u + m22 * v

@@ -103,34 +103,29 @@ def eigenvalue(
     cap = opts.lambda_cap
     guess = min(cap, max(-cap, guess))
 
-    at_guess = scan(guess)
+    # expand away from the guess, doubling the step, until the target angle
+    # is bracketed: upward while theta(b) < target, downward otherwise
+    near = scan(guess)
+    up = near[1] < 0.0
     step = max(1.0, 0.05 * abs(guess))
-    if at_guess[1] >= 0.0:
-        hi, lo = at_guess, scan(max(guess - step, -cap))
-        while lo[1] >= 0.0:
-            if lo[0] <= -cap:
-                raise EigenvalueNotFound(
-                    f"no lambda above -{cap:g} brings theta(b) below the target angle "
-                    f"{target:.6g} for n = {n}",
-                    index=n,
-                    cap=cap,
-                )
-            hi = lo
-            step *= 2.0
-            lo = scan(max(guess - step, -cap))
-    else:
-        lo, hi = at_guess, scan(min(guess + step, cap))
-        while hi[1] < 0.0:
-            if hi[0] >= cap:
-                raise EigenvalueNotFound(
-                    f"theta(b) stays below the target angle {target:.6g} up to the "
-                    f"lambda cap {cap:g}; no eigenvalue n = {n}",
-                    index=n,
-                    cap=cap,
-                )
-            lo = hi
-            step *= 2.0
-            hi = scan(min(guess + step, cap))
+    while True:
+        far = scan(min(guess + step, cap) if up else max(guess - step, -cap))
+        if (far[1] >= 0.0) == up:
+            break
+        # a clamped point sits at the cap on its own side of the guess
+        if abs(far[0]) >= cap:
+            raise EigenvalueNotFound(
+                f"theta(b) stays below the target angle {target:.6g} up to the "
+                f"lambda cap {cap:g}; no eigenvalue n = {n}"
+                if up
+                else f"no lambda above -{cap:g} brings theta(b) below the target angle "
+                f"{target:.6g} for n = {n}",
+                index=n,
+                cap=cap,
+            )
+        near = far
+        step *= 2.0
+    lo, hi = (near, far) if up else (far, near)
 
     # Brent-Dekker on f = theta(b) - target, f(lo) < 0 <= f(hi).  b is the
     # best point so far, c the other end of the bracket (f = 0 counts as

@@ -1,5 +1,6 @@
 """Growth bound, order estimate, incompatibility report, partial-sum dichotomy."""
 
+import cmath
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from slprime.errors import (
     OutOfDomain,
 )
 from slprime.primes import sieve
+from slprime.shoot import _propagate_scaled
 from slprime.spectrum import Eigenvalue, Spectrum, compute_spectrum
 
 PI2 = math.pi**2
@@ -54,6 +56,69 @@ def test_growth_randomized_suite():
         for lam in lams:
             rep = growth_check(prob, lam, x_samples=6)
             assert rep.passed, (prob.content_hash(), lam, rep.min_slack)
+
+
+def _reference_growth_samples(prob, lam, x_samples):
+    """growth_check's samples with every stencil point propagated from a, piece by piece."""
+
+    def log_w(x_rel):
+        pw, ps, pq, pr = [], [], [], []
+        acc = 0.0
+        for h, s, q, r in zip(widths, svals, qvals, rvals):
+            if acc + h < x_rel:
+                pw.append(h)
+                ps.append(s)
+                pq.append(q)
+                pr.append(r)
+                acc += h
+            else:
+                tail = x_rel - acc
+                if tail > 0.0:
+                    pw.append(tail)
+                    ps.append(s)
+                    pq.append(q)
+                    pr.append(r)
+                break
+        alpha = prob.bc.alpha
+        u, v, ls = _propagate_scaled(
+            pw, ps, pq, pr, lam, complex(math.sin(alpha)), complex(-math.cos(alpha))
+        )
+        return math.log(abs(lam) * abs(u) ** 2 + abs(v) ** 2) + 2.0 * ls
+
+    lam = complex(lam)
+    widths, svals, qvals, rvals = prob.coeffs.piece_arrays()
+    total = sum(widths)
+    h_default = total / (4.0 * x_samples)
+    sqrt_mod = math.sqrt(abs(lam))
+    alloc = [max(1, round(x_samples * h / total)) for h in widths]
+    rows = []
+    acc = 0.0
+    for h, s, q, r, c in zip(widths, svals, qvals, rvals, alloc):
+        h_fd = min(h_default, 0.45 * h / (c + 1))
+        bound = sqrt_mod * (r + s) + abs(q) / sqrt_mod
+        for j in range(c):
+            x_rel = acc + (j + 1) * h / (c + 1)
+            measured = (log_w(x_rel + h_fd) - log_w(x_rel - h_fd)) / (2.0 * h_fd)
+            rows.append((prob.interval.a + x_rel, measured, bound, bound - abs(measured)))
+        acc += h
+    return tuple(rows)
+
+
+def test_growth_walk_matches_per_point_propagation():
+    # carrying the state across each piece once must not change a single bit
+    # of the samples, scaled pieces (|Im sqrt z| >= 30) included
+    rng = np.random.default_rng(31)
+    scaled = 0
+    for _ in range(12):
+        prob = random_problem(rng, max_pieces=6)
+        for lam in (1.0, -100.0, 1e6, complex(-1e6, 3e5), 1e3j):
+            rep = growth_check(prob, lam, x_samples=7)
+            assert rep.samples == _reference_growth_samples(prob, lam, 7), (prob, lam)
+            scaled += any(
+                abs(cmath.sqrt(s * (lam * r - q) * h * h).imag) >= 30.0
+                for h, s, q, r in zip(*prob.coeffs.piece_arrays())
+            )
+    assert scaled >= 10
 
 
 def test_growth_guards():

@@ -2,11 +2,13 @@
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
 import slprime.primes as primes_mod
-from slprime.cli import document_to_problem, problem_to_document, run
+from slprime.cli import _build_parser, document_to_problem, problem_to_document, run
 from slprime.errors import BadConfig
 
 UNIT_DOC = {
@@ -220,11 +222,17 @@ def test_nonlinear_command(tmp_path, capsys):
     assert lines[1] == "n,mu,lambda,p_n,lambda_minus_p"
     first = lines[2].split(",")
     assert first[0] == "1" and first[2] == ""  # lambda absent below the branch minimum
-    # a non-flat s is rejected for the nonlinear problem
+    # a non-flat s, and Neumann or Robin ends, are rejected for the nonlinear
+    # problem, which is posed with Dirichlet ends
     doc = json.loads(json.dumps(UNIT_DOC))
     doc["coefficients"]["s"]["values"] = [2.0]
     cfg = write_doc(tmp_path, doc)
     assert run(["nonlinear", "--config", cfg]) == 2
+    for bc in ({"alpha": "pi/2", "beta": "pi/2"}, {"alpha": 1.0, "beta": 2.0}):
+        doc = dict(json.loads(json.dumps(UNIT_DOC)), bc=bc)
+        out = tmp_path / "nl_bc.csv"
+        assert run(["nonlinear", "--config", write_doc(tmp_path, doc), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_primes_command(tmp_path, monkeypatch):
@@ -273,3 +281,15 @@ def test_invert_command_round_trip(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_readme_command_lines_parse():
+    # every example in README's "Command line" block is accepted as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("slprime ")]
+    parser = _build_parser()
+    commands = {parser.parse_args(shlex.split(ln)[1:]).command for ln in lines}
+    assert commands == {
+        "spectrum", "incompat", "nonlinear", "primes", "growth", "order", "series", "invert"
+    }

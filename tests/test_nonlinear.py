@@ -30,14 +30,10 @@ def test_lambda_map_minimum_at_e():
 
 
 def test_invert_map_roundtrip():
-    for mu in (BRANCH_MIN * 1.0001, 100.0**2, 12345.0, 1e8):
+    for mu in (BRANCH_MIN * 1.0001, 100.0**2, 12345.0, 1e8, 1e40):
         lam = invert_map(mu)
         assert lam >= math.e
         assert lambda_map(lam) == pytest.approx(mu, rel=1e-10)
-    # the lower branch lands in (1, e] and also satisfies the map
-    lam_low = invert_map(9 * math.pi**2 * 4, branch="lower")
-    assert 1.0 < lam_low <= math.e
-    assert lambda_map(lam_low) == pytest.approx(9 * math.pi**2 * 4, rel=1e-10)
 
 
 def test_invert_map_below_minimum():
@@ -45,7 +41,7 @@ def test_invert_map_below_minimum():
         invert_map(BRANCH_MIN * 0.999)
     with pytest.raises(NoRoot):
         invert_map(1.0)
-    # exactly at the minimum both branches collapse to e
+    # exactly at the minimum the principal branch starts at e
     assert invert_map(BRANCH_MIN) == pytest.approx(math.e, rel=1e-6)
 
 

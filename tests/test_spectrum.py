@@ -180,12 +180,30 @@ def test_tight_tolerance_options_respected():
     assert ev.value == pytest.approx(9 * PI2, rel=1e-7)
 
 
-def test_low_cap_reports_not_found_with_cap():
+def test_low_cap_reports_not_found_with_cap(monkeypatch):
     opts = SolverOptions(lambda_cap=100.0)
     with pytest.raises(EigenvalueNotFound) as err:
         eigenvalue(unit_problem(), 50, opts)  # lambda_50 ~ 2.5e4 > cap
     assert err.value.index == 50
     assert err.value.cap == 100.0
+    assert str(err.value) == (
+        "theta(b) stays below the target angle 157.08 up to the lambda cap 100; "
+        "no eigenvalue n = 50"
+    )
+    # downward expansion: theta(b) >= beta = 0.1 already at lambda = -cap;
+    # the step doubles away from the clamped guess until it is clamped at -cap
+    lams = []
+    scan = spectrum_mod._theta_scan
+    monkeypatch.setattr(spectrum_mod, "_theta_scan", lambda *a: lams.append(a[-1]) or scan(*a))
+    one = make_piecewise([0.0, 1.0], [1.0])
+    prob = problem(one, make_piecewise([0.0, 1.0], [0.0]), one, alpha=1.5, beta=0.1)
+    with pytest.raises(EigenvalueNotFound) as err:
+        eigenvalue(prob, 1, SolverOptions(lambda_cap=3.0))
+    assert lams == [3.0, 2.0, 1.0, -1.0, -3.0]
+    assert err.value.index == 1 and err.value.cap == 3.0
+    assert str(err.value) == (
+        "no lambda above -3 brings theta(b) below the target angle 0.1 for n = 1"
+    )
 
 
 def bisection_eigenvalue(prob, n, opts=SolverOptions()):
