@@ -20,7 +20,6 @@ from .coeff import (
     PiecewiseConstant,
     SLProblem,
     constant,
-    integrate,
     make_piecewise,
     merged_mesh,
     problem,
@@ -61,7 +60,6 @@ from .nonlinear import (
     NonlinearProblem,
     NonlinearRow,
     invert_map,
-    lambda_expansion,
     lambda_map,
     nonlinear_spectrum,
 )

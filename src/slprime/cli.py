@@ -74,6 +74,14 @@ def _angle(value, path: str) -> float:
     return _number(value, path)
 
 
+def _owned(prefix: str, build, *args, **kwargs):
+    """build(*args, **kwargs); the owning type's error comes back prefixed with its path."""
+    try:
+        return build(*args, **kwargs)
+    except SlprimeError as exc:
+        raise BadConfig(f"{prefix}{exc}") from exc
+
+
 def _piecewise(obj, path: str) -> PiecewiseConstant:
     _expect_fields(obj, path, {"breakpoints", "values"})
     bp = obj["breakpoints"]
@@ -82,20 +90,19 @@ def _piecewise(obj, path: str) -> PiecewiseConstant:
         raise BadConfig(f"{path}.breakpoints and {path}.values must be arrays")
     bps = tuple(_number(x, f"{path}.breakpoints[{i}]") for i, x in enumerate(bp))
     vs = tuple(_number(x, f"{path}.values[{i}]") for i, x in enumerate(vals))
-    try:
-        return PiecewiseConstant(bps, vs)
-    except SlprimeError as exc:
-        raise BadConfig(f"{path}: {exc}") from exc
+    return _owned(f"{path}: ", PiecewiseConstant, bps, vs)
 
 
 def document_to_problem(doc) -> tuple[SLProblem, SolverOptions]:
-    """Validate a parsed JSON problem document into (SLProblem, SolverOptions)."""
+    """Map a parsed JSON problem document onto (SLProblem, SolverOptions).
+
+    This checks the JSON shape only; every range rule is the owning type's.
+    """
     _expect_fields(doc, "document", {"interval", "coefficients", "bc"}, {"solver"})
     _expect_fields(doc["interval"], "interval", {"a", "b"})
     a = _number(doc["interval"]["a"], "interval.a")
     b = _number(doc["interval"]["b"], "interval.b")
-    if b <= a:
-        raise BadConfig(f"interval.b must exceed interval.a, got [{a}, {b}]")
+    interval = _owned("interval.", Interval, a, b)
 
     _expect_fields(doc["coefficients"], "coefficients", {"s", "q", "r"})
     s = _piecewise(doc["coefficients"]["s"], "coefficients.s")
@@ -105,37 +112,19 @@ def document_to_problem(doc) -> tuple[SLProblem, SolverOptions]:
     _expect_fields(doc["bc"], "bc", {"alpha", "beta"})
     alpha = _angle(doc["bc"]["alpha"], "bc.alpha")
     beta = _angle(doc["bc"]["beta"], "bc.beta")
-    if not 0.0 <= alpha < math.pi:
-        raise BadConfig(f"bc.alpha must lie in [0, π), got {alpha}")
-    if not 0.0 < beta <= math.pi:
-        raise BadConfig(f"bc.beta must lie in (0, π], got {beta}")
+    bc = _owned("bc.", BoundaryCondition, alpha, beta)
 
-    opts = SolverOptions()
-    if "solver" in doc:
-        _expect_fields(doc["solver"], "solver", set(), {"angle_tol", "lambda_tol_rel", "lambda_cap"})
-        kwargs = {}
-        for key in ("angle_tol", "lambda_tol_rel", "lambda_cap"):
-            if key in doc["solver"]:
-                val = _number(doc["solver"][key], f"solver.{key}")
-                if val <= 0.0:
-                    raise BadConfig(f"solver.{key} must be positive, got {val}")
-                kwargs[key] = val
-        opts = SolverOptions(**kwargs)
-
-    try:
-        problem = SLProblem(
-            interval=Interval(a, b),
-            coeffs=CoefficientSet(s=s, q=q, r=r),
-            bc=BoundaryCondition(alpha, beta),
-        )
-    except SlprimeError as exc:
-        raise BadConfig(f"coefficients: {exc}") from exc
-    return problem, opts
+    solver = doc.get("solver", {})
+    _expect_fields(solver, "solver", set(), {f.name for f in dataclasses.fields(SolverOptions)})
+    opts = _owned(
+        "solver.", SolverOptions, **{k: _number(v, f"solver.{k}") for k, v in solver.items()}
+    )
+    coeffs = _owned("coefficients: ", CoefficientSet, s=s, q=q, r=r)
+    return _owned("coefficients: ", SLProblem, interval, coeffs, bc), opts
 
 
 def problem_to_document(problem: SLProblem, opts: SolverOptions | None = None) -> dict:
     """Serialize back to the JSON document shape; parse(serialize(x)) == x."""
-    opts = opts or SolverOptions()
 
     def pw(p: PiecewiseConstant):
         return {"breakpoints": list(p.breakpoints), "values": list(p.values)}
@@ -148,11 +137,7 @@ def problem_to_document(problem: SLProblem, opts: SolverOptions | None = None) -
             "r": pw(problem.coeffs.r),
         },
         "bc": {"alpha": problem.bc.alpha, "beta": problem.bc.beta},
-        "solver": {
-            "angle_tol": opts.angle_tol,
-            "lambda_tol_rel": opts.lambda_tol_rel,
-            "lambda_cap": opts.lambda_cap,
-        },
+        "solver": dataclasses.asdict(opts or SolverOptions()),
     }
 
 
@@ -211,8 +196,6 @@ def _verdict(tag: str, verdict: str) -> int:
 
 def _cmd_spectrum(args) -> int:
     problem, opts, doc = _load_problem(args.config)
-    if args.n_max < 1:
-        raise BadConfig(f"--n-max must be >= 1, got {args.n_max}")
     spec = compute_spectrum(problem, args.n_max, opts)
     cfg = _config_hash({"command": "spectrum", "doc": doc, "n_max": args.n_max})
     rows = [(ev.index, ev.value, ev.oscillation, ev.residual) for ev in spec.eigenvalues]
@@ -234,8 +217,6 @@ def _cmd_nonlinear(args) -> int:
     else:
         nl = NonlinearProblem(PiecewiseConstant((0.0, 1.0), (0.0,)))
         opts, doc = SolverOptions(), None
-    if args.n_max < 1:
-        raise BadConfig(f"--n-max must be >= 1, got {args.n_max}")
     rows_nl = nonlinear_spectrum(nl, args.n_max, opts)
     cfg = _config_hash({"command": "nonlinear", "doc": doc, "n_max": args.n_max})
     table = prime_table(args.n_max)
@@ -375,21 +356,14 @@ def _cmd_series(args) -> int:
 
 def _cmd_invert(args) -> int:
     doc = _read_json(args.config)
-    _expect_fields(
-        doc,
-        "document",
-        set(),
-        {"pieces", "bound", "targets", "seed", "restarts", "max_iters", "initial_step"},
-    )
-    kwargs = {}
-    for key in ("pieces", "targets", "seed", "restarts", "max_iters"):
-        if key in doc:
-            if isinstance(doc[key], bool) or not isinstance(doc[key], int):
-                raise BadConfig(f"document.{key} must be an integer")
-            kwargs[key] = doc[key]
+    _expect_fields(doc, "document", set(), {f.name for f in dataclasses.fields(SearchConfig)})
+    kwargs = dict(doc)
     for key in ("bound", "initial_step"):
-        if key in doc and doc[key] is not None:
-            kwargs[key] = _number(doc[key], f"document.{key}")
+        # JSON null leaves the default; a number is taken as a float
+        if kwargs.get(key) is None:
+            kwargs.pop(key, None)
+        else:
+            kwargs[key] = _number(kwargs[key], f"document.{key}")
     if args.seed is not None:
         kwargs["seed"] = args.seed
     cfg_obj = SearchConfig(**kwargs)

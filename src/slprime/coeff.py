@@ -35,7 +35,6 @@ __all__ = [
     "SLProblem",
     "make_piecewise",
     "refine_common_mesh",
-    "integrate",
     "weyl_constant",
 ]
 
@@ -51,11 +50,7 @@ class Interval:
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise NonFiniteValue("interval endpoints must be finite")
         if not self.a < self.b:
-            raise NonMonotoneMesh(f"interval requires a < b, got [{self.a}, {self.b}]")
-
-    @property
-    def length(self) -> float:
-        return self.b - self.a
+            raise NonMonotoneMesh(f"b must exceed a, got [{self.a}, {self.b}]")
 
 
 @dataclass(frozen=True)
@@ -92,18 +87,6 @@ class PiecewiseConstant:
     def interval(self) -> Interval:
         return Interval(self.a, self.b)
 
-    def value_at(self, x: float) -> float:
-        """Value of the piece containing x; the right endpoint b belongs to the last piece."""
-        if not (self.a <= x <= self.b):
-            raise OutOfDomain(f"x = {x} outside [{self.a}, {self.b}]")
-        i = bisect_right(self.breakpoints, x) - 1
-        return self.values[min(i, len(self.values) - 1)]
-
-    def pieces(self):
-        """Yield (x0, x1, value) triples."""
-        for i, v in enumerate(self.values):
-            yield self.breakpoints[i], self.breakpoints[i + 1], v
-
     def refine(self, mesh: tuple[float, ...]) -> "PiecewiseConstant":
         """Same function represented on a finer mesh.
 
@@ -134,11 +117,6 @@ def make_piecewise(breakpoints, values) -> PiecewiseConstant:
 def constant(value: float, a: float = 0.0, b: float = 1.0) -> PiecewiseConstant:
     """Single-piece step function equal to `value` on [a, b]."""
     return make_piecewise((a, b), (value,))
-
-
-def integrate(f: PiecewiseConstant) -> float:
-    """Exact integral of a step function (sum of value * width)."""
-    return math.fsum(v * (x1 - x0) for x0, x1, v in f.pieces())
 
 
 def merged_mesh(*fs: PiecewiseConstant) -> tuple[float, ...]:
@@ -232,9 +210,9 @@ class BoundaryCondition:
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise NonFiniteValue("boundary angles must be finite")
         if not (0.0 <= self.alpha < math.pi):
-            raise OutOfDomain(f"alpha must lie in [0, pi), got {self.alpha}")
+            raise OutOfDomain(f"alpha must lie in [0, π), got {self.alpha}")
         if not (0.0 < self.beta <= math.pi):
-            raise OutOfDomain(f"beta must lie in (0, pi], got {self.beta}")
+            raise OutOfDomain(f"beta must lie in (0, π], got {self.beta}")
 
 
 DIRICHLET = BoundaryCondition(0.0, math.pi)

@@ -67,4 +67,4 @@ class DegenerateModulus(SlprimeError):
 
 
 class BadConfig(SlprimeError):
-    """A problem/search document failed validation (field-precise message)."""
+    """A problem, solver or search configuration failed validation (field-precise message)."""

@@ -13,9 +13,10 @@ and descending by coordinate pattern search.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -77,10 +78,20 @@ class SearchConfig:
     initial_step: float | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is None and f.name == "initial_step":
+                continue
+            real = f.name in ("bound", "initial_step")
+            if isinstance(v, bool) or not isinstance(v, numbers.Real if real else numbers.Integral):
+                raise BadConfig(f"{f.name} must be {'a number' if real else 'an integer'}, got {v!r}")
         if self.pieces < 1:
             raise BadConfig(f"pieces must be >= 1, got {self.pieces}")
         if not (self.bound > 0.0 and math.isfinite(self.bound)):
             raise BadConfig(f"bound must be positive and finite, got {self.bound}")
+        if not math.isfinite(2 * self.bound):
+            # the restart draws span [-bound, bound], a width of 2 * bound
+            raise BadConfig(f"2 * bound must be finite, got bound = {self.bound}")
         if self.seed < 0:
             raise BadConfig(f"seed must be >= 0, got {self.seed}")
         if self.targets < 1:
@@ -175,10 +186,6 @@ def _pattern_search(cfg: SearchConfig, k: int, targets: tuple[float, ...]):
     return tuple(float(v) for v in vals), best, tuple(trace)
 
 
-def _restart_job(args):
-    return _pattern_search(*args)
-
-
 def search(config: SearchConfig | None = None) -> SearchResult:
     """Run the restarted search; deterministic for a fixed config.
 
@@ -195,16 +202,16 @@ def search(config: SearchConfig | None = None) -> SearchResult:
     zero = tuple(0.0 for _ in range(cfg.pieces))
     baseline = objective(PiecewiseConstant(mesh, zero), cfg.targets)
 
-    jobs = [(cfg, k, targets) for k in range(cfg.restarts)]
+    jobs = ([cfg] * cfg.restarts, range(cfg.restarts), [targets] * cfg.restarts)
     nw = min(worker_count(), cfg.restarts)
     if nw > 1:
         try:
             with ProcessPoolExecutor(max_workers=nw) as pool:
-                outcomes = list(pool.map(_restart_job, jobs))
+                outcomes = list(pool.map(_pattern_search, *jobs))
         except OSError:
-            outcomes = [_restart_job(job) for job in jobs]
+            outcomes = list(map(_pattern_search, *jobs))
     else:
-        outcomes = [_restart_job(job) for job in jobs]
+        outcomes = list(map(_pattern_search, *jobs))
 
     best_vals, best_j = zero, baseline
     traces = []

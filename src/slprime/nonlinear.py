@@ -25,7 +25,6 @@ __all__ = [
     "lambda_map",
     "invert_map",
     "nonlinear_spectrum",
-    "lambda_expansion",
 ]
 
 _E = math.e
@@ -104,12 +103,3 @@ def nonlinear_spectrum(
         lam = invert_map(ev.value) if ev.value >= BRANCH_MIN else None
         rows.append(NonlinearRow(index=ev.index, mu=ev.value, lam=lam))
     return tuple(rows)
-
-
-def lambda_expansion(n: int) -> float:
-    """Three-term growth n log n + n log log n + n log log log n (n >= 16)."""
-    if n < 16:
-        raise OutOfDomain(f"expansion needs log log log n > 0, i.e. n >= 16; got {n}")
-    ln = math.log(n)
-    lln = math.log(ln)
-    return n * (ln + lln + math.log(lln))

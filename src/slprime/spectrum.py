@@ -21,10 +21,12 @@ does, plain bisection continues to float exhaustion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 from .coeff import CoefficientSet, SLProblem, weyl_constant
-from .errors import EigenvalueNotFound, InsufficientData, OutOfDomain
+from .errors import BadConfig, EigenvalueNotFound, InsufficientData, OutOfDomain
 from .shoot import _solver_pieces, _theta_scan
 
 __all__ = [
@@ -42,12 +44,20 @@ _PI = math.pi
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tolerances and the bracket cap; defaults match the CLI defaults."""
+    """Tolerances and the bracket cap; the fields are a document's `solver` keys."""
 
     angle_tol: float = 1e-10
-    lambda_tol_abs: float = 1e-10
     lambda_tol_rel: float = 1e-12
     lambda_cap: float = 1e12
+    lambda_tol_abs: ClassVar[float] = 1e-10  # a constant: no document or caller sets it
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise BadConfig(f"{f.name} must be a number, got {v!r}")
+            if not 0.0 < v < math.inf:
+                raise BadConfig(f"{f.name} must be {'finite' if v > 0 else 'positive'}, got {v}")
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -99,9 +109,13 @@ def eigenvalue(
         return lam, (winding - n + 1) * _PI + (frac - beta), winding, frac
 
     weyl_c = weyl_constant(problem.coeffs)
-    guess = (n * _PI / weyl_c) ** 2 if weyl_c > 0.0 else float(n * n)
     cap = opts.lambda_cap
-    guess = min(cap, max(-cap, guess))
+    if weyl_c == 0.0:
+        guess = min(cap, float(n * n))
+    else:
+        # (n pi / C)^2 overflows once n pi / C passes ~1.3e154; clamp it first
+        x = n * _PI / weyl_c
+        guess = min(cap, x**2 if x < 1e154 else math.inf)
 
     # expand away from the guess, doubling the step, until the target angle
     # is bracketed: upward while theta(b) < target, downward otherwise

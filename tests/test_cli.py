@@ -5,11 +5,14 @@ import math
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import slprime.primes as primes_mod
+from helpers import random_problem
 from slprime.cli import _build_parser, document_to_problem, problem_to_document, run
 from slprime.errors import BadConfig
+from slprime.spectrum import SolverOptions
 
 UNIT_DOC = {
     "interval": {"a": 0.0, "b": 1.0},
@@ -46,6 +49,14 @@ def test_document_round_trip():
     assert opts2 == opts
     assert problem_to_document(prob2, opts2) == doc2  # serialization idempotent
     assert doc2["bc"]["beta"] == math.pi  # "pi" parsed to the exact float
+    # seeded problems with non-default solver options survive the trip through JSON text
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        prob = random_problem(rng, max_pieces=6)
+        tol, rel, cap = (float(v) for v in 10.0 ** rng.uniform([-12, -14, 6], [-6, -8, 14]))
+        opts = SolverOptions(angle_tol=tol, lambda_tol_rel=rel, lambda_cap=cap)
+        doc = json.loads(json.dumps(problem_to_document(prob, opts)))
+        assert document_to_problem(doc) == (prob, opts)
 
 
 def test_document_rejects_unknown_and_missing_fields():
@@ -110,6 +121,16 @@ def test_spectrum_truncation_is_exit_zero(tmp_path, capsys):
     assert "TRUNCATED at n = 2" in captured.out
     # the one real eigenvalue is printed before the note
     assert ",0," in captured.out or "1,0.9999999999" in captured.out
+    # on [0, 1e-300], lambda_1 = (pi / b)^2 lies far past the cap: the Weyl
+    # guess is clamped before (n pi / C)^2 can overflow
+    tiny = json.loads(json.dumps(UNIT_DOC))
+    tiny["interval"]["b"] = 1e-300
+    for name in "sqr":
+        tiny["coefficients"][name]["breakpoints"] = [0.0, 1e-300]
+    code = run(["spectrum", "--config", write_doc(tmp_path, tiny, "tiny.json"), "--n-max", "3"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "TRUNCATED at n = 1" in captured.out and "lambda cap" in captured.out
 
 
 def test_validation_errors_exit_two(tmp_path, capsys):
@@ -127,6 +148,10 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     not_json = tmp_path / "nj.json"
     not_json.write_text("{broken")
     assert run(["spectrum", "--config", str(not_json)]) == 2
+    # the index range is compute_spectrum's rule, reported as an input error
+    for argv in (["spectrum", "--config", write_doc(tmp_path, UNIT_DOC)], ["nonlinear"]):
+        assert run([*argv, "--n-max", "0"]) == 2
+        assert "n_max must be >= 1, got 0" in capsys.readouterr().err
 
     search_cfg = tmp_path / "search.json"
     search_cfg.write_text(json.dumps({"pieces": 2, "targets": 2, "restarts": 1}))
@@ -136,6 +161,10 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     search_cfg.write_text(json.dumps({"pieces": 2, "seed": -1}))
     assert run(["invert", "--config", str(search_cfg), "--out", out]) == 2
     assert "seed must be >= 0" in capsys.readouterr().err
+    # restart 0 draws nothing, so two restarts reach the draw over [-bound, bound]
+    search_cfg.write_text(json.dumps({"pieces": 2, "restarts": 2, "bound": 1e308}))
+    assert run(["invert", "--config", str(search_cfg), "--out", out]) == 2
+    assert "2 * bound must be finite" in capsys.readouterr().err
 
 
 def test_unknown_command_exit_two(capsys):

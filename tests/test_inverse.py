@@ -129,6 +129,13 @@ def test_search_config_validation():
         SearchConfig(initial_step=0.0)
     with pytest.raises(BadConfig):
         SearchConfig(seed=-1)  # numpy's default_rng rejects negative seeds
+    with pytest.raises(BadConfig, match="pieces must be an integer"):
+        SearchConfig(pieces=2.5)
+    with pytest.raises(BadConfig, match="targets must be an integer"):
+        SearchConfig(targets=True)
+    with pytest.raises(BadConfig):
+        SearchConfig(bound=1e308)  # the restart draw spans 2 * bound, which overflows
+    assert SearchConfig(pieces=np.int64(3)).pieces == 3
     cfg = SearchConfig(bound=120.0)
     assert cfg.step0 == 30.0
     assert SearchConfig(initial_step=7.0).step0 == 7.0

@@ -11,7 +11,6 @@ from slprime.nonlinear import (
     BRANCH_MIN,
     NonlinearProblem,
     invert_map,
-    lambda_expansion,
     lambda_map,
     nonlinear_spectrum,
 )
@@ -77,22 +76,3 @@ def test_nonlinear_problem_domain_guard():
     with pytest.raises(DomainMismatch):
         NonlinearProblem(PiecewiseConstant((0.0, 2.0), (0.0,)))
 
-
-def test_lambda_expansion():
-    with pytest.raises(OutOfDomain):
-        lambda_expansion(15)
-    # three-term expansion n (log n + log log n + log log log n)
-    n = 16
-    hand = n * (math.log(n) + math.log(math.log(n)) + math.log(math.log(math.log(n))))
-    assert lambda_expansion(n) == pytest.approx(hand, rel=1e-14)
-    assert lambda_expansion(100) == pytest.approx(655.5772464256297, rel=1e-13)
-    # the expansion is asymptotic, not exact: the three-term value stays within
-    # 10% of the true root across the working range (it crosses the root near
-    # n ~ 60, so the error is not monotone)
-    for n in (16, 100, 1000, 10_000):
-        root = bisect_lambda_over_log(n)
-        assert abs(lambda_expansion(n) / root - 1.0) <= 0.10, n
-    # and the two-term form undershoots the n = 1e4 root by just over 2%
-    n = 10_000
-    two_term = n * (math.log(n) + math.log(math.log(n)))
-    assert abs(bisect_lambda_over_log(n) / two_term - 1.0) < 0.025

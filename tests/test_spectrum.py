@@ -8,7 +8,7 @@ import pytest
 import slprime.spectrum as spectrum_mod
 from helpers import mp_boundary_function, random_problem
 from slprime.coeff import constant, make_piecewise, problem, unit_problem, weyl_constant
-from slprime.errors import EigenvalueNotFound, InsufficientData, NotRightDefinite
+from slprime.errors import BadConfig, EigenvalueNotFound, InsufficientData, NotRightDefinite
 from slprime.shoot import prufer_angle
 from slprime.spectrum import (
     SolverOptions,
@@ -175,9 +175,19 @@ def test_solver_rejects_degenerate_coefficients():
 
 
 def test_tight_tolerance_options_respected():
-    opts = SolverOptions(angle_tol=1e-8, lambda_tol_abs=1e-6, lambda_tol_rel=1e-10)
+    opts = SolverOptions(angle_tol=1e-8, lambda_tol_rel=1e-10)
     ev = eigenvalue(unit_problem(), 3, opts)
     assert ev.value == pytest.approx(9 * PI2, rel=1e-7)
+    # each option must be a positive, finite number
+    bad = [
+        {"angle_tol": -1.0}, {"lambda_tol_rel": math.nan}, {"lambda_cap": math.inf},
+        {"lambda_cap": 0}, {"angle_tol": True}, {"lambda_cap": "1e12"},
+    ]
+    for kwargs in bad:
+        with pytest.raises(BadConfig):
+            SolverOptions(**kwargs)
+    with pytest.raises(BadConfig, match=r"^angle_tol must be positive, got -1\.0$"):
+        SolverOptions(angle_tol=-1.0)
 
 
 def test_low_cap_reports_not_found_with_cap(monkeypatch):
