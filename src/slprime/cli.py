@@ -242,8 +242,6 @@ def _prime_checkpoints(n_max: int) -> list[int]:
 
 
 def _cmd_primes(args) -> int:
-    if args.n_max < 1:
-        raise BadConfig(f"--n-max must be >= 1, got {args.n_max}")
     cfg = _config_hash({"command": "primes", "n_max": args.n_max})
     table = prime_table(args.n_max)
     rows = []

@@ -20,6 +20,8 @@ from .errors import LimitTooLarge, OutOfDomain
 __all__ = ["PrimeTable", "sieve", "prime_table", "nth_prime", "pnt_asymptotic", "cesaro"]
 
 _SIEVE_MAX = 1_000_000_000
+_PI_SIEVE_MAX = 50_847_534  # pi(10^9)
+_SEGMENT = 1 << 20  # odd numbers per sieve segment
 
 
 @dataclass
@@ -39,41 +41,71 @@ class PrimeTable:
 
 
 def sieve(limit: int) -> PrimeTable:
-    """Eratosthenes up to and including limit, over the odd numbers only."""
+    """Eratosthenes up to and including limit, over the odd numbers only.
+
+    Segmented (Bays & Hudson, BIT 17, 1977): the odd numbers are sieved
+    _SEGMENT = 2^20 at a time, a 1 MB flag block that stays in cache.
+    Segment 0 also yields the base primes up to sqrt(limit), since
+    sqrt(_SIEVE_MAX) < 2 * _SEGMENT.  Survivors go straight into one
+    output buffer sized by pi(x) < 1.25506 x / ln x (Rosser & Schoenfeld,
+    x > 1), so memory is the output plus one segment.
+    """
     limit = int(limit)
     if limit < 2:
         raise OutOfDomain(f"sieve limit must be >= 2, got {limit}")
     if limit > _SIEVE_MAX:
         raise LimitTooLarge(f"sieve limit {limit} exceeds {_SIEVE_MAX}")
-    flags = np.ones((limit + 1) // 2, dtype=bool)  # flags[i] stands for 2i + 1
-    for i in range(1, (math.isqrt(limit) - 1) // 2 + 1):
+    n_odd = (limit + 1) // 2  # slot i stands for 2i + 1
+    out = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
+
+    flags = np.ones(min(n_odd, _SEGMENT), dtype=bool)
+    for i in range(1, (math.isqrt(2 * flags.size - 1) - 1) // 2 + 1):
         if flags[i]:
             p = 2 * i + 1
             flags[p * p // 2 :: p] = False
+    base = 2 * np.flatnonzero(flags[1 : (math.isqrt(limit) - 1) // 2 + 1]) + 3
     # slot 0 (the number 1) stays set and becomes the prime 2 below
-    primes = np.flatnonzero(flags).astype(np.int64, copy=False)
-    primes *= 2
-    primes += 1
-    primes[0] = 2
-    return PrimeTable(limit=limit, primes=primes)
+    count = _emit(flags, 0, out, 0)
+    out[0] = 2
+
+    # the odd multiples of p sit at slots p // 2 + k p; strike from p^2 on
+    first = base * base // 2
+    for lo in range(_SEGMENT, n_odd, _SEGMENT):
+        flags = flags[: min(_SEGMENT, n_odd - lo)]
+        flags[:] = True
+        k = int(np.searchsorted(first, lo + flags.size))
+        starts = np.maximum(first[:k], lo + (base[:k] // 2 - lo) % base[:k]) - lo
+        for p, start in zip(base[:k].tolist(), starts.tolist()):
+            flags[start::p] = False
+        count = _emit(flags, lo, out, count)
+    return PrimeTable(limit=limit, primes=out[:count])
+
+
+def _emit(flags: np.ndarray, lo: int, out: np.ndarray, count: int) -> int:
+    """Write the numbers of the set slots lo + i into out[count:]; return the new count."""
+    idx = np.flatnonzero(flags)
+    view = out[count : count + idx.size]
+    np.multiply(idx, 2, out=view)
+    view += 2 * lo + 1
+    return count + idx.size
 
 
 def prime_table(n: int) -> PrimeTable:
     """One sieve holding the first n primes (n >= 1).
 
     Sieves to the Rosser bound p_n < n(log n + log log n), valid for
-    n >= 6; the primes below 15 cover n < 6.
+    n >= 6; the primes below 15 cover n < 6.  Past pi(_SIEVE_MAX) it
+    raises before sieving anything.
     """
     if n < 1:
         raise OutOfDomain(f"prime index must be >= 1, got {n}")
+    if n > _PI_SIEVE_MAX:
+        raise LimitTooLarge(f"prime #{n} lies beyond the sieve ceiling {_SIEVE_MAX}")
     bound = 15
     if n >= 6:
         ln = math.log(n)
         bound = math.ceil(n * (ln + math.log(ln))) + 10
-    table = sieve(min(bound, _SIEVE_MAX))
-    if table.count < n:
-        raise LimitTooLarge(f"prime #{n} lies beyond the sieve ceiling {_SIEVE_MAX}")
-    return table
+    return sieve(min(bound, _SIEVE_MAX))
 
 
 def nth_prime(n: int) -> int:

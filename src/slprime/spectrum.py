@@ -85,6 +85,35 @@ class Spectrum:
         return [ev.value for ev in self.eigenvalues]
 
 
+# (problem, cap, pieces) of the last call that passed: compute_spectrum asks
+# for every index of one problem in turn, and the check is not free
+_last_scannable = (None, None, None)
+
+
+def _scannable_pieces(problem: SLProblem, cap: float):
+    """_solver_pieces, refusing a piece whose theta-scan overflows for some |lambda| <= cap.
+
+    On a piece |lambda r - q| <= |q| + cap r, so z = s k h^2, k h and s h
+    stay finite (products taken in the scan's order) when these do.
+    """
+    global _last_scannable
+    last, last_cap, pieces = _last_scannable
+    if last is problem and last_cap == cap:
+        return pieces
+    pieces = _solver_pieces(problem)
+    for i, (h, s, q, r) in enumerate(zip(*pieces)):
+        k = abs(q) + cap * r
+        # NaN (an infinite width times a zero) fails these tests too
+        if not (s * k * h * h < math.inf and k * h < math.inf and s * h < math.inf):
+            x0, x1 = problem.coeffs.breakpoints[i : i + 2]
+            raise OutOfDomain(
+                f"piece {i} on [{x0!r}, {x1!r}] overflows the theta-scan at lambda_cap "
+                f"{cap:g}: s h^2 (|q| + cap r), h (|q| + cap r) and s h must be finite"
+            )
+    _last_scannable = (problem, cap, pieces)
+    return pieces
+
+
 def eigenvalue(
     problem: SLProblem, n: int, opts: SolverOptions = DEFAULT_OPTIONS
 ) -> Eigenvalue:
@@ -93,11 +122,12 @@ def eigenvalue(
     Stops once the bracket is within max(lambda_tol_abs, lambda_tol_rel
     |lambda|) and |theta(b) - target| <= angle_tol at the returned point,
     the bracket end with the smaller angle mismatch; value, residual and
-    oscillation all come from that one theta-scan.
+    oscillation all come from that one theta-scan.  Raises OutOfDomain
+    for a problem whose theta-scan could overflow below lambda_cap.
     """
     if n < 1:
         raise OutOfDomain(f"eigenvalue index must be >= 1, got {n}")
-    pieces = _solver_pieces(problem)
+    pieces = _scannable_pieces(problem, opts.lambda_cap)
     alpha, beta = problem.bc.alpha, problem.bc.beta
     target = beta + (n - 1) * _PI
 

@@ -152,6 +152,41 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     for argv in (["spectrum", "--config", write_doc(tmp_path, UNIT_DOC)], ["nonlinear"]):
         assert run([*argv, "--n-max", "0"]) == 2
         assert "n_max must be >= 1, got 0" in capsys.readouterr().err
+    # and the prime index range is prime_table's
+    assert run(["primes", "--n-max", "0"]) == 2
+    assert "prime index must be >= 1, got 0" in capsys.readouterr().err
+
+    # the theta-scan would overflow: z = s k h^2 on a 1e200-wide interval and
+    # with s = r = 1e308; then s h = inf where k = 0, and k h = inf where s = 0
+    wide = json.loads(json.dumps(UNIT_DOC))
+    wide["interval"]["b"] = 1e200
+    for key in ("s", "q", "r"):
+        wide["coefficients"][key]["breakpoints"] = [0.0, 1e200]
+    huge = json.loads(json.dumps(UNIT_DOC))
+    huge["coefficients"]["s"]["values"] = [1e308]
+    huge["coefficients"]["r"]["values"] = [1e308]
+    mesh = [0.0, 1e10, 1e10 + 1.0]
+
+    def first_piece(s, q):
+        return {
+            "interval": {"a": 0.0, "b": mesh[-1]},
+            "coefficients": {
+                "s": {"breakpoints": mesh, "values": [s, 1.0]},
+                "q": {"breakpoints": mesh, "values": [q, 0.0]},
+                "r": {"breakpoints": mesh, "values": [0.0, 1.0]},
+            },
+            "bc": {"alpha": 1.0, "beta": "pi"},
+        }
+
+    for doc, piece in (
+        (wide, "[0.0, 1e+200]"),
+        (huge, "[0.0, 1.0]"),
+        (first_piece(1e300, 0.0), "[0.0, 10000000000.0]"),
+        (first_piece(0.0, 1e300), "[0.0, 10000000000.0]"),
+    ):
+        assert run(["spectrum", "--config", write_doc(tmp_path, doc), "--n-max", "3"]) == 2
+        err = capsys.readouterr().err
+        assert f"piece 0 on {piece} overflows the theta-scan at lambda_cap 1e+12" in err
 
     search_cfg = tmp_path / "search.json"
     search_cfg.write_text(json.dumps({"pieces": 2, "targets": 2, "restarts": 1}))

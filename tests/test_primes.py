@@ -2,11 +2,27 @@
 
 import math
 
+import numpy as np
 import pytest
 
+import slprime.primes as primes_mod
 from helpers import trial_division_primes
 from slprime.errors import LimitTooLarge, OutOfDomain
-from slprime.primes import PrimeTable, cesaro, nth_prime, pnt_asymptotic, sieve
+from slprime.primes import PrimeTable, cesaro, nth_prime, pnt_asymptotic, prime_table, sieve
+
+SEG = primes_mod._SEGMENT
+
+
+def single_array_sieve(limit):
+    """The sieve before segmentation: one flag array over every odd number up to limit."""
+    flags = np.ones((limit + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(limit) - 1) // 2 + 1):
+        if flags[i]:
+            p = 2 * i + 1
+            flags[p * p // 2 :: p] = False
+    primes = np.flatnonzero(flags).astype(np.int64) * 2 + 1
+    primes[0] = 2
+    return primes
 
 
 def test_sieve_matches_trial_division():
@@ -21,6 +37,41 @@ def test_sieve_matches_trial_division():
 def test_sieve_counts_frozen():
     assert sieve(100).count == 25
     assert sieve(1_000_000).count == 78_498
+
+
+def test_segmented_sieve_matches_single_array():
+    # segment k covers the odd numbers [2 SEG k + 1, 2 SEG (k + 1)); limits
+    # around each edge end a segment early, exactly, or one slot into the next
+    limits = [2 * SEG * k + d for k in (1, 2, 3) for d in (-2, -1, 0, 1, 2)]
+    # 2053 is the first prime whose square lies past segment 1; 4_219_999
+    # spans three segments with base-prime squares in the last one
+    assert 2053**2 // 2 >= 2 * SEG
+    limits += [2053**2, 2053**2 + 2, 4_219_999]
+    for limit in limits:
+        table = sieve(limit)
+        assert table.primes.dtype == np.int64
+        assert np.array_equal(table.primes, single_array_sieve(limit)), limit
+
+
+def test_prime_table_large_indices():
+    table = prime_table(10**7)
+    assert table.nth(10**7) == 179_424_673
+    assert table.nth(10**6) == 15_485_863
+
+
+def test_prime_table_fails_before_sieving_past_the_ceiling(monkeypatch):
+    limits = []
+    monkeypatch.setattr(
+        primes_mod, "sieve", lambda limit: limits.append(limit) or PrimeTable(limit, np.empty(0))
+    )
+    # pi(10^9) = 50,847,534: one index more can never be served
+    for n in (50_847_535, 10**8):
+        with pytest.raises(LimitTooLarge, match=f"prime #{n} lies beyond the sieve ceiling"):
+            prime_table(n)
+    assert limits == []
+    # the last servable index sieves to the ceiling itself (not run here: 400 MB)
+    prime_table(50_847_534)
+    assert limits == [1_000_000_000]
 
 
 def test_nth_prime_values():

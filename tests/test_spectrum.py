@@ -8,7 +8,13 @@ import pytest
 import slprime.spectrum as spectrum_mod
 from helpers import mp_boundary_function, random_problem
 from slprime.coeff import constant, make_piecewise, problem, unit_problem, weyl_constant
-from slprime.errors import BadConfig, EigenvalueNotFound, InsufficientData, NotRightDefinite
+from slprime.errors import (
+    BadConfig,
+    EigenvalueNotFound,
+    InsufficientData,
+    NotRightDefinite,
+    OutOfDomain,
+)
 from slprime.shoot import prufer_angle
 from slprime.spectrum import (
     SolverOptions,
@@ -172,6 +178,17 @@ def test_solver_rejects_degenerate_coefficients():
         eigenvalue(problem(s, zero, one), 1)
     with pytest.raises(NotRightDefinite):
         eigenvalue(problem(one, zero, zero), 1)
+
+
+def test_overflowing_piece_depends_on_the_cap():
+    # s = r = 1 on a 1e140-wide interval: s h^2 cap r is 1e292 at the default
+    # cap and overflows at cap 1e30, for the same problem object
+    wide = unit_problem(0.0, 1e140)
+    ev = eigenvalue(wide, 1)
+    assert ev.value == pytest.approx(PI2 / 1e280, rel=1e-9)
+    at_cap = r"^piece 0 on \[0\.0, 1e\+140\] overflows the theta-scan at lambda_cap 1e\+30:"
+    with pytest.raises(OutOfDomain, match=at_cap):
+        eigenvalue(wide, 1, SolverOptions(lambda_cap=1e30))
 
 
 def test_tight_tolerance_options_respected():
