@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
@@ -205,6 +204,10 @@ def search(config: SearchConfig | None = None) -> SearchResult:
     jobs = ([cfg] * cfg.restarts, range(cfg.restarts), [targets] * cfg.restarts)
     nw = min(worker_count(), cfg.restarts)
     if nw > 1:
+        # imported here: concurrent.futures pulls in multiprocessing, which
+        # no other command needs at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         try:
             with ProcessPoolExecutor(max_workers=nw) as pool:
                 outcomes = list(pool.map(_pattern_search, *jobs))

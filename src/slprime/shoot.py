@@ -128,39 +128,26 @@ class AngleResult:
     winding: int
 
 
-def _start_sign(u, v):
-    # sign of u just inside the piece; at u == 0 it is the sign of u'(0+) = -s v
-    if u > 0.0:
-        return 1
-    if u < 0.0:
-        return -1
-    return 1 if v < 0.0 else -1
-
-
-def _parity_fixed(zc, ss, end_sign, end_frac):
-    """Reconcile the closed-form crossing count with the propagated end sign.
-
-    Roundoff can mis-bin a zero that falls on a piece boundary; the count
-    is then off by one, which would shift theta by a whole pi.  Parity of
-    the count must match the sign flip of u, so adjust by +-1, direction
-    chosen by which side of a pi-multiple the phase ended on.
-    """
-    predicted = ss if zc % 2 == 0 else -ss
-    if predicted == end_sign:
-        return zc
-    adjusted = zc + (1 if end_frac > _HALF_PI else -1)
-    return adjusted if adjusted >= 0 else zc + 1
-
-
 def _theta_scan(widths, svals, qvals, rvals, alpha, lam):
     """Crossing count and terminal angle fraction for real lambda.
 
     Returns (winding, frac, u, v) with theta(b) = winding*pi + frac and
     (u, v) the (rescaled) terminal state.  The angle is exact mod pi at
     every breakpoint because frac always comes from the state itself.
+
+    On an oscillatory piece the crossing count is a floor count of the
+    phase psi, which starts in the sector (0 or -1, in units of pi) that
+    the sign of u just inside the piece gives, not the one the rounded
+    atan2 gives: psi0 can round onto pi while u > 0.  Roundoff can still
+    mis-bin a zero that falls on a piece boundary; the count is then off
+    by one, which would shift theta by a whole pi.  Its parity must match
+    the sign flip of u, so a mismatch is adjusted by +-1, the direction
+    chosen by which side of a pi-multiple the phase ended on.
     """
-    u = math.sin(alpha)
-    v = -math.cos(alpha)
+    sqrt, cos, sin, atan2, floor = math.sqrt, math.cos, math.sin, math.atan2, math.floor
+    pi, half_pi, cut = _PI, _HALF_PI, _SERIES_CUT
+    u = sin(alpha)
+    v = -cos(alpha)
     winding = 0
     for h, s, q, r in zip(widths, svals, qvals, rvals):
         k = lam * r - q
@@ -169,30 +156,43 @@ def _theta_scan(widths, svals, qvals, rvals, alpha, lam):
             v += k * h * u
         else:
             z = s * k * h * h
-            ss = _start_sign(u, v)
-            if z > _SERIES_CUT:
+            sh = s * h
+            # sign of u just inside the piece; at u == 0 that of u'(0+) = -s v
+            up = u > 0.0 or (u == 0.0 and v < 0.0)
+            if z > cut:
                 # oscillatory: psi = atan2(w u, -s h v) advances exactly
                 # linearly (by w) across the piece, and u = 0 iff psi is a
                 # multiple of pi, so crossings are a floor count
-                w = math.sqrt(z)
-                cw = math.cos(w)
-                sg = math.sin(w) / w
-                u1 = cw * u - s * h * sg * v
+                w = sqrt(z)
+                cw = cos(w)
+                sg = sin(w) / w
+                u1 = cw * u - sh * sg * v
                 v1 = k * h * sg * u + cw * v
-                psi0 = math.atan2(w * u, -s * h * v)
+                psi0 = atan2(w * u, -sh * v)
+                sector = 0 if up else -1
+                if not up and psi0 > 0.0:
+                    # u = +0 with v > 0: atan2 gives +pi for the sector's -pi
+                    psi0 -= 2.0 * pi
                 psi1 = psi0 + w
-                zc = math.floor(psi1 / _PI) - math.floor(psi0 / _PI)
-                end_frac = psi1 - _PI * math.floor(psi1 / _PI)
+                f1 = floor(psi1 / pi)
+                end_frac = psi1 - pi * f1
                 if u1 != 0.0:
-                    zc = _parity_fixed(zc, ss, 1 if u1 > 0.0 else -1, end_frac)
+                    zc = f1 - sector
+                    end_up = u1 > 0.0
                 else:
                     # zero exactly at the right end: it belongs to this piece,
                     # and the sign just before it is that of v1
-                    before = 1 if v1 > 0.0 else -1
-                    zc = _parity_fixed(zc - 1, ss, before, end_frac) + 1
+                    zc = f1 - sector - 1
+                    end_up = v1 > 0.0
+                if (up != end_up) == (zc % 2 == 0):
+                    zc += 1 if end_frac > half_pi else -1
+                    if zc < 0:
+                        zc += 2
+                if u1 == 0.0:
+                    zc += 1
             else:
-                if z < -_SERIES_CUT:
-                    w = math.sqrt(-z)
+                if z < -cut:
+                    w = sqrt(-z)
                     if w > 35.0:
                         # drop the e^w growth factor; only the direction matters
                         e = math.exp(-2.0 * w)
@@ -203,14 +203,14 @@ def _theta_scan(widths, svals, qvals, rvals, alpha, lam):
                         sg = math.sinh(w) / w
                 else:
                     cw, sg = _kernel_series(z)
-                u1 = cw * u - s * h * sg * v
+                u1 = cw * u - sh * sg * v
                 v1 = k * h * sg * u + cw * v
                 if u1 == 0.0 and v1 == 0.0:
                     # the incoming state lay on the decaying direction and the
                     # e^w parts cancelled exactly (only possible when z < 0);
                     # redo the piece with e^w factored out so the e^{-2w}
                     # remainder keeps the state off (0, 0)
-                    a = s * h / w
+                    a = sh / w
                     b = k * h / w
                     e = math.exp(-2.0 * w)
                     u1 = (u - a * v) + e * (u + a * v)
@@ -220,20 +220,21 @@ def _theta_scan(widths, svals, qvals, rvals, alpha, lam):
                         # gives the direction
                         u1, v1 = u + a * v, v - b * u
                 # non-oscillatory: at most one zero in (0, h], seen as a sign flip
-                if u1 == 0.0:
-                    zc = 1
-                else:
-                    zc = 1 if (ss > 0) != (u1 > 0.0) else 0
+                zc = 1 if u1 == 0.0 or up != (u1 > 0.0) else 0
             u, v = u1, v1
             winding += zc
         n = abs(u) + abs(v)
         if n > 1e120 or n < 1e-120:
             u /= n
             v /= n
-    raw = math.atan2(u, -v)
+    if u == 0.0:
+        # the zero at b is already in the winding; atan2(+0, -v) would
+        # read pi for u = +0 with v > 0 and add a second pi
+        return winding, 0.0, u, v
+    raw = atan2(u, -v)
     # map into [0, pi]; raw can round to exactly +-pi when u(b) is a few
     # ulp from zero, and a floor-based mod would then steal a whole pi
-    frac = raw + _PI if raw < 0.0 else raw
+    frac = raw + pi if raw < 0.0 else raw
     return winding, frac, u, v
 
 

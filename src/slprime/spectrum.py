@@ -5,17 +5,21 @@ so the n-th eigenvalue is the unique real root of
 
     theta(b; lambda) = beta + (n - 1) pi.
 
-Brackets start from the Weyl guess lambda ~ (n pi / C)^2 and expand
+Brackets start from the Weyl guess lambda ~ (n pi / C)^2 plus the mean
+of q sqrt(s/r), exact for constant coefficients, and expand
 geometrically; expansion that reaches the lambda cap without attaining
 the target angle raises EigenvalueNotFound, which for Atkinson-type
 problems is the expected way a finite spectrum announces its end.
 
 Inside the bracket a Brent-Dekker iteration (inverse quadratic and
 secant steps, safeguarded by bisection; Brent, Algorithms for
-Minimization without Derivatives, 1973) closes in on the root, since
-theta(b) is smooth and increasing in lambda.  Where theta(b)
-is so steep that the bracket reaches its tolerance before the angle
-does, plain bisection continues to float exhaustion.
+Minimization without Derivatives, 1973) closes in on the root.  It
+interpolates on the scaled Prufer mismatch (Pryce, Numerical Solution
+of Sturm-Liouville Problems, 1993), which is nearly linear in lambda
+where theta(b) is an arctan step; sign tests, tolerance and residual
+use the plain mismatch, which has the same sign.  Where theta(b) is so
+steep that the bracket reaches its tolerance before the angle does,
+plain bisection continues to float exhaustion.
 """
 
 from __future__ import annotations
@@ -85,21 +89,22 @@ class Spectrum:
         return [ev.value for ev in self.eigenvalues]
 
 
-# (problem, cap, pieces) of the last call that passed: compute_spectrum asks
+# (problem, cap, result) of the last call that passed: compute_spectrum asks
 # for every index of one problem in turn, and the check is not free
 _last_scannable = (None, None, None)
 
 
 def _scannable_pieces(problem: SLProblem, cap: float):
-    """_solver_pieces, refusing a piece whose theta-scan overflows for some |lambda| <= cap.
+    """(_solver_pieces, Weyl constant C, (1/C) sum h q sqrt(s/r) over s r > 0 or 0).
 
-    On a piece |lambda r - q| <= |q| + cap r, so z = s k h^2, k h and s h
+    Refuses a piece whose theta-scan overflows for some |lambda| <= cap:
+    on a piece |lambda r - q| <= |q| + cap r, so z = s k h^2, k h and s h
     stay finite (products taken in the scan's order) when these do.
     """
     global _last_scannable
-    last, last_cap, pieces = _last_scannable
+    last, last_cap, result = _last_scannable
     if last is problem and last_cap == cap:
-        return pieces
+        return result
     pieces = _solver_pieces(problem)
     for i, (h, s, q, r) in enumerate(zip(*pieces)):
         k = abs(q) + cap * r
@@ -110,8 +115,47 @@ def _scannable_pieces(problem: SLProblem, cap: float):
                 f"piece {i} on [{x0!r}, {x1!r}] overflows the theta-scan at lambda_cap "
                 f"{cap:g}: s h^2 (|q| + cap r), h (|q| + cap r) and s h must be finite"
             )
-    _last_scannable = (problem, cap, pieces)
-    return pieces
+    weyl_c = weyl_constant(problem.coeffs)
+    shift = 0.0
+    if weyl_c > 0.0:
+        shift = sum(h * q * math.sqrt(s / r) for h, s, q, r in zip(*pieces) if s * r > 0.0) / weyl_c
+        if not math.isfinite(shift):
+            shift = 0.0
+    result = (pieces, weyl_c, shift)
+    _last_scannable = (problem, cap, result)
+    return result
+
+
+def _mismatch_scan(pieces, alpha: float, beta: float, n: int):
+    """scan(lambda) -> (lambda, f, g, winding, frac) for the n-th eigenvalue.
+
+    f = theta(b) - target, with (winding - n + 1) pi exact near the root
+    so that f keeps the precision of frac.  g is f in the last piece's
+    scaled angle, tan Phi = sqrt(k / s) tan theta with k = lambda r - q,
+    which advances linearly in the piece phase sqrt(s k) x.  frac and
+    beta go through the same monotone remap, so g has the sign of f; g = f
+    where the last piece does not oscillate or the remap rounds g to 0.
+    """
+    s_end, q_end, r_end = pieces[1][-1], pieces[2][-1], pieces[3][-1]
+    sin_b, cos_b = math.sin(beta), math.cos(beta)
+
+    def scan(lam: float):
+        winding, frac, _, _ = _theta_scan(*pieces, alpha, lam)
+        whole = (winding - n + 1) * _PI
+        f = whole + (frac - beta)
+        g = f
+        k = lam * r_end - q_end
+        if s_end > 0.0 and k > 0.0:
+            sigma = math.sqrt(k / s_end)
+            if 0.0 < sigma < math.inf:
+                # frac, beta in [0, pi] keep both sines >= 0, so no fold is needed
+                phi = math.atan2(sigma * math.sin(frac), math.cos(frac))
+                g = whole + (phi - math.atan2(sigma * sin_b, cos_b))
+                if g == 0.0:
+                    g = f
+        return lam, f, g, winding, frac
+
+    return scan
 
 
 def eigenvalue(
@@ -121,31 +165,24 @@ def eigenvalue(
 
     Stops once the bracket is within max(lambda_tol_abs, lambda_tol_rel
     |lambda|) and |theta(b) - target| <= angle_tol at the returned point,
-    the bracket end with the smaller angle mismatch; value, residual and
+    the bracket end with the smaller scaled mismatch; value, residual and
     oscillation all come from that one theta-scan.  Raises OutOfDomain
     for a problem whose theta-scan could overflow below lambda_cap.
     """
     if n < 1:
         raise OutOfDomain(f"eigenvalue index must be >= 1, got {n}")
-    pieces = _scannable_pieces(problem, opts.lambda_cap)
-    alpha, beta = problem.bc.alpha, problem.bc.beta
+    pieces, weyl_c, shift = _scannable_pieces(problem, opts.lambda_cap)
+    beta = problem.bc.beta
     target = beta + (n - 1) * _PI
+    scan = _mismatch_scan(pieces, problem.bc.alpha, beta, n)
 
-    def scan(lam: float):
-        """(lambda, theta(b) - target, winding, frac): everything one theta-scan gives."""
-        winding, frac, _, _ = _theta_scan(*pieces, alpha, lam)
-        # (winding - n + 1) pi is exact near the root, so f keeps the
-        # precision of frac instead of that of the large target angle
-        return lam, (winding - n + 1) * _PI + (frac - beta), winding, frac
-
-    weyl_c = weyl_constant(problem.coeffs)
     cap = opts.lambda_cap
     if weyl_c == 0.0:
         guess = min(cap, float(n * n))
     else:
         # (n pi / C)^2 overflows once n pi / C passes ~1.3e154; clamp it first
         x = n * _PI / weyl_c
-        guess = min(cap, x**2 if x < 1e154 else math.inf)
+        guess = max(-cap, min(cap, (x**2 if x < 1e154 else math.inf) + shift))
 
     # expand away from the guess, doubling the step, until the target angle
     # is bracketed: upward while theta(b) < target, downward otherwise
@@ -171,10 +208,11 @@ def eigenvalue(
         step *= 2.0
     lo, hi = (near, far) if up else (far, near)
 
-    # Brent-Dekker on f = theta(b) - target, f(lo) < 0 <= f(hi).  b is the
-    # best point so far, c the other end of the bracket (f = 0 counts as
-    # above), a the previous b; d is the last step and e the one before.
-    b, c = (lo, hi) if abs(lo[1]) < abs(hi[1]) else (hi, lo)
+    # Brent-Dekker on f = theta(b) - target, f(lo) < 0 <= f(hi), interpolating
+    # on g.  b is the best point so far (smallest |g|), c the other end of the
+    # bracket (f = 0 counts as above), a the previous b; d is the last step
+    # and e the one before.
+    b, c = (lo, hi) if abs(lo[2]) < abs(hi[2]) else (hi, lo)
     a = c
     d = e = c[0] - b[0]
     for _ in range(300):
@@ -190,19 +228,19 @@ def eigenvalue(
                 break
         else:
             tol1 = 0.5 * tol
-            if b[1] == 0.0:
+            if b[2] == 0.0:
                 # b is a root; the interpolation's sign tests cannot orient a
                 # zero step, so close the bracket in by the minimum step
                 d = 0.0
-            elif abs(e) >= tol1 and abs(a[1]) > abs(b[1]):
+            elif abs(e) >= tol1 and abs(a[2]) > abs(b[2]):
                 # secant through a, b, or inverse quadratic through a, b, c
-                s = b[1] / a[1]
+                s = b[2] / a[2]
                 if a[0] == c[0]:
                     p = 2.0 * m * s
                     q = 1.0 - s
                 else:
-                    qa = a[1] / c[1]
-                    qb = b[1] / c[1]
+                    qa = a[2] / c[2]
+                    qb = b[2] / c[2]
                     p = s * (2.0 * m * qa * (qa - qb) - (b[0] - a[0]) * (qb - 1.0))
                     q = (qa - 1.0) * (qb - 1.0) * (s - 1.0)
                 if p > 0.0:
@@ -222,10 +260,10 @@ def eigenvalue(
         if (b[1] >= 0.0) == (c[1] >= 0.0):
             c = a
             d = e = b[0] - a[0]
-        if abs(c[1]) < abs(b[1]):
+        if abs(c[2]) < abs(b[2]):
             a, b, c = b, c, b
 
-    lam_hat, f_hat, wind_hat, frac_hat = b
+    lam_hat, f_hat, _, wind_hat, frac_hat = b
     residual = abs(f_hat)
     # a terminal crossing counted in the winding is the boundary zero at b,
     # not an interior one; frac ~ 0 is the signature of that configuration

@@ -9,7 +9,15 @@ from scipy.integrate import solve_ivp
 from helpers import hand_piece_matrix, random_problem, rk4_prufer_angle
 from slprime.coeff import constant, make_piecewise, problem, unit_problem
 from slprime.errors import NotRightDefinite, OutOfDomain
-from slprime.shoot import _scaled_piece, boundary_state, integrate_system_scaled, prufer_angle
+from slprime.shoot import (
+    _SERIES_CUT,
+    _kernel_series,
+    _scaled_piece,
+    _theta_scan,
+    boundary_state,
+    integrate_system_scaled,
+    prufer_angle,
+)
 
 rng = np.random.default_rng(20260814)
 
@@ -218,3 +226,154 @@ def test_prufer_angle_requires_right_definite_content():
     with pytest.raises(OutOfDomain):
         prufer_angle(unit_problem(), math.nan)
 
+
+
+def _reference_start_sign(u, v):
+    if u > 0.0:
+        return 1
+    if u < 0.0:
+        return -1
+    return 1 if v < 0.0 else -1
+
+
+def _reference_parity_fixed(zc, ss, end_sign, end_frac):
+    predicted = ss if zc % 2 == 0 else -ss
+    if predicted == end_sign:
+        return zc
+    adjusted = zc + (1 if end_frac > 0.5 * math.pi else -1)
+    return adjusted if adjusted >= 0 else zc + 1
+
+
+def reference_theta_scan(widths, svals, qvals, rvals, alpha, lam):
+    """The theta-scan kernel before it was inlined, kept as the bit-for-bit reference.
+
+    It takes psi0's sector from the rounded atan2, so it undercounts when
+    a zero of u lands on a breakpoint; on generic inputs it is exact.
+    """
+    u = math.sin(alpha)
+    v = -math.cos(alpha)
+    winding = 0
+    for h, s, q, r in zip(widths, svals, qvals, rvals):
+        k = lam * r - q
+        if s == 0.0:
+            v += k * h * u
+        else:
+            z = s * k * h * h
+            ss = _reference_start_sign(u, v)
+            if z > _SERIES_CUT:
+                w = math.sqrt(z)
+                cw = math.cos(w)
+                sg = math.sin(w) / w
+                u1 = cw * u - s * h * sg * v
+                v1 = k * h * sg * u + cw * v
+                psi0 = math.atan2(w * u, -s * h * v)
+                psi1 = psi0 + w
+                zc = math.floor(psi1 / math.pi) - math.floor(psi0 / math.pi)
+                end_frac = psi1 - math.pi * math.floor(psi1 / math.pi)
+                if u1 != 0.0:
+                    zc = _reference_parity_fixed(zc, ss, 1 if u1 > 0.0 else -1, end_frac)
+                else:
+                    before = 1 if v1 > 0.0 else -1
+                    zc = _reference_parity_fixed(zc - 1, ss, before, end_frac) + 1
+            else:
+                if z < -_SERIES_CUT:
+                    w = math.sqrt(-z)
+                    if w > 35.0:
+                        e = math.exp(-2.0 * w)
+                        cw = 0.5 * (1.0 + e)
+                        sg = 0.5 * (1.0 - e) / w
+                    else:
+                        cw = math.cosh(w)
+                        sg = math.sinh(w) / w
+                else:
+                    cw, sg = _kernel_series(z)
+                u1 = cw * u - s * h * sg * v
+                v1 = k * h * sg * u + cw * v
+                if u1 == 0.0 and v1 == 0.0:
+                    a = s * h / w
+                    b = k * h / w
+                    e = math.exp(-2.0 * w)
+                    u1 = (u - a * v) + e * (u + a * v)
+                    v1 = (b * u + v) + e * (v - b * u)
+                    if u1 == 0.0 and v1 == 0.0:
+                        u1, v1 = u + a * v, v - b * u
+                if u1 == 0.0:
+                    zc = 1
+                else:
+                    zc = 1 if (ss > 0) != (u1 > 0.0) else 0
+            u, v = u1, v1
+            winding += zc
+        n = abs(u) + abs(v)
+        if n > 1e120 or n < 1e-120:
+            u /= n
+            v /= n
+    raw = math.atan2(u, -v)
+    frac = raw + math.pi if raw < 0.0 else raw
+    return winding, frac, u, v
+
+
+def _random_scan_args(local):
+    """(widths, s, q, r, alpha, lam) over every branch of the kernel, lambda up to 1e9."""
+    n = int(local.integers(1, 17))
+    widths = local.uniform(0.01, 2.0, n).tolist()
+    svals = local.uniform(0.1, 3.0, n)
+    svals[local.random(n) < 0.15] = 0.0  # shear pieces
+    svals[0] = svals[0] or 1.0
+    rvals = np.where(local.random(n) < 0.15, 0.0, local.uniform(0.1, 3.0, n))
+    qvals = local.uniform(-200.0, 200.0, n)
+    alpha = float(local.choice([0.0, 0.5 * math.pi, local.uniform(0.0, math.pi)]))
+    mode = local.integers(0, 4)
+    if mode == 0:
+        lam = local.uniform(-300.0, 3000.0)  # hyperbolic and oscillatory pieces
+    elif mode == 1:
+        lam = 10.0 ** local.uniform(0.0, 9.0)
+    elif mode == 2:
+        lam = -(10.0 ** local.uniform(0.0, 5.0))  # deep hyperbolic, w > 35
+    else:
+        # lambda r - q within ~1e-5 of 0 on one piece: the series branch
+        i = int(local.integers(0, n))
+        rvals[i] = rvals[i] or 1.0
+        lam = qvals[i] / rvals[i] + local.uniform(-1e-5, 1e-5)
+    return widths, svals.tolist(), qvals.tolist(), rvals.tolist(), alpha, float(lam)
+
+
+def test_theta_scan_matches_reference_kernel_bit_for_bit():
+    local = np.random.default_rng(20261018)
+    series = 0
+    for _ in range(6000):
+        args = _random_scan_args(local)
+        got = _theta_scan(*args)
+        ref = reference_theta_scan(*args)
+        assert got[0] == ref[0], args
+        assert [x.hex() for x in got[1:]] == [x.hex() for x in ref[1:]], args
+        widths, svals, qvals, rvals, _, lam = args
+        series += any(
+            s > 0.0 and abs(s * (lam * r - q) * h * h) <= _SERIES_CUT
+            for h, s, q, r in zip(widths, svals, qvals, rvals)
+        )
+    assert series > 500  # the series branch really was exercised
+
+
+def test_theta_scan_keeps_a_zero_that_lands_on_a_breakpoint():
+    # two equal pieces: at these lambda the phase leaves piece 0 on 3 pi
+    # exactly with u = +3e-16, and atan2 rounds piece 1's starting phase
+    # onto pi although u > 0; the crossing at the breakpoint must still count
+    half = 1.8314215536284029 / 2
+    s, q, r = 1.2527198028361937, 28.462667776984148, 0.7698723122733672
+    lams = (113.24708370230032, 113.24708370230033, math.nextafter(113.24708370230033, math.inf))
+    for lam in lams:
+        winding, frac, _, _ = _theta_scan([half, half], [s, s], [q, q], [r, r], 0.5 * math.pi, lam)
+        assert winding == 5, lam
+        mesh = [0.0, half, 2 * half]
+        pieces = [make_piecewise(mesh, [c, c]) for c in (s, q, r)]
+        ref = rk4_prufer_angle(problem(*pieces, alpha=0.5 * math.pi, beta=0.5 * math.pi), lam)
+        assert winding * math.pi + frac == pytest.approx(ref, abs=1e-6), lam
+
+
+def test_theta_scan_exact_zero_at_b_counts_once():
+    # lambda_7 = 49 pi^2 of the unit problem cut into three pieces: u(b)
+    # comes out as +0.0, so theta(b) = 7 pi exactly, not 8 pi
+    w = [0.3333333333333333, 0.3333333333333333, 0.33333333333333337]
+    winding, frac, u, _ = _theta_scan(w, [1.0] * 3, [0.0] * 3, [1.0] * 3, 0.0, 483.61061565337855)
+    assert u == 0.0
+    assert (winding, frac) == (7, 0.0)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slprime.spectrum as spectrum_mod
 from helpers import mp_boundary_function, random_problem
@@ -314,6 +316,58 @@ def test_scan_budget_per_eigenvalue(monkeypatch):
     found += len(compute_spectrum(unit_problem(), 100).eigenvalues)
     # plain bisection needs about 42 scans per eigenvalue here
     assert calls[0] / found <= 20.0, calls[0] / found
+
+
+def test_closed_form_scan_budget(monkeypatch):
+    # constant coefficients: the q-aware guess is exact and the scaled
+    # mismatch is linear in the last piece's phase, so few scans remain
+    # (plain Brent on theta(b) needed about 12.5 per eigenvalue here)
+    calls = [0]
+    scan = spectrum_mod._theta_scan
+
+    def counting_scan(*args):
+        calls[0] += 1
+        return scan(*args)
+
+    monkeypatch.setattr(spectrum_mod, "_theta_scan", counting_scan)
+    found = 0
+    ends = {"DD": (0.0, math.pi), "NN": (0.5 * math.pi, 0.5 * math.pi), "DN": (0.0, 0.5 * math.pi)}
+    for alpha, beta in ends.values():
+        for length, s, q, r in ((1.0, 1.0, 0.0, 1.0), (2.0, 0.5, 30.0, 2.0), (0.7, 3.0, -40.0, 0.4)):
+            for m in range(1, 5):
+                mesh = [length * i / m for i in range(m + 1)]
+                coeffs = [make_piecewise(mesh, [c] * m) for c in (s, q, r)]
+                found += len(compute_spectrum(problem(*coeffs, alpha=alpha, beta=beta), 100).eigenvalues)
+    assert found == 3 * 3 * 4 * 100
+    assert calls[0] / found <= 6.0, calls[0] / found
+
+
+_piece = st.tuples(
+    st.floats(0.05, 2.0),  # width
+    st.floats(0.0, 3.0),  # s
+    st.floats(-100.0, 100.0),  # q
+    st.floats(0.0, 3.0),  # r
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_piece, min_size=1, max_size=4),
+    st.floats(0.0, 3.1),  # alpha
+    st.floats(0.01, math.pi),  # beta
+    st.sampled_from([-1, 0, 0, 0, 1]),  # index offset from the one whose target is nearest
+    st.floats(-500.0, 5000.0),  # lambda
+)
+def test_scaled_mismatch_has_the_sign_of_the_angle_mismatch(pieces, alpha, beta, offset, lam):
+    widths, svals, qvals, rvals = (list(col) for col in zip(*pieces))
+    svals[-1] = svals[-1] or 1.0  # an oscillating last piece is where g differs from f
+    pieces = (widths, svals, qvals, rvals)
+    # mostly the index whose target angle lies within pi of theta(b): only
+    # there does the sign of f turn on frac - beta, which the remap changes
+    n = max(1, spectrum_mod._theta_scan(*pieces, alpha, lam)[0] + 1 + offset)
+    _, f, g, _, _ = spectrum_mod._mismatch_scan(pieces, alpha, beta, n)(lam)
+    # every nonzero f, not only |f| > 1e-12: Brent orients the bracket by f
+    assert (f > 0.0) <= (g > 0.0) and (f < 0.0) <= (g < 0.0), (f, g)
 
 
 def _one_piece(h, s, q, r, alpha, beta):
