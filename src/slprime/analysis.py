@@ -16,8 +16,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .coeff import SLProblem
 from .errors import (
     DegenerateModulus,
@@ -77,6 +75,9 @@ def incompatibility_report(spectrum: Spectrum, n_max: int) -> IncompatReport:
             verdict="INCONCLUSIVE",
             note=f"verdict withheld below n = 100 (got {n_max})",
         )
+    # numpy is imported where arrays are built: commands that build none start without it
+    import numpy as np
+
     ratios = np.array([row[3] for row in rows])
     top = ratios[n_max // 2 :]
     block_means = [chunk.mean() for chunk in np.array_split(top, 8)]
@@ -206,6 +207,8 @@ def order_estimate(
         raise DegenerateModulus(
             "max modulus never exceeded 10; no order slope can be fitted"
         )
+    import numpy as np
+
     slope = float(np.polyfit(xs, ys, 1)[0])
     low_confidence = radii[-1] < 1e3 * radii[0]
     return OrderEstimate(
@@ -237,6 +240,8 @@ def partial_sum_primes(epsilon: float, n_terms: int):
         raise OutOfDomain(f"need at least one term, got {n_terms}")
     if n_terms > 10**7:
         raise LimitTooLarge(f"n_terms capped at 1e7, got {n_terms}")
+    import numpy as np
+
     table = prime_table(n_terms)
     terms = table.primes[:n_terms].astype(np.float64) ** (-(0.5 + epsilon))
     sums = np.cumsum(terms)
@@ -258,6 +263,8 @@ def partial_sum_spectrum(c: float, epsilon: float, n_terms: int):
         raise OutOfDomain(f"need at least one term, got {n_terms}")
     if n_terms > 10**7:
         raise LimitTooLarge(f"n_terms capped at 1e7, got {n_terms}")
+    import numpy as np
+
     expo = 0.5 + epsilon
     n = np.arange(1, n_terms + 1, dtype=np.float64)
     sums = np.cumsum((c * n**2) ** (-expo))

@@ -41,7 +41,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Interval:
-    """Finite interval [a, b], a < b."""
+    """Finite interval [a, b], a < b, stored as floats."""
 
     a: float
     b: float
@@ -51,11 +51,15 @@ class Interval:
             raise NonFiniteValue("interval endpoints must be finite")
         if not self.a < self.b:
             raise NonMonotoneMesh(f"b must exceed a, got [{self.a}, {self.b}]")
+        # stored as Python floats, like every number of a problem: a numpy
+        # scalar would reach each theta-scan, which runs ~4x slower on it
+        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "b", float(self.b))
 
 
 @dataclass(frozen=True)
 class PiecewiseConstant:
-    """Right-continuous step function: values[i] on [x_i, x_{i+1})."""
+    """Right-continuous step function: values[i] on [x_i, x_{i+1}), stored as float tuples."""
 
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
@@ -74,6 +78,8 @@ class PiecewiseConstant:
             raise NonFiniteValue("piece values must be finite")
         if any(x1 <= x0 for x0, x1 in zip(xs, xs[1:])):
             raise NonMonotoneMesh(f"breakpoints must be strictly increasing: {xs}")
+        object.__setattr__(self, "breakpoints", tuple(map(float, xs)))
+        object.__setattr__(self, "values", tuple(map(float, vs)))
 
     @property
     def a(self) -> float:
@@ -199,8 +205,8 @@ def weyl_constant(coeffs: CoefficientSet) -> float:
 class BoundaryCondition:
     """Separated conditions u(a) cos(alpha) + v(a) sin(alpha) = 0, same at b with beta.
 
-    alpha in [0, pi), beta in (0, pi].  alpha = 0, beta = pi is Dirichlet
-    (u vanishing at both ends).
+    alpha in [0, pi), beta in (0, pi], stored as floats.  alpha = 0,
+    beta = pi is Dirichlet (u vanishing at both ends).
     """
 
     alpha: float
@@ -213,6 +219,8 @@ class BoundaryCondition:
             raise OutOfDomain(f"alpha must lie in [0, π), got {self.alpha}")
         if not (0.0 < self.beta <= math.pi):
             raise OutOfDomain(f"beta must lie in (0, π], got {self.beta}")
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "beta", float(self.beta))
 
 
 DIRICHLET = BoundaryCondition(0.0, math.pi)

@@ -17,14 +17,16 @@ import numbers
 import os
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .coeff import PiecewiseConstant
 from .errors import BadConfig
 from .nonlinear import NonlinearProblem, lambda_map, nonlinear_spectrum
 from .primes import nth_prime
 from .spectrum import compute_spectrum
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SearchConfig",
@@ -47,6 +49,9 @@ def target_mu(n: int) -> float:
 
 
 def _uniform_mesh(pieces: int) -> tuple[float, ...]:
+    # numpy is imported where arrays are built: commands that build none start without it
+    import numpy as np
+
     return tuple(float(x) for x in np.linspace(0.0, 1.0, pieces + 1))
 
 
@@ -144,6 +149,8 @@ def worker_count() -> int:
 
 
 def _start_values(cfg: SearchConfig, k: int, targets: tuple[float, ...]) -> np.ndarray:
+    import numpy as np
+
     if k == 0:
         # a constant shift matching the first target exactly: mu_1(c) = pi^2 + c
         c = min(cfg.bound, max(-cfg.bound, targets[0] - _PI_SQ))
@@ -153,11 +160,13 @@ def _start_values(cfg: SearchConfig, k: int, targets: tuple[float, ...]) -> np.n
 
 
 def _pattern_search(cfg: SearchConfig, k: int, targets: tuple[float, ...]):
+    import numpy as np
+
     mesh = _uniform_mesh(cfg.pieces)
     n = cfg.targets
 
     def j_of(values: np.ndarray) -> float:
-        return objective(PiecewiseConstant(mesh, tuple(float(v) for v in values)), n)
+        return objective(PiecewiseConstant(mesh, tuple(values)), n)
 
     vals = _start_values(cfg, k, targets)
     best = j_of(vals)

@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import LimitTooLarge, OutOfDomain
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["PrimeTable", "sieve", "prime_table", "nth_prime", "pnt_asymptotic", "cesaro"]
 
@@ -50,6 +52,9 @@ def sieve(limit: int) -> PrimeTable:
     output buffer sized by pi(x) < 1.25506 x / ln x (Rosser & Schoenfeld,
     x > 1), so memory is the output plus one segment.
     """
+    # numpy is imported where arrays are built: commands that build none start without it
+    import numpy as np
+
     limit = int(limit)
     if limit < 2:
         raise OutOfDomain(f"sieve limit must be >= 2, got {limit}")
@@ -83,6 +88,8 @@ def sieve(limit: int) -> PrimeTable:
 
 def _emit(flags: np.ndarray, lo: int, out: np.ndarray, count: int) -> int:
     """Write the numbers of the set slots lo + i into out[count:]; return the new count."""
+    import numpy as np
+
     idx = np.flatnonzero(flags)
     view = out[count : count + idx.size]
     np.multiply(idx, 2, out=view)

@@ -5,8 +5,10 @@ so the n-th eigenvalue is the unique real root of
 
     theta(b; lambda) = beta + (n - 1) pi.
 
-Brackets start from the Weyl guess lambda ~ (n pi / C)^2 plus the mean
-of q sqrt(s/r), exact for constant coefficients, and expand
+Brackets start from the Weyl guess lambda ~ ((n - 1 + (beta - alpha) / pi)
+pi / C)^2 plus the mean of q sqrt(s/r): the angle must advance by
+beta - alpha + (n - 1) pi, and the guess is exact for constant
+coefficients with Dirichlet or Neumann ends.  They expand
 geometrically; expansion that reaches the lambda cap without attaining
 the target angle raises EigenvalueNotFound, which for Atkinson-type
 problems is the expected way a finite spectrum announces its end.
@@ -135,6 +137,8 @@ def _mismatch_scan(pieces, alpha: float, beta: float, n: int):
     which advances linearly in the piece phase sqrt(s k) x.  frac and
     beta go through the same monotone remap, so g has the sign of f; g = f
     where the last piece does not oscillate or the remap rounds g to 0.
+    Raises OutOfDomain when theta(b) comes out non-finite: a state that
+    passed the per-piece overflow rule can still overflow in the next piece.
     """
     s_end, q_end, r_end = pieces[1][-1], pieces[2][-1], pieces[3][-1]
     sin_b, cos_b = math.sin(beta), math.cos(beta)
@@ -143,6 +147,11 @@ def _mismatch_scan(pieces, alpha: float, beta: float, n: int):
         winding, frac, _, _ = _theta_scan(*pieces, alpha, lam)
         whole = (winding - n + 1) * _PI
         f = whole + (frac - beta)
+        if not math.isfinite(f):
+            raise OutOfDomain(
+                f"theta(b) at lambda {lam!r} is not finite: the terminal state overflowed "
+                "the theta-scan on these coefficients"
+            )
         g = f
         k = lam * r_end - q_end
         if s_end > 0.0 and k > 0.0:
@@ -180,8 +189,9 @@ def eigenvalue(
     if weyl_c == 0.0:
         guess = min(cap, float(n * n))
     else:
-        # (n pi / C)^2 overflows once n pi / C passes ~1.3e154; clamp it first
-        x = n * _PI / weyl_c
+        # theta advances by beta - alpha + (n - 1) pi; for Dirichlet ends the
+        # factor is exactly n.  x^2 overflows once x passes ~1.3e154: clamp it
+        x = (n - 1 + (beta - problem.bc.alpha) / _PI) * _PI / weyl_c
         guess = max(-cap, min(cap, (x**2 if x < 1e154 else math.inf) + shift))
 
     # expand away from the guess, doubling the step, until the target angle

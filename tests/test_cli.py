@@ -190,6 +190,23 @@ def test_validation_errors_exit_two(tmp_path, capsys):
         assert run(["spectrum", "--config", write_doc(tmp_path, doc), "--n-max", "3"]) == 2
         err = capsys.readouterr().err
         assert f"piece 0 on {piece} overflows the theta-scan at lambda_cap 1e+12" in err
+    # each piece passes that rule, but the state leaves piece 0 as
+    # (0.84, -8.4e118) and overflows piece 1: theta(b) is NaN, reported
+    # as an input error instead of a CSV of residual-pi/2 rows
+    overflow = {
+        "interval": {"a": 0.0, "b": 2.0},
+        "coefficients": {
+            "s": {"breakpoints": [0.0, 1.0, 2.0], "values": [1e-200, 1e200]},
+            "q": {"breakpoints": [0.0, 1.0, 2.0], "values": [1e119, 0.0]},
+            "r": {"breakpoints": [0.0, 1.0, 2.0], "values": [0.0, 1.0]},
+        },
+        "bc": {"alpha": 1.0, "beta": "pi"},
+    }
+    out = tmp_path / "nan.csv"
+    argv = ["spectrum", "--config", write_doc(tmp_path, overflow), "--n-max", "3", "--out", str(out)]
+    assert run(argv) == 2
+    assert "is not finite" in capsys.readouterr().err
+    assert not out.exists()
 
     search_cfg = tmp_path / "search.json"
     search_cfg.write_text(json.dumps({"pieces": 2, "targets": 2, "restarts": 1}))
@@ -362,6 +379,27 @@ def test_cli_import_leaves_out_the_process_pool():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_numpy_free_commands_start_without_numpy(tmp_path):
+    # numpy is imported where arrays are built; --help, spectrum and growth
+    # build none, so their processes never pay for importing it
+    cfg = write_doc(tmp_path, UNIT_DOC)
+    code = (
+        "import sys, slprime.cli\n"
+        "seen = ['numpy' in sys.modules]\n"
+        f"for argv in (['--help'], ['spectrum', '--config', {cfg!r}, '--n-max', '5'],\n"
+        f"             ['growth', '--config', {cfg!r}]):\n"
+        "    assert slprime.cli.run(argv) == 0, argv\n"
+        "    seen.append('numpy' in sys.modules)\n"
+        "print(seen, file=sys.stderr)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stderr.strip() == "[False, False, False, False]"
 
 
 def test_readme_command_lines_parse():

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from slprime.coeff import (
@@ -27,6 +28,7 @@ from slprime.errors import (
     NotRightDefinite,
     OutOfDomain,
 )
+from slprime.spectrum import compute_spectrum
 
 
 def test_piecewise_basic():
@@ -134,3 +136,26 @@ def test_problem_interval_must_match_coefficients():
             coeffs=CoefficientSet(s=one, q=one, r=one),
             bc=DIRICHLET,
         )
+
+
+def test_numpy_inputs_are_stored_as_floats():
+    # a problem built from numpy arrays and scalars is the float-built one:
+    # same hash, same eigenvalues, and those come back as Python floats
+    rng = np.random.default_rng(5)
+    mesh = np.linspace(0.0, 2.0, 17)
+    s, q, r = rng.uniform(0.5, 2.0, 16), rng.uniform(-20.0, 20.0, 16), rng.uniform(0.5, 2.0, 16)
+    alpha, beta = np.float64(0.3), np.float64(2.0)
+
+    def build(num, seq):
+        coeffs = CoefficientSet(*(PiecewiseConstant(seq(mesh), seq(v)) for v in (s, q, r)))
+        bc = BoundaryCondition(num(alpha), num(beta))
+        return SLProblem(Interval(num(mesh[0]), num(mesh[-1])), coeffs, bc)
+
+    from_numpy = build(np.float64, tuple)
+    from_floats = build(float, lambda a: tuple(a.tolist()))
+    assert type(from_numpy.bc.alpha) is float and type(from_numpy.interval.b) is float
+    assert all(type(x) is float for x in (*from_numpy.coeffs.breakpoints, *from_numpy.coeffs.q.values))
+    assert from_numpy.content_hash() == from_floats.content_hash()
+    got, want = compute_spectrum(from_numpy, 20), compute_spectrum(from_floats, 20)
+    assert all(type(ev.value) is float for ev in got.eigenvalues)
+    assert got == want
