@@ -60,7 +60,10 @@ def _expect_fields(obj, path: str, required: set[str], optional: set[str] = froz
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise BadConfig(f"{path} must be a number")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer literal past the float range
+        out = math.inf
     if not math.isfinite(out):
         raise BadConfig(f"{path} must be finite")
     return out

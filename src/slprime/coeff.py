@@ -39,6 +39,17 @@ __all__ = [
 ]
 
 
+def _floats(xs, what: str) -> tuple[float, ...]:
+    """xs as Python floats, the form in which every number of a problem is
+    stored and then validated: a numpy scalar would reach each theta-scan,
+    which runs ~4x slower on it, and an int or Fraction can round onto a
+    value its own rules exclude."""
+    try:
+        return tuple(map(float, xs))
+    except OverflowError:  # an int past the float range
+        raise NonFiniteValue(f"{what} must be finite") from None
+
+
 @dataclass(frozen=True)
 class Interval:
     """Finite interval [a, b], a < b, stored as floats."""
@@ -47,14 +58,13 @@ class Interval:
     b: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+        a, b = _floats((self.a, self.b), "interval endpoints")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        if not (math.isfinite(a) and math.isfinite(b)):
             raise NonFiniteValue("interval endpoints must be finite")
-        if not self.a < self.b:
-            raise NonMonotoneMesh(f"b must exceed a, got [{self.a}, {self.b}]")
-        # stored as Python floats, like every number of a problem: a numpy
-        # scalar would reach each theta-scan, which runs ~4x slower on it
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
+        if not a < b:
+            raise NonMonotoneMesh(f"b must exceed a, got [{a}, {b}]")
 
 
 @dataclass(frozen=True)
@@ -65,7 +75,9 @@ class PiecewiseConstant:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        xs, vs = self.breakpoints, self.values
+        xs, vs = _floats(self.breakpoints, "breakpoints"), _floats(self.values, "piece values")
+        object.__setattr__(self, "breakpoints", xs)
+        object.__setattr__(self, "values", vs)
         if len(xs) < 2:
             raise NonMonotoneMesh("need at least two breakpoints")
         if len(vs) != len(xs) - 1:
@@ -78,8 +90,6 @@ class PiecewiseConstant:
             raise NonFiniteValue("piece values must be finite")
         if any(x1 <= x0 for x0, x1 in zip(xs, xs[1:])):
             raise NonMonotoneMesh(f"breakpoints must be strictly increasing: {xs}")
-        object.__setattr__(self, "breakpoints", tuple(map(float, xs)))
-        object.__setattr__(self, "values", tuple(map(float, vs)))
 
     @property
     def a(self) -> float:
@@ -114,10 +124,8 @@ class PiecewiseConstant:
 
 
 def make_piecewise(breakpoints, values) -> PiecewiseConstant:
-    """Validate and build a step function (floats are coerced)."""
-    return PiecewiseConstant(
-        tuple(float(x) for x in breakpoints), tuple(float(v) for v in values)
-    )
+    """Validate and build a step function from any two sequences of numbers."""
+    return PiecewiseConstant(tuple(breakpoints), tuple(values))
 
 
 def constant(value: float, a: float = 0.0, b: float = 1.0) -> PiecewiseConstant:
@@ -213,14 +221,15 @@ class BoundaryCondition:
     beta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+        alpha, beta = _floats((self.alpha, self.beta), "boundary angles")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
             raise NonFiniteValue("boundary angles must be finite")
-        if not (0.0 <= self.alpha < math.pi):
-            raise OutOfDomain(f"alpha must lie in [0, π), got {self.alpha}")
-        if not (0.0 < self.beta <= math.pi):
-            raise OutOfDomain(f"beta must lie in (0, π], got {self.beta}")
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
+        if not (0.0 <= alpha < math.pi):
+            raise OutOfDomain(f"alpha must lie in [0, π), got {alpha}")
+        if not (0.0 < beta <= math.pi):
+            raise OutOfDomain(f"beta must lie in (0, π], got {beta}")
 
 
 DIRICHLET = BoundaryCondition(0.0, math.pi)

@@ -52,7 +52,7 @@ def _uniform_mesh(pieces: int) -> tuple[float, ...]:
     # numpy is imported where arrays are built: commands that build none start without it
     import numpy as np
 
-    return tuple(float(x) for x in np.linspace(0.0, 1.0, pieces + 1))
+    return tuple(np.linspace(0.0, 1.0, pieces + 1))
 
 
 def objective(q: PiecewiseConstant, n_targets: int) -> float:
@@ -191,7 +191,7 @@ def _pattern_search(cfg: SearchConfig, k: int, targets: tuple[float, ...]):
         trace.append((it, best))
         if not improved:
             step *= 0.5
-    return tuple(float(v) for v in vals), best, tuple(trace)
+    return tuple(vals), best, tuple(trace)
 
 
 def search(config: SearchConfig | None = None) -> SearchResult:

@@ -190,9 +190,10 @@ def eigenvalue(
         guess = min(cap, float(n * n))
     else:
         # theta advances by beta - alpha + (n - 1) pi; for Dirichlet ends the
-        # factor is exactly n.  x^2 overflows once x passes ~1.3e154: clamp it
+        # factor is exactly n, for alpha > beta it is negative at n = 1.
+        # x^2 overflows once |x| passes ~1.3e154: clamp it
         x = (n - 1 + (beta - problem.bc.alpha) / _PI) * _PI / weyl_c
-        guess = max(-cap, min(cap, (x**2 if x < 1e154 else math.inf) + shift))
+        guess = max(-cap, min(cap, (x**2 if abs(x) < 1e154 else math.inf) + shift))
 
     # expand away from the guess, doubling the step, until the target angle
     # is bracketed: upward while theta(b) < target, downward otherwise

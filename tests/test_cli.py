@@ -134,6 +134,13 @@ def test_spectrum_truncation_is_exit_zero(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "TRUNCATED at n = 1" in captured.out and "lambda cap" in captured.out
+    # with alpha > beta the guess's index factor n - 1 + (beta - alpha)/pi is
+    # negative at n = 1: the clamp must hold for x = -5e299 as well
+    tiny["bc"] = {"alpha": 1.0, "beta": 0.5}
+    code = run(["spectrum", "--config", write_doc(tmp_path, tiny, "tiny.json"), "--n-max", "3"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "TRUNCATED at n = 1: no lambda above -1e+12 brings theta(b) below" in captured.out
 
 
 def test_validation_errors_exit_two(tmp_path, capsys):
@@ -151,6 +158,11 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     not_json = tmp_path / "nj.json"
     not_json.write_text("{broken")
     assert run(["spectrum", "--config", str(not_json)]) == 2
+    # an integer literal past the float range is not finite
+    huge_int = tmp_path / "huge.json"
+    huge_int.write_text(json.dumps(UNIT_DOC).replace('"a": 0.0', '"a": -1' + "0" * 400, 1))
+    assert run(["spectrum", "--config", str(huge_int)]) == 2
+    assert "interval.a must be finite" in capsys.readouterr().err
     # the index range is compute_spectrum's rule, reported as an input error
     for argv in (["spectrum", "--config", write_doc(tmp_path, UNIT_DOC)], ["nonlinear"]):
         assert run([*argv, "--n-max", "0"]) == 2

@@ -1,6 +1,7 @@
 """Piecewise-constant coefficient containers: construction, refinement, hashing."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -113,6 +114,27 @@ def test_boundary_condition_ranges():
     with pytest.raises(OutOfDomain):
         BoundaryCondition(-0.1, math.pi)
     assert DIRICHLET.alpha == 0.0 and DIRICHLET.beta == math.pi
+
+
+def test_rules_hold_on_the_stored_floats():
+    # each rule is checked on the floats that are kept: these inputs pass it
+    # as exact numbers but round onto values it excludes
+    big = 2**53
+    with pytest.raises(NonMonotoneMesh):
+        Interval(big, big + 1)
+    with pytest.raises(NonMonotoneMesh):
+        PiecewiseConstant((0, big, big + 1), (1, 1))
+    with pytest.raises(OutOfDomain):
+        BoundaryCondition(Fraction(math.pi) - Fraction(1, 10**30), math.pi)
+    with pytest.raises(OutOfDomain):
+        BoundaryCondition(0, Fraction(1, 10**400))
+    # an int past the float range is not finite
+    with pytest.raises(NonFiniteValue, match="interval endpoints"):
+        Interval(0, 10**400)
+    with pytest.raises(NonFiniteValue, match="piece values"):
+        PiecewiseConstant((0.0, 1.0), (-(10**400),))
+    p = PiecewiseConstant((0, big), (3,))
+    assert p.breakpoints == (0.0, float(big)) and type(p.values[0]) is float
 
 
 def test_content_hash_stable_and_sensitive():

@@ -234,6 +234,13 @@ def test_low_cap_reports_not_found_with_cap(monkeypatch):
     assert str(err.value) == (
         "no lambda above -3 brings theta(b) below the target angle 0.1 for n = 1"
     )
+    # with alpha = 1.5 the guess ((beta - alpha) / C)^2 = 1.96 lies below the
+    # cap; expansion still ends at -cap without a bracket
+    prob = problem(one, make_piecewise([0.0, 1.0], [0.0]), one, alpha=1.5, beta=0.1)
+    with pytest.raises(EigenvalueNotFound) as err:
+        eigenvalue(prob, 1, SolverOptions(lambda_cap=3.0))
+    assert err.value.index == 1 and err.value.cap == 3.0
+    assert "no lambda above -3 brings theta(b)" in str(err.value)
 
 
 def bisection_eigenvalue(prob, n, opts=SolverOptions()):
