@@ -25,7 +25,7 @@ from .errors import (
     OutOfDomain,
 )
 from .primes import prime_table
-from .shoot import _propagate_scaled
+from .shoot import _propagate_scaled, _solver_pieces
 from .spectrum import Spectrum
 
 __all__ = [
@@ -123,7 +123,7 @@ def growth_check(problem: SLProblem, lam: complex, x_samples: int = 32) -> Growt
         raise OutOfDomain(f"growth bound needs |lambda| >= 1, got {abs(lam):g}")
     if x_samples < 1:
         raise OutOfDomain(f"x_samples must be >= 1, got {x_samples}")
-    widths, svals, qvals, rvals = problem.coeffs.piece_arrays()
+    widths, svals, qvals, rvals = _solver_pieces(problem, abs(lam), "|lambda|", definite=False)
     total = sum(widths)
     alpha = problem.bc.alpha
     h_default = total / (4.0 * x_samples)
@@ -186,7 +186,8 @@ def order_estimate(
         raise OutOfDomain("radii must be positive and strictly increasing")
     if angular_samples < 4:
         raise OutOfDomain(f"angular_samples must be >= 4, got {angular_samples}")
-    widths, svals, qvals, rvals = problem.coeffs.piece_arrays()
+    # radii increase, so the largest covers every circle
+    pieces = _solver_pieces(problem, radii[-1], "|lambda|", definite=False)
     alpha = problem.bc.alpha
     u0, v0 = complex(math.sin(alpha)), complex(-math.cos(alpha))
     log_m = []
@@ -195,7 +196,7 @@ def order_estimate(
         for j in range(angular_samples):
             lam = rad * complex(math.cos(2 * math.pi * j / angular_samples),
                                 math.sin(2 * math.pi * j / angular_samples))
-            u, _, ls = _propagate_scaled(widths, svals, qvals, rvals, lam, u0, v0)
+            u, _, ls = _propagate_scaled(*pieces, lam, u0, v0)
             mag = abs(u)
             if mag > 0.0:
                 best = max(best, math.log(mag) + ls)

@@ -27,14 +27,14 @@ from .analysis import (
 )
 from .coeff import (
     BoundaryCondition,
-    CoefficientSet,
     Interval,
     PiecewiseConstant,
     SLProblem,
+    refine_common_mesh,
 )
 from .errors import BadConfig, SlprimeError
 from .inverse import SearchConfig, search
-from .nonlinear import NonlinearProblem, nonlinear_spectrum
+from .nonlinear import NonlinearProblem, _composed_rows
 from .primes import cesaro, pnt_asymptotic, prime_table
 from .spectrum import SolverOptions, compute_spectrum
 
@@ -96,6 +96,10 @@ def _piecewise(obj, path: str) -> PiecewiseConstant:
     return _owned(f"{path}: ", PiecewiseConstant, bps, vs)
 
 
+def _piecewise_doc(p: PiecewiseConstant) -> dict:
+    return {"breakpoints": list(p.breakpoints), "values": list(p.values)}
+
+
 def document_to_problem(doc) -> tuple[SLProblem, SolverOptions]:
     """Map a parsed JSON problem document onto (SLProblem, SolverOptions).
 
@@ -122,22 +126,19 @@ def document_to_problem(doc) -> tuple[SLProblem, SolverOptions]:
     opts = _owned(
         "solver.", SolverOptions, **{k: _number(v, f"solver.{k}") for k, v in solver.items()}
     )
-    coeffs = _owned("coefficients: ", CoefficientSet, s=s, q=q, r=r)
+    # each coefficient may have its own mesh; the set lives on their union
+    coeffs = _owned("coefficients: ", refine_common_mesh, s, q, r)
     return _owned("coefficients: ", SLProblem, interval, coeffs, bc), opts
 
 
 def problem_to_document(problem: SLProblem, opts: SolverOptions | None = None) -> dict:
     """Serialize back to the JSON document shape; parse(serialize(x)) == x."""
-
-    def pw(p: PiecewiseConstant):
-        return {"breakpoints": list(p.breakpoints), "values": list(p.values)}
-
     return {
         "interval": {"a": problem.interval.a, "b": problem.interval.b},
         "coefficients": {
-            "s": pw(problem.coeffs.s),
-            "q": pw(problem.coeffs.q),
-            "r": pw(problem.coeffs.r),
+            "s": _piecewise_doc(problem.coeffs.s),
+            "q": _piecewise_doc(problem.coeffs.q),
+            "r": _piecewise_doc(problem.coeffs.r),
         },
         "bc": {"alpha": problem.bc.alpha, "beta": problem.bc.beta},
         "solver": dataclasses.asdict(opts or SolverOptions()),
@@ -220,15 +221,17 @@ def _cmd_nonlinear(args) -> int:
     else:
         nl = NonlinearProblem(PiecewiseConstant((0.0, 1.0), (0.0,)))
         opts, doc = SolverOptions(), None
-    rows_nl = nonlinear_spectrum(nl, args.n_max, opts)
+    spec = compute_spectrum(nl.base(), args.n_max, opts)
     cfg = _config_hash({"command": "nonlinear", "doc": doc, "n_max": args.n_max})
     table = prime_table(args.n_max)
     rows = []
-    for row in rows_nl:
+    for row in _composed_rows(spec):
         p = table.nth(row.index)
         gap = None if row.lam is None else row.lam - p
         rows.append((row.index, row.mu, row.lam, p, gap))
     _write_csv(args.out, ("n", "mu", "lambda", "p_n", "lambda_minus_p"), rows, cfg)
+    if spec.truncated:
+        print(spec.truncation_note)
     return 0
 
 
@@ -291,8 +294,7 @@ def _cmd_growth(args) -> int:
             "x_samples": args.x_samples,
         }
     )
-    rows = [(x, m, b, s) for x, m, b, s in report.samples]
-    _write_csv(args.out, ("x", "measured", "bound", "slack"), rows, cfg)
+    _write_csv(args.out, ("x", "measured", "bound", "slack"), report.samples, cfg)
     print(f"min_slack {report.min_slack!r}")
     return _verdict("growth", "PASS" if report.passed else "FAIL")
 
@@ -376,10 +378,7 @@ def _cmd_invert(args) -> int:
         "config": cfg_dict,
         "baseline_objective": result.baseline_objective,
         "best_objective": result.best_objective,
-        "best_q": {
-            "breakpoints": list(result.best_q.breakpoints),
-            "values": list(result.best_q.values),
-        },
+        "best_q": _piecewise_doc(result.best_q),
         "trace": [[[it, j] for it, j in tr] for tr in result.trace],
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -17,16 +17,12 @@ import numbers
 import os
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 from .coeff import PiecewiseConstant
 from .errors import BadConfig
 from .nonlinear import NonlinearProblem, lambda_map, nonlinear_spectrum
-from .primes import nth_prime
+from .primes import nth_prime, prime_table
 from .spectrum import compute_spectrum
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "SearchConfig",
@@ -49,10 +45,9 @@ def target_mu(n: int) -> float:
 
 
 def _uniform_mesh(pieces: int) -> tuple[float, ...]:
-    # numpy is imported where arrays are built: commands that build none start without it
-    import numpy as np
-
-    return tuple(np.linspace(0.0, 1.0, pieces + 1))
+    # the floats np.linspace(0, 1, pieces + 1) gives: i * step, then exactly 1 at the end
+    step = 1.0 / pieces
+    return (*(i * step for i in range(pieces)), 1.0)
 
 
 def objective(q: PiecewiseConstant, n_targets: int) -> float:
@@ -148,38 +143,32 @@ def worker_count() -> int:
     return auto if cap == 0 else min(cap, auto)
 
 
-def _start_values(cfg: SearchConfig, k: int, targets: tuple[float, ...]) -> np.ndarray:
-    import numpy as np
+def _pattern_search(cfg: SearchConfig, k: int):
+    mesh = _uniform_mesh(cfg.pieces)
+    n, bound = cfg.targets, cfg.bound
+
+    def j_of(values: list[float]) -> float:
+        return objective(PiecewiseConstant(mesh, tuple(values)), n)
 
     if k == 0:
         # a constant shift matching the first target exactly: mu_1(c) = pi^2 + c
-        c = min(cfg.bound, max(-cfg.bound, targets[0] - _PI_SQ))
-        return np.full(cfg.pieces, c)
-    rng = np.random.default_rng((cfg.seed, k))
-    return rng.uniform(-cfg.bound, cfg.bound, cfg.pieces)
+        vals = [min(bound, max(-bound, target_mu(1) - _PI_SQ))] * cfg.pieces
+    else:
+        # numpy only for its seeded generator: the draws stay those of (seed, k)
+        import numpy as np
 
-
-def _pattern_search(cfg: SearchConfig, k: int, targets: tuple[float, ...]):
-    import numpy as np
-
-    mesh = _uniform_mesh(cfg.pieces)
-    n = cfg.targets
-
-    def j_of(values: np.ndarray) -> float:
-        return objective(PiecewiseConstant(mesh, tuple(values)), n)
-
-    vals = _start_values(cfg, k, targets)
+        vals = np.random.default_rng((cfg.seed, k)).uniform(-bound, bound, cfg.pieces).tolist()
     best = j_of(vals)
     trace = [(0, best)]
     step = cfg.step0
-    floor = _STEP_FLOOR_REL * cfg.bound
+    floor = _STEP_FLOOR_REL * bound
     for it in range(1, cfg.max_iters + 1):
         if step < floor:
             break
         improved = False
         for i in range(cfg.pieces):
             for delta in (step, -step):
-                cand = float(np.clip(vals[i] + delta, -cfg.bound, cfg.bound))
+                cand = min(bound, max(-bound, vals[i] + delta))
                 if cand == vals[i]:
                     continue
                 trial = vals.copy()
@@ -204,13 +193,12 @@ def search(config: SearchConfig | None = None) -> SearchResult:
     parallel when more than one worker is available.
     """
     cfg = config or SearchConfig()
-    targets = tuple(target_mu(n) for n in range(1, cfg.targets + 1))
     mesh = _uniform_mesh(cfg.pieces)
 
-    zero = tuple(0.0 for _ in range(cfg.pieces))
+    zero = (0.0,) * cfg.pieces
     baseline = objective(PiecewiseConstant(mesh, zero), cfg.targets)
 
-    jobs = ([cfg] * cfg.restarts, range(cfg.restarts), [targets] * cfg.restarts)
+    jobs = ([cfg] * cfg.restarts, range(cfg.restarts))
     nw = min(worker_count(), cfg.restarts)
     if nw > 1:
         # imported here: concurrent.futures pulls in multiprocessing, which
@@ -233,15 +221,16 @@ def search(config: SearchConfig | None = None) -> SearchResult:
             best_vals, best_j = vals, j_val
 
     best_q = PiecewiseConstant(mesh, best_vals)
+    table = prime_table(cfg.targets)
     rows = [
         TargetRow(
             index=row.index,
-            prime=nth_prime(row.index),
-            target=t,
+            prime=table.nth(row.index),
+            target=target_mu(row.index),
             achieved=row.mu,
             implied_lambda=row.lam,
         )
-        for row, t in zip(nonlinear_spectrum(NonlinearProblem(best_q), cfg.targets), targets)
+        for row in nonlinear_spectrum(NonlinearProblem(best_q), cfg.targets)
     ]
     return SearchResult(
         config=cfg,

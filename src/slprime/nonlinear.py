@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .coeff import DIRICHLET, CoefficientSet, PiecewiseConstant, SLProblem
 from .errors import DomainMismatch, NoRoot, OutOfDomain
-from .spectrum import DEFAULT_OPTIONS, SolverOptions, compute_spectrum
+from .spectrum import DEFAULT_OPTIONS, SolverOptions, Spectrum, compute_spectrum
 
 __all__ = [
     "BRANCH_MIN",
@@ -96,10 +96,13 @@ class NonlinearRow:
 def nonlinear_spectrum(
     problem: NonlinearProblem, n_max: int, opts: SolverOptions = DEFAULT_OPTIONS
 ) -> tuple[NonlinearRow, ...]:
-    """Rows (n, mu_n, lambda_n or absent) for n = 1..n_max."""
-    base = compute_spectrum(problem.base(), n_max, opts)
-    rows = []
-    for ev in base.eigenvalues:
-        lam = invert_map(ev.value) if ev.value >= BRANCH_MIN else None
-        rows.append(NonlinearRow(index=ev.index, mu=ev.value, lam=lam))
-    return tuple(rows)
+    """Rows (n, mu_n, lambda_n or absent) for n = 1..n_max, fewer if the base spectrum truncates."""
+    return _composed_rows(compute_spectrum(problem.base(), n_max, opts))
+
+
+def _composed_rows(base: Spectrum) -> tuple[NonlinearRow, ...]:
+    """The base problem's eigenvalues mu_n, each mapped back through Lambda where it can be."""
+    return tuple(
+        NonlinearRow(ev.index, ev.value, invert_map(ev.value) if ev.value >= BRANCH_MIN else None)
+        for ev in base.eigenvalues
+    )

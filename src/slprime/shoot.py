@@ -113,10 +113,9 @@ def integrate_system_scaled(problem: SLProblem, lam, init: State | None = None):
     |lambda| is large enough that exp would overflow.
     """
     state = boundary_state(problem.bc.alpha) if init is None else init
-    widths, svals, qvals, rvals = problem.coeffs.piece_arrays()
-    u, v, ls = _propagate_scaled(
-        widths, svals, qvals, rvals, complex(lam), complex(state.u), complex(state.v)
-    )
+    lam = complex(lam)
+    pieces = _solver_pieces(problem, abs(lam), "|lambda|", definite=False)
+    u, v, ls = _propagate_scaled(*pieces, lam, complex(state.u), complex(state.v))
     return State(u, v), ls
 
 
@@ -238,13 +237,29 @@ def _theta_scan(widths, svals, qvals, rvals, alpha, lam):
     return winding, frac, u, v
 
 
-def _solver_pieces(problem: SLProblem):
-    """(widths, s, q, r) of a problem whose theta(b) can locate eigenvalues."""
+def _solver_pieces(problem: SLProblem, cap: float, at: str = "lambda_cap", definite: bool = True):
+    """(widths, s, q, r), refusing a piece whose kernels overflow for some |lambda| <= cap.
+
+    On a piece |lambda r - q| <= |q| + cap r, so z = s k h^2, k h and s h
+    stay finite (products in the kernels' order) when these do; `at` names
+    cap in the message.  definite: theta(b) must also locate eigenvalues.
+    """
     widths, svals, qvals, rvals = problem.coeffs.piece_arrays()
-    if not any(v > 0.0 for v in svals):
+    if definite and not any(v > 0.0 for v in svals):
         raise NotRightDefinite("s vanishes identically; u cannot oscillate")
-    if not any(v > 0.0 for v in rvals):
+    if definite and not any(v > 0.0 for v in rvals):
         raise NotRightDefinite("r vanishes identically; theta(b) does not depend on lambda")
+    for i, (h, s, q, r) in enumerate(zip(widths, svals, qvals, rvals)):
+        k = abs(q) + cap * r
+        # NaN (an infinite width times a zero) fails these tests too
+        if not (s * k * h * h < math.inf and k * h < math.inf and s * h < math.inf):
+            x0, x1 = problem.coeffs.breakpoints[i : i + 2]
+            sym = "cap" if at == "lambda_cap" else at
+            raise OutOfDomain(
+                f"piece {i} on [{x0!r}, {x1!r}] overflows the "
+                f"{'theta-scan' if definite else 'propagator'} at {at} {cap:g}: "
+                f"s h^2 (|q| + {sym} r), h (|q| + {sym} r) and s h must be finite"
+            )
     return widths, svals, qvals, rvals
 
 
@@ -253,9 +268,14 @@ def prufer_angle(problem: SLProblem, lam: float) -> AngleResult:
 
     Raises NotRightDefinite when s or r vanishes identically: the angle
     is still defined then, but it can no longer locate eigenvalues (theta
-    would be frozen or lambda-independent).
+    would be frozen or lambda-independent).  Raises OutOfDomain when a
+    piece, or the state carried across the pieces, overflows at lambda.
     """
     if isinstance(lam, complex) or not math.isfinite(lam):
         raise OutOfDomain(f"prufer_angle needs real finite lambda, got {lam!r}")
-    winding, frac, _, _ = _theta_scan(*_solver_pieces(problem), problem.bc.alpha, lam)
-    return AngleResult(theta_b=winding * _PI + frac, winding=winding)
+    pieces = _solver_pieces(problem, abs(lam), "|lambda|")
+    winding, frac, _, _ = _theta_scan(*pieces, problem.bc.alpha, lam)
+    theta_b = winding * _PI + frac
+    if not math.isfinite(theta_b):
+        raise OutOfDomain(f"theta(b) at lambda {lam!r} is not finite: the state overflowed")
+    return AngleResult(theta_b=theta_b, winding=winding)

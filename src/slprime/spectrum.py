@@ -97,26 +97,12 @@ _last_scannable = (None, None, None)
 
 
 def _scannable_pieces(problem: SLProblem, cap: float):
-    """(_solver_pieces, Weyl constant C, (1/C) sum h q sqrt(s/r) over s r > 0 or 0).
-
-    Refuses a piece whose theta-scan overflows for some |lambda| <= cap:
-    on a piece |lambda r - q| <= |q| + cap r, so z = s k h^2, k h and s h
-    stay finite (products taken in the scan's order) when these do.
-    """
+    """(_solver_pieces at cap, Weyl constant C, (1/C) sum h q sqrt(s/r) over s r > 0 or 0)."""
     global _last_scannable
     last, last_cap, result = _last_scannable
     if last is problem and last_cap == cap:
         return result
-    pieces = _solver_pieces(problem)
-    for i, (h, s, q, r) in enumerate(zip(*pieces)):
-        k = abs(q) + cap * r
-        # NaN (an infinite width times a zero) fails these tests too
-        if not (s * k * h * h < math.inf and k * h < math.inf and s * h < math.inf):
-            x0, x1 = problem.coeffs.breakpoints[i : i + 2]
-            raise OutOfDomain(
-                f"piece {i} on [{x0!r}, {x1!r}] overflows the theta-scan at lambda_cap "
-                f"{cap:g}: s h^2 (|q| + cap r), h (|q| + cap r) and s h must be finite"
-            )
+    pieces = _solver_pieces(problem, cap)
     weyl_c = weyl_constant(problem.coeffs)
     shift = 0.0
     if weyl_c > 0.0:

@@ -202,6 +202,18 @@ def test_validation_errors_exit_two(tmp_path, capsys):
         assert run(["spectrum", "--config", write_doc(tmp_path, doc), "--n-max", "3"]) == 2
         err = capsys.readouterr().err
         assert f"piece 0 on {piece} overflows the theta-scan at lambda_cap 1e+12" in err
+    # growth and order propagate up to |lambda| under the same rule; before it,
+    # they wrote all-nan CSVs with a false FAIL, or died in a math domain error
+    huge_q = json.loads(json.dumps(huge))
+    huge_q["coefficients"]["q"]["values"] = [1e308]
+    out = tmp_path / "gate.csv"
+    for doc, piece in ((wide, "[0.0, 1e+200]"), (huge_q, "[0.0, 1.0]")):
+        for command, bound in (("growth", "100"), ("order", "1e+06")):
+            argv = [command, "--config", write_doc(tmp_path, doc), "--out", str(out)]
+            assert run(argv) == 2
+            err = capsys.readouterr().err
+            assert f"piece 0 on {piece} overflows the propagator at |lambda| {bound}" in err
+            assert not out.exists()
     # each piece passes that rule, but the state leaves piece 0 as
     # (0.84, -8.4e118) and overflows piece 1: theta(b) is NaN, reported
     # as an input error instead of a CSV of residual-pi/2 rows
@@ -232,6 +244,23 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     search_cfg.write_text(json.dumps({"pieces": 2, "restarts": 2, "bound": 1e308}))
     assert run(["invert", "--config", str(search_cfg), "--out", out]) == 2
     assert "2 * bound must be finite" in capsys.readouterr().err
+
+
+def test_coefficients_may_have_their_own_meshes(tmp_path):
+    # s split at 0.5 is the same problem as all three on the merged mesh,
+    # down to the CSV's config hash
+    split = json.loads(json.dumps(UNIT_DOC))
+    split["coefficients"]["s"] = {"breakpoints": [0.0, 0.5, 1.0], "values": [1.0, 1.0]}
+    merged = json.loads(json.dumps(UNIT_DOC))
+    for name, c in merged["coefficients"].items():
+        c["breakpoints"], c["values"] = [0.0, 0.5, 1.0], c["values"] * 2
+    texts = []
+    for name, doc in (("split", split), ("merged", merged)):
+        out = tmp_path / f"{name}.csv"
+        argv = ["spectrum", "--config", write_doc(tmp_path, doc, f"{name}.json"), "--out", str(out)]
+        assert run(argv) == 0
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
 
 
 def test_unknown_command_exit_two(capsys):
@@ -318,6 +347,19 @@ def test_nonlinear_command(tmp_path, capsys):
     assert lines[1] == "n,mu,lambda,p_n,lambda_minus_p"
     first = lines[2].split(",")
     assert first[0] == "1" and first[2] == ""  # lambda absent below the branch minimum
+    # a cap below mu_11 = 121 pi^2 truncates: rows 1..10 stay, with spectrum's note
+    capped = dict(json.loads(json.dumps(UNIT_DOC)), solver={"lambda_cap": 1000})
+    out = tmp_path / "nl_cap.csv"
+    argv = ["nonlinear", "--config", write_doc(tmp_path, capped), "--n-max", "14", "--out", str(out)]
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert [ln.split(",")[0] for ln in out.read_text().splitlines()[2:]] == [
+        str(n) for n in range(1, 11)
+    ]
+    assert capsys.readouterr().out == (
+        "TRUNCATED at n = 11: theta(b) stays below the target angle 34.5575 up to the "
+        "lambda cap 1000; no eigenvalue n = 11\n"
+    )
     # a non-flat s, and Neumann or Robin ends, are rejected for the nonlinear
     # problem, which is posed with Dirichlet ends
     doc = json.loads(json.dumps(UNIT_DOC))
@@ -424,3 +466,30 @@ def test_readme_command_lines_parse():
     assert commands == {
         "spectrum", "incompat", "nonlinear", "primes", "growth", "order", "series", "invert"
     }
+
+
+def test_cli_snapshot_exit_codes(tmp_path):
+    # the fixed command set that two checkouts' outputs are diffed over
+    root = Path(__file__).resolve().parents[1]
+    subprocess.run(
+        [sys.executable, str(root / "tools" / "cli_snapshot.py"), str(tmp_path)],
+        capture_output=True, text=True, check=True, timeout=600,
+    )
+    table = [ln.split("\t") for ln in (tmp_path / "exit_codes.tsv").read_text().splitlines()]
+    codes = {name: int(code) for name, code, _ in table}
+    failing = {"incompat_seeded4": 3}
+    refused = {
+        f"{command}_{doc}"
+        for command in ("spectrum", "growth", "order")
+        for doc in ("wide", "huge")
+    } | {"spectrum_missing"}
+    assert len(codes) == len(table) >= 25
+    assert codes == {name: failing.get(name, 2 if name in refused else 0) for name in codes}
+    last_err = {name: err for name, _, err in table}
+    for name in refused - {"spectrum_missing"}:
+        assert "piece 0 on" in last_err[name] and "overflows the" in last_err[name]
+    assert all(last_err[name] == "" for name, code in codes.items() if code != 2)
+    assert (tmp_path / "spectrum_split_mesh" / "out.csv").exists()
+    assert (tmp_path / "nonlinear_capped" / "stdout.txt").read_text().startswith(
+        "TRUNCATED at n = 11:"
+    )

@@ -10,6 +10,8 @@ from slprime.coeff import PiecewiseConstant
 from slprime.errors import BadConfig
 from slprime.inverse import (
     SearchConfig,
+    _pattern_search,
+    _uniform_mesh,
     objective,
     search,
     target_mu,
@@ -18,6 +20,64 @@ from slprime.inverse import (
 from slprime.primes import nth_prime
 
 PI2 = math.pi**2
+
+
+def _numpy_pattern_search(cfg, k):
+    """The search loop as it ran on numpy arrays, kept as an oracle for the float one."""
+    mesh = tuple(np.linspace(0.0, 1.0, cfg.pieces + 1))
+    if k == 0:
+        c = min(cfg.bound, max(-cfg.bound, target_mu(1) - PI2))
+        vals = np.full(cfg.pieces, c)
+    else:
+        vals = np.random.default_rng((cfg.seed, k)).uniform(-cfg.bound, cfg.bound, cfg.pieces)
+    best = objective(PiecewiseConstant(mesh, tuple(vals)), cfg.targets)
+    trace = [(0, best)]
+    step = cfg.step0
+    for it in range(1, cfg.max_iters + 1):
+        if step < 1e-6 * cfg.bound:
+            break
+        improved = False
+        for i in range(cfg.pieces):
+            for delta in (step, -step):
+                cand = float(np.clip(vals[i] + delta, -cfg.bound, cfg.bound))
+                if cand == vals[i]:
+                    continue
+                trial = vals.copy()
+                trial[i] = cand
+                j_trial = objective(PiecewiseConstant(mesh, tuple(trial)), cfg.targets)
+                if j_trial < best:
+                    best, vals, improved = j_trial, trial, True
+                    break
+        trace.append((it, best))
+        if not improved:
+            step *= 0.5
+    return tuple(vals), best, tuple(trace)
+
+
+def test_uniform_mesh_is_numpy_linspace():
+    for p in range(1, 1001):
+        assert _uniform_mesh(p) == tuple(np.linspace(0, 1, p + 1).tolist()), p
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        dict(pieces=1, bound=100.0, targets=1, seed=0, max_iters=12),
+        dict(pieces=2, bound=50.0, targets=3, seed=3, max_iters=10),
+        dict(pieces=3, bound=80.0, targets=2, seed=5, max_iters=8, initial_step=35.0),
+        dict(pieces=4, bound=150.0, targets=4, seed=7, max_iters=6),
+        dict(pieces=2, bound=5.0, targets=2, seed=11, max_iters=10),  # the clamp binds
+        dict(pieces=5, bound=200.0, targets=2, seed=42, max_iters=4),
+    ],
+)
+def test_float_search_matches_numpy_search(shape):
+    cfg = SearchConfig(restarts=3, **shape)
+    for k in (0, 1, 2):
+        vals, best, trace = _pattern_search(cfg, k)
+        ref_vals, ref_best, ref_trace = _numpy_pattern_search(cfg, k)
+        assert vals == ref_vals and all(type(v) is float for v in vals)
+        assert best.hex() == ref_best.hex()
+        assert trace == ref_trace
 
 
 def test_target_mu_values():

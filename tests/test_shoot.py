@@ -227,6 +227,30 @@ def test_prufer_angle_requires_right_definite_content():
         prufer_angle(unit_problem(), math.nan)
 
 
+def test_prufer_angle_refuses_overflowing_pieces():
+    # on [0, 1e200], s h^2 (|q| + |lambda| r) = 1e400: the scan used to return
+    # theta(b) = pi (u = sinh x has no zero, theta(b) -> pi/4) at lambda = -1
+    # and a bare ValueError at lambda = 1
+    one, zero = make_piecewise([0.0, 1e200], [1.0]), make_piecewise([0.0, 1e200], [0.0])
+    wide = problem(one, zero, one)
+    for lam in (-1.0, 1.0):
+        with pytest.raises(OutOfDomain, match=r"piece 0 on \[0.0, 1e\+200\] overflows the theta-scan"):
+            prufer_angle(wide, lam)
+        with pytest.raises(OutOfDomain, match=r"overflows the propagator at \|lambda\| 1:"):
+            integrate_system_scaled(wide, lam)
+    # each piece passes the rule, but at lambda = 0 the state leaves piece 0 as
+    # (0.84, -8.4e118), and u = 0.84 + s h 8.4e118 overflows piece 1: theta(b) was NaN
+    mesh = [0.0, 1.0, 2.0]
+    carried = problem(
+        make_piecewise(mesh, [1e-200, 1e200]),
+        make_piecewise(mesh, [1e119, 0.0]),
+        make_piecewise(mesh, [0.0, 1.0]),
+        alpha=1.0,
+    )
+    with pytest.raises(OutOfDomain, match="theta\\(b\\) at lambda 0.0 is not finite"):
+        prufer_angle(carried, 0.0)
+
+
 
 def _reference_start_sign(u, v):
     if u > 0.0:
