@@ -2,10 +2,11 @@
 
 No exact match is possible, but how close can a potential get?  The search
 below tunes a step potential q so that the composed eigenvalues
-mu_n(q) = Lambda(lambda_n) approach the targets (pi p_n / log p_n)^2 -- the
-values they would need for the lambda_n to be exactly the primes.  A
-restarted coordinate pattern search does the tuning; everything is
-deterministic for a fixed seed.
+mu_n(q) = Lambda(lambda_n) approach the targets (pi p_n / log p_n)^2 =
+Lambda(p_n).  Those put lambda_n on p_n for n >= 2, but not at n = 1:
+Lambda(2) = Lambda(4), and inverting the target gives 4.  A restarted
+Levenberg-Marquardt search on the exact eigenvalue gradient does the
+tuning; everything is deterministic for a fixed seed.
 
 The default settings here are small so the demo runs in seconds; raise
 --pieces/--targets/--restarts to reproduce a serious search.

@@ -361,12 +361,11 @@ def _cmd_invert(args) -> int:
     doc = _read_json(args.config)
     _expect_fields(doc, "document", set(), {f.name for f in dataclasses.fields(SearchConfig)})
     kwargs = dict(doc)
-    for key in ("bound", "initial_step"):
-        # JSON null leaves the default; a number is taken as a float
-        if kwargs.get(key) is None:
-            kwargs.pop(key, None)
-        else:
-            kwargs[key] = _number(kwargs[key], f"document.{key}")
+    # JSON null leaves bound at its default; a number is taken as a float
+    if kwargs.get("bound") is None:
+        kwargs.pop("bound", None)
+    else:
+        kwargs["bound"] = _number(kwargs["bound"], "document.bound")
     if args.seed is not None:
         kwargs["seed"] = args.seed
     cfg_obj = SearchConfig(**kwargs)

@@ -110,10 +110,13 @@ def integrate_system_scaled(problem: SLProblem, lam, init: State | None = None):
 
     Works for real and complex lambda.  The true terminal state is
     e^log_scale times the returned one; use the log form directly when
-    |lambda| is large enough that exp would overflow.
+    |lambda| is large enough that exp would overflow.  Raises OutOfDomain
+    for a non-finite lambda, or when a piece overflows at |lambda|.
     """
-    state = boundary_state(problem.bc.alpha) if init is None else init
     lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise OutOfDomain(f"integrate_system_scaled needs finite lambda, got {lam!r}")
+    state = boundary_state(problem.bc.alpha) if init is None else init
     pieces = _solver_pieces(problem, abs(lam), "|lambda|", definite=False)
     u, v, ls = _propagate_scaled(*pieces, lam, complex(state.u), complex(state.v))
     return State(u, v), ls

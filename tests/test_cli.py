@@ -416,6 +416,17 @@ def test_invert_command_round_trip(tmp_path, capsys):
     assert run(["invert", "--config", str(cfg), "--out", str(out)]) == 2
 
 
+def test_invert_rejects_initial_step(tmp_path, capsys):
+    # the search has no step size to set: a document that names one is
+    # refused by name, before any search runs or any file is written
+    cfg = tmp_path / "search.json"
+    cfg.write_text(json.dumps({"pieces": 2, "targets": 2, "initial_step": 10.0}))
+    out = tmp_path / "res.json"
+    assert run(["invert", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "unknown field 'initial_step'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()

@@ -1,57 +1,29 @@
-"""Pattern search toward prime targets: oracles, determinism, monotone descent."""
+"""Levenberg-Marquardt search toward prime targets: gradient, determinism, monotone descent."""
 
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slprime.coeff import PiecewiseConstant
 from slprime.errors import BadConfig
 from slprime.inverse import (
     SearchConfig,
-    _pattern_search,
+    _jacobian,
     _uniform_mesh,
     objective,
     search,
     target_mu,
     worker_count,
 )
+from slprime.nonlinear import NonlinearProblem
 from slprime.primes import nth_prime
+from slprime.spectrum import compute_spectrum
 
 PI2 = math.pi**2
-
-
-def _numpy_pattern_search(cfg, k):
-    """The search loop as it ran on numpy arrays, kept as an oracle for the float one."""
-    mesh = tuple(np.linspace(0.0, 1.0, cfg.pieces + 1))
-    if k == 0:
-        c = min(cfg.bound, max(-cfg.bound, target_mu(1) - PI2))
-        vals = np.full(cfg.pieces, c)
-    else:
-        vals = np.random.default_rng((cfg.seed, k)).uniform(-cfg.bound, cfg.bound, cfg.pieces)
-    best = objective(PiecewiseConstant(mesh, tuple(vals)), cfg.targets)
-    trace = [(0, best)]
-    step = cfg.step0
-    for it in range(1, cfg.max_iters + 1):
-        if step < 1e-6 * cfg.bound:
-            break
-        improved = False
-        for i in range(cfg.pieces):
-            for delta in (step, -step):
-                cand = float(np.clip(vals[i] + delta, -cfg.bound, cfg.bound))
-                if cand == vals[i]:
-                    continue
-                trial = vals.copy()
-                trial[i] = cand
-                j_trial = objective(PiecewiseConstant(mesh, tuple(trial)), cfg.targets)
-                if j_trial < best:
-                    best, vals, improved = j_trial, trial, True
-                    break
-        trace.append((it, best))
-        if not improved:
-            step *= 0.5
-    return tuple(vals), best, tuple(trace)
 
 
 def test_uniform_mesh_is_numpy_linspace():
@@ -59,25 +31,53 @@ def test_uniform_mesh_is_numpy_linspace():
         assert _uniform_mesh(p) == tuple(np.linspace(0, 1, p + 1).tolist()), p
 
 
+def _mus(vals, n):
+    q = PiecewiseConstant(_uniform_mesh(len(vals)), tuple(vals))
+    return compute_spectrum(NonlinearProblem(q).base(), n).values()
+
+
+def _widths(pieces):
+    mesh = _uniform_mesh(pieces)
+    return [x1 - x0 for x0, x1 in zip(mesh, mesh[1:])]
+
+
 @pytest.mark.parametrize(
-    "shape",
+    "vals",
     [
-        dict(pieces=1, bound=100.0, targets=1, seed=0, max_iters=12),
-        dict(pieces=2, bound=50.0, targets=3, seed=3, max_iters=10),
-        dict(pieces=3, bound=80.0, targets=2, seed=5, max_iters=8, initial_step=35.0),
-        dict(pieces=4, bound=150.0, targets=4, seed=7, max_iters=6),
-        dict(pieces=2, bound=5.0, targets=2, seed=11, max_iters=10),  # the clamp binds
-        dict(pieces=5, bound=200.0, targets=2, seed=42, max_iters=4),
+        # the search's own shape: |q| up to 200 on 16 pieces, so the low mu_n
+        # sit below q on several pieces
+        *(np.random.default_rng((seed, 99)).uniform(-200.0, 200.0, 16).tolist() for seed in range(5)),
+        # one steep hyperbolic piece, w = sqrt(q) h = 50, where the walk factors e^w out
+        [1e4, 0.0],
     ],
 )
-def test_float_search_matches_numpy_search(shape):
-    cfg = SearchConfig(restarts=3, **shape)
-    for k in (0, 1, 2):
-        vals, best, trace = _pattern_search(cfg, k)
-        ref_vals, ref_best, ref_trace = _numpy_pattern_search(cfg, k)
-        assert vals == ref_vals and all(type(v) is float for v in vals)
-        assert best.hex() == ref_best.hex()
-        assert trace == ref_trace
+def test_jacobian_matches_central_differences(vals):
+    n, h = 8, 1e-4
+    mus = _mus(vals, n)
+    assert any(mus[0] < q for q in vals)  # a hyperbolic piece at mu_1
+    jac = _jacobian(_widths(len(vals)), vals, mus)
+    for i in range(len(vals)):
+        up, down = vals.copy(), vals.copy()
+        up[i] += h
+        down[i] -= h
+        for m, (a, b) in enumerate(zip(_mus(up, n), _mus(down, n))):
+            assert abs((a - b) / (2 * h) - jac[m][i]) <= 1e-6, (m, i)
+    # a constant shift c moves every mu_n by c: each row sums to 1
+    for row in jac:
+        assert abs(math.fsum(row) - 1.0) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=6),
+    st.floats(-300.0, 300.0),
+    st.integers(1, 8),
+)
+def test_constant_shift_moves_every_eigenvalue(vals, c, n):
+    # lambda_n(q + c) = lambda_n(q) + c when s = r = 1
+    base, shifted = _mus(vals, n), _mus([v + c for v in vals], n)
+    for a, b in zip(base, shifted):
+        assert b == pytest.approx(a + c, rel=1e-9, abs=1e-8)
 
 
 def test_target_mu_values():
@@ -141,6 +141,28 @@ def test_search_trace_monotone_and_incumbent():
         assert [it for it, _ in tr] == list(range(len(tr)))
 
 
+def test_pool_and_serial_search_bit_identical(monkeypatch):
+    cfg = SearchConfig(pieces=4, bound=150.0, targets=4, seed=9, restarts=3, max_iters=10)
+    monkeypatch.setenv("SLPRIME_THREADS", "1")
+    serial = search(cfg)
+    monkeypatch.setenv("SLPRIME_THREADS", "2")  # the pool, wherever there are two cores
+    pooled = search(cfg)
+    assert serial == pooled
+    assert serial.best_objective.hex() == pooled.best_objective.hex()
+
+
+def test_default_shape_traces_descend_within_budget():
+    # the benchmark's shape: 16 pieces, 8 targets, 4 restarts, 6 LM iterations
+    res = search(SearchConfig(seed=7, max_iters=6))
+    assert res.best_objective < 0.5 * res.baseline_objective
+    for tr in res.trace:
+        js = [j for _, j in tr]
+        assert 1 <= len(js) <= 7
+        assert all(a > b for a, b in zip(js, js[1:]))  # every recorded step improved
+    assert res.best_objective == min(tr[-1][1] for tr in res.trace)
+    assert objective(res.best_q, 8) == res.best_objective
+
+
 def test_search_reproducible_bit_identical():
     cfg = SearchConfig(pieces=3, bound=80.0, targets=3, seed=21, restarts=2, max_iters=30)
     a = search(cfg)
@@ -186,8 +208,6 @@ def test_search_config_validation():
     with pytest.raises(BadConfig):
         SearchConfig(restarts=0)
     with pytest.raises(BadConfig):
-        SearchConfig(initial_step=0.0)
-    with pytest.raises(BadConfig):
         SearchConfig(seed=-1)  # numpy's default_rng rejects negative seeds
     with pytest.raises(BadConfig, match="pieces must be an integer"):
         SearchConfig(pieces=2.5)
@@ -196,9 +216,6 @@ def test_search_config_validation():
     with pytest.raises(BadConfig):
         SearchConfig(bound=1e308)  # the restart draw spans 2 * bound, which overflows
     assert SearchConfig(pieces=np.int64(3)).pieces == 3
-    cfg = SearchConfig(bound=120.0)
-    assert cfg.step0 == 30.0
-    assert SearchConfig(initial_step=7.0).step0 == 7.0
 
 
 def test_worker_count_env(monkeypatch):

@@ -227,6 +227,15 @@ def test_prufer_angle_requires_right_definite_content():
         prufer_angle(unit_problem(), math.nan)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, complex(math.nan, 0.0),
+                                 complex(0.0, math.nan), complex(1.0, math.inf)])
+def test_integrate_system_scaled_names_a_non_finite_lambda(lam):
+    # the unit problem's piece is fine at any finite lambda: the error must
+    # blame lambda, not piece 0
+    with pytest.raises(OutOfDomain, match="integrate_system_scaled needs finite lambda"):
+        integrate_system_scaled(unit_problem(), lam)
+
+
 def test_prufer_angle_refuses_overflowing_pieces():
     # on [0, 1e200], s h^2 (|q| + |lambda| r) = 1e400: the scan used to return
     # theta(b) = pi (u = sinh x has no zero, theta(b) -> pi/4) at lambda = -1
