@@ -223,9 +223,12 @@ def _cmd_nonlinear(args) -> int:
         opts, doc = SolverOptions(), None
     spec = compute_spectrum(nl.base(), args.n_max, opts)
     cfg = _config_hash({"command": "nonlinear", "doc": doc, "n_max": args.n_max})
-    table = prime_table(args.n_max)
+    composed = _composed_rows(spec)
+    # sieve for the rows printed, not the n_max asked for: a truncated
+    # spectrum needs only its own primes
+    table = prime_table(len(composed)) if composed else None
     rows = []
-    for row in _composed_rows(spec):
+    for row in composed:
         p = table.nth(row.index)
         gap = None if row.lam is None else row.lam - p
         rows.append((row.index, row.mu, row.lam, p, gap))

@@ -20,6 +20,13 @@ and crosses multiples of pi only upward wherever s > 0, which is what
 makes eigenvalue counting exact: theta(b) is advanced per piece by the
 principal angle difference plus pi times the number of interior zeros
 of u, never by blind unwrapping.
+
+On an oscillatory piece the phase of (u, v) advances by exactly
+w = sqrt(z), so with K < w/pi < K + 1 the piece holds K or K + 1 zeros
+of u, and since every zero flips the sign of u, the sign of u at the
+two ends says which.  The theta-scan takes that parity count when w/pi
+is more than _PARITY_MARGIN from an integer and u is nonzero at both
+ends; otherwise it counts the phase's pi-multiples from atan2.
 """
 
 from __future__ import annotations
@@ -45,6 +52,12 @@ _SERIES_CUT = 1e-4
 
 _PI = math.pi
 _HALF_PI = 0.5 * math.pi
+
+# an oscillatory piece whose w/pi lies within this of an integer, or
+# reaches _PARITY_MAX_TURNS (where the rounding of w/pi nears the margin),
+# counts its zeros from the phase instead of the sign parity
+_PARITY_MARGIN = 1e-6
+_PARITY_MAX_TURNS = 1e9
 
 
 @dataclass(frozen=True)
@@ -130,68 +143,88 @@ class AngleResult:
     winding: int
 
 
-def _theta_scan(widths, svals, qvals, rvals, alpha, lam):
+def _scan_records(widths, svals, qvals, rvals):
+    """One (h, s, q, r, s h) record per piece: the rows _theta_scan walks."""
+    return tuple((h, s, q, r, s * h) for h, s, q, r in zip(widths, svals, qvals, rvals))
+
+
+def _theta_scan(records, alpha, lam):
     """Crossing count and terminal angle fraction for real lambda.
 
+    records holds one (h, s, q, r, s h) tuple per piece (_scan_records).
     Returns (winding, frac, u, v) with theta(b) = winding*pi + frac and
     (u, v) the (rescaled) terminal state.  The angle is exact mod pi at
     every breakpoint because frac always comes from the state itself.
 
-    On an oscillatory piece the crossing count is a floor count of the
-    phase psi, which starts in the sector (0 or -1, in units of pi) that
-    the sign of u just inside the piece gives, not the one the rounded
-    atan2 gives: psi0 can round onto pi while u > 0.  Roundoff can still
-    mis-bin a zero that falls on a piece boundary; the count is then off
-    by one, which would shift theta by a whole pi.  Its parity must match
-    the sign flip of u, so a mismatch is adjusted by +-1, the direction
-    chosen by which side of a pi-multiple the phase ended on.
+    On an oscillatory piece the phase psi = atan2(w u, -s h v) advances by
+    exactly w, and u vanishes where psi is a multiple of pi.  When
+    K < w/pi < K + 1 the piece therefore holds K or K + 1 zeros, each a
+    sign flip of u, and the parity of the flip between the two ends picks
+    the count, with no angle computed.  K = floor(w/pi) is exact while
+    w/pi lies more than _PARITY_MARGIN from an integer, since below
+    _PARITY_MAX_TURNS its rounding error (~1.5e-16 w/pi) is far smaller.
+    The parity needs u nonzero at both ends.  Otherwise, or inside the
+    margin, the count falls back to the floor of psi, which starts in the
+    sector (0 or -1, in units of pi) that the sign of u just inside the
+    piece gives, not the one the rounded atan2 gives: psi0 can round onto
+    pi while u > 0.  Roundoff can still mis-bin a zero that falls on a
+    piece boundary; the count is then off by one, which would shift theta
+    by a whole pi.  Its parity must match the sign flip of u, so a
+    mismatch is adjusted by +-1, the direction chosen by which side of a
+    pi-multiple the phase ended on.
     """
     sqrt, cos, sin, atan2, floor = math.sqrt, math.cos, math.sin, math.atan2, math.floor
     pi, half_pi, cut = _PI, _HALF_PI, _SERIES_CUT
+    lo, hi, turns_max = _PARITY_MARGIN, 1.0 - _PARITY_MARGIN, _PARITY_MAX_TURNS
     u = sin(alpha)
     v = -cos(alpha)
     winding = 0
-    for h, s, q, r in zip(widths, svals, qvals, rvals):
+    for h, s, q, r, sh in records:
         k = lam * r - q
         if s == 0.0:
             # u is frozen on the piece; theta cannot reach a multiple of pi
             v += k * h * u
         else:
             z = s * k * h * h
-            sh = s * h
-            # sign of u just inside the piece; at u == 0 that of u'(0+) = -s v
-            up = u > 0.0 or (u == 0.0 and v < 0.0)
             if z > cut:
-                # oscillatory: psi = atan2(w u, -s h v) advances exactly
-                # linearly (by w) across the piece, and u = 0 iff psi is a
-                # multiple of pi, so crossings are a floor count
                 w = sqrt(z)
                 cw = cos(w)
                 sg = sin(w) / w
                 u1 = cw * u - sh * sg * v
                 v1 = k * h * sg * u + cw * v
-                psi0 = atan2(w * u, -sh * v)
-                sector = 0 if up else -1
-                if not up and psi0 > 0.0:
-                    # u = +0 with v > 0: atan2 gives +pi for the sector's -pi
-                    psi0 -= 2.0 * pi
-                psi1 = psi0 + w
-                f1 = floor(psi1 / pi)
-                end_frac = psi1 - pi * f1
-                if u1 != 0.0:
-                    zc = f1 - sector
-                    end_up = u1 > 0.0
+                turns = w / pi
+                zc = floor(turns)
+                if lo < turns - zc < hi and turns < turns_max and u != 0.0 and u1 != 0.0:
+                    # K or K + 1 zeros: the one whose parity is the sign flip
+                    zc += (zc + ((u > 0.0) != (u1 > 0.0))) & 1
                 else:
-                    # zero exactly at the right end: it belongs to this piece,
-                    # and the sign just before it is that of v1
-                    zc = f1 - sector - 1
-                    end_up = v1 > 0.0
-                if (up != end_up) == (zc % 2 == 0):
-                    zc += 1 if end_frac > half_pi else -1
-                    if zc < 0:
-                        zc += 2
-                if u1 == 0.0:
-                    zc += 1
+                    # phase count: psi advances exactly linearly (by w) and
+                    # u = 0 iff psi is a multiple of pi, so crossings are a
+                    # floor count.  up is the sign of u just inside the
+                    # piece; at u == 0 that of u'(0+) = -s v
+                    up = u > 0.0 or (u == 0.0 and v < 0.0)
+                    psi0 = atan2(w * u, -sh * v)
+                    sector = 0 if up else -1
+                    if not up and psi0 > 0.0:
+                        # u = +0 with v > 0: atan2 gives +pi for the sector's -pi
+                        psi0 -= 2.0 * pi
+                    psi1 = psi0 + w
+                    f1 = floor(psi1 / pi)
+                    end_frac = psi1 - pi * f1
+                    if u1 != 0.0:
+                        zc = f1 - sector
+                        end_up = u1 > 0.0
+                    else:
+                        # zero exactly at the right end: it belongs to this
+                        # piece, and the sign just before it is that of v1
+                        zc = f1 - sector - 1
+                        end_up = v1 > 0.0
+                    if (up != end_up) == (zc % 2 == 0):
+                        zc += 1 if end_frac > half_pi else -1
+                        if zc < 0:
+                            zc += 2
+                    if u1 == 0.0:
+                        zc += 1
             else:
                 if z < -cut:
                     w = sqrt(-z)
@@ -221,7 +254,9 @@ def _theta_scan(widths, svals, qvals, rvals, alpha, lam):
                         # e underflowed (w > ~370): the e^{-w} part alone
                         # gives the direction
                         u1, v1 = u + a * v, v - b * u
-                # non-oscillatory: at most one zero in (0, h], seen as a sign flip
+                # non-oscillatory: at most one zero in (0, h], seen as a sign
+                # flip from up (the sign just inside, as above)
+                up = u > 0.0 or (u == 0.0 and v < 0.0)
                 zc = 1 if u1 == 0.0 or up != (u1 > 0.0) else 0
             u, v = u1, v1
             winding += zc
@@ -276,8 +311,8 @@ def prufer_angle(problem: SLProblem, lam: float) -> AngleResult:
     """
     if isinstance(lam, complex) or not math.isfinite(lam):
         raise OutOfDomain(f"prufer_angle needs real finite lambda, got {lam!r}")
-    pieces = _solver_pieces(problem, abs(lam), "|lambda|")
-    winding, frac, _, _ = _theta_scan(*pieces, problem.bc.alpha, lam)
+    records = _scan_records(*_solver_pieces(problem, abs(lam), "|lambda|"))
+    winding, frac, _, _ = _theta_scan(records, problem.bc.alpha, lam)
     theta_b = winding * _PI + frac
     if not math.isfinite(theta_b):
         raise OutOfDomain(f"theta(b) at lambda {lam!r} is not finite: the state overflowed")

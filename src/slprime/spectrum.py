@@ -33,7 +33,7 @@ from typing import ClassVar
 
 from .coeff import CoefficientSet, SLProblem, weyl_constant
 from .errors import BadConfig, EigenvalueNotFound, InsufficientData, OutOfDomain
-from .shoot import _solver_pieces, _theta_scan
+from .shoot import _scan_records, _solver_pieces, _theta_scan
 
 __all__ = [
     "SolverOptions",
@@ -97,7 +97,7 @@ _last_scannable = (None, None, None)
 
 
 def _scannable_pieces(problem: SLProblem, cap: float):
-    """(_solver_pieces at cap, Weyl constant C, (1/C) sum h q sqrt(s/r) over s r > 0 or 0)."""
+    """(_scan_records at cap, Weyl constant C, (1/C) sum h q sqrt(s/r) over s r > 0 or 0)."""
     global _last_scannable
     last, last_cap, result = _last_scannable
     if last is problem and last_cap == cap:
@@ -109,12 +109,12 @@ def _scannable_pieces(problem: SLProblem, cap: float):
         shift = sum(h * q * math.sqrt(s / r) for h, s, q, r in zip(*pieces) if s * r > 0.0) / weyl_c
         if not math.isfinite(shift):
             shift = 0.0
-    result = (pieces, weyl_c, shift)
+    result = (_scan_records(*pieces), weyl_c, shift)
     _last_scannable = (problem, cap, result)
     return result
 
 
-def _mismatch_scan(pieces, alpha: float, beta: float, n: int):
+def _mismatch_scan(records, alpha: float, beta: float, n: int):
     """scan(lambda) -> (lambda, f, g, winding, frac) for the n-th eigenvalue.
 
     f = theta(b) - target, with (winding - n + 1) pi exact near the root
@@ -126,11 +126,11 @@ def _mismatch_scan(pieces, alpha: float, beta: float, n: int):
     Raises OutOfDomain when theta(b) comes out non-finite: a state that
     passed the per-piece overflow rule can still overflow in the next piece.
     """
-    s_end, q_end, r_end = pieces[1][-1], pieces[2][-1], pieces[3][-1]
+    _, s_end, q_end, r_end, _ = records[-1]
     sin_b, cos_b = math.sin(beta), math.cos(beta)
 
     def scan(lam: float):
-        winding, frac, _, _ = _theta_scan(*pieces, alpha, lam)
+        winding, frac, _, _ = _theta_scan(records, alpha, lam)
         whole = (winding - n + 1) * _PI
         f = whole + (frac - beta)
         if not math.isfinite(f):
@@ -166,10 +166,10 @@ def eigenvalue(
     """
     if n < 1:
         raise OutOfDomain(f"eigenvalue index must be >= 1, got {n}")
-    pieces, weyl_c, shift = _scannable_pieces(problem, opts.lambda_cap)
+    records, weyl_c, shift = _scannable_pieces(problem, opts.lambda_cap)
     beta = problem.bc.beta
     target = beta + (n - 1) * _PI
-    scan = _mismatch_scan(pieces, problem.bc.alpha, beta, n)
+    scan = _mismatch_scan(records, problem.bc.alpha, beta, n)
 
     cap = opts.lambda_cap
     if weyl_c == 0.0:

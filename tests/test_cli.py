@@ -373,6 +373,23 @@ def test_nonlinear_command(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_nonlinear_sieves_for_the_rows_it_prints(tmp_path, capsys):
+    # lambda_cap 1e4 truncates at n = 32 however large n_max is: 6e7 lies
+    # past pi(1e9), the sieve ceiling, yet only 31 rows need a prime
+    capped = write_doc(tmp_path, dict(json.loads(json.dumps(UNIT_DOC)), solver={"lambda_cap": 1e4}))
+    outputs = []
+    for n_max in ("100", "60000000"):
+        out = tmp_path / f"nl_{n_max}.csv"
+        capsys.readouterr()
+        assert run(["nonlinear", "--config", capped, "--n-max", n_max, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("TRUNCATED at n = 32: ")
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("# slprime ") and "config_sha256=" in lines[0]
+        assert [ln.split(",")[0] for ln in lines[2:]] == [str(n) for n in range(1, 32)]
+        outputs.append(lines[1:])
+    assert outputs[0] == outputs[1]
+
+
 def test_primes_command(tmp_path, monkeypatch):
     limits = []
     sieve = primes_mod.sieve

@@ -10,9 +10,11 @@ from helpers import hand_piece_matrix, random_problem, rk4_prufer_angle
 from slprime.coeff import constant, make_piecewise, problem, unit_problem
 from slprime.errors import NotRightDefinite, OutOfDomain
 from slprime.shoot import (
+    _PARITY_MARGIN,
     _SERIES_CUT,
     _kernel_series,
     _scaled_piece,
+    _scan_records,
     _theta_scan,
     boundary_state,
     integrate_system_scaled,
@@ -370,32 +372,119 @@ def _random_scan_args(local):
     return widths, svals.tolist(), qvals.tolist(), rvals.tolist(), alpha, float(lam)
 
 
+def flat_theta_scan(widths, svals, qvals, rvals, alpha, lam):
+    """_theta_scan on the reference kernel's arguments: four per-piece lists, alpha, lambda."""
+    return _theta_scan(_scan_records(widths, svals, qvals, rvals), alpha, lam)
+
+
+# two equal pieces whose phase leaves the first on 3 pi at these lambda
+# (test_theta_scan_keeps_a_zero_that_lands_on_a_breakpoint)
+_BREAKPOINT_HALF = 1.8314215536284029 / 2
+_BREAKPOINT_SQR = (1.2527198028361937, 28.462667776984148, 0.7698723122733672)
+_BREAKPOINT_LAMS = (
+    113.24708370230032,
+    113.24708370230033,
+    math.nextafter(113.24708370230033, math.inf),
+)
+
+
+# the unit problem cut into three pieces: at its lambda_7 = 49 pi^2 and
+# lambda_28 = 784 pi^2 u(b) comes out as exactly +0.0
+_THIRDS = [0.3333333333333333, 0.3333333333333333, 0.33333333333333337]
+_UNIT_THIRDS_LAMS = (483.61061565337855, 7737.769850454057)
+
+
+def _near_integer_turns_args(local):
+    """_random_scan_args with oscillatory pieces resized so h sqrt(s k) lies within 1e-9 of K pi."""
+    widths, svals, qvals, rvals, alpha, lam = _random_scan_args(local)
+    if local.random() < 0.3:
+        lam = 1e12 * (1.0 - local.uniform(0.0, 1e-6))
+    for i, (s, q, r) in enumerate(zip(svals, qvals, rvals)):
+        k = lam * r - q
+        if s > 0.0 and k > 0.0 and local.random() < 0.6:
+            root = math.sqrt(s * k)
+            turns = max(1, round(widths[i] * root / math.pi))
+            widths[i] = (turns * math.pi + local.uniform(-1e-9, 1e-9)) / root
+    return widths, svals, qvals, rvals, alpha, lam
+
+
+def _breakpoint_zero_args(local):
+    """A zero of u on or within rounding of a breakpoint, followed by random pieces."""
+    tail = _random_scan_args(local)[:4]
+    mode = local.integers(0, 3)
+    if mode == 0:
+        # Dirichlet start behind shear pieces: u is exactly 0 where s turns on
+        lead = int(local.integers(1, 3))
+        head = ([0.5] * lead, [0.0] * lead, [0.0] * lead, [1.0] * lead)
+        alpha = 0.0
+        lam = float(10.0 ** local.uniform(0.0, 6.0))
+    elif mode == 1:
+        # lambda_7 or lambda_28 of the unit problem in three pieces: u is
+        # exactly +0 after them, reached from above or from below
+        head = (_THIRDS, [1.0] * 3, [0.0] * 3, [1.0] * 3)
+        alpha, lam = 0.0, float(local.choice(_UNIT_THIRDS_LAMS))
+    else:
+        # within ulps of the breakpoint test's lambda; the reference kernel
+        # loses 2 pi at the first two of its lambda (see its docstring), so
+        # those are left to that test, which checks them against RK4
+        lam = _BREAKPOINT_LAMS[2]
+        for _ in range(int(local.integers(-60, 60))):
+            lam = math.nextafter(lam, -math.inf)
+        if lam in _BREAKPOINT_LAMS[:2]:
+            lam = _BREAKPOINT_LAMS[2]
+        s, q, r = _BREAKPOINT_SQR
+        head = ([_BREAKPOINT_HALF] * 2, [s] * 2, [q] * 2, [r] * 2)
+        alpha = 0.5 * math.pi
+    cols = [h + t for h, t in zip(head, tail)]
+    return (*cols, alpha, lam)
+
+
 def test_theta_scan_matches_reference_kernel_bit_for_bit():
     local = np.random.default_rng(20261018)
-    series = 0
-    for _ in range(6000):
-        args = _random_scan_args(local)
-        got = _theta_scan(*args)
+    series = near_integer = off_margin = zero_starts = 0
+    draws = [_random_scan_args] * 6000 + [_near_integer_turns_args] * 1500
+    draws += [_breakpoint_zero_args] * 600
+    for draw in draws:
+        args = draw(local)
+        got = flat_theta_scan(*args)
         ref = reference_theta_scan(*args)
         assert got[0] == ref[0], args
         assert [x.hex() for x in got[1:]] == [x.hex() for x in ref[1:]], args
-        widths, svals, qvals, rvals, _, lam = args
+        widths, svals, qvals, rvals, alpha, lam = args
         series += any(
             s > 0.0 and abs(s * (lam * r - q) * h * h) <= _SERIES_CUT
             for h, s, q, r in zip(widths, svals, qvals, rvals)
         )
+        live = False  # a piece with s > 0 came before
+        for h, s, q, r in zip(widths, svals, qvals, rvals):
+            if s == 0.0:
+                continue
+            z = s * (lam * r - q) * h * h
+            if z > _SERIES_CUT:
+                turns = math.sqrt(z) / math.pi
+                if abs(turns - round(turns)) <= _PARITY_MARGIN:
+                    near_integer += 1
+                else:
+                    off_margin += 1
+                # a Dirichlet start leaves u exactly 0 until s turns on
+                zero_starts += alpha == 0.0 and not live
+            live = True
     assert series > 500  # the series branch really was exercised
+    # both zero counts ran: the parity rule (w/pi off the margin) and the
+    # phase count, inside the margin and on oscillatory pieces that start
+    # on an exact zero of u
+    assert near_integer > 1000 and off_margin > 10000, (near_integer, off_margin)
+    assert zero_starts > 1000, zero_starts
 
 
 def test_theta_scan_keeps_a_zero_that_lands_on_a_breakpoint():
     # two equal pieces: at these lambda the phase leaves piece 0 on 3 pi
     # exactly with u = +3e-16, and atan2 rounds piece 1's starting phase
     # onto pi although u > 0; the crossing at the breakpoint must still count
-    half = 1.8314215536284029 / 2
-    s, q, r = 1.2527198028361937, 28.462667776984148, 0.7698723122733672
-    lams = (113.24708370230032, 113.24708370230033, math.nextafter(113.24708370230033, math.inf))
-    for lam in lams:
-        winding, frac, _, _ = _theta_scan([half, half], [s, s], [q, q], [r, r], 0.5 * math.pi, lam)
+    half = _BREAKPOINT_HALF
+    s, q, r = _BREAKPOINT_SQR
+    for lam in _BREAKPOINT_LAMS:
+        winding, frac, _, _ = flat_theta_scan([half] * 2, [s] * 2, [q] * 2, [r] * 2, 0.5 * math.pi, lam)
         assert winding == 5, lam
         mesh = [0.0, half, 2 * half]
         pieces = [make_piecewise(mesh, [c, c]) for c in (s, q, r)]
@@ -404,9 +493,9 @@ def test_theta_scan_keeps_a_zero_that_lands_on_a_breakpoint():
 
 
 def test_theta_scan_exact_zero_at_b_counts_once():
-    # lambda_7 = 49 pi^2 of the unit problem cut into three pieces: u(b)
-    # comes out as +0.0, so theta(b) = 7 pi exactly, not 8 pi
-    w = [0.3333333333333333, 0.3333333333333333, 0.33333333333333337]
-    winding, frac, u, _ = _theta_scan(w, [1.0] * 3, [0.0] * 3, [1.0] * 3, 0.0, 483.61061565337855)
-    assert u == 0.0
-    assert (winding, frac) == (7, 0.0)
+    # u(b) = +0.0 exactly, so theta(b) = n pi exactly, not (n + 1) pi; u
+    # reaches that zero from above at n = 7 and from below at n = 28
+    for n, lam in zip((7, 28), _UNIT_THIRDS_LAMS):
+        winding, frac, u, _ = flat_theta_scan(_THIRDS, [1.0] * 3, [0.0] * 3, [1.0] * 3, 0.0, lam)
+        assert u == 0.0
+        assert (winding, frac) == (n, 0.0)

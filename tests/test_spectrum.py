@@ -17,7 +17,7 @@ from slprime.errors import (
     NotRightDefinite,
     OutOfDomain,
 )
-from slprime.shoot import prufer_angle
+from slprime.shoot import _scan_records, prufer_angle
 from slprime.spectrum import (
     SolverOptions,
     compute_spectrum,
@@ -376,11 +376,11 @@ _piece = st.tuples(
 def test_scaled_mismatch_has_the_sign_of_the_angle_mismatch(pieces, alpha, beta, offset, lam):
     widths, svals, qvals, rvals = (list(col) for col in zip(*pieces))
     svals[-1] = svals[-1] or 1.0  # an oscillating last piece is where g differs from f
-    pieces = (widths, svals, qvals, rvals)
+    records = _scan_records(widths, svals, qvals, rvals)
     # mostly the index whose target angle lies within pi of theta(b): only
     # there does the sign of f turn on frac - beta, which the remap changes
-    n = max(1, spectrum_mod._theta_scan(*pieces, alpha, lam)[0] + 1 + offset)
-    _, f, g, _, _ = spectrum_mod._mismatch_scan(pieces, alpha, beta, n)(lam)
+    n = max(1, spectrum_mod._theta_scan(records, alpha, lam)[0] + 1 + offset)
+    _, f, g, _, _ = spectrum_mod._mismatch_scan(records, alpha, beta, n)(lam)
     # every nonzero f, not only |f| > 1e-12: Brent orients the bracket by f
     assert (f > 0.0) <= (g > 0.0) and (f < 0.0) <= (g < 0.0), (f, g)
 

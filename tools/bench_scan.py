@@ -1,0 +1,162 @@
+"""Time the theta-scan kernel on a recorded spectrum-solve scan stream and record it.
+
+    PYTHONPATH=src python tools/bench_scan.py LABEL [--out BENCH_scan.json]
+
+Builds a fixed seeded set of step problems shaped like a spectrum
+workload: 128 random problems of 1-16 pieces asking for 10-40
+eigenvalues, six constant problems (Dirichlet, Neumann and mixed ends)
+split into 1-4 equal pieces asking for 300, and four finite-spectrum
+problems on which s and r vanish on alternate pieces.  One pass of
+compute_spectrum over them runs with spectrum._theta_scan wrapped, which
+records every scan's arguments; that stream is then replayed through
+shoot._theta_scan.  It records the kernel's ns per piece (median of the
+replays), theta-scans per eigenvalue, and the untraced compute_spectrum
+pass time (median of the passes), against whichever slprime the import
+finds.  The run is stored under LABEL in the output JSON, next to the
+runs already there, so one file can hold the same harness run on two
+checkouts.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SEED = 20261018
+REPLAYS = 15
+PASSES = 7
+
+_ENDS = {"DD": (0.0, math.pi), "NN": (0.5 * math.pi, 0.5 * math.pi), "DN": (0.0, 0.5 * math.pi)}
+
+
+def _git_head(path: Path) -> str | None:
+    """HEAD of the checkout holding path, with "+dirty" when path differs from it."""
+    proc = subprocess.run(
+        ["git", "-C", str(path), "rev-parse", "HEAD"], capture_output=True, text=True
+    )
+    if proc.returncode != 0:
+        return None
+    dirty = subprocess.run(["git", "-C", str(path), "diff", "--quiet", "HEAD", "--", "."])
+    return proc.stdout.strip() + ("+dirty" if dirty.returncode == 1 else "")
+
+
+def problems(count: int | None = None) -> list:
+    """[(problem, n_max)]: the fixed seeded set, or its first count problems."""
+    from slprime.coeff import make_piecewise, problem
+
+    rng = random.Random(SEED)
+
+    def build(mesh, s, q, r, alpha, beta):
+        return problem(*(make_piecewise(mesh, vals) for vals in (s, q, r)), alpha=alpha, beta=beta)
+
+    out = []
+    n_maxes = range(10, 42, 2)
+    for m, n_max in ((m, n_maxes[(m + 2 * j) % 16]) for m in range(1, 17) for j in range(8)):
+        mesh = [0.0, *sorted(rng.uniform(0.0, 2.0) for _ in range(m - 1)), 2.0]
+        s, q, r = ([rng.uniform(lo, hi) for _ in range(m)] for lo, hi in
+                   ((0.1, 3.0), (-50.0, 50.0), (0.1, 3.0)))
+        alpha, beta = rng.uniform(0.0, math.pi), math.pi - rng.uniform(0.0, math.pi)
+        out.append((build(mesh, s, q, r, alpha, beta), n_max))
+    for ends, m in zip(("DD", "NN", "DN") * 2, (1, 2, 3, 4, 1, 4)):
+        s, r, q = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(-50.0, 50.0)
+        length = rng.uniform(0.5, 2.0)
+        mesh = [length * i / m for i in range(m + 1)]
+        out.append((build(mesh, [s] * m, [q] * m, [r] * m, *_ENDS[ends]), 300))
+    for m in (2, 3, 4, 3):
+        first_s = rng.random() < 0.5
+        live = [(i % 2 == 0) == first_s for i in range(m)]  # s > 0 here, r > 0 elsewhere
+        mesh = [0.0]
+        for _ in range(m):
+            mesh.append(mesh[-1] + rng.uniform(0.5, 2.0))
+        s = [rng.uniform(0.5, 2.0) if on else 0.0 for on in live]
+        r = [0.0 if on else rng.uniform(0.5, 2.0) for on in live]
+        q = [rng.uniform(-20.0, 20.0) for _ in range(m)]
+        alpha, beta = rng.uniform(0.0, math.pi), math.pi - rng.uniform(0.0, math.pi)
+        out.append((build(mesh, s, q, r, alpha, beta), 8))
+    return out if count is None else out[:count]
+
+
+def _solve_all(cases) -> int:
+    """compute_spectrum over cases; the number of eigenvalues found."""
+    from slprime.spectrum import compute_spectrum
+
+    return sum(len(compute_spectrum(prob, n_max).eigenvalues) for prob, n_max in cases)
+
+
+def measure(count: int | None = None, replays: int = REPLAYS, passes: int = PASSES) -> dict:
+    import slprime.shoot as shoot
+    import slprime.spectrum as spectrum
+
+    cases = problems(count)
+    stream = []
+    inner = spectrum._theta_scan
+
+    def recording(*args):
+        stream.append(args)
+        return inner(*args)
+
+    spectrum._theta_scan = recording
+    try:
+        eigenvalues = _solve_all(cases)
+    finally:
+        spectrum._theta_scan = inner
+    pieces = sum(len(args[0]) for args in stream)  # one entry per piece
+
+    scan = shoot._theta_scan
+    per_piece = []
+    for _ in range(replays):
+        t0 = time.perf_counter()
+        for args in stream:
+            scan(*args)
+        per_piece.append(1e9 * (time.perf_counter() - t0) / pieces)
+    pass_times = []
+    for _ in range(passes):
+        t0 = time.perf_counter()
+        _solve_all(cases)
+        pass_times.append(time.perf_counter() - t0)
+
+    package = Path(shoot.__file__).resolve().parent
+    return {
+        "git_head": _git_head(package),
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "nproc": os.cpu_count(),
+        "problems": len(cases),
+        "eigenvalues": eigenvalues,
+        "scans": len(stream),
+        "pieces_scanned": pieces,
+        "scans_per_eigenvalue": len(stream) / eigenvalues,
+        "l0_ns_per_piece": statistics.median(per_piece),
+        "l0_ns_per_piece_runs": [round(x, 1) for x in per_piece],
+        "pass_s": statistics.median(pass_times),
+        "pass_s_runs": [round(x, 4) for x in pass_times],
+    }
+
+
+def main(argv) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("label")
+    parser.add_argument("--out", default="BENCH_scan.json")
+    args = parser.parse_args(argv)
+    run = measure()
+    print(f"{args.label}: {run['l0_ns_per_piece']:.1f} ns/piece, "
+          f"{run['scans_per_eigenvalue']:.3f} scans/eigenvalue, pass {run['pass_s']:.4f} s",
+          file=sys.stderr)
+    out = Path(args.out)
+    doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
+    doc[args.label] = run
+    out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
