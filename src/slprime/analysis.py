@@ -24,7 +24,7 @@ from .errors import (
     LimitTooLarge,
     OutOfDomain,
 )
-from .primes import prime_table
+from .primes import _prime_chunks, prime_table
 from .shoot import _propagate_scaled, _solver_pieces
 from .spectrum import Spectrum
 
@@ -221,6 +221,9 @@ def order_estimate(
     )
 
 
+_MODEL_CHUNK = 1 << 16  # model-spectrum terms summed per chunk
+
+
 def _checkpoints(n: int) -> list[int]:
     ks = [10**k for k in range(3, 8) if 10**k <= n]
     if not ks or ks[-1] != n:
@@ -233,7 +236,9 @@ def partial_sum_primes(epsilon: float, n_terms: int):
 
     The full series diverges for every eps < 1/2 (p_n ~ n log n makes the
     terms ~ n^(-(1/2+eps)) up to logs); the checkpoints grow without any
-    visible ceiling, which is the divergent half of the dichotomy.
+    visible ceiling, which is the divergent half of the dichotomy.  The
+    primes stream in one 1 MB sieve segment at a time, so memory does not
+    grow with n_terms.
     """
     if not 0.0 < epsilon < 0.5:
         raise EpsilonOutOfRange(f"epsilon must lie in (0, 1/2), got {epsilon}")
@@ -243,10 +248,32 @@ def partial_sum_primes(epsilon: float, n_terms: int):
         raise LimitTooLarge(f"n_terms capped at 1e7, got {n_terms}")
     import numpy as np
 
-    table = prime_table(n_terms)
-    terms = table.primes[:n_terms].astype(np.float64) ** (-(0.5 + epsilon))
-    sums = np.cumsum(terms)
-    return tuple((m, float(sums[m - 1])) for m in _checkpoints(n_terms))
+    expo = -(0.5 + epsilon)
+    chunks = (np.power(primes, expo, dtype=np.float64) for primes in _prime_chunks(n_terms))
+    return tuple(_running_sums(chunks, _checkpoints(n_terms)))
+
+
+def _running_sums(chunks, checkpoints: list[int]) -> list[tuple[int, float]]:
+    """(m, sum of the first m terms) at each ascending checkpoint, over a stream of term arrays.
+
+    Each chunk's sums start from the carried total, which is the same
+    sequential float64 accumulation as one cumsum over every term: the
+    sums are bit-identical to it whatever the chunk sizes.
+    """
+    import numpy as np
+
+    rows = []
+    carry = 0.0  # the sum of the done terms before this chunk
+    done = 0
+    for terms in chunks:
+        sums = np.concatenate(((carry,), terms))
+        np.cumsum(sums, out=sums)
+        while len(rows) < len(checkpoints) and checkpoints[len(rows)] <= done + terms.size:
+            m = checkpoints[len(rows)]
+            rows.append((m, float(sums[m - done])))
+        carry = float(sums[-1])
+        done += terms.size
+    return rows
 
 
 def partial_sum_spectrum(c: float, epsilon: float, n_terms: int):
@@ -255,6 +282,8 @@ def partial_sum_spectrum(c: float, epsilon: float, n_terms: int):
     Rows are (M, S(M), tail_bound(M)) with tail_bound(M) =
     c^(-(1/2+eps)) M^(-2 eps) / (2 eps) >= S(inf) - S(M): the convergent
     half of the dichotomy, valid for any model spectrum lambda_n = c n^2.
+    The terms are summed _MODEL_CHUNK at a time, so memory does not grow
+    with n_terms.
     """
     if not 0.0 < epsilon < 0.5:
         raise EpsilonOutOfRange(f"epsilon must lie in (0, 1/2), got {epsilon}")
@@ -267,10 +296,13 @@ def partial_sum_spectrum(c: float, epsilon: float, n_terms: int):
     import numpy as np
 
     expo = 0.5 + epsilon
-    n = np.arange(1, n_terms + 1, dtype=np.float64)
-    sums = np.cumsum((c * n**2) ** (-expo))
+    chunks = (
+        (c * np.arange(lo + 1, min(lo + _MODEL_CHUNK, n_terms) + 1, dtype=np.float64) ** 2)
+        ** (-expo)
+        for lo in range(0, n_terms, _MODEL_CHUNK)
+    )
     scale = c ** (-expo)
     return tuple(
-        (m, float(sums[m - 1]), scale * m ** (-2.0 * epsilon) / (2.0 * epsilon))
-        for m in _checkpoints(n_terms)
+        (m, s, scale * m ** (-2.0 * epsilon) / (2.0 * epsilon))
+        for m, s in _running_sums(chunks, _checkpoints(n_terms))
     )

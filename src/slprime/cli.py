@@ -35,7 +35,7 @@ from .coeff import (
 from .errors import BadConfig, SlprimeError
 from .inverse import SearchConfig, search
 from .nonlinear import NonlinearProblem, _composed_rows
-from .primes import cesaro, pnt_asymptotic, prime_table
+from .primes import cesaro, nth_primes, pnt_asymptotic, prime_table
 from .spectrum import SolverOptions, compute_spectrum
 
 __all__ = ["run", "main", "document_to_problem", "problem_to_document"]
@@ -252,10 +252,9 @@ def _prime_checkpoints(n_max: int) -> list[int]:
 
 def _cmd_primes(args) -> int:
     cfg = _config_hash({"command": "primes", "n_max": args.n_max})
-    table = prime_table(args.n_max)
+    checkpoints = _prime_checkpoints(args.n_max)
     rows = []
-    for n in _prime_checkpoints(args.n_max):
-        p = table.nth(n)
+    for n, p in zip(checkpoints, nth_primes(checkpoints)):
         asym = pnt_asymptotic(n) if n >= 2 else None
         ces = cesaro(n) if n >= 3 else None
         err_a = None if asym is None else abs(asym - p) / p

@@ -6,6 +6,11 @@ p_n ~ n log n by the prime number theorem; the four-term Cesaro refinement
 
 is what the comparisons against eigenvalue growth actually use, since the
 bare n log n undershoots by ~10% even at n = 10^6.
+
+All primes come from one segment walker, _segments.  nth_primes and
+the partial sums in analysis stream it and hold one 1 MB segment
+however far they read; prime_table keeps every prime, for callers that
+print each p_n.
 """
 
 from __future__ import annotations
@@ -19,7 +24,15 @@ from .errors import LimitTooLarge, OutOfDomain
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["PrimeTable", "sieve", "prime_table", "nth_prime", "pnt_asymptotic", "cesaro"]
+__all__ = [
+    "PrimeTable",
+    "sieve",
+    "prime_table",
+    "nth_prime",
+    "nth_primes",
+    "pnt_asymptotic",
+    "cesaro",
+]
 
 _SIEVE_MAX = 1_000_000_000
 _PI_SIEVE_MAX = 50_847_534  # pi(10^9)
@@ -45,10 +58,7 @@ class PrimeTable:
 def sieve(limit: int) -> PrimeTable:
     """Eratosthenes up to and including limit, over the odd numbers only.
 
-    Segmented (Bays & Hudson, BIT 17, 1977): the odd numbers are sieved
-    _SEGMENT = 2^20 at a time, a 1 MB flag block that stays in cache.
-    Segment 0 also yields the base primes up to sqrt(limit), since
-    sqrt(_SIEVE_MAX) < 2 * _SEGMENT.  Survivors go straight into one
+    The primes of each segment (see _segments) go straight into one
     output buffer sized by pi(x) < 1.25506 x / ln x (Rosser & Schoenfeld,
     x > 1), so memory is the output plus one segment.
     """
@@ -60,18 +70,36 @@ def sieve(limit: int) -> PrimeTable:
         raise OutOfDomain(f"sieve limit must be >= 2, got {limit}")
     if limit > _SIEVE_MAX:
         raise LimitTooLarge(f"sieve limit {limit} exceeds {_SIEVE_MAX}")
-    n_odd = (limit + 1) // 2  # slot i stands for 2i + 1
     out = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
+    count = 0
+    for lo, flags in _segments(limit):
+        primes = _segment_primes(lo, flags)
+        out[count : count + primes.size] = primes
+        count += primes.size
+    return PrimeTable(limit=limit, primes=out[:count])
 
+
+def _segments(limit: int):
+    """Walk the odd numbers up to limit, yielding (lo, flags) once per sieved segment.
+
+    Segmented (Bays & Hudson, BIT 17, 1977): the odd numbers are sieved
+    _SEGMENT = 2^20 at a time, a 1 MB flag block that stays in cache.
+    Slot i of a segment stands for 2 (lo + i) + 1 and is set when that
+    number is prime, except slot 0 of segment 0, the number 1, which stays
+    set and stands for the prime 2.  Segment 0 also yields the base primes
+    up to sqrt(limit), since sqrt(_SIEVE_MAX) < 2 * _SEGMENT.  Every
+    segment reuses one buffer: read it before asking for the next.
+    """
+    import numpy as np
+
+    n_odd = (limit + 1) // 2
     flags = np.ones(min(n_odd, _SEGMENT), dtype=bool)
     for i in range(1, (math.isqrt(2 * flags.size - 1) - 1) // 2 + 1):
         if flags[i]:
             p = 2 * i + 1
             flags[p * p // 2 :: p] = False
     base = 2 * np.flatnonzero(flags[1 : (math.isqrt(limit) - 1) // 2 + 1]) + 3
-    # slot 0 (the number 1) stays set and becomes the prime 2 below
-    count = _emit(flags, 0, out, 0)
-    out[0] = 2
+    yield 0, flags
 
     # the odd multiples of p sit at slots p // 2 + k p; strike from p^2 on
     first = base * base // 2
@@ -82,42 +110,86 @@ def sieve(limit: int) -> PrimeTable:
         starts = np.maximum(first[:k], lo + (base[:k] // 2 - lo) % base[:k]) - lo
         for p, start in zip(base[:k].tolist(), starts.tolist()):
             flags[start::p] = False
-        count = _emit(flags, lo, out, count)
-    return PrimeTable(limit=limit, primes=out[:count])
+        yield lo, flags
 
 
-def _emit(flags: np.ndarray, lo: int, out: np.ndarray, count: int) -> int:
-    """Write the numbers of the set slots lo + i into out[count:]; return the new count."""
+def _segment_primes(lo: int, flags: np.ndarray) -> np.ndarray:
+    """The ascending int64 primes of one segment of _segments."""
     import numpy as np
 
-    idx = np.flatnonzero(flags)
-    view = out[count : count + idx.size]
-    np.multiply(idx, 2, out=view)
-    view += 2 * lo + 1
-    return count + idx.size
+    primes = np.flatnonzero(flags).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 2 * lo + 1
+    if lo == 0:
+        primes[0] = 2
+    return primes
 
 
-def prime_table(n: int) -> PrimeTable:
-    """One sieve holding the first n primes (n >= 1).
+def _rosser_bound(n: int) -> int:
+    """A sieve limit that holds the first n primes (n >= 1).
 
-    Sieves to the Rosser bound p_n < n(log n + log log n), valid for
-    n >= 6; the primes below 15 cover n < 6.  Past pi(_SIEVE_MAX) it
-    raises before sieving anything.
+    The Rosser bound p_n < n(log n + log log n), valid for n >= 6; the
+    primes below 15 cover n < 6.  Past pi(_SIEVE_MAX) it raises, so no
+    caller sieves anything for an index it cannot serve.
     """
     if n < 1:
         raise OutOfDomain(f"prime index must be >= 1, got {n}")
     if n > _PI_SIEVE_MAX:
         raise LimitTooLarge(f"prime #{n} lies beyond the sieve ceiling {_SIEVE_MAX}")
-    bound = 15
-    if n >= 6:
-        ln = math.log(n)
-        bound = math.ceil(n * (ln + math.log(ln))) + 10
-    return sieve(min(bound, _SIEVE_MAX))
+    if n < 6:
+        return 15
+    ln = math.log(n)
+    return min(math.ceil(n * (ln + math.log(ln))) + 10, _SIEVE_MAX)
+
+
+def prime_table(n: int) -> PrimeTable:
+    """One sieve holding the first n primes (n >= 1), to _rosser_bound(n)."""
+    return sieve(_rosser_bound(n))
+
+
+def nth_primes(ns) -> list[int]:
+    """p_n for each of the ascending indices ns (n >= 1), from one streamed walk.
+
+    Each segment's primes are counted, only a segment holding a wanted
+    index is turned into primes, and the walk stops at the one holding the
+    last.  Memory stays at one 1 MB segment whatever max(ns) is.
+    """
+    ns = [int(n) for n in ns]
+    if not ns:
+        return []
+    if any(b < a for a, b in zip(ns, ns[1:])):
+        raise OutOfDomain("prime indices must be ascending")
+    _rosser_bound(ns[0])  # the smallest index meets the same rules as the largest
+    import numpy as np
+
+    out = []
+    count = 0  # primes in the segments before this one
+    for lo, flags in _segments(_rosser_bound(ns[-1])):
+        count_here = count + int(np.count_nonzero(flags))
+        if ns[len(out)] <= count_here:
+            primes = _segment_primes(lo, flags)
+            while len(out) < len(ns) and ns[len(out)] <= count_here:
+                out.append(int(primes[ns[len(out)] - count - 1]))
+            if len(out) == len(ns):
+                break
+        count = count_here
+    return out
+
+
+def _prime_chunks(n: int):
+    """The first n primes (n >= 1) as ascending int64 arrays, one per sieve segment."""
+    count = 0
+    for lo, flags in _segments(_rosser_bound(n)):
+        primes = _segment_primes(lo, flags)[: n - count]
+        count += primes.size
+        yield primes
+        if count == n:
+            return
 
 
 def nth_prime(n: int) -> int:
     """The n-th prime (n >= 1), 1-indexed: nth_prime(1) = 2."""
-    return prime_table(n).nth(n)
+    return nth_primes([n])[0]
 
 
 def pnt_asymptotic(n: int) -> float:

@@ -113,6 +113,22 @@ def trial_division_primes(limit):
     return out
 
 
+def sieve_edge_indices(table, segments=4):
+    """Sorted prime indices n whose p_n is the first or last prime of sieve segments 0..segments-1.
+
+    Segment k covers the odd numbers [2 SEG k + 1, 2 SEG (k + 1)); table must
+    reach past the last of them.  n = 1 (p_1 = 2, slot 0 of segment 0) is
+    among them.
+    """
+    from slprime.primes import _SEGMENT
+
+    edges = 2 * _SEGMENT * np.arange(segments + 1)
+    assert table.limit >= edges[-1]
+    first = np.searchsorted(table.primes, edges[:-1] + 1) + 1  # 1-indexed n of each first prime
+    last = np.searchsorted(table.primes, edges[1:])  # n of the last prime below each edge
+    return sorted({int(n) for n in (*first, *last)})
+
+
 def bisect_lambda_over_log(n, lo=2.7182818284590455, hi=None, iters=200):
     """Solve lam / log(lam) = n on the increasing branch lam >= e, independently."""
     f = lambda lam: lam / math.log(lam) - n

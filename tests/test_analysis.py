@@ -2,11 +2,12 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import random_problem
+from helpers import random_problem, sieve_edge_indices
 from slprime.analysis import (
     growth_check,
     incompatibility_report,
@@ -22,7 +23,7 @@ from slprime.errors import (
     LimitTooLarge,
     OutOfDomain,
 )
-from slprime.primes import sieve
+from slprime.primes import _SEGMENT, sieve
 from slprime.shoot import _propagate_scaled
 from slprime.spectrum import Eigenvalue, Spectrum, compute_spectrum
 
@@ -235,6 +236,33 @@ def test_partial_sum_spectrum_tail_bound():
         assert final - s <= tail * (1 + 1e-12)
     # frozen closed-form anchor at M = 1000
     assert rows[0][2] == pytest.approx(math.pi ** -1.5 * 10.0 ** -1.5 / 0.5, rel=1e-12)
+
+
+def test_streamed_partial_sums_match_one_cumsum_bit_for_bit():
+    # the one-table, one-cumsum computation the streamed sums replaced
+    table = sieve(8 * _SEGMENT + 1)
+    chunk_edges = [k * 2**16 + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+    ns = sorted({1, *sieve_edge_indices(table), *chunk_edges})
+    n_all = np.arange(1, ns[-1] + 1, dtype=np.float64)
+    for eps in (0.01, 0.25, 0.49):
+        prime_sums = np.cumsum(table.primes[: ns[-1]].astype(np.float64) ** -(0.5 + eps))
+        model_sums = np.cumsum((PI2 * n_all**2) ** -(0.5 + eps))
+        for n in ns:
+            assert partial_sum_primes(eps, n)[-1] == (n, float(prime_sums[n - 1])), (eps, n)
+            assert partial_sum_spectrum(PI2, eps, n)[-1][:2] == (n, float(model_sums[n - 1]))
+
+
+def test_streamed_partial_sums_hold_one_chunk_not_a_table():
+    for call in (lambda: partial_sum_primes(0.25, 10**6),
+                 lambda: partial_sum_spectrum(PI2, 0.25, 10**6)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 10^6 float64 terms alone are 8 MB
+        assert peak < 8 * 2**20, peak
 
 
 def test_partial_sum_guards():

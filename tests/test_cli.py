@@ -391,12 +391,13 @@ def test_nonlinear_sieves_for_the_rows_it_prints(tmp_path, capsys):
 
 
 def test_primes_command(tmp_path, monkeypatch):
-    limits = []
-    sieve = primes_mod.sieve
-    monkeypatch.setattr(primes_mod, "sieve", lambda limit: limits.append(limit) or sieve(limit))
+    walks, sieved = [], []
+    segments = primes_mod._segments
+    monkeypatch.setattr(primes_mod, "_segments", lambda limit: walks.append(limit) or segments(limit))
+    monkeypatch.setattr(primes_mod, "sieve", sieved.append)
     out = tmp_path / "p.csv"
     assert run(["primes", "--n-max", "100", "--out", str(out)]) == 0
-    assert len(limits) == 1  # one table serves every checkpoint
+    assert len(walks) == 1 and sieved == []  # one streamed walk serves every checkpoint
     lines = out.read_text().splitlines()
     assert lines[1] == "n,p_n,n_log_n,cesaro,rel_err_pnt,rel_err_cesaro"
     rows = {int(ln.split(",")[0]): ln.split(",") for ln in lines[2:]}

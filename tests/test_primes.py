@@ -1,14 +1,24 @@
 """Sieve, nth prime, and the two asymptotic expansions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import slprime.primes as primes_mod
-from helpers import trial_division_primes
+from helpers import sieve_edge_indices, trial_division_primes
+from slprime.cli import _prime_checkpoints
 from slprime.errors import LimitTooLarge, OutOfDomain
-from slprime.primes import PrimeTable, cesaro, nth_prime, pnt_asymptotic, prime_table, sieve
+from slprime.primes import (
+    PrimeTable,
+    cesaro,
+    nth_prime,
+    nth_primes,
+    pnt_asymptotic,
+    prime_table,
+    sieve,
+)
 
 SEG = primes_mod._SEGMENT
 
@@ -60,18 +70,50 @@ def test_prime_table_large_indices():
 
 
 def test_prime_table_fails_before_sieving_past_the_ceiling(monkeypatch):
-    limits = []
+    limits, walks = [], []
     monkeypatch.setattr(
         primes_mod, "sieve", lambda limit: limits.append(limit) or PrimeTable(limit, np.empty(0))
     )
-    # pi(10^9) = 50,847,534: one index more can never be served
+    monkeypatch.setattr(primes_mod, "_segments", lambda limit: walks.append(limit) or iter(()))
+    # pi(10^9) = 50,847,534: one index more can never be served, by the table or the stream
     for n in (50_847_535, 10**8):
-        with pytest.raises(LimitTooLarge, match=f"prime #{n} lies beyond the sieve ceiling"):
-            prime_table(n)
-    assert limits == []
+        for read in (prime_table, nth_prime, lambda n: nth_primes([1, n])):
+            with pytest.raises(LimitTooLarge, match=f"prime #{n} lies beyond the sieve ceiling"):
+                read(n)
+    for read in (prime_table, nth_prime, lambda n: nth_primes([n, 5])):
+        with pytest.raises(OutOfDomain, match="prime index must be >= 1, got 0"):
+            read(0)
+    assert limits == [] and walks == []
     # the last servable index sieves to the ceiling itself (not run here: 400 MB)
     prime_table(50_847_534)
     assert limits == [1_000_000_000]
+
+
+def test_streamed_nth_primes_match_the_table_at_segment_edges():
+    table = sieve(8 * SEG + 1)
+    edges = sieve_edge_indices(table)
+    ns = sorted({*edges, *(k * 2**16 + d for k in (1, 2, 3) for d in (-1, 0, 1))})
+    want = [int(table.primes[n - 1]) for n in ns]
+    assert nth_primes(ns) == want
+    # a walk that stops in the segment holding its only index
+    assert [nth_prime(n) for n in edges] == [int(table.primes[n - 1]) for n in edges]
+    assert nth_primes([]) == []
+    assert nth_primes([3, 3, 4]) == [5, 5, 7]
+    with pytest.raises(OutOfDomain, match="ascending"):
+        nth_primes([4, 3])
+
+
+def test_streamed_reads_hold_one_segment_not_a_table():
+    checkpoints = _prime_checkpoints(2 * 10**6)
+    tracemalloc.start()
+    try:
+        got = nth_primes(checkpoints)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[-1] == 32_452_843
+    # the table of the first 2e6 primes alone is 16 MB; one segment is 1 MB of flags
+    assert peak < 8 * 2**20, peak
 
 
 def test_nth_prime_values():

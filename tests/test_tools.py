@@ -1,6 +1,7 @@
 """The benchmark harnesses under tools/ run and report what they promise."""
 
 import importlib.util
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -9,6 +10,8 @@ TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
 def _load(name):
+    if str(TOOLS) not in sys.path:  # the harnesses import their shared helper from tools/
+        sys.path.insert(0, str(TOOLS))
     spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
@@ -35,3 +38,41 @@ def test_bench_scan_measures_a_small_stream():
     assert run["pieces_scanned"] >= run["scans"]
     assert run["l0_ns_per_piece"] > 0.0 and len(run["l0_ns_per_piece_runs"]) == 2
     assert run["pass_s"] > 0.0 and len(run["pass_s_runs"]) == 1
+
+
+def test_git_head_marks_an_uncommitted_tree_dirty(tmp_path):
+    benchmeta = _load("benchmeta")
+    assert benchmeta.git_head(tmp_path) is None  # not a checkout
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], check=True, capture_output=True)
+
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "mod.py").write_text("x = 1\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "start")
+    sha = subprocess.run(["git", "-C", str(tmp_path), "rev-parse", "HEAD"],
+                         capture_output=True, text=True, check=True).stdout.strip()
+    assert benchmeta.git_head(pkg) == sha
+    (pkg / "mod.py").write_text("x = 2\n")
+    assert benchmeta.git_head(pkg) == sha + "+dirty"
+    # every harness records the same provenance
+    assert _load("bench_invert").run_header is _load("bench_scan").run_header
+
+
+def test_bench_sieve_measures_small_runs():
+    bench_sieve = _load("bench_sieve")
+    run = bench_sieve.measure(primes_n=1000, series_n=1000, reps=1)
+    assert set(run) == {"git_head", "python", "machine", "nproc", "checkpoints", "layers",
+                        "processes"}
+    assert set(run["layers"]) == {"checkpoint_reader", "partial_sum_primes",
+                                  "partial_sum_spectrum"}
+    for layer in run["layers"].values():
+        assert layer["wall_s"] > 0.0 and layer["traced_peak_mb"] > 0.0
+    assert run["processes"]["primes"]["argv"] == ["primes", "--n-max", "1000"]
+    for proc in run["processes"].values():
+        assert proc["wall_s"] > 0.0 and len(proc["max_rss_mb_runs"]) == 1
+        assert proc["max_rss_mb"] > 1.0

@@ -17,20 +17,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
-import subprocess
 import sys
 import time
 from pathlib import Path
 
+from benchmeta import run_header
+
 SEEDS = range(101, 111)
-
-
-def _git_head(path: Path) -> str | None:
-    proc = subprocess.run(
-        ["git", "-C", str(path), "rev-parse", "HEAD"], capture_output=True, text=True
-    )
-    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def _counted(module, name, counts):
@@ -74,10 +67,7 @@ def measure() -> dict:
               file=sys.stderr)
     package = Path(inverse.__file__).resolve().parent
     return {
-        "git_head": _git_head(package),
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "nproc": os.cpu_count(),
+        **run_header(package),
         "config": "SearchConfig(seed=s) defaults: 16 pieces, bound 200, 8 targets, 4 restarts",
         "total_wall_s": round(sum(r["wall_s"] for r in runs), 3),
         "runs": runs,

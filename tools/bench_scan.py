@@ -22,31 +22,19 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
-import platform
 import random
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
+
+from benchmeta import run_header
 
 SEED = 20261018
 REPLAYS = 15
 PASSES = 7
 
 _ENDS = {"DD": (0.0, math.pi), "NN": (0.5 * math.pi, 0.5 * math.pi), "DN": (0.0, 0.5 * math.pi)}
-
-
-def _git_head(path: Path) -> str | None:
-    """HEAD of the checkout holding path, with "+dirty" when path differs from it."""
-    proc = subprocess.run(
-        ["git", "-C", str(path), "rev-parse", "HEAD"], capture_output=True, text=True
-    )
-    if proc.returncode != 0:
-        return None
-    dirty = subprocess.run(["git", "-C", str(path), "diff", "--quiet", "HEAD", "--", "."])
-    return proc.stdout.strip() + ("+dirty" if dirty.returncode == 1 else "")
 
 
 def problems(count: int | None = None) -> list:
@@ -126,10 +114,7 @@ def measure(count: int | None = None, replays: int = REPLAYS, passes: int = PASS
 
     package = Path(shoot.__file__).resolve().parent
     return {
-        "git_head": _git_head(package),
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "nproc": os.cpu_count(),
+        **run_header(package),
         "problems": len(cases),
         "eigenvalues": eigenvalues,
         "scans": len(stream),

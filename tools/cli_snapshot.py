@@ -100,6 +100,8 @@ def commands() -> dict:
         "nonlinear_capped": ["nonlinear", *cfg("capped"), "--n-max", "14", "--out", "out.csv"],
         "primes_100": ["primes", "--n-max", "100", "--out", "out.csv"],
         "primes_100000": ["primes", "--n-max", "100000", "--out", "out.csv"],
+        # many sieve segments and model-sum chunks: the streamed paths at full length
+        "primes_3000000": ["primes", "--n-max", "3000000", "--out", "out.csv"],
         "growth_unit": ["growth", *cfg("unit"), "--lambda-re=-100", "--out", "out.csv"],
         "growth_seeded4": ["growth", *cfg("seeded4"), "--lambda-re", "0", "--lambda-im", "1e4",
                            "--x-samples", "12", "--out", "out.csv"],
@@ -111,6 +113,7 @@ def commands() -> dict:
         "order_wide": ["order", *cfg("wide"), "--out", "out.csv"],
         "order_huge": ["order", *cfg("huge"), "--out", "out.csv"],
         "series_100000": ["series", "--n-max", "100000", "--out", "out.csv"],
+        "series_2000000": ["series", "--n-max", "2000000", "--out", "out.csv"],
         "invert_1piece": ["invert", *cfg("invert_1piece"), "--seed", "3", "--out", "out.json"],
         "invert_3piece": ["invert", *cfg("invert_3piece"), "--seed", "5", "--out", "out.json",
                           "--csv", "targets.csv"],
