@@ -24,7 +24,7 @@ from .errors import (
     LimitTooLarge,
     OutOfDomain,
 )
-from .primes import _prime_chunks, prime_table
+from .primes import _prime_chunks, nth_primes
 from .shoot import _propagate_scaled, _solver_pieces
 from .spectrum import Spectrum
 
@@ -64,11 +64,11 @@ def incompatibility_report(spectrum: Spectrum, n_max: int) -> IncompatReport:
         raise InsufficientData(
             f"spectrum holds {len(spectrum.eigenvalues)} eigenvalues, report needs {n_max}"
         )
-    table = prime_table(n_max)
-    rows = []
-    for ev in spectrum.eigenvalues[:n_max]:
-        p = table.nth(ev.index)
-        rows.append((ev.index, ev.value, p, p / ev.value))
+    eigs = spectrum.eigenvalues[:n_max]
+    rows = [
+        (ev.index, ev.value, p, p / ev.value)
+        for ev, p in zip(eigs, nth_primes([ev.index for ev in eigs]))
+    ]
     if n_max < 100:
         return IncompatReport(
             rows=tuple(rows),

@@ -30,12 +30,13 @@ from .coeff import (
     Interval,
     PiecewiseConstant,
     SLProblem,
+    _as_float,
     refine_common_mesh,
 )
 from .errors import BadConfig, SlprimeError
 from .inverse import SearchConfig, search
 from .nonlinear import NonlinearProblem, _composed_rows
-from .primes import cesaro, nth_primes, pnt_asymptotic, prime_table
+from .primes import cesaro, nth_primes, pnt_asymptotic
 from .spectrum import SolverOptions, compute_spectrum
 
 __all__ = ["run", "main", "document_to_problem", "problem_to_document"]
@@ -60,10 +61,7 @@ def _expect_fields(obj, path: str, required: set[str], optional: set[str] = froz
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise BadConfig(f"{path} must be a number")
-    try:
-        out = float(value)
-    except OverflowError:  # an integer literal past the float range
-        out = math.inf
+    out = _as_float(value)  # an integer literal past the float range reads inf
     if not math.isfinite(out):
         raise BadConfig(f"{path} must be finite")
     return out
@@ -224,14 +222,12 @@ def _cmd_nonlinear(args) -> int:
     spec = compute_spectrum(nl.base(), args.n_max, opts)
     cfg = _config_hash({"command": "nonlinear", "doc": doc, "n_max": args.n_max})
     composed = _composed_rows(spec)
-    # sieve for the rows printed, not the n_max asked for: a truncated
-    # spectrum needs only its own primes
-    table = prime_table(len(composed)) if composed else None
-    rows = []
-    for row in composed:
-        p = table.nth(row.index)
-        gap = None if row.lam is None else row.lam - p
-        rows.append((row.index, row.mu, row.lam, p, gap))
+    # read the primes of the rows printed, not of the n_max asked for: a
+    # truncated spectrum needs only its own
+    rows = [
+        (row.index, row.mu, row.lam, p, None if row.lam is None else row.lam - p)
+        for row, p in zip(composed, nth_primes([row.index for row in composed]))
+    ]
     _write_csv(args.out, ("n", "mu", "lambda", "p_n", "lambda_minus_p"), rows, cfg)
     if spec.truncated:
         print(spec.truncation_note)

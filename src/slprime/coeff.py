@@ -39,15 +39,16 @@ __all__ = [
 ]
 
 
-def _floats(xs, what: str) -> tuple[float, ...]:
-    """xs as Python floats, the form in which every number of a problem is
-    stored and then validated: a numpy scalar would reach each theta-scan,
-    which runs ~4x slower on it, and an int or Fraction can round onto a
-    value its own rules exclude."""
+def _as_float(v) -> float:
+    """v as a Python float, the form in which every number of a problem or
+    config is stored and then validated: a numpy scalar would reach each
+    theta-scan, which runs ~4x slower on it, and an int or Fraction can
+    round onto a value its own rules exclude.  An int past the float range
+    reads inf, which every finiteness rule rejects."""
     try:
-        return tuple(map(float, xs))
-    except OverflowError:  # an int past the float range
-        raise NonFiniteValue(f"{what} must be finite") from None
+        return float(v)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,7 @@ class Interval:
     b: float
 
     def __post_init__(self):
-        a, b = _floats((self.a, self.b), "interval endpoints")
+        a, b = _as_float(self.a), _as_float(self.b)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         if not (math.isfinite(a) and math.isfinite(b)):
@@ -75,7 +76,7 @@ class PiecewiseConstant:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        xs, vs = _floats(self.breakpoints, "breakpoints"), _floats(self.values, "piece values")
+        xs, vs = tuple(map(_as_float, self.breakpoints)), tuple(map(_as_float, self.values))
         object.__setattr__(self, "breakpoints", xs)
         object.__setattr__(self, "values", vs)
         if len(xs) < 2:
@@ -221,7 +222,7 @@ class BoundaryCondition:
     beta: float
 
     def __post_init__(self):
-        alpha, beta = _floats((self.alpha, self.beta), "boundary angles")
+        alpha, beta = _as_float(self.alpha), _as_float(self.beta)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         if not (math.isfinite(alpha) and math.isfinite(beta)):

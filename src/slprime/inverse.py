@@ -23,10 +23,10 @@ import os
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
-from .coeff import PiecewiseConstant
+from .coeff import PiecewiseConstant, _as_float
 from .errors import BadConfig
 from .nonlinear import NonlinearProblem, lambda_map, nonlinear_spectrum
-from .primes import nth_prime, prime_table
+from .primes import nth_prime, nth_primes
 from .shoot import _SERIES_CUT, _kernel_series
 from .spectrum import compute_spectrum
 
@@ -97,6 +97,7 @@ class SearchConfig:
             real = f.name == "bound"
             if isinstance(v, bool) or not isinstance(v, numbers.Real if real else numbers.Integral):
                 raise BadConfig(f"{f.name} must be {'a number' if real else 'an integer'}, got {v!r}")
+        object.__setattr__(self, "bound", _as_float(self.bound))
         if self.pieces < 1:
             raise BadConfig(f"pieces must be >= 1, got {self.pieces}")
         if not (self.bound > 0.0 and math.isfinite(self.bound)):
@@ -339,16 +340,16 @@ def search(config: SearchConfig | None = None) -> SearchResult:
             best_vals, best_j = vals, j_val
 
     best_q = PiecewiseConstant(mesh, best_vals)
-    table = prime_table(cfg.targets)
+    composed = nonlinear_spectrum(NonlinearProblem(best_q), cfg.targets)
     rows = [
         TargetRow(
             index=row.index,
-            prime=table.nth(row.index),
+            prime=p,
             target=target_mu(row.index),
             achieved=row.mu,
             implied_lambda=row.lam,
         )
-        for row in nonlinear_spectrum(NonlinearProblem(best_q), cfg.targets)
+        for row, p in zip(composed, nth_primes([row.index for row in composed]))
     ]
     return SearchResult(
         config=cfg,

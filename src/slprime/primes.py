@@ -7,10 +7,10 @@ p_n ~ n log n by the prime number theorem; the four-term Cesaro refinement
 is what the comparisons against eigenvalue growth actually use, since the
 bare n log n undershoots by ~10% even at n = 10^6.
 
-All primes come from one segment walker, _segments.  nth_primes and
-the partial sums in analysis stream it and hold one 1 MB segment
-however far they read; prime_table keeps every prime, for callers that
-print each p_n.
+All primes come from one segment walker, _segments.  Every p_n the
+package reads comes from nth_primes, and the partial sums in analysis
+stream the same walk: each holds one 1 MB segment however far it reads.
+sieve keeps every prime up to a limit, for callers that want the table.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ if TYPE_CHECKING:
 __all__ = [
     "PrimeTable",
     "sieve",
-    "prime_table",
     "nth_prime",
     "nth_primes",
     "pnt_asymptotic",
@@ -140,11 +139,6 @@ def _rosser_bound(n: int) -> int:
         return 15
     ln = math.log(n)
     return min(math.ceil(n * (ln + math.log(ln))) + 10, _SIEVE_MAX)
-
-
-def prime_table(n: int) -> PrimeTable:
-    """One sieve holding the first n primes (n >= 1), to _rosser_bound(n)."""
-    return sieve(_rosser_bound(n))
 
 
 def nth_primes(ns) -> list[int]:

@@ -31,7 +31,7 @@ import numbers
 from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
-from .coeff import CoefficientSet, SLProblem, weyl_constant
+from .coeff import CoefficientSet, SLProblem, _as_float, weyl_constant
 from .errors import BadConfig, EigenvalueNotFound, InsufficientData, OutOfDomain
 from .shoot import _scan_records, _solver_pieces, _theta_scan
 
@@ -62,6 +62,8 @@ class SolverOptions:
             v = getattr(self, f.name)
             if isinstance(v, bool) or not isinstance(v, numbers.Real):
                 raise BadConfig(f"{f.name} must be a number, got {v!r}")
+            v = _as_float(v)
+            object.__setattr__(self, f.name, v)
             if not 0.0 < v < math.inf:
                 raise BadConfig(f"{f.name} must be {'finite' if v > 0 else 'positive'}, got {v}")
 

@@ -167,7 +167,7 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     for argv in (["spectrum", "--config", write_doc(tmp_path, UNIT_DOC)], ["nonlinear"]):
         assert run([*argv, "--n-max", "0"]) == 2
         assert "n_max must be >= 1, got 0" in capsys.readouterr().err
-    # and the prime index range is prime_table's
+    # and the prime index range is nth_primes's
     assert run(["primes", "--n-max", "0"]) == 2
     assert "prime index must be >= 1, got 0" in capsys.readouterr().err
 
@@ -290,6 +290,17 @@ def test_incompat_fail_exit_three(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out.strip().splitlines()[-1] == "VERDICT: FAIL incompat"
+
+
+def test_incompat_refuses_a_truncated_spectrum(tmp_path, capsys):
+    # the Atkinson problem has one eigenvalue: the report would compare 1 row against 20 primes
+    cfg = write_doc(tmp_path, ATKINSON_DOC)
+    out = tmp_path / "i.csv"
+    assert run(["incompat", "--config", cfg, "--n-max", "20", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.startswith("TRUNCATED at n = 2: ")
+    assert "incompat needs the full range" in captured.err
+    assert not out.exists()
 
 
 def test_growth_command(tmp_path, capsys):

@@ -151,6 +151,27 @@ def test_pool_and_serial_search_bit_identical(monkeypatch):
     assert serial.best_objective.hex() == pooled.best_objective.hex()
 
 
+def test_search_runs_serially_when_the_pool_cannot_start(monkeypatch):
+    import concurrent.futures
+
+    cfg = SearchConfig(pieces=4, bound=150.0, targets=4, seed=9, restarts=3, max_iters=10)
+    monkeypatch.setenv("SLPRIME_THREADS", "1")
+    serial = search(cfg)
+    attempts = []
+
+    def no_pool(max_workers):
+        attempts.append(max_workers)
+        raise OSError("no process can start")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("SLPRIME_THREADS", "2")
+    fallback = search(cfg)
+    assert attempts == [2]  # the pool was asked for, failed, and the restarts ran here
+    assert fallback == serial
+    assert fallback.best_objective.hex() == serial.best_objective.hex()
+
+
 def test_default_shape_traces_descend_within_budget():
     # the benchmark's shape: 16 pieces, 8 targets, 4 restarts, 6 LM iterations
     res = search(SearchConfig(seed=7, max_iters=6))
@@ -216,6 +237,9 @@ def test_search_config_validation():
     with pytest.raises(BadConfig):
         SearchConfig(bound=1e308)  # the restart draw spans 2 * bound, which overflows
     assert SearchConfig(pieces=np.int64(3)).pieces == 3
+    with pytest.raises(BadConfig, match="^bound must be positive and finite, got inf$"):
+        SearchConfig(bound=10**400)  # past the float range
+    assert type(SearchConfig(bound=np.int64(100)).bound) is float
 
 
 def test_worker_count_env(monkeypatch):
@@ -227,3 +251,5 @@ def test_worker_count_env(monkeypatch):
     assert worker_count() >= 1  # garbage falls back to auto
     monkeypatch.delenv("SLPRIME_THREADS")
     assert worker_count() == (os.cpu_count() or 1)
+    monkeypatch.setenv("SLPRIME_THREADS", "-3")
+    assert worker_count() == (os.cpu_count() or 1)  # a negative cap also means auto

@@ -16,7 +16,6 @@ from slprime.primes import (
     nth_prime,
     nth_primes,
     pnt_asymptotic,
-    prime_table,
     sieve,
 )
 
@@ -63,30 +62,28 @@ def test_segmented_sieve_matches_single_array():
         assert np.array_equal(table.primes, single_array_sieve(limit)), limit
 
 
-def test_prime_table_large_indices():
-    table = prime_table(10**7)
-    assert table.nth(10**7) == 179_424_673
-    assert table.nth(10**6) == 15_485_863
+def test_nth_primes_large_indices():
+    assert nth_primes([10**6, 10**7]) == [15_485_863, 179_424_673]
 
 
-def test_prime_table_fails_before_sieving_past_the_ceiling(monkeypatch):
+def test_prime_reads_fail_before_sieving_past_the_ceiling(monkeypatch):
     limits, walks = [], []
     monkeypatch.setattr(
         primes_mod, "sieve", lambda limit: limits.append(limit) or PrimeTable(limit, np.empty(0))
     )
     monkeypatch.setattr(primes_mod, "_segments", lambda limit: walks.append(limit) or iter(()))
-    # pi(10^9) = 50,847,534: one index more can never be served, by the table or the stream
+    # pi(10^9) = 50,847,534: one index more can never be served
     for n in (50_847_535, 10**8):
-        for read in (prime_table, nth_prime, lambda n: nth_primes([1, n])):
+        for read in (nth_prime, lambda n: nth_primes([1, n])):
             with pytest.raises(LimitTooLarge, match=f"prime #{n} lies beyond the sieve ceiling"):
                 read(n)
-    for read in (prime_table, nth_prime, lambda n: nth_primes([n, 5])):
+    for read in (nth_prime, lambda n: nth_primes([n, 5])):
         with pytest.raises(OutOfDomain, match="prime index must be >= 1, got 0"):
             read(0)
     assert limits == [] and walks == []
-    # the last servable index sieves to the ceiling itself (not run here: 400 MB)
-    prime_table(50_847_534)
-    assert limits == [1_000_000_000]
+    # the last servable index walks to the ceiling itself (not run here: 10^9 numbers)
+    nth_primes([50_847_534])
+    assert walks == [1_000_000_000] and limits == []
 
 
 def test_streamed_nth_primes_match_the_table_at_segment_edges():

@@ -209,6 +209,16 @@ def test_tight_tolerance_options_respected():
         SolverOptions(angle_tol=-1.0)
 
 
+def test_solver_options_store_floats():
+    # an int past the float range converts to inf, which the finiteness rule rejects
+    for name in ("lambda_cap", "lambda_tol_rel"):
+        with pytest.raises(BadConfig, match=f"^{name} must be finite, got inf$"):
+            SolverOptions(**{name: 10**400})
+    opts = SolverOptions(angle_tol=np.float64(1e-9), lambda_tol_rel=np.float32(0.5), lambda_cap=10**6)
+    assert opts == SolverOptions(angle_tol=1e-9, lambda_tol_rel=0.5, lambda_cap=1e6)
+    assert all(type(v) is float for v in (opts.angle_tol, opts.lambda_tol_rel, opts.lambda_cap))
+
+
 def test_low_cap_reports_not_found_with_cap(monkeypatch):
     opts = SolverOptions(lambda_cap=100.0)
     with pytest.raises(EigenvalueNotFound) as err:

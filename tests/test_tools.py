@@ -59,8 +59,24 @@ def test_git_head_marks_an_uncommitted_tree_dirty(tmp_path):
     assert benchmeta.git_head(pkg) == sha
     (pkg / "mod.py").write_text("x = 2\n")
     assert benchmeta.git_head(pkg) == sha + "+dirty"
-    # every harness records the same provenance
-    assert _load("bench_invert").run_header is _load("bench_scan").run_header
+    # every harness takes the same arguments and records the same provenance the same way
+    for harness in map(_load, ("bench_invert", "bench_scan", "bench_sieve")):
+        for name in ("bench_parser", "run_header", "record"):
+            assert getattr(harness, name) is getattr(benchmeta, name), (harness.__name__, name)
+
+
+def test_record_keeps_the_other_labels(tmp_path):
+    benchmeta = _load("benchmeta")
+    args = benchmeta.bench_parser("Time a thing.\n\nmore", "BENCH_x.json").parse_args(["parent"])
+    assert (args.label, args.out) == ("parent", "BENCH_x.json")
+    out = tmp_path / "BENCH_x.json"
+    benchmeta.record(out, "parent", {"wall_s": 1.5})
+    benchmeta.record(out, "change", {"wall_s": 1.25, "runs": [1, 2]})
+    benchmeta.record(out, "parent", {"wall_s": 1.0})
+    assert out.read_text(encoding="utf-8") == (
+        '{\n  "parent": {\n    "wall_s": 1.0\n  },\n  "change": {\n    "wall_s": 1.25,\n'
+        '    "runs": [\n      1,\n      2\n    ]\n  }\n}\n'
+    )
 
 
 def test_bench_sieve_measures_small_runs():

@@ -14,14 +14,12 @@ same harness run on two checkouts.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 import time
 from pathlib import Path
 
-from benchmeta import run_header
+from benchmeta import bench_parser, record, run_header
 
 SEEDS = range(101, 111)
 
@@ -75,14 +73,8 @@ def measure() -> dict:
 
 
 def main(argv) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("label")
-    parser.add_argument("--out", default="BENCH_invert_lm.json")
-    args = parser.parse_args(argv)
-    out = Path(args.out)
-    doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
-    doc[args.label] = measure()
-    out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    args = bench_parser(__doc__, "BENCH_invert_lm.json").parse_args(argv)
+    record(args.out, args.label, measure())
     return 0
 
 

@@ -19,8 +19,6 @@ checkouts.
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import random
 import statistics
@@ -28,7 +26,7 @@ import sys
 import time
 from pathlib import Path
 
-from benchmeta import run_header
+from benchmeta import bench_parser, record, run_header
 
 SEED = 20261018
 REPLAYS = 15
@@ -128,18 +126,12 @@ def measure(count: int | None = None, replays: int = REPLAYS, passes: int = PASS
 
 
 def main(argv) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("label")
-    parser.add_argument("--out", default="BENCH_scan.json")
-    args = parser.parse_args(argv)
+    args = bench_parser(__doc__, "BENCH_scan.json").parse_args(argv)
     run = measure()
     print(f"{args.label}: {run['l0_ns_per_piece']:.1f} ns/piece, "
           f"{run['scans_per_eigenvalue']:.3f} scans/eigenvalue, pass {run['pass_s']:.4f} s",
           file=sys.stderr)
-    out = Path(args.out)
-    doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
-    doc[args.label] = run
-    out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    record(args.out, args.label, run)
     return 0
 
 

@@ -18,9 +18,7 @@ run on two checkouts.
 
 from __future__ import annotations
 
-import argparse
 import importlib.util
-import json
 import math
 import os
 import statistics
@@ -31,7 +29,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
-from benchmeta import run_header
+from benchmeta import bench_parser, record, run_header
 
 REPS = 5
 PRIMES_N = 10_000_000
@@ -132,9 +130,7 @@ def measure(primes_n: int = PRIMES_N, series_n: int = SERIES_N, reps: int = REPS
 
 
 def main(argv) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("label")
-    parser.add_argument("--out", default="BENCH_sieve.json")
+    parser = bench_parser(__doc__, "BENCH_sieve.json")
     parser.add_argument("--ceiling", action="store_true",
                         help=f"also run primes --n-max {CEILING_N} once")
     args = parser.parse_args(argv)
@@ -145,10 +141,7 @@ def main(argv) -> int:
     for name, proc in run["processes"].items():
         print(f"{args.label} {name}: {proc['wall_s']:.3f} s, max RSS {proc['max_rss_mb']:.1f} MB",
               file=sys.stderr)
-    out = Path(args.out)
-    doc = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
-    doc[args.label] = run
-    out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    record(args.out, args.label, run)
     return 0
 
 
