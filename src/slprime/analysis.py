@@ -42,9 +42,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IncompatReport:
-    """Rows (n, lambda_n, p_n, p_n/lambda_n) plus a PASS/FAIL/INCONCLUSIVE verdict."""
+    """Rows (n, lambda_n, p_n, p_n/lambda_n or None) plus a PASS/FAIL/INCONCLUSIVE verdict."""
 
-    rows: tuple[tuple[int, float, int, float], ...] = field(repr=False)
+    rows: tuple[tuple[int, float, int, float | None], ...] = field(repr=False)
     verdict: str
     note: str
 
@@ -52,9 +52,10 @@ class IncompatReport:
 def incompatibility_report(spectrum: Spectrum, n_max: int) -> IncompatReport:
     """Tabulate p_n/lambda_n for n = 1..n_max and judge its decay.
 
-    PASS requires the ratio to decrease across the top half of indices
-    (compared block-wise, eight blocks, so local prime gaps do not mask
-    the trend) and the final ratio to fall below 1% of the first.  Below
+    A row with lambda_n <= 0 has no ratio (None).  PASS requires the ratio
+    to decrease across the top half of indices (compared block-wise,
+    eight blocks, so local prime gaps do not mask the trend) and the
+    final ratio to fall below 1% of the first one there is.  Below
     n_max = 100 the trend is not yet meaningful and the verdict is
     withheld.
     """
@@ -66,7 +67,7 @@ def incompatibility_report(spectrum: Spectrum, n_max: int) -> IncompatReport:
         )
     eigs = spectrum.eigenvalues[:n_max]
     rows = [
-        (ev.index, ev.value, p, p / ev.value)
+        (ev.index, ev.value, p, p / ev.value if ev.value > 0.0 else None)
         for ev, p in zip(eigs, nth_primes([ev.index for ev in eigs]))
     ]
     if n_max < 100:
@@ -78,14 +79,16 @@ def incompatibility_report(spectrum: Spectrum, n_max: int) -> IncompatReport:
     # numpy is imported where arrays are built: commands that build none start without it
     import numpy as np
 
-    ratios = np.array([row[3] for row in rows])
+    # a missing ratio reads NaN, which fails every comparison below
+    ratios = np.array([math.nan if row[3] is None else row[3] for row in rows])
+    first = next((row[3] for row in rows if row[3] is not None), math.nan)
     top = ratios[n_max // 2 :]
     block_means = [chunk.mean() for chunk in np.array_split(top, 8)]
     decreasing = all(a > b for a, b in zip(block_means, block_means[1:]))
-    final_small = ratios[-1] < 0.01 * ratios[0]
+    final_small = ratios[-1] < 0.01 * first
     if decreasing and final_small:
         verdict, note = "PASS", (
-            f"ratio falls from {ratios[0]:.3e} to {ratios[-1]:.3e}; "
+            f"ratio falls from {first:.3e} to {ratios[-1]:.3e}; "
             "prime growth n log n cannot keep up with n^2 eigenvalues"
         )
     else:
@@ -93,7 +96,7 @@ def incompatibility_report(spectrum: Spectrum, n_max: int) -> IncompatReport:
         note = (
             f"block means not decreasing over the top half"
             if not decreasing
-            else f"final ratio {ratios[-1]:.3e} not below 1% of first {ratios[0]:.3e}"
+            else f"final ratio {ratios[-1]:.3e} not below 1% of first {first:.3e}"
         )
     return IncompatReport(rows=tuple(rows), verdict=verdict, note=note)
 

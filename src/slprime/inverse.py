@@ -12,11 +12,14 @@ potentials.  Each restart descends by projected Levenberg-Marquardt (More,
 LNM 630, 1978) on the residuals (mu_n - mu*_n) / mu*_n, with the exact
 Jacobian d mu_n / d q_i = int_{piece i} u_n^2 / int_0^1 u_n^2 of the
 Hellmann-Feynman identity (Poeschel & Trubowitz, Inverse Spectral Theory,
-1987), and accepts a step only when the objective itself falls.
+1987), and accepts a step only when the objective itself falls; a trial
+stops solving once its misfit, summed in index order, reaches the
+incumbent's.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import os
@@ -24,11 +27,11 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 from .coeff import PiecewiseConstant, _as_float
-from .errors import BadConfig
+from .errors import BadConfig, EigenvalueNotFound
 from .nonlinear import NonlinearProblem, lambda_map, nonlinear_spectrum
 from .primes import nth_prime, nth_primes
 from .shoot import _SERIES_CUT, _kernel_series
-from .spectrum import compute_spectrum
+from .spectrum import _ascending, compute_spectrum
 
 __all__ = [
     "SearchConfig",
@@ -71,7 +74,8 @@ def objective(q: PiecewiseConstant, n_targets: int) -> float:
     """Relative squared misfit sum_n ((mu_n(q) - mu*_n) / mu*_n)^2."""
     if n_targets < 1:
         raise BadConfig(f"need at least one target, got {n_targets}")
-    return _misfit(_residuals(q, n_targets)[0])
+    spec = compute_spectrum(NonlinearProblem(q).base(), n_targets)
+    return _misfit(None if spec.truncated else [_residual(ev) for ev in spec.eigenvalues])
 
 
 @dataclass(frozen=True)
@@ -149,13 +153,31 @@ def worker_count() -> int:
     return auto if cap == 0 else min(cap, auto)
 
 
-def _residuals(q: PiecewiseConstant, n_targets: int):
-    """(residuals (mu_n - mu*_n) / mu*_n, mu_n) for n = 1..n_targets; (None, None) if truncated."""
-    spec = compute_spectrum(NonlinearProblem(q).base(), n_targets)
-    if spec.truncated:
+def _residual(ev) -> float:
+    """(mu_n - mu*_n) / mu*_n for the eigenvalue mu_n."""
+    return (ev.value - target_mu(ev.index)) / target_mu(ev.index)
+
+
+def _residuals(q: PiecewiseConstant, n_targets: int, stop: float = math.inf):
+    """(residuals, mu_n) for n = 1..n_targets; (None, None) if truncated or the misfit reaches stop.
+
+    Eigenvalues are solved in index order and their squared residuals
+    summed in that order, as _misfit sums them.  Later terms are
+    non-negative, so once the running sum reaches stop the full misfit
+    would too, and the remaining solves are skipped.
+    """
+    res, mus, total = [], [], 0.0
+    try:
+        for ev in itertools.islice(_ascending(NonlinearProblem(q).base()), n_targets):
+            x = _residual(ev)
+            total += x**2
+            if total >= stop:
+                return None, None
+            res.append(x)
+            mus.append(ev.value)
+    except EigenvalueNotFound:
         return None, None
-    mus = spec.values()
-    return [(mu - target_mu(n)) / target_mu(n) for n, mu in enumerate(mus, start=1)], mus
+    return res, mus
 
 
 def _misfit(res) -> float:
@@ -284,7 +306,8 @@ def _lm_restart(cfg: SearchConfig, k: int):
                     step = -sum(row[j] * ym for row, ym in zip(cols, y))
                     trial[i] = min(bound, max(-bound, vals[i] + step))
                 if trial != vals:
-                    t_res, t_mus = _residuals(PiecewiseConstant(mesh, tuple(trial)), n)
+                    # a misfit that reaches best is rejected anyway: stop its solves there
+                    t_res, t_mus = _residuals(PiecewiseConstant(mesh, tuple(trial)), n, best)
                     t_best = _misfit(t_res)
                     if t_best < best:
                         break

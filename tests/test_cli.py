@@ -303,6 +303,28 @@ def test_incompat_refuses_a_truncated_spectrum(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_incompat_neumann_zero_eigenvalue_has_no_ratio(tmp_path):
+    # alpha = beta = pi/2 makes lambda_1 exactly 0: its row gets an empty
+    # ratio, the first ratio is read at n = 2, and no traceback escapes
+    doc = {**UNIT_DOC, "bc": {"alpha": "pi/2", "beta": "pi/2"}}
+    cfg = write_doc(tmp_path, doc)
+    out = tmp_path / "i.csv"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "slprime.cli", "incompat", "--config", cfg, "--n-max", "200",
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode in (0, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
+    rows = [ln.split(",") for ln in out.read_text().splitlines()[2:]]
+    assert rows[0] == ["1", "0.0", "2", ""]
+    first = 3 / float(rows[1][1])
+    assert float(rows[1][3]) == first
+    # the verdict note quotes the first ratio, PASS or FAIL
+    assert f"{first:.3e}" in proc.stdout
+
+
 def test_growth_command(tmp_path, capsys):
     cfg = write_doc(tmp_path, UNIT_DOC)
     out = tmp_path / "g.csv"
@@ -517,7 +539,7 @@ def test_cli_snapshot_exit_codes(tmp_path):
     )
     table = [ln.split("\t") for ln in (tmp_path / "exit_codes.tsv").read_text().splitlines()]
     codes = {name: int(code) for name, code, _ in table}
-    failing = {"incompat_seeded4": 3}
+    failing = {"incompat_seeded4": 3, "incompat_neumann": 3}
     refused = {
         f"{command}_{doc}"
         for command in ("spectrum", "growth", "order")

@@ -21,7 +21,7 @@ from slprime.inverse import (
 )
 from slprime.nonlinear import NonlinearProblem
 from slprime.primes import nth_prime
-from slprime.spectrum import compute_spectrum
+from slprime.spectrum import SolverOptions, compute_spectrum
 
 PI2 = math.pi**2
 
@@ -31,9 +31,9 @@ def test_uniform_mesh_is_numpy_linspace():
         assert _uniform_mesh(p) == tuple(np.linspace(0, 1, p + 1).tolist()), p
 
 
-def _mus(vals, n):
+def _mus(vals, n, opts=SolverOptions()):
     q = PiecewiseConstant(_uniform_mesh(len(vals)), tuple(vals))
-    return compute_spectrum(NonlinearProblem(q).base(), n).values()
+    return compute_spectrum(NonlinearProblem(q).base(), n, opts).values()
 
 
 def _widths(pieces):
@@ -56,11 +56,15 @@ def test_jacobian_matches_central_differences(vals):
     mus = _mus(vals, n)
     assert any(mus[0] < q for q in vals)  # a hyperbolic piece at mu_1
     jac = _jacobian(_widths(len(vals)), vals, mus)
+    # the quotient divides each solve's error by 2h: at the default
+    # lambda_tol_rel that allows up to tol / h ~ 1.9e-5 on the 1e4 piece,
+    # above the bound; at 1e-14 it allows ~1.9e-7
+    tight = SolverOptions(lambda_tol_rel=1e-14)
     for i in range(len(vals)):
         up, down = vals.copy(), vals.copy()
         up[i] += h
         down[i] -= h
-        for m, (a, b) in enumerate(zip(_mus(up, n), _mus(down, n))):
+        for m, (a, b) in enumerate(zip(_mus(up, n, tight), _mus(down, n, tight))):
             assert abs((a - b) / (2 * h) - jac[m][i]) <= 1e-6, (m, i)
     # a constant shift c moves every mu_n by c: each row sums to 1
     for row in jac:

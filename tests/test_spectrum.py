@@ -144,6 +144,33 @@ def test_compute_spectrum_ordering_and_interlacing():
         assert all(ev.residual <= 1e-5 for ev in spec.eigenvalues)
 
 
+def _search_shape(rng):
+    """The inverse search's problem: s = r = 1 on [0, 1], Dirichlet ends, 16 steps of |q| <= 200."""
+    mesh = [i / 16 for i in range(17)]
+    one = make_piecewise(mesh, [1.0] * 16)
+    return problem(one, make_piecewise(mesh, rng.uniform(-200.0, 200.0, 16).tolist()), one)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_carried_brackets_match_cold_solves(seed, search_shape):
+    # compute_spectrum starts each index from the scans of the one before;
+    # a cold eigenvalue call must agree to one tolerance unit, and the
+    # carried brackets must never hand back an earlier eigenvalue
+    rng = np.random.default_rng(seed)
+    prob = _search_shape(rng) if search_shape else random_problem(rng, max_pieces=6)
+    opts = SolverOptions()
+    spec = compute_spectrum(prob, 12, opts)
+    vals = spec.values()
+    assert all(a < b for a, b in zip(vals, vals[1:])), vals
+    for ev in spec.eigenvalues:
+        cold = eigenvalue(prob, ev.index, opts).value
+        assert abs(ev.value - cold) <= max(opts.lambda_tol_abs, opts.lambda_tol_rel * abs(cold))
+    if spec.truncated:
+        with pytest.raises(EigenvalueNotFound):
+            eigenvalue(prob, len(vals) + 1, opts)
+
+
 def test_compute_spectrum_deterministic():
     prob = random_problem(np.random.default_rng(99), max_pieces=3, allow_zero=False)
     a = compute_spectrum(prob, 8)
@@ -383,16 +410,17 @@ _piece = st.tuples(
     st.sampled_from([-1, 0, 0, 0, 1]),  # index offset from the one whose target is nearest
     st.floats(-500.0, 5000.0),  # lambda
 )
-def test_scaled_mismatch_has_the_sign_of_the_angle_mismatch(pieces, alpha, beta, offset, lam):
+def test_boundary_function_has_the_sign_of_the_angle_mismatch(pieces, alpha, beta, offset, lam):
     widths, svals, qvals, rvals = (list(col) for col in zip(*pieces))
-    svals[-1] = svals[-1] or 1.0  # an oscillating last piece is where g differs from f
     records = _scan_records(widths, svals, qvals, rvals)
-    # mostly the index whose target angle lies within pi of theta(b): only
-    # there does the sign of f turn on frac - beta, which the remap changes
-    n = max(1, spectrum_mod._theta_scan(records, alpha, lam)[0] + 1 + offset)
-    _, f, g, _, _ = spectrum_mod._mismatch_scan(records, alpha, beta, n)(lam)
-    # every nonzero f, not only |f| > 1e-12: Brent orients the bracket by f
-    assert (f > 0.0) <= (g > 0.0) and (f < 0.0) <= (g < 0.0), (f, g)
+    winding, frac, u, v = spectrum_mod._theta_scan(records, alpha, lam)
+    # mostly the index whose target angle lies within pi of theta(b), where
+    # h = rho sin f; the neighbours reach the continuation beyond |f| = pi
+    n = max(1, winding + 1 + offset)
+    _, f, h, _, _, _ = spectrum_mod._point(lam, winding, frac, math.hypot(u, v), beta, n)
+    # every f, zero and subnormal included: Brent's interpolation on h
+    # must point where the sign tests on f orient the bracket
+    assert (f > 0.0) == (h > 0.0) and (f < 0.0) == (h < 0.0), (f, h)
 
 
 def _one_piece(h, s, q, r, alpha, beta):

@@ -23,18 +23,20 @@ def test_bench_scan_measures_a_small_stream():
     bench_scan = _load("bench_scan")
     import slprime.spectrum as spectrum
 
-    kernel = spectrum._theta_scan
+    kernel, solve = spectrum._theta_scan, spectrum.eigenvalue
     t0 = time.perf_counter()
     run = bench_scan.measure(count=5, replays=2, passes=1)
     assert time.perf_counter() - t0 < 2.0
-    assert spectrum._theta_scan is kernel  # the recording wrapper is gone again
+    # the recording and counting wrappers are gone again
+    assert spectrum._theta_scan is kernel and spectrum.eigenvalue is solve
     assert set(run) == {
         "git_head", "python", "machine", "nproc", "problems", "eigenvalues", "scans",
-        "pieces_scanned", "scans_per_eigenvalue", "l0_ns_per_piece", "l0_ns_per_piece_runs",
-        "pass_s", "pass_s_runs",
+        "pieces_scanned", "scans_per_eigenvalue", "scans_per_call_p50", "scans_per_call_p90",
+        "scans_per_call_max", "l0_ns_per_piece", "l0_ns_per_piece_runs", "pass_s", "pass_s_runs",
     }
     assert run["problems"] == 5 and run["eigenvalues"] > 0
     assert run["scans_per_eigenvalue"] == run["scans"] / run["eigenvalues"] > 1.0
+    assert 1 <= run["scans_per_call_p50"] <= run["scans_per_call_p90"] <= run["scans_per_call_max"]
     assert run["pieces_scanned"] >= run["scans"]
     assert run["l0_ns_per_piece"] > 0.0 and len(run["l0_ns_per_piece_runs"]) == 2
     assert run["pass_s"] > 0.0 and len(run["pass_s_runs"]) == 1

@@ -6,10 +6,11 @@ Runs search(SearchConfig(seed=s)) for s = 101..110 one after another in
 this process (SLPRIME_THREADS=1, so every count is made here and repeats
 exactly) against whichever slprime the import finds.  For each seed it
 records best/baseline, wall time, evaluations (spectrum solves the search
-makes, the q = 0 baseline included) and Jacobians (eigenfunction walks;
-0 for a search without them).  The run is stored under LABEL in the
-output JSON, next to the runs already there, so one file can hold the
-same harness run on two checkouts.
+starts, the q = 0 baseline included, whether or not it finishes them),
+theta-scans and Jacobians (eigenfunction walks; 0 for a search without
+them).  The run is stored under LABEL in the output JSON, next to the
+runs already there, so one file can hold the same harness run on two
+checkouts.
 """
 
 from __future__ import annotations
@@ -24,11 +25,14 @@ from benchmeta import bench_parser, record, run_header
 SEEDS = range(101, 111)
 
 
-def _counted(module, name, counts):
+def _counted(module, name, counts, key=None):
+    """Count each call of module.name under counts[key(args)] (default: name); None skips it."""
     inner = getattr(module, name)
 
     def wrapper(*args, **kwargs):
-        counts[name] += 1
+        slot = name if key is None else key(args)
+        if slot is not None:
+            counts[slot] += 1
         return inner(*args, **kwargs)
 
     setattr(module, name, wrapper)
@@ -37,9 +41,12 @@ def _counted(module, name, counts):
 def measure() -> dict:
     os.environ["SLPRIME_THREADS"] = "1"
     import slprime.inverse as inverse
+    import slprime.spectrum as spectrum
 
-    counts = {"compute_spectrum": 0, "_jacobian": 0}
-    _counted(inverse, "compute_spectrum", counts)
+    counts = {"evaluations": 0, "_theta_scan": 0, "_jacobian": 0}
+    # every spectrum solve, whole or cut short, starts with index 1
+    _counted(spectrum, "eigenvalue", counts, lambda args: "evaluations" if args[1] == 1 else None)
+    _counted(spectrum, "_theta_scan", counts)
     if hasattr(inverse, "_jacobian"):
         _counted(inverse, "_jacobian", counts)
     inverse.search(inverse.SearchConfig(pieces=1, targets=1, restarts=1, max_iters=1))  # warm-up
@@ -57,12 +64,13 @@ def measure() -> dict:
             "baseline_objective": res.baseline_objective,
             "ratio": res.best_objective / res.baseline_objective,
             "wall_s": round(wall, 3),
-            "evaluations": counts["compute_spectrum"],
+            "evaluations": counts["evaluations"],
+            "theta_scans": counts["_theta_scan"],
             "jacobians": counts["_jacobian"],
         })
         print(f"seed {seed}: ratio {runs[-1]['ratio']!r} in {wall:.2f} s, "
-              f"{runs[-1]['evaluations']} evaluations, {runs[-1]['jacobians']} Jacobians",
-              file=sys.stderr)
+              f"{runs[-1]['evaluations']} evaluations, {runs[-1]['theta_scans']} theta-scans, "
+              f"{runs[-1]['jacobians']} Jacobians", file=sys.stderr)
     package = Path(inverse.__file__).resolve().parent
     return {
         **run_header(package),

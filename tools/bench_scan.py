@@ -8,13 +8,16 @@ eigenvalues, six constant problems (Dirichlet, Neumann and mixed ends)
 split into 1-4 equal pieces asking for 300, and four finite-spectrum
 problems on which s and r vanish on alternate pieces.  One pass of
 compute_spectrum over them runs with spectrum._theta_scan wrapped, which
-records every scan's arguments; that stream is then replayed through
+records every scan's arguments, and with spectrum.eigenvalue wrapped,
+which counts each call's scans; that stream is then replayed through
 shoot._theta_scan.  It records the kernel's ns per piece (median of the
-replays), theta-scans per eigenvalue, and the untraced compute_spectrum
-pass time (median of the passes), against whichever slprime the import
-finds.  The run is stored under LABEL in the output JSON, next to the
-runs already there, so one file can hold the same harness run on two
-checkouts.
+replays), theta-scans and piece-scans, theta-scans per eigenvalue (the
+mean over eigenvalues found; p50, p90 and max over eigenvalue calls,
+the call that finds a finite spectrum's end included), and the untraced
+compute_spectrum pass time (median of the passes), against whichever
+slprime the import finds.  The run is stored under LABEL in the output
+JSON, next to the runs already there, so one file can hold the same
+harness run on two checkouts.
 """
 
 from __future__ import annotations
@@ -84,18 +87,27 @@ def measure(count: int | None = None, replays: int = REPLAYS, passes: int = PASS
 
     cases = problems(count)
     stream = []
-    inner = spectrum._theta_scan
+    per_eigenvalue = []  # theta-scans of each eigenvalue call, found or not
+    inner, solve = spectrum._theta_scan, spectrum.eigenvalue
 
     def recording(*args):
         stream.append(args)
         return inner(*args)
 
-    spectrum._theta_scan = recording
+    def counting(*args, **kwargs):
+        start = len(stream)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            per_eigenvalue.append(len(stream) - start)
+
+    spectrum._theta_scan, spectrum.eigenvalue = recording, counting
     try:
         eigenvalues = _solve_all(cases)
     finally:
-        spectrum._theta_scan = inner
+        spectrum._theta_scan, spectrum.eigenvalue = inner, solve
     pieces = sum(len(args[0]) for args in stream)  # one entry per piece
+    per_eigenvalue.sort()
 
     scan = shoot._theta_scan
     per_piece = []
@@ -118,6 +130,9 @@ def measure(count: int | None = None, replays: int = REPLAYS, passes: int = PASS
         "scans": len(stream),
         "pieces_scanned": pieces,
         "scans_per_eigenvalue": len(stream) / eigenvalues,
+        "scans_per_call_p50": per_eigenvalue[len(per_eigenvalue) // 2],
+        "scans_per_call_p90": per_eigenvalue[int(0.9 * len(per_eigenvalue))],
+        "scans_per_call_max": per_eigenvalue[-1],
         "l0_ns_per_piece": statistics.median(per_piece),
         "l0_ns_per_piece_runs": [round(x, 1) for x in per_piece],
         "pass_s": statistics.median(pass_times),
@@ -129,8 +144,9 @@ def main(argv) -> int:
     args = bench_parser(__doc__, "BENCH_scan.json").parse_args(argv)
     run = measure()
     print(f"{args.label}: {run['l0_ns_per_piece']:.1f} ns/piece, "
-          f"{run['scans_per_eigenvalue']:.3f} scans/eigenvalue, pass {run['pass_s']:.4f} s",
-          file=sys.stderr)
+          f"{run['scans_per_eigenvalue']:.3f} scans/eigenvalue (p50 {run['scans_per_call_p50']}, "
+          f"p90 {run['scans_per_call_p90']}, max {run['scans_per_call_max']}), "
+          f"{run['pieces_scanned']} piece-scans, pass {run['pass_s']:.4f} s", file=sys.stderr)
     record(args.out, args.label, run)
     return 0
 

@@ -95,6 +95,8 @@ def commands() -> dict:
         "spectrum_missing": ["spectrum", *cfg("missing"), "--out", "out.csv"],
         "incompat_unit": ["incompat", *cfg("unit"), "--n-max", "1000", "--out", "out.csv"],
         "incompat_seeded4": ["incompat", *cfg("seeded4"), "--n-max", "120", "--out", "out.csv"],
+        # lambda_1 = 0 exactly: the row whose ratio p_n / lambda_n is undefined
+        "incompat_neumann": ["incompat", *cfg("neumann"), "--n-max", "200", "--out", "out.csv"],
         "nonlinear_default": ["nonlinear", "--n-max", "100", "--out", "out.csv"],
         "nonlinear_qstep": ["nonlinear", *cfg("qstep"), "--n-max", "20", "--out", "out.csv"],
         "nonlinear_capped": ["nonlinear", *cfg("capped"), "--n-max", "14", "--out", "out.csv"],
