@@ -1,4 +1,4 @@
-"""Eigenvalue location by Brent's method on the terminal Prufer angle.
+"""Eigenvalue location by Chandrupatla's method on the terminal Prufer angle.
 
 theta(b; lambda) is non-decreasing in lambda for right-definite problems,
 so the n-th eigenvalue is the unique real root of
@@ -12,23 +12,25 @@ coefficients with Dirichlet or Neumann ends.  They expand
 geometrically; expansion that reaches the lambda cap without attaining
 the target angle raises EigenvalueNotFound, which for Atkinson-type
 problems is the expected way a finite spectrum announces its end.
-compute_spectrum carries brackets from index to index: every scan made
-for index n - 1 gives f for index n exactly, one pi lower, so index n
-starts from the tightest of those points whose computed f has the right
-sign, and expands only where none does.
+compute_spectrum walks the indices in turn, and the walk carries its own
+state: the scan records, built once, and every scan made for index
+n - 1, which gives f for index n exactly, one pi lower.  Index n starts
+from the tightest of those points whose computed f has the right sign,
+and expands only where none does.  Nothing is kept between calls.
 
-Inside the bracket a Brent-Dekker iteration (inverse quadratic and
-secant steps, safeguarded by bisection; Brent, Algorithms for
-Minimization without Derivatives, 1973) closes in on the root.  It
-interpolates on the boundary function h = rho(b) sin f, a positive
-multiple of u(b) cos beta + v(b) sin beta (Pryce, Numerical Solution of
-Sturm-Liouville Problems, 1993), which stays smooth in lambda where
-theta(b) steps past a localized mode; beyond |f| = pi, h continues
-monotonically with the sign of f.  Sign tests, tolerance and residual
-use f.  Where theta(b) is so steep that the bracket reaches its
-tolerance before the angle does, secant steps on h, kept strictly
-inside the bracket, continue to float exhaustion.  The bracket end
-with the smaller |f| is the eigenvalue.
+Inside the bracket, one loop of Chandrupatla's method (Adv. Eng.
+Software 28, 1997) closes in on the root: inverse quadratic
+interpolation through the newest point, the other end of the bracket
+and the point dropped last where that is safe, the secant on the first
+step, bisection otherwise.  It interpolates on the boundary function
+h = rho(b) sin f, a positive multiple of u(b) cos beta + v(b) sin beta
+(Pryce, Numerical Solution of Sturm-Liouville Problems, 1993), which
+stays smooth in lambda where theta(b) steps past a localized mode;
+beyond |f| = pi, h continues monotonically with the sign of f.  Sign
+tests, tolerance and residual use f.  Where theta(b) is so steep that
+the bracket reaches its tolerance before the angle does, the same loop
+steps anywhere strictly inside the bracket until the floats run out.
+The bracket end with the smaller |f| is the eigenvalue.
 """
 
 from __future__ import annotations
@@ -104,17 +106,8 @@ class Spectrum:
         return [ev.value for ev in self.eigenvalues]
 
 
-# (problem, cap, result) of the last call that passed: compute_spectrum asks
-# for every index of one problem in turn, and the check is not free
-_last_scannable = (None, None, None)
-
-
 def _scannable_pieces(problem: SLProblem, cap: float):
     """(_scan_records at cap, Weyl constant C, (1/C) sum h q sqrt(s/r) over s r > 0 or 0)."""
-    global _last_scannable
-    last, last_cap, result = _last_scannable
-    if last is problem and last_cap == cap:
-        return result
     pieces = _solver_pieces(problem, cap)
     weyl_c = weyl_constant(problem.coeffs)
     shift = 0.0
@@ -122,9 +115,7 @@ def _scannable_pieces(problem: SLProblem, cap: float):
         shift = sum(h * q * math.sqrt(s / r) for h, s, q, r in zip(*pieces) if s * r > 0.0) / weyl_c
         if not math.isfinite(shift):
             shift = 0.0
-    result = (_scan_records(*pieces), weyl_c, shift)
-    _last_scannable = (problem, cap, result)
-    return result
+    return _scan_records(*pieces), weyl_c, shift
 
 
 def _point(lam: float, winding: int, frac: float, rho: float, beta: float, n: int):
@@ -149,23 +140,26 @@ def _point(lam: float, winding: int, frac: float, rho: float, beta: float, n: in
 
 
 def eigenvalue(
-    problem: SLProblem, n: int, opts: SolverOptions = DEFAULT_OPTIONS, _carry: list | None = None
+    problem: SLProblem, n: int, opts: SolverOptions = DEFAULT_OPTIONS, _carry: tuple | None = None
 ) -> Eigenvalue:
-    """n-th eigenvalue (n >= 1) by bracket expansion + Brent's method on theta(b).
+    """n-th eigenvalue (n >= 1) by bracket expansion + Chandrupatla's method on theta(b).
 
     Stops once the bracket is within max(lambda_tol_abs, lambda_tol_rel
-    |lambda|) and |theta(b) - target| <= angle_tol at b, and returns the
-    bracket end with the smaller |theta(b) - target|; value, residual and
-    oscillation all come from that one theta-scan.  Raises OutOfDomain
-    for a problem whose theta-scan could overflow below lambda_cap.
+    |lambda|) and |theta(b) - target| <= angle_tol at one of its ends, or
+    once no float lies strictly inside it, and returns the bracket end
+    with the smaller |theta(b) - target|; value, residual and oscillation
+    all come from that one theta-scan.  Raises OutOfDomain for a problem
+    whose theta-scan could overflow below lambda_cap.
 
-    _carry is _ascending's: the scan points of index n - 1 on the same
-    problem and options, read here for index n, and refilled with this
-    index's points.  A call without it starts cold.
+    _carry is _ascending's walk state on the same problem and options:
+    (_scannable_pieces at lambda_cap, the scan points of index n - 1),
+    whose points are read here for index n and refilled with this
+    index's.  A call without it builds its own pieces and starts cold.
     """
     if n < 1:
         raise OutOfDomain(f"eigenvalue index must be >= 1, got {n}")
-    records, weyl_c, shift = _scannable_pieces(problem, opts.lambda_cap)
+    pieces, carried = _carry or (_scannable_pieces(problem, opts.lambda_cap), ())
+    records, weyl_c, shift = pieces
     alpha, beta = problem.bc.alpha, problem.bc.beta
     target = beta + (n - 1) * _PI
     scanned = []
@@ -185,7 +179,7 @@ def eigenvalue(
     # from its winding and frac); only the signs so read are trusted, not
     # monotonicity between points
     lo = hi = None
-    for p in _carry or ():
+    for p in carried:
         if (p[3] - n + 1) * _PI + (p[4] - beta) < 0.0:
             if lo is None or p[0] > lo[0]:
                 lo = p
@@ -243,72 +237,52 @@ def eigenvalue(
         step *= 2.0
     lo, hi = (near, far) if up else (far, near)
 
-    # Brent-Dekker on f = theta(b) - target, f(lo) < 0 <= f(hi), interpolating
-    # on h.  b is the best point so far (smallest |h|), c the other end of the
-    # bracket (f = 0 counts as above), a the previous b; d is the last step
-    # and e the one before.
-    b, c = (lo, hi) if abs(lo[2]) < abs(hi[2]) else (hi, lo)
-    a = c
-    d = e = c[0] - b[0]
+    # Chandrupatla on f = theta(b) - target, interpolating on h: a is the
+    # newest point, b the other end of the bracket, c the one dropped last.
+    # The next point a + t (b - a) stays tol/2 from either end while the
+    # bracket is wider than tol, and strictly inside it after that.
+    a, b = (lo, hi) if abs(lo[2]) < abs(hi[2]) else (hi, lo)
+    t = a[2] / (a[2] - b[2])
     tol_abs, tol_rel, angle_tol = opts.lambda_tol_abs, opts.lambda_tol_rel, opts.angle_tol
     for _ in range(300):
-        tol = tol_rel * abs(b[0])
+        xa, xb = a[0], b[0]
+        w = xb - xa
+        tol = tol_rel * xa if xa > 0.0 else -tol_rel * xa
         if tol < tol_abs:
             tol = tol_abs
-        m = 0.5 * (c[0] - b[0])
-        if abs(c[0] - b[0]) <= tol:
-            if abs(b[1]) <= angle_tol:
+        tlim = 0.5 * tol / (w if w > 0.0 else -w)
+        if tlim >= 0.5:
+            if -angle_tol <= a[1] <= angle_tol or -angle_tol <= b[1] <= angle_tol:
                 break
-            # the bracket is at tolerance but theta(b) is too steep for the
-            # angle to be: secant steps on h, kept strictly inside the
-            # bracket, until the floats run out
-            x = b[0] - b[2] * (c[0] - b[0]) / (c[2] - b[2])
-            if not min(b[0], c[0]) < x < max(b[0], c[0]):
-                x = b[0] + m
-                if x == b[0] or x == c[0]:
-                    break
+        elif t < tlim:
+            t = tlim
+        elif t > 1.0 - tlim:
+            t = 1.0 - tlim
+        x = xa + t * w
+        if not (x - xa) * (x - xb) < 0.0:
+            x = xa + 0.5 * w
+            if not (x - xa) * (x - xb) < 0.0:
+                break
+        p = scan(x)
+        if (p[1] >= 0.0) == (a[1] >= 0.0):
+            a, c = p, a
         else:
-            tol1 = 0.5 * tol
-            if b[2] == 0.0:
-                # b is a root; the interpolation's sign tests cannot orient a
-                # zero step, so close the bracket in by the minimum step
-                d = 0.0
-            elif abs(e) >= tol1 and abs(a[2]) > abs(b[2]):
-                # secant through a, b, or inverse quadratic through a, b, c
-                s = b[2] / a[2]
-                if a[0] == c[0]:
-                    p = 2.0 * m * s
-                    q = 1.0 - s
-                else:
-                    qa = a[2] / c[2]
-                    qb = b[2] / c[2]
-                    p = s * (2.0 * m * qa * (qa - qb) - (b[0] - a[0]) * (qb - 1.0))
-                    q = (qa - 1.0) * (qb - 1.0) * (s - 1.0)
-                if p > 0.0:
-                    q = -q
-                else:
-                    p = -p
-                # accept the interpolated step only while it stays well inside
-                # the bracket and shrinks faster than bisection would
-                if 2.0 * p < 3.0 * m * q - abs(tol1 * q) and 2.0 * p < abs(e * q):
-                    e, d = d, p / q
-                else:
-                    d = e = m
-            else:
-                d = e = m
-            x = b[0] + (d if abs(d) > tol1 else math.copysign(tol1, m))
-        a, b = b, scan(x)
-        if (b[1] >= 0.0) == (c[1] >= 0.0):
-            c = a
-            d = e = b[0] - a[0]
-        if abs(c[2]) < abs(b[2]):
-            a, b, c = b, c, b
+            a, b, c = p, a, b
+        ha, hb, hc = a[2], b[2], c[2]
+        xi = (a[0] - b[0]) / (c[0] - b[0])
+        phi = (ha - hb) / (hc - hb)
+        if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+            t = ha / (hb - ha) * hc / (hb - hc) + (
+                (c[0] - a[0]) / (b[0] - a[0]) * ha / (hc - ha) * hb / (hc - hb)
+            )
+        else:
+            t = 0.5
 
     if _carry is not None:
         # a point below the bracket cannot bound index n + 1 more tightly than it
-        top = max(b[0], c[0])
-        _carry[:] = [p for p in starts + scanned if p[0] >= top]
-    lam_hat, f_hat, _, wind_hat, frac_hat, _ = b if abs(b[1]) <= abs(c[1]) else c
+        top = max(a[0], b[0])
+        carried[:] = [p for p in starts + scanned if p[0] >= top]
+    lam_hat, f_hat, _, wind_hat, frac_hat, _ = a if abs(a[1]) <= abs(b[1]) else b
     residual = abs(f_hat)
     # a terminal crossing counted in the winding is the boundary zero at b,
     # not an interior one; frac ~ 0 is the signature of that configuration
@@ -320,11 +294,13 @@ def eigenvalue(
 def _ascending(problem: SLProblem, opts: SolverOptions = DEFAULT_OPTIONS):
     """Eigenvalues 1, 2, 3, ... in turn, each bracket started from the scans of the index before.
 
-    Each goes through one eigenvalue call; EigenvalueNotFound ends the walk.
+    The scan records are built once here.  Each index goes through one
+    eigenvalue call (looked up on the module, so a wrapper sees it);
+    EigenvalueNotFound ends the walk.
     """
-    carry: list = []
+    walk = (_scannable_pieces(problem, opts.lambda_cap), [])
     for n in itertools.count(1):
-        yield eigenvalue(problem, n, opts, carry)
+        yield eigenvalue(problem, n, opts, walk)
 
 
 def compute_spectrum(

@@ -1,5 +1,7 @@
 """CLI: document parsing, round-trips, CSV shape, exit codes, verdict lines."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slprime.primes as primes_mod
 from helpers import random_problem
@@ -323,6 +327,24 @@ def test_incompat_neumann_zero_eigenvalue_has_no_ratio(tmp_path):
     assert float(rows[1][3]) == first
     # the verdict note quotes the first ratio, PASS or FAIL
     assert f"{first:.3e}" in proc.stdout
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_incompat_keeps_the_exit_code_contract(tmp_path_factory, seed):
+    # any admissible document: a verdict (0 PASS or INCONCLUSIVE, 3 FAIL) or,
+    # when the spectrum ends before n_max, the refusal 2; never an exception
+    prob = random_problem(np.random.default_rng(seed), max_pieces=5)
+    work = tmp_path_factory.mktemp("incompat")
+    cfg = write_doc(work, problem_to_document(prob, SolverOptions()))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = run(["incompat", "--config", cfg, "--n-max", "100", "--out", str(work / "i.csv")])
+    if code == 2:
+        assert out.getvalue().startswith("TRUNCATED at n = ")
+        assert "incompat needs the full range" in err.getvalue()
+    else:
+        assert code in (0, 3), (code, err.getvalue())
 
 
 def test_growth_command(tmp_path, capsys):

@@ -281,7 +281,7 @@ def test_low_cap_reports_not_found_with_cap(monkeypatch):
 
 
 def bisection_eigenvalue(prob, n, opts=SolverOptions()):
-    """Reference: the plain bisection on theta(b) that the Brent iteration replaced.
+    """Reference: the plain bisection on theta(b) that the bracketing iteration replaced.
 
     Same Weyl-guess bracket expansion and stopping rule; returns
     (lambda, oscillation) from the last midpoint.
@@ -343,6 +343,57 @@ def test_brent_agrees_with_bisection():
                 s * (ev.value * r - q) < 0.0 for s, q, r in zip(svals, qvals, rvals)
             )
     assert hyperbolic > 20  # the hyperbolic branch really was exercised
+
+
+def _impedance_jump_problem():
+    """Five pieces whose impedance jumps.
+
+    Near n = 1000 theta(b) is so steep that the bracket reaches its lambda
+    tolerance before the angle reaches angle_tol.
+    """
+    mesh = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+    s, q, r = [1.0, 2.0, 0.5, 1.5, 1.0], [5.0, -30.0, 12.0, 0.0, 40.0], [1.0, 0.7, 2.0, 1.0, 3.0]
+    return problem(*(make_piecewise(mesh, v) for v in (s, q, r)), alpha=0.3, beta=2.0)
+
+
+def test_float_exhaustion_returns_the_smaller_residual_end(monkeypatch):
+    prob, opts = _impedance_jump_problem(), SolverOptions()
+    points = []
+    read = spectrum_mod._point
+    monkeypatch.setattr(spectrum_mod, "_point", lambda *a: points.append(read(*a)) or points[-1])
+    exhausted = 0
+    for n in range(996, 1005):
+        points.clear()
+        ev = eigenvalue(prob, n, opts)
+        # every scan lands inside the bracket of its time, so the final
+        # bracket is the highest point below the target and the lowest above
+        lo = max((p for p in points if p[1] < 0.0), key=lambda p: p[0])
+        hi = min((p for p in points if p[1] >= 0.0), key=lambda p: p[0])
+        assert lo[0] < hi[0]
+        assert ev.residual == min(abs(lo[1]), abs(hi[1]))
+        assert ev.value in [p[0] for p in (lo, hi) if abs(p[1]) == ev.residual]
+        lam, _ = bisection_eigenvalue(prob, n, opts)
+        assert abs(ev.value - lam) <= 2.0 * max(opts.lambda_tol_abs, opts.lambda_tol_rel * abs(lam))
+        if ev.residual > opts.angle_tol:
+            # the angle test never passed: the loop ran until no float lay inside
+            assert math.nextafter(lo[0], hi[0]) == hi[0], (n, lo[0], hi[0])
+            exhausted += 1
+    assert exhausted >= 6  # the phase really ran
+
+
+def test_interleaved_walks_share_no_state():
+    rng = np.random.default_rng(5)
+    a, b = random_problem(rng, max_pieces=6, allow_zero=False), _search_shape(rng)
+    walk_a = spectrum_mod._ascending(a)
+    found = [next(walk_a) for _ in range(5)]
+    cold_b = eigenvalue(b, 7)
+    walk_b = spectrum_mod._ascending(b)
+    from_b = [next(walk_b) for _ in range(3)]
+    found += [next(walk_a) for _ in range(7)]
+    from_b += [next(walk_b) for _ in range(4)]
+    assert tuple(found) == compute_spectrum(a, 12).eigenvalues  # bit for bit
+    assert tuple(from_b) == compute_spectrum(b, 7).eigenvalues
+    assert cold_b == eigenvalue(b, 7)
 
 
 def test_scan_budget_per_eigenvalue(monkeypatch):
@@ -418,7 +469,7 @@ def test_boundary_function_has_the_sign_of_the_angle_mismatch(pieces, alpha, bet
     # h = rho sin f; the neighbours reach the continuation beyond |f| = pi
     n = max(1, winding + 1 + offset)
     _, f, h, _, _, _ = spectrum_mod._point(lam, winding, frac, math.hypot(u, v), beta, n)
-    # every f, zero and subnormal included: Brent's interpolation on h
+    # every f, zero and subnormal included: the interpolation on h
     # must point where the sign tests on f orient the bracket
     assert (f > 0.0) == (h > 0.0) and (f < 0.0) == (h < 0.0), (f, h)
 

@@ -6,6 +6,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
@@ -19,9 +21,14 @@ def _load(name):
     return module
 
 
-def test_bench_scan_measures_a_small_stream():
+def test_bench_scan_measures_a_small_stream(monkeypatch):
     bench_scan = _load("bench_scan")
     import slprime.spectrum as spectrum
+
+    # the times are paired with perfbench's own reference loop, not a copy of it
+    gauge = sys.modules["gauge"]
+    assert Path(gauge.__file__).resolve() == TOOLS.parent / "perfbench" / "gauge.py"
+    assert bench_scan.reference_seconds is gauge.reference_seconds
 
     kernel, solve = spectrum._theta_scan, spectrum.eigenvalue
     t0 = time.perf_counter()
@@ -33,13 +40,22 @@ def test_bench_scan_measures_a_small_stream():
         "git_head", "python", "machine", "nproc", "problems", "eigenvalues", "scans",
         "pieces_scanned", "scans_per_eigenvalue", "scans_per_call_p50", "scans_per_call_p90",
         "scans_per_call_max", "l0_ns_per_piece", "l0_ns_per_piece_runs", "pass_s", "pass_s_runs",
+        "l0_norm_ns_per_piece", "l0_norm_ns_per_piece_runs", "pass_norm_s", "pass_norm_s_runs",
     }
     assert run["problems"] == 5 and run["eigenvalues"] > 0
     assert run["scans_per_eigenvalue"] == run["scans"] / run["eigenvalues"] > 1.0
     assert 1 <= run["scans_per_call_p50"] <= run["scans_per_call_p90"] <= run["scans_per_call_max"]
     assert run["pieces_scanned"] >= run["scans"]
-    assert run["l0_ns_per_piece"] > 0.0 and len(run["l0_ns_per_piece_runs"]) == 2
-    assert run["pass_s"] > 0.0 and len(run["pass_s_runs"]) == 1
+    for raw, norm, count in (("l0_ns_per_piece", "l0_norm_ns_per_piece", 2),
+                             ("pass_s", "pass_norm_s", 1)):
+        assert run[raw] > 0.0 and len(run[f"{raw}_runs"]) == count
+        assert run[norm] > 0.0 and len(run[f"{norm}_runs"]) == count
+
+    # on a core where the reference loop takes 4 ms, every time counts a quarter
+    monkeypatch.setattr(bench_scan, "reference_seconds", lambda: 4.0 * gauge.REF_NOMINAL_S)
+    run = bench_scan.measure(count=2, replays=3, passes=2)
+    for raw, norm in (("l0_ns_per_piece", "l0_norm_ns_per_piece"), ("pass_s", "pass_norm_s")):
+        assert run[norm] == pytest.approx(0.25 * run[raw], rel=1e-12)
 
 
 def test_git_head_marks_an_uncommitted_tree_dirty(tmp_path):
@@ -94,3 +110,34 @@ def test_bench_sieve_measures_small_runs():
     for proc in run["processes"].values():
         assert proc["wall_s"] > 0.0 and len(proc["max_rss_mb_runs"]) == 1
         assert proc["max_rss_mb"] > 1.0
+
+
+def test_cli_snapshot_compare_names_every_change(tmp_path, capsys):
+    cli_snapshot = _load("cli_snapshot")
+    old, new = tmp_path / "old", tmp_path / "new"
+    files = {
+        # an eigenvalue moving 2e-11 at lambda = 100 is 0.2 units of max(1e-10, 1e-10)
+        "spectrum/out.csv": ("# v1\nn,lambda,residual\n1,1.0,0.0\n2,100.0,1e-12\n",
+                             "# v2\nn,lambda,residual\n1,1.0,0.0\n2,100.00000000002,1e-12\n"),
+        "spectrum/stdout.txt": ("4 rows\n", "4 rows \n"),
+        "invert/out.json": ('{"best": 0.5, "q": [1.0, 2.0]}', '{"best": 0.25, "q": [1.0, 2.0]}'),
+        "invert/targets.csv": ("n,achieved_mu\n1,3.0\n", "n,achieved_mu\n1,3.0\n2,5.0\n"),
+        "same/out.csv": ("n,p_n\n1,2\n", "n,p_n\n1,2\n"),
+        "gone.txt": ("x\n", None),
+    }
+    for name, texts in files.items():
+        for root, text in zip((old, new), texts):
+            if text is not None:
+                (root / name).parent.mkdir(parents=True, exist_ok=True)
+                (root / name).write_text(text)
+    assert cli_snapshot.main(["--compare", str(old), str(new)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"only in {old}: gone.txt",
+        "invert/out.json: 1 numeric cells changed, largest relative change 0.5 at $.best",
+        "invert/targets.csv: differs in shape",
+        "spectrum/out.csv: 1 numeric cells changed, largest relative change 2e-13 at "
+        "lambda[2], eigenvalues 0.2 tolerance units",
+        "spectrum/stdout.txt: differs",
+    ]
+    assert cli_snapshot.main(["--compare", str(old), str(old)]) == 0
+    assert capsys.readouterr().out == "6 files, all identical\n"

@@ -18,6 +18,14 @@ compute_spectrum pass time (median of the passes), against whichever
 slprime the import finds.  The run is stored under LABEL in the output
 JSON, next to the runs already there, so one file can hold the same
 harness run on two checkouts.
+
+Core speed on a shared VM drifts by up to 2x between runs, so each
+problem's share of a replay or pass is paired with a run of perfbench's
+reference loop (perfbench/gauge.py, imported unchanged) just before it,
+as perfbench's spectra workload pairs its calls.  l0_norm_ns_per_piece
+and pass_norm_s sum time / reference time x REF_NOMINAL_S over the
+problems: times on a core where the loop takes 1 ms, next to the raw
+l0_ns_per_piece and pass_s.
 """
 
 from __future__ import annotations
@@ -30,6 +38,9 @@ import time
 from pathlib import Path
 
 from benchmeta import bench_parser, record, run_header
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from gauge import REF_NOMINAL_S, reference_seconds  # noqa: E402
 
 SEED = 20261018
 REPLAYS = 15
@@ -81,6 +92,19 @@ def _solve_all(cases) -> int:
     return sum(len(compute_spectrum(prob, n_max).eigenvalues) for prob, n_max in cases)
 
 
+def _paired(work, chunks) -> tuple[float, float]:
+    """(raw, normalised) seconds of work(chunk) over chunks, each after a reference loop run."""
+    raw = norm = 0.0
+    for chunk in chunks:
+        ref = reference_seconds()
+        t0 = time.perf_counter()
+        work(chunk)
+        dt = time.perf_counter() - t0
+        raw += dt
+        norm += dt / ref * REF_NOMINAL_S
+    return raw, norm
+
+
 def measure(count: int | None = None, replays: int = REPLAYS, passes: int = PASSES) -> dict:
     import slprime.shoot as shoot
     import slprime.spectrum as spectrum
@@ -101,26 +125,31 @@ def measure(count: int | None = None, replays: int = REPLAYS, passes: int = PASS
         finally:
             per_eigenvalue.append(len(stream) - start)
 
+    ends = [0]  # the stream's share of each problem ends at these
     spectrum._theta_scan, spectrum.eigenvalue = recording, counting
     try:
-        eigenvalues = _solve_all(cases)
+        eigenvalues = 0
+        for case in cases:
+            eigenvalues += _solve_all([case])
+            ends.append(len(stream))
     finally:
         spectrum._theta_scan, spectrum.eigenvalue = inner, solve
     pieces = sum(len(args[0]) for args in stream)  # one entry per piece
     per_eigenvalue.sort()
 
     scan = shoot._theta_scan
-    per_piece = []
-    for _ in range(replays):
-        t0 = time.perf_counter()
-        for args in stream:
+
+    def replay(chunk):
+        for args in chunk:
             scan(*args)
-        per_piece.append(1e9 * (time.perf_counter() - t0) / pieces)
-    pass_times = []
-    for _ in range(passes):
-        t0 = time.perf_counter()
-        _solve_all(cases)
-        pass_times.append(time.perf_counter() - t0)
+
+    chunks = [stream[i:j] for i, j in zip(ends, ends[1:])]
+    replay_times = [_paired(replay, chunks) for _ in range(replays)]
+    pass_times = [_paired(lambda case: _solve_all([case]), cases) for _ in range(passes)]
+    l0_raw = [1e9 * raw / pieces for raw, _ in replay_times]
+    l0_norm = [1e9 * norm / pieces for _, norm in replay_times]
+    pass_raw = [raw for raw, _ in pass_times]
+    pass_norm = [norm for _, norm in pass_times]
 
     package = Path(shoot.__file__).resolve().parent
     return {
@@ -133,10 +162,14 @@ def measure(count: int | None = None, replays: int = REPLAYS, passes: int = PASS
         "scans_per_call_p50": per_eigenvalue[len(per_eigenvalue) // 2],
         "scans_per_call_p90": per_eigenvalue[int(0.9 * len(per_eigenvalue))],
         "scans_per_call_max": per_eigenvalue[-1],
-        "l0_ns_per_piece": statistics.median(per_piece),
-        "l0_ns_per_piece_runs": [round(x, 1) for x in per_piece],
-        "pass_s": statistics.median(pass_times),
-        "pass_s_runs": [round(x, 4) for x in pass_times],
+        "l0_ns_per_piece": statistics.median(l0_raw),
+        "l0_ns_per_piece_runs": [round(x, 1) for x in l0_raw],
+        "l0_norm_ns_per_piece": statistics.median(l0_norm),
+        "l0_norm_ns_per_piece_runs": [round(x, 1) for x in l0_norm],
+        "pass_s": statistics.median(pass_raw),
+        "pass_s_runs": [round(x, 4) for x in pass_raw],
+        "pass_norm_s": statistics.median(pass_norm),
+        "pass_norm_s_runs": [round(x, 4) for x in pass_norm],
     }
 
 
@@ -146,7 +179,9 @@ def main(argv) -> int:
     print(f"{args.label}: {run['l0_ns_per_piece']:.1f} ns/piece, "
           f"{run['scans_per_eigenvalue']:.3f} scans/eigenvalue (p50 {run['scans_per_call_p50']}, "
           f"p90 {run['scans_per_call_p90']}, max {run['scans_per_call_max']}), "
-          f"{run['pieces_scanned']} piece-scans, pass {run['pass_s']:.4f} s", file=sys.stderr)
+          f"{run['pieces_scanned']} piece-scans, pass {run['pass_s']:.4f} s; normalised "
+          f"{run['l0_norm_ns_per_piece']:.1f} ns/piece, pass {run['pass_norm_s']:.4f} s",
+          file=sys.stderr)
     record(args.out, args.label, run)
     return 0
 

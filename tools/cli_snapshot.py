@@ -8,12 +8,22 @@ relative, so nothing in the output depends on where OUTDIR lies.  A
 command's directory holds the files it wrote and its stdout (stdout.txt);
 OUTDIR/exit_codes.tsv lists name, exit code and last stderr line per
 command.  To compare two checkouts, run each one's copy of this script
-into its own directory and `diff -r` the two: that is the whole check.
+into its own directory and compare the two:
+
+    python tools/cli_snapshot.py --compare OLD NEW
+
+lists every file that is only in one of them or differs, and exits 1 if
+any does.  For a CSV or JSON file it also gives how many numeric cells
+changed, the largest relative change, and for eigenvalue columns
+(LAMBDA_COLUMNS) the largest change in the solver's tolerance units,
+max(lambda_tol_abs, lambda_tol_rel |lambda|) at the default options.
 """
 
 from __future__ import annotations
 
+import csv
 import json
+import math
 import os
 import random
 import subprocess
@@ -122,9 +132,111 @@ def commands() -> dict:
     }
 
 
+LAMBDA_COLUMNS = ("lambda", "mu", "achieved_mu")  # the columns that hold eigenvalues
+
+
+def _cells(path: Path) -> dict | None:
+    """{key: (column, value)} of a CSV (key column[row]) or JSON file (key $.path); else None.
+
+    column is the CSV column or JSON key a value sits under; None marks a
+    header or a container's keys or length, compared but never as numbers.
+    """
+    if path.suffix == ".csv":
+        lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+        header, *rows = csv.reader(lines)
+        cells = {"header": (None, header)}
+        for i, row in enumerate(rows, 1):
+            cells |= {f"{name}[{i}]": (name, cell) for name, cell in zip(header, row)}
+        return cells
+    if path.suffix != ".json":
+        return None
+    cells = {}
+
+    def walk(node, key, name):
+        if isinstance(node, dict):
+            cells[f"{key} keys"] = (None, list(node))
+            for k, v in node.items():
+                walk(v, f"{key}.{k}", k)
+        elif isinstance(node, list):
+            cells[f"{key} length"] = (None, len(node))
+            for i, v in enumerate(node):
+                walk(v, f"{key}[{i}]", name)
+        else:
+            cells[key] = (name, node)
+
+    walk(json.loads(path.read_text()), "$", None)
+    return cells
+
+
+def _number(value) -> float | None:
+    if isinstance(value, bool):
+        return None
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        return None
+    return x if math.isfinite(x) else None
+
+
+def _describe(old: Path, new: Path, tol_abs: float, tol_rel: float) -> str:
+    """What changed between two versions of one file, as one line's tail."""
+    a, b = _cells(old), _cells(new)
+    if a is None:
+        return "differs"
+    if a.keys() != b.keys():
+        return "differs in shape"
+    numeric = text = 0
+    worst, worst_key, units = 0.0, None, 0.0
+    for key, (name, x) in a.items():
+        y = b[key][1]
+        if x == y:
+            continue
+        fx, fy = _number(x), _number(y)
+        if name is None or fx is None or fy is None:
+            text += 1
+            continue
+        numeric += 1
+        rel = abs(fy - fx) / abs(fx) if fx else math.inf
+        if worst_key is None or rel > worst:
+            worst, worst_key = rel, key
+        if name in LAMBDA_COLUMNS:
+            units = max(units, abs(fy - fx) / max(tol_abs, tol_rel * abs(fx)))
+    parts = [f"{numeric} numeric cells changed"]
+    if numeric:
+        parts.append(f"largest relative change {worst:.3g} at {worst_key}")
+    if units:
+        parts.append(f"eigenvalues {units:.3g} tolerance units")
+    if text:
+        parts.append(f"{text} other cells changed")
+    return ", ".join(parts)
+
+
+def compare(old: Path, new: Path) -> int:
+    """Print every file only in one snapshot or differing between them; 1 if any, else 0."""
+    if str(SRC) not in sys.path:
+        sys.path.insert(0, str(SRC))
+    from slprime.spectrum import SolverOptions
+
+    tols = SolverOptions.lambda_tol_abs, SolverOptions().lambda_tol_rel
+
+    def files(root):
+        return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+    a, b = files(old), files(new)
+    lines = [f"only in {old}: {name}" for name in sorted(a - b)]
+    lines += [f"only in {new}: {name}" for name in sorted(b - a)]
+    for name in sorted(a & b):
+        if (old / name).read_bytes() != (new / name).read_bytes():
+            lines.append(f"{name}: {_describe(old / name, new / name, *tols)}")
+    print("\n".join(lines) if lines else f"{len(a)} files, all identical")
+    return 1 if lines else 0
+
+
 def main(argv) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
     if len(argv) != 1:
-        print("usage: python tools/cli_snapshot.py OUTDIR", file=sys.stderr)
+        print("usage: python tools/cli_snapshot.py OUTDIR | --compare OLD NEW", file=sys.stderr)
         return 2
     out = Path(argv[0])
     if out.exists() and any(out.iterdir()):
