@@ -27,6 +27,18 @@ of u, and since every zero flips the sign of u, the sign of u at the
 two ends says which.  The theta-scan takes that parity count when w/pi
 is more than _PARITY_MARGIN from an integer and u is nonzero at both
 ends; otherwise it counts the phase's pi-multiples from atan2.
+
+The scan carries (u, v) unnormalised and rescales it when its size
+|u| + |v| leaves 1e+-120.  An oscillating piece conserves k u^2 + s v^2
+(the energy behind the scaled Prufer method; Pryce, Numerical Solution
+of Sturm-Liouville Problems, 1993), so it moves |(u, v)| by a factor of
+at most max(sqrt(k/s), sqrt(s/k)), below max(sqrt((|q| + cap r)/s),
+100 s h) for |lambda| <= cap since z = s k h^2 > 1e-4 there.  Where
+those bounds multiply to less than 1e180 over a problem's pieces with
+s > 0, a state that left its last size test inside 1e+-120 stays inside
+1e+-300, and the scan tests the size only after the pieces that can
+move it further: those with s = 0 and the non-oscillating ones.  On
+other problems it tests after every piece.
 """
 
 from __future__ import annotations
@@ -58,6 +70,10 @@ _HALF_PI = 0.5 * math.pi
 # counts its zeros from the phase instead of the sign parity
 _PARITY_MARGIN = 1e-6
 _PARITY_MAX_TURNS = 1e9
+
+# the decades of growth that oscillating pieces may add up to between two
+# size tests: 1e120 from the rescale threshold to 1e300 from overflow
+_UNCHECKED_DECADES = 180.0
 
 
 @dataclass(frozen=True)
@@ -143,18 +159,33 @@ class AngleResult:
     winding: int
 
 
-def _scan_records(widths, svals, qvals, rvals):
-    """One (h, s, q, r, s h) record per piece: the rows _theta_scan walks."""
-    return tuple((h, s, q, r, s * h) for h, s, q, r in zip(widths, svals, qvals, rvals))
+def _scan_records(widths, svals, qvals, rvals, cap):
+    """One (h, s, q, r, s h, check) record per piece: the rows _theta_scan walks at |lambda| <= cap.
+
+    check is one flag for the whole problem: whether _theta_scan tests the
+    state's size after an oscillating piece.  It is False when the sum over
+    the pieces with s > 0 of log10(1 + max(sqrt((|q| + cap r)/s), 100 s h)),
+    the decades by which such a piece can move |(u, v)| at most, stays
+    below _UNCHECKED_DECADES (see the module docstring).
+    """
+    decades = 0.0
+    for h, s, q, r in zip(widths, svals, qvals, rvals):
+        if s > 0.0:
+            decades += math.log10(1.0 + max(math.sqrt((abs(q) + cap * r) / s), 100.0 * s * h))
+    check = not decades < _UNCHECKED_DECADES  # a NaN bound checks too
+    return tuple((h, s, q, r, s * h, check) for h, s, q, r in zip(widths, svals, qvals, rvals))
 
 
 def _theta_scan(records, alpha, lam):
     """Crossing count and terminal angle fraction for real lambda.
 
-    records holds one (h, s, q, r, s h) tuple per piece (_scan_records).
-    Returns (winding, frac, u, v) with theta(b) = winding*pi + frac and
-    (u, v) the (rescaled) terminal state.  The angle is exact mod pi at
-    every breakpoint because frac always comes from the state itself.
+    records holds one (h, s, q, r, s h, check) tuple per piece
+    (_scan_records), lambda within their cap.  Returns (winding, frac, u,
+    v) with theta(b) = winding*pi + frac and (u, v) the (rescaled)
+    terminal state.  The angle is exact mod pi at every breakpoint because
+    frac always comes from the state itself.  The state's size is tested
+    after a piece with s = 0, a non-oscillating piece, and an oscillating
+    one whose record has check set.
 
     On an oscillatory piece the phase psi = atan2(w u, -s h v) advances by
     exactly w, and u vanishes where psi is a multiple of pi.  When
@@ -179,11 +210,12 @@ def _theta_scan(records, alpha, lam):
     u = sin(alpha)
     v = -cos(alpha)
     winding = 0
-    for h, s, q, r, sh in records:
+    for h, s, q, r, sh, check in records:
         k = lam * r - q
         if s == 0.0:
             # u is frozen on the piece; theta cannot reach a multiple of pi
             v += k * h * u
+            check = True
         else:
             z = s * k * h * h
             if z > cut:
@@ -258,12 +290,14 @@ def _theta_scan(records, alpha, lam):
                 # flip from up (the sign just inside, as above)
                 up = u > 0.0 or (u == 0.0 and v < 0.0)
                 zc = 1 if u1 == 0.0 or up != (u1 > 0.0) else 0
+                check = True
             u, v = u1, v1
             winding += zc
-        n = abs(u) + abs(v)
-        if n > 1e120 or n < 1e-120:
-            u /= n
-            v /= n
+        if check:
+            n = abs(u) + abs(v)
+            if n > 1e120 or n < 1e-120:
+                u /= n
+                v /= n
     if u == 0.0:
         # the zero at b is already in the winding; atan2(+0, -v) would
         # read pi for u = +0 with v > 0 and add a second pi
@@ -311,7 +345,8 @@ def prufer_angle(problem: SLProblem, lam: float) -> AngleResult:
     """
     if isinstance(lam, complex) or not math.isfinite(lam):
         raise OutOfDomain(f"prufer_angle needs real finite lambda, got {lam!r}")
-    records = _scan_records(*_solver_pieces(problem, abs(lam), "|lambda|"))
+    cap = abs(lam)
+    records = _scan_records(*_solver_pieces(problem, cap, "|lambda|"), cap)
     winding, frac, _, _ = _theta_scan(records, problem.bc.alpha, lam)
     theta_b = winding * _PI + frac
     if not math.isfinite(theta_b):

@@ -9,9 +9,11 @@ Brackets start from the Weyl guess lambda ~ ((n - 1 + (beta - alpha) / pi)
 pi / C)^2 plus the mean of q sqrt(s/r): the angle must advance by
 beta - alpha + (n - 1) pi, and the guess is exact for constant
 coefficients with Dirichlet or Neumann ends.  They expand
-geometrically; expansion that reaches the lambda cap without attaining
-the target angle raises EigenvalueNotFound, which for Atkinson-type
-problems is the expected way a finite spectrum announces its end.
+geometrically, after one probe half a tolerance away where the start
+already meets the angle test; expansion that reaches the lambda cap
+without attaining the target angle raises EigenvalueNotFound, which for
+Atkinson-type problems is the expected way a finite spectrum announces
+its end.
 compute_spectrum walks the indices in turn, and the walk carries its own
 state: the scan records, built once, and every scan made for index
 n - 1, which gives f for index n exactly, one pi lower.  Index n starts
@@ -115,7 +117,7 @@ def _scannable_pieces(problem: SLProblem, cap: float):
         shift = sum(h * q * math.sqrt(s / r) for h, s, q, r in zip(*pieces) if s * r > 0.0) / weyl_c
         if not math.isfinite(shift):
             shift = 0.0
-    return _scan_records(*pieces), weyl_c, shift
+    return _scan_records(*pieces, cap), weyl_c, shift
 
 
 def _point(lam: float, winding: int, frac: float, rho: float, beta: float, n: int):
@@ -213,7 +215,13 @@ def eigenvalue(
     up = near[1] < 0.0
     end = hi if up else lo
     origin = near[0]
-    step = max(1.0, 0.05 * abs(origin))
+    wide = max(1.0, 0.05 * abs(origin))
+    step = wide
+    if -opts.angle_tol <= near[1] <= opts.angle_tol:
+        # the start already meets the angle test: a probe half a tolerance
+        # away brackets the root whenever it is that close, and one that
+        # does not costs a scan, not a bracket closed from wide onto tol
+        step = 0.5 * max(opts.lambda_tol_abs, opts.lambda_tol_rel * abs(origin))
     while True:
         x = origin + step if up else origin - step
         if end is not None and (x >= end[0] if up else x <= end[0]):
@@ -234,7 +242,7 @@ def eigenvalue(
                 cap=cap,
             )
         near = far
-        step *= 2.0
+        step = max(wide, 2.0 * step)  # back to wide after the probe, then doubling
     lo, hi = (near, far) if up else (far, near)
 
     # Chandrupatla on f = theta(b) - target, interpolating on h: a is the

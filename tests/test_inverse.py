@@ -12,6 +12,7 @@ from slprime.coeff import PiecewiseConstant
 from slprime.errors import BadConfig
 from slprime.inverse import (
     SearchConfig,
+    _damped_solve,
     _jacobian,
     _uniform_mesh,
     objective,
@@ -69,6 +70,38 @@ def test_jacobian_matches_central_differences(vals):
     # a constant shift c moves every mu_n by c: each row sums to 1
     for row in jac:
         assert abs(math.fsum(row) - 1.0) <= 1e-9
+
+
+def test_jacobian_row_on_a_series_piece_matches_quadrature():
+    # at mu equal to piece 2's q, k = z = 0 there and the walk takes the
+    # series kernels; the row must still be each piece's share of int u^2
+    from scipy.integrate import solve_ivp
+
+    vals = [30.0, -20.0, 50.0, 10.0]
+    widths = _widths(len(vals))
+    mu = vals[2]
+    (row,) = _jacobian(widths, vals, [mu])
+    state, shares = [0.0, -1.0], []
+    for h, q in zip(widths, vals):
+        # u' = -v, v' = (mu - q) u, and the running int u^2
+        sol = solve_ivp(lambda x, y: [-y[1], (mu - q) * y[0], y[0] ** 2], (0.0, h), [*state, 0.0],
+                        method="DOP853", rtol=1e-12, atol=1e-14)
+        state = list(sol.y[:2, -1])
+        shares.append(sol.y[2, -1])
+    total = math.fsum(shares)
+    assert row == pytest.approx([x / total for x in shares], rel=1e-9)
+
+
+def test_damped_solve_refuses_a_non_positive_pivot():
+    # (gram + damp I) y = rhs by Cholesky
+    gram, rhs = [[4.0, 2.0], [2.0, 3.0]], [1.0, 2.0]
+    y = _damped_solve(gram, 0.5, rhs)
+    for i in range(2):
+        assert sum(gram[i][j] * y[j] for j in range(2)) + 0.5 * y[i] == pytest.approx(rhs[i])
+    # indefinite at the first pivot, at the second, and singular: no solution
+    assert _damped_solve([[-1.0]], 0.5, [1.0]) is None
+    assert _damped_solve([[1.0, 2.0], [2.0, 1.0]], 0.0, rhs) is None
+    assert _damped_solve([[0.0]], 0.0, [1.0]) is None
 
 
 @settings(max_examples=60, deadline=None)

@@ -372,9 +372,39 @@ def _random_scan_args(local):
     return widths, svals.tolist(), qvals.tolist(), rvals.tolist(), alpha, float(lam)
 
 
-def flat_theta_scan(widths, svals, qvals, rvals, alpha, lam):
-    """_theta_scan on the reference kernel's arguments: four per-piece lists, alpha, lambda."""
-    return _theta_scan(_scan_records(widths, svals, qvals, rvals), alpha, lam)
+def flat_theta_scan(widths, svals, qvals, rvals, alpha, lam, cap=None):
+    """_theta_scan on the reference kernel's arguments: four per-piece lists, alpha, lambda.
+
+    The records are built at cap, |lambda| unless given, as prufer_angle builds them.
+    """
+    cap = abs(lam) if cap is None else cap
+    return _theta_scan(_scan_records(widths, svals, qvals, rvals, cap), alpha, lam)
+
+
+def _size_tested(widths, svals, qvals, rvals, cap):
+    """Whether _scan_records at cap has _theta_scan test the size after every piece."""
+    return _scan_records(widths, svals, qvals, rvals, cap)[0][-1]
+
+
+def _bound_missing_args(local):
+    """(widths, s, q, r, alpha, lam, cap): 32-48 random pieces at cap 1e12, half with one s near 1e-8.
+
+    About half of them miss the growth bound, so that every piece's size
+    is tested; lambda lies anywhere below cap, as a spectrum scans below
+    its lambda_cap, and up to 1e9 where one piece has s near 1e-8.
+    """
+    widths, svals, qvals, rvals, alpha, lam = _random_scan_args(local)
+    size = int(local.integers(32, 49))
+    while len(widths) < size:
+        extra = _random_scan_args(local)[:4]
+        widths, svals, qvals, rvals = (a + b for a, b in zip((widths, svals, qvals, rvals), extra))
+    widths, svals, qvals, rvals = (col[:size] for col in (widths, svals, qvals, rvals))
+    if local.random() < 0.5:
+        i = int(local.integers(0, size))
+        svals[i] = 1e-8 * local.uniform(0.5, 2.0)
+        rvals[i] = rvals[i] or 1.0
+        lam = float(10.0 ** local.uniform(0.0, 9.0))
+    return widths, svals, qvals, rvals, alpha, lam, 1e12
 
 
 # two equal pieces whose phase leaves the first on 3 pi at these lambda
@@ -442,15 +472,19 @@ def _breakpoint_zero_args(local):
 def test_theta_scan_matches_reference_kernel_bit_for_bit():
     local = np.random.default_rng(20261018)
     series = near_integer = off_margin = zero_starts = 0
+    tested = {False: 0, True: 0}  # draws by whether every piece's size is tested
     draws = [_random_scan_args] * 6000 + [_near_integer_turns_args] * 1500
-    draws += [_breakpoint_zero_args] * 600
+    draws += [_breakpoint_zero_args] * 600 + [_bound_missing_args] * 600
     for draw in draws:
         args = draw(local)
         got = flat_theta_scan(*args)
+        args = args[:6]
         ref = reference_theta_scan(*args)
         assert got[0] == ref[0], args
         assert [x.hex() for x in got[1:]] == [x.hex() for x in ref[1:]], args
         widths, svals, qvals, rvals, alpha, lam = args
+        cap = 1e12 if draw is _bound_missing_args else abs(lam)
+        tested[_size_tested(widths, svals, qvals, rvals, cap)] += 1
         series += any(
             s > 0.0 and abs(s * (lam * r - q) * h * h) <= _SERIES_CUT
             for h, s, q, r in zip(widths, svals, qvals, rvals)
@@ -475,6 +509,43 @@ def test_theta_scan_matches_reference_kernel_bit_for_bit():
     # on an exact zero of u
     assert near_integer > 1000 and off_margin > 10000, (near_integer, off_margin)
     assert zero_starts > 1000, zero_starts
+    # both record kinds ran: the size tested after every piece, and only
+    # after the pieces that can move it past the growth bound
+    assert tested[True] > 250 and tested[False] > 6000, tested
+
+
+def test_scan_records_flag_the_size_test_per_problem():
+    # the unit problem in m equal pieces at cap 1e12: each piece can move
+    # the state by log10(1 + 1e6) decades, 168 in all at m = 28, 192 at 32
+    for m, check in ((28, False), (32, True)):
+        records = _scan_records([1.0 / m] * m, [1.0] * m, [0.0] * m, [1.0] * m, 1e12)
+        assert len(records) == m and {rec[-1] for rec in records} == {check}, m
+    # sqrt(cap r / s) overflows: every piece is tested
+    records = _scan_records([0.5, 0.5], [1.0, 1e-300], [0.0, 0.0], [1.0, 1.0], 1e12)
+    assert {rec[-1] for rec in records} == {True}
+    # pieces with s = 0 add nothing to the bound (their size is always tested)
+    assert not _size_tested([1.0, 1.0], [0.0, 1.0], [1e300, 0.0], [1.0, 1.0], 1e12)
+
+
+def test_theta_scan_stays_finite_just_inside_the_growth_bound():
+    # quarter turns at lambda = cap alternate between a piece that turns
+    # (1, 0) into (0, 1e6) and one that turns (0, 1) into (-1e6, 0): the
+    # state grows by 1e144 over 12 pairs, unrescaled between breakpoints,
+    # against a bound of 170.4 decades
+    cap, pairs = 1e12, 12
+    widths = [0.5 * math.pi / math.sqrt(cap), 0.5 * math.pi] * pairs
+    svals, qvals, rvals = [1.0, 1e6] * pairs, [0.0, -1e-6] * pairs, [1.0, 0.0] * pairs
+    decades = sum(
+        math.log10(1.0 + max(math.sqrt((abs(q) + cap * r) / s), 100.0 * s * h))
+        for h, s, q, r in zip(widths, svals, qvals, rvals)
+    )
+    assert 170.0 < decades < 179.0
+    assert not _size_tested(widths, svals, qvals, rvals, cap)
+    winding, frac, u, v = flat_theta_scan(widths, svals, qvals, rvals, 0.5 * math.pi, cap)
+    assert 1e140 < abs(u) + abs(v) < math.inf
+    ref = reference_theta_scan(widths, svals, qvals, rvals, 0.5 * math.pi, cap)
+    assert winding == ref[0]
+    assert abs(frac - ref[1]) <= 4 * math.ulp(ref[1]), (frac, ref[1])
 
 
 def test_theta_scan_keeps_a_zero_that_lands_on_a_breakpoint():

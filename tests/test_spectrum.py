@@ -416,10 +416,11 @@ def test_scan_budget_per_eigenvalue(monkeypatch):
 
 def test_closed_form_scan_budget(monkeypatch):
     # constant coefficients: the guess, which counts the boundary angles and
-    # q, is exact for these ends and the scaled mismatch is linear in the
-    # last piece's phase, so few scans remain (plain Brent on theta(b)
-    # needed about 12.5 per eigenvalue here; a guess aimed at index n for
-    # every end needed 5.6 for DN and ND and 6.3 for NN)
+    # q, is exact for these ends, so it meets the angle test at once and a
+    # probe half a tolerance away closes the bracket: two scans (plain Brent
+    # on theta(b) needed about 12.5 per eigenvalue here; a guess aimed at
+    # index n for every end needed 5.6 for DN and ND and 6.3 for NN, and
+    # expanding by the usual wide step from the exact guess 2.45-2.76)
     calls = [0]
     scan = spectrum_mod._theta_scan
 
@@ -442,7 +443,7 @@ def test_closed_form_scan_budget(monkeypatch):
                 coeffs = [make_piecewise(mesh, [c] * m) for c in (s, q, r)]
                 found += len(compute_spectrum(problem(*coeffs, alpha=alpha, beta=beta), 100).eigenvalues)
         assert found == 3 * 4 * 100
-        assert calls[0] / found <= 3.5, (name, calls[0] / found)
+        assert calls[0] / found <= 2.0, (name, calls[0] / found)
 
 
 _piece = st.tuples(
@@ -463,7 +464,7 @@ _piece = st.tuples(
 )
 def test_boundary_function_has_the_sign_of_the_angle_mismatch(pieces, alpha, beta, offset, lam):
     widths, svals, qvals, rvals = (list(col) for col in zip(*pieces))
-    records = _scan_records(widths, svals, qvals, rvals)
+    records = _scan_records(widths, svals, qvals, rvals, abs(lam))
     winding, frac, u, v = spectrum_mod._theta_scan(records, alpha, lam)
     # mostly the index whose target angle lies within pi of theta(b), where
     # h = rho sin f; the neighbours reach the continuation beyond |f| = pi

@@ -39,13 +39,16 @@ def test_bench_scan_measures_a_small_stream(monkeypatch):
     assert set(run) == {
         "git_head", "python", "machine", "nproc", "problems", "eigenvalues", "scans",
         "pieces_scanned", "scans_per_eigenvalue", "scans_per_call_p50", "scans_per_call_p90",
-        "scans_per_call_max", "l0_ns_per_piece", "l0_ns_per_piece_runs", "pass_s", "pass_s_runs",
-        "l0_norm_ns_per_piece", "l0_norm_ns_per_piece_runs", "pass_norm_s", "pass_norm_s_runs",
+        "scans_per_call_max", "unchecked_share", "l0_ns_per_piece", "l0_ns_per_piece_runs",
+        "pass_s", "pass_s_runs", "l0_norm_ns_per_piece", "l0_norm_ns_per_piece_runs",
+        "pass_norm_s", "pass_norm_s_runs",
     }
     assert run["problems"] == 5 and run["eigenvalues"] > 0
     assert run["scans_per_eigenvalue"] == run["scans"] / run["eigenvalues"] > 1.0
     assert 1 <= run["scans_per_call_p50"] <= run["scans_per_call_p90"] <= run["scans_per_call_max"]
     assert run["pieces_scanned"] >= run["scans"]
+    # these one-piece problems meet the growth bound: no oscillating piece is size-tested
+    assert run["unchecked_share"] == {"problems": 1.0, "pieces": 1.0}
     for raw, norm, count in (("l0_ns_per_piece", "l0_norm_ns_per_piece", 2),
                              ("pass_s", "pass_norm_s", 1)):
         assert run[raw] > 0.0 and len(run[f"{raw}_runs"]) == count

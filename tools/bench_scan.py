@@ -13,11 +13,13 @@ which counts each call's scans; that stream is then replayed through
 shoot._theta_scan.  It records the kernel's ns per piece (median of the
 replays), theta-scans and piece-scans, theta-scans per eigenvalue (the
 mean over eigenvalues found; p50, p90 and max over eigenvalue calls,
-the call that finds a finite spectrum's end included), and the untraced
-compute_spectrum pass time (median of the passes), against whichever
-slprime the import finds.  The run is stored under LABEL in the output
-JSON, next to the runs already there, so one file can hold the same
-harness run on two checkouts.
+the call that finds a finite spectrum's end included), unchecked_share
+(the share of problems, and of piece-scans, whose scan records let the
+kernel skip the state's size test on oscillating pieces), and the
+untraced compute_spectrum pass time (median of the passes), against
+whichever slprime the import finds.  The run is stored under LABEL in
+the output JSON, next to the runs already there, so one file can hold
+the same harness run on two checkouts.
 
 Core speed on a shared VM drifts by up to 2x between runs, so each
 problem's share of a replay or pass is paired with a run of perfbench's
@@ -136,6 +138,10 @@ def measure(count: int | None = None, replays: int = REPLAYS, passes: int = PASS
         spectrum._theta_scan, spectrum.eigenvalue = inner, solve
     pieces = sum(len(args[0]) for args in stream)  # one entry per piece
     per_eigenvalue.sort()
+    # a record's last field is False where the kernel skips the size test
+    # after oscillating pieces (a kernel without that flag skips nothing)
+    unchecked_problems = sum(stream[i][0][0][-1] is False for i, j in zip(ends, ends[1:]) if j > i)
+    unchecked_pieces = sum(len(args[0]) for args in stream if args[0][0][-1] is False)
 
     scan = shoot._theta_scan
 
@@ -162,6 +168,8 @@ def measure(count: int | None = None, replays: int = REPLAYS, passes: int = PASS
         "scans_per_call_p50": per_eigenvalue[len(per_eigenvalue) // 2],
         "scans_per_call_p90": per_eigenvalue[int(0.9 * len(per_eigenvalue))],
         "scans_per_call_max": per_eigenvalue[-1],
+        "unchecked_share": {"problems": unchecked_problems / len(cases),
+                            "pieces": unchecked_pieces / pieces},
         "l0_ns_per_piece": statistics.median(l0_raw),
         "l0_ns_per_piece_runs": [round(x, 1) for x in l0_raw],
         "l0_norm_ns_per_piece": statistics.median(l0_norm),
@@ -179,7 +187,8 @@ def main(argv) -> int:
     print(f"{args.label}: {run['l0_ns_per_piece']:.1f} ns/piece, "
           f"{run['scans_per_eigenvalue']:.3f} scans/eigenvalue (p50 {run['scans_per_call_p50']}, "
           f"p90 {run['scans_per_call_p90']}, max {run['scans_per_call_max']}), "
-          f"{run['pieces_scanned']} piece-scans, pass {run['pass_s']:.4f} s; normalised "
+          f"{run['pieces_scanned']} piece-scans ({run['unchecked_share']['pieces']:.3f} "
+          f"unchecked), pass {run['pass_s']:.4f} s; normalised "
           f"{run['l0_norm_ns_per_piece']:.1f} ns/piece, pass {run['pass_norm_s']:.4f} s",
           file=sys.stderr)
     record(args.out, args.label, run)
