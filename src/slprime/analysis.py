@@ -76,14 +76,14 @@ def incompatibility_report(spectrum: Spectrum, n_max: int) -> IncompatReport:
             verdict="INCONCLUSIVE",
             note=f"verdict withheld below n = 100 (got {n_max})",
         )
-    # numpy is imported where arrays are built: commands that build none start without it
-    import numpy as np
-
     # a missing ratio reads NaN, which fails every comparison below
-    ratios = np.array([math.nan if row[3] is None else row[3] for row in rows])
+    ratios = [math.nan if row[3] is None else row[3] for row in rows]
     first = next((row[3] for row in rows if row[3] is not None), math.nan)
     top = ratios[n_max // 2 :]
-    block_means = [chunk.mean() for chunk in np.array_split(top, 8)]
+    # eight blocks, the first len(top) % 8 of them one longer, as np.array_split cuts them
+    size, extra = divmod(len(top), 8)
+    ends = [i * size + min(i, extra) for i in range(9)]
+    block_means = [math.fsum(top[i:j]) / (j - i) for i, j in zip(ends, ends[1:])]
     decreasing = all(a > b for a, b in zip(block_means, block_means[1:]))
     final_small = ratios[-1] < 0.01 * first
     if decreasing and final_small:
@@ -211,9 +211,9 @@ def order_estimate(
         raise DegenerateModulus(
             "max modulus never exceeded 10; no order slope can be fitted"
         )
-    import numpy as np
-
-    slope = float(np.polyfit(xs, ys, 1)[0])
+    x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dxs = [x - x_mean for x in xs]  # the least-squares slope, in closed form
+    slope = math.fsum(dx * (y - y_mean) for dx, y in zip(dxs, ys)) / math.fsum(d * d for d in dxs)
     low_confidence = radii[-1] < 1e3 * radii[0]
     return OrderEstimate(
         radii=radii,

@@ -137,6 +137,9 @@ def test_order_estimate_unit_problem():
     assert not est.low_confidence
     assert all(est.used)
     assert 0.45 <= est.slope <= 0.55  # entire of order exactly 1/2
+    # the closed-form slope is np.polyfit's up to rounding
+    fit = np.polyfit(np.log(est.radii), np.log(est.log_max_modulus), 1)[0]
+    assert est.slope == pytest.approx(fit, rel=1e-14)
 
 
 def test_order_estimate_with_potential():

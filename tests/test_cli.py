@@ -520,14 +520,14 @@ def test_cli_import_leaves_out_the_process_pool():
 
 
 def test_numpy_free_commands_start_without_numpy(tmp_path):
-    # numpy is imported where arrays are built; --help, spectrum and growth
-    # build none, so their processes never pay for importing it
+    # numpy is imported where arrays are built; --help, spectrum, growth and
+    # order build none, so their processes never pay for importing it
     cfg = write_doc(tmp_path, UNIT_DOC)
     code = (
         "import sys, slprime.cli\n"
         "seen = ['numpy' in sys.modules]\n"
         f"for argv in (['--help'], ['spectrum', '--config', {cfg!r}, '--n-max', '5'],\n"
-        f"             ['growth', '--config', {cfg!r}]):\n"
+        f"             ['growth', '--config', {cfg!r}], ['order', '--config', {cfg!r}]):\n"
         "    assert slprime.cli.run(argv) == 0, argv\n"
         "    seen.append('numpy' in sys.modules)\n"
         "print(seen, file=sys.stderr)\n"
@@ -537,7 +537,7 @@ def test_numpy_free_commands_start_without_numpy(tmp_path):
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stderr.strip() == "[False, False, False, False]"
+    assert out.stderr.strip() == "[False, False, False, False, False]"
 
 
 def test_readme_command_lines_parse():

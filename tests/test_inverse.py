@@ -209,6 +209,22 @@ def test_search_runs_serially_when_the_pool_cannot_start(monkeypatch):
     assert fallback.best_objective.hex() == serial.best_objective.hex()
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_restarts_past_the_lambda_cap_stop_at_once(monkeypatch, seed):
+    # draws in +-1e13 put |q| past lambda_cap 1e12: the solve finds no
+    # eigenvalue, the start's misfit is inf and the restart ends there
+    cfg = SearchConfig(pieces=1, bound=1e13, targets=2, restarts=3, max_iters=2, seed=seed)
+    monkeypatch.setenv("SLPRIME_THREADS", "1")
+    serial = search(cfg)
+    assert serial.trace[1:] == (((0, math.inf),), ((0, math.inf),))
+    # restart 0's constant start stays inside the cap and gives the best
+    assert serial.trace[0][-1][1] == serial.best_objective
+    assert serial.best_objective == pytest.approx(0.11981462879232407, rel=1e-9)
+    assert serial.baseline_objective == pytest.approx(0.9891054709689993, rel=1e-9)
+    monkeypatch.setenv("SLPRIME_THREADS", "2")
+    assert search(cfg) == serial
+
+
 def test_default_shape_traces_descend_within_budget():
     # the benchmark's shape: 16 pieces, 8 targets, 4 restarts, 6 LM iterations
     res = search(SearchConfig(seed=7, max_iters=6))

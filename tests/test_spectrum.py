@@ -220,6 +220,22 @@ def test_overflowing_piece_depends_on_the_cap():
         eigenvalue(wide, 1, SolverOptions(lambda_cap=1e30))
 
 
+def test_non_finite_weyl_shift_falls_back_to_zero():
+    # piece 0 passes the overflow rule, but its term h q sqrt(s/r) of the
+    # q-aware shift is 0.5 * 1e200 * 1e150 = inf; the guess then takes no shift
+    mesh = [0.0, 0.5, 1.0]
+    prob = problem(make_piecewise(mesh, [1.0, 1.0]), make_piecewise(mesh, [1e200, 0.0]),
+                   make_piecewise(mesh, [1e-300, 1.0]))
+    assert math.isinf(0.5 * 1e200 * math.sqrt(1.0 / 1e-300))
+    _, weyl_c, shift = spectrum_mod._scannable_pieces(prob, SolverOptions().lambda_cap)
+    assert (weyl_c, shift) == (0.5, 0.0)
+    # the huge q walls off the left half: the spectrum is the right half's, (2 n pi)^2
+    spec = compute_spectrum(prob, 5)
+    assert [ev.index for ev in spec.eigenvalues] == [1, 2, 3, 4, 5]
+    for ev in spec.eigenvalues:
+        assert ev.value == pytest.approx(4 * ev.index**2 * PI2, rel=1e-12)
+
+
 def test_tight_tolerance_options_respected():
     opts = SolverOptions(angle_tol=1e-8, lambda_tol_rel=1e-10)
     ev = eigenvalue(unit_problem(), 3, opts)

@@ -29,6 +29,12 @@ def test_bench_scan_measures_a_small_stream(monkeypatch):
     gauge = sys.modules["gauge"]
     assert Path(gauge.__file__).resolve() == TOOLS.parent / "perfbench" / "gauge.py"
     assert bench_scan.reference_seconds is gauge.reference_seconds
+    # and its problems are perfbench's spectra cases, not a copy of their design
+    workloads = sys.modules["workloads"]
+    assert bench_scan.workloads is workloads
+    assert Path(workloads.__file__).resolve() == TOOLS.parent / "perfbench" / "workloads.py"
+    first = [(case.problem, case.n_max) for case in workloads.spectra_cases(1)[:5]]
+    assert bench_scan.problems(5) == first
 
     kernel, solve = spectrum._theta_scan, spectrum.eigenvalue
     t0 = time.perf_counter()

@@ -7,10 +7,9 @@ this process (SLPRIME_THREADS=1, so every count is made here and repeats
 exactly) against whichever slprime the import finds.  For each seed it
 records best/baseline, wall time, evaluations (spectrum solves the search
 starts, the q = 0 baseline included, whether or not it finishes them),
-theta-scans and Jacobians (eigenfunction walks; 0 for a search without
-them).  The run is stored under LABEL in the output JSON, next to the
-runs already there, so one file can hold the same harness run on two
-checkouts.
+theta-scans and Jacobians (eigenfunction walks).  The run is stored
+under LABEL in the output JSON, next to the runs already there, so one
+file can hold the same harness run on two checkouts.
 """
 
 from __future__ import annotations
@@ -47,8 +46,7 @@ def measure() -> dict:
     # every spectrum solve, whole or cut short, starts with index 1
     _counted(spectrum, "eigenvalue", counts, lambda args: "evaluations" if args[1] == 1 else None)
     _counted(spectrum, "_theta_scan", counts)
-    if hasattr(inverse, "_jacobian"):
-        _counted(inverse, "_jacobian", counts)
+    _counted(inverse, "_jacobian", counts)
     inverse.search(inverse.SearchConfig(pieces=1, targets=1, restarts=1, max_iters=1))  # warm-up
 
     runs = []

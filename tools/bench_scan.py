@@ -2,24 +2,22 @@
 
     PYTHONPATH=src python tools/bench_scan.py LABEL [--out BENCH_scan.json]
 
-Builds a fixed seeded set of step problems shaped like a spectrum
-workload: 128 random problems of 1-16 pieces asking for 10-40
-eigenvalues, six constant problems (Dirichlet, Neumann and mixed ends)
-split into 1-4 equal pieces asking for 300, and four finite-spectrum
-problems on which s and r vanish on alternate pieces.  One pass of
-compute_spectrum over them runs with spectrum._theta_scan wrapped, which
-records every scan's arguments, and with spectrum.eigenvalue wrapped,
-which counts each call's scans; that stream is then replayed through
-shoot._theta_scan.  It records the kernel's ns per piece (median of the
-replays), theta-scans and piece-scans, theta-scans per eigenvalue (the
-mean over eigenvalues found; p50, p90 and max over eigenvalue calls,
-the call that finds a finite spectrum's end included), unchecked_share
-(the share of problems, and of piece-scans, whose scan records let the
-kernel skip the state's size test on oscillating pieces), and the
-untraced compute_spectrum pass time (median of the passes), against
-whichever slprime the import finds.  The run is stored under LABEL in
-the output JSON, next to the runs already there, so one file can hold
-the same harness run on two checkouts.
+Its problems are perfbench's spectra_cases for seeds 1-3
+(perfbench/workloads.py, imported unchanged), the inputs of perfbench's
+spectra workload.  One pass of compute_spectrum over them runs with
+spectrum._theta_scan wrapped, which records every scan's arguments, and
+with spectrum.eigenvalue wrapped, which counts each call's scans; that
+stream is then replayed through shoot._theta_scan.  It records the
+kernel's ns per piece (median of the replays), theta-scans and
+piece-scans, theta-scans per eigenvalue (the mean over eigenvalues
+found; p50, p90 and max over eigenvalue calls, the call that finds a
+finite spectrum's end included), unchecked_share (the share of problems,
+and of piece-scans, whose scan records let the kernel skip the state's
+size test on oscillating pieces), and the untraced compute_spectrum pass
+time (median of the passes), against whichever slprime the import finds.
+The run is stored under LABEL in the output JSON, next to the runs
+already there, so one file can hold the same harness run on two
+checkouts.
 
 Core speed on a shared VM drifts by up to 2x between runs, so each
 problem's share of a replay or pass is paired with a run of perfbench's
@@ -32,8 +30,7 @@ l0_ns_per_piece and pass_s.
 
 from __future__ import annotations
 
-import math
-import random
+import itertools
 import statistics
 import sys
 import time
@@ -42,49 +39,19 @@ from pathlib import Path
 from benchmeta import bench_parser, record, run_header
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 from gauge import REF_NOMINAL_S, reference_seconds  # noqa: E402
 
-SEED = 20261018
+SEEDS = (1, 2, 3)
 REPLAYS = 15
 PASSES = 7
 
-_ENDS = {"DD": (0.0, math.pi), "NN": (0.5 * math.pi, 0.5 * math.pi), "DN": (0.0, 0.5 * math.pi)}
-
 
 def problems(count: int | None = None) -> list:
-    """[(problem, n_max)]: the fixed seeded set, or its first count problems."""
-    from slprime.coeff import make_piecewise, problem
-
-    rng = random.Random(SEED)
-
-    def build(mesh, s, q, r, alpha, beta):
-        return problem(*(make_piecewise(mesh, vals) for vals in (s, q, r)), alpha=alpha, beta=beta)
-
-    out = []
-    n_maxes = range(10, 42, 2)
-    for m, n_max in ((m, n_maxes[(m + 2 * j) % 16]) for m in range(1, 17) for j in range(8)):
-        mesh = [0.0, *sorted(rng.uniform(0.0, 2.0) for _ in range(m - 1)), 2.0]
-        s, q, r = ([rng.uniform(lo, hi) for _ in range(m)] for lo, hi in
-                   ((0.1, 3.0), (-50.0, 50.0), (0.1, 3.0)))
-        alpha, beta = rng.uniform(0.0, math.pi), math.pi - rng.uniform(0.0, math.pi)
-        out.append((build(mesh, s, q, r, alpha, beta), n_max))
-    for ends, m in zip(("DD", "NN", "DN") * 2, (1, 2, 3, 4, 1, 4)):
-        s, r, q = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(-50.0, 50.0)
-        length = rng.uniform(0.5, 2.0)
-        mesh = [length * i / m for i in range(m + 1)]
-        out.append((build(mesh, [s] * m, [q] * m, [r] * m, *_ENDS[ends]), 300))
-    for m in (2, 3, 4, 3):
-        first_s = rng.random() < 0.5
-        live = [(i % 2 == 0) == first_s for i in range(m)]  # s > 0 here, r > 0 elsewhere
-        mesh = [0.0]
-        for _ in range(m):
-            mesh.append(mesh[-1] + rng.uniform(0.5, 2.0))
-        s = [rng.uniform(0.5, 2.0) if on else 0.0 for on in live]
-        r = [0.0 if on else rng.uniform(0.5, 2.0) for on in live]
-        q = [rng.uniform(-20.0, 20.0) for _ in range(m)]
-        alpha, beta = rng.uniform(0.0, math.pi), math.pi - rng.uniform(0.0, math.pi)
-        out.append((build(mesh, s, q, r, alpha, beta), 8))
-    return out if count is None else out[:count]
+    """[(problem, n_max)] of spectra_cases over SEEDS, or its first count pairs."""
+    pairs = ((case.problem, case.n_max)
+             for seed in SEEDS for case in workloads.spectra_cases(seed))
+    return list(itertools.islice(pairs, count))
 
 
 def _solve_all(cases) -> int:

@@ -37,20 +37,6 @@ SERIES_N = 1_000_000
 CEILING_N = 50_847_534
 
 
-def _checkpoint_reader():
-    """p_n at ascending indices, read the way this checkout's `primes` command reads them."""
-    from slprime import primes
-
-    if hasattr(primes, "nth_primes"):
-        return primes.nth_primes
-
-    def from_table(ns):  # a checkout without the streamed reader reads one table
-        table = primes.prime_table(ns[-1])
-        return [table.nth(n) for n in ns]
-
-    return from_table
-
-
 def _layer(call, reps: int) -> dict:
     walls = []
     for _ in range(reps):
@@ -111,11 +97,11 @@ def measure(primes_n: int = PRIMES_N, series_n: int = SERIES_N, reps: int = REPS
     import numpy  # noqa: F401  slprime imports it lazily; no layer's first call should pay for that
     from slprime.analysis import partial_sum_primes, partial_sum_spectrum
     from slprime.cli import _prime_checkpoints
+    from slprime.primes import nth_primes
 
-    reader = _checkpoint_reader()
     checkpoints = _prime_checkpoints(primes_n)
     layers = {
-        "checkpoint_reader": _layer(lambda: reader(checkpoints), reps),
+        "checkpoint_reader": _layer(lambda: nth_primes(checkpoints), reps),
         "partial_sum_primes": _layer(lambda: partial_sum_primes(0.25, series_n), reps),
         "partial_sum_spectrum": _layer(
             lambda: partial_sum_spectrum(math.pi**2, 0.25, series_n), reps
