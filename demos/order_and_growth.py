@@ -8,7 +8,8 @@ growth class:
  * the max modulus over circles |lambda| = R fits log log M(R) ~ 0.5 log R,
    i.e. order 1/2;
  * pointwise, the logarithmic derivative of W = |lambda||u|^2 + |v|^2 stays
-   inside sqrt(|lambda|)(r + s) + |q|/sqrt(|lambda|).
+   inside sqrt(|lambda|)(r + s) + |q|/sqrt(|lambda|).  It is exact, not
+   measured: W'/W is read from the propagated state (u, v) itself.
 
 A prime-like spectrum would force a faster-growing, denser zero set than an
 order-1/2 function can carry.

@@ -4,8 +4,8 @@ Three independent signatures, each testable numerically:
 
 * eigenvalues grow like n^2 while primes grow like n log n, so p_n/lambda_n
   decays to zero (incompatibility report);
-* solutions are entire of order <= 1/2 in lambda (log-derivative growth
-  bound and max-modulus order estimate), so sum |lambda_n|^(-1/2-eps)
+* solutions are entire of order <= 1/2 in lambda (exact log-derivative
+  growth bound and max-modulus order estimate), so sum |lambda_n|^(-1/2-eps)
   converges over any admissible spectrum;
 * the same sum over the primes diverges (partial-sum dichotomy).
 """
@@ -38,6 +38,8 @@ __all__ = [
     "partial_sum_primes",
     "partial_sum_spectrum",
 ]
+
+_MAX_SAMPLES = 10**6  # the largest x_samples (growth) and angular_samples (order) taken
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ def incompatibility_report(spectrum: Spectrum, n_max: int) -> IncompatReport:
 
 @dataclass(frozen=True)
 class GrowthReport:
-    """Per-sample |d/dx log W| against the a-priori bound, W = |lambda| |u|^2 + |v|^2."""
+    """Per-sample d/dx log W against the a-priori bound, W = |lambda| |u|^2 + |v|^2."""
 
     lam: complex
     samples: tuple[tuple[float, float, float, float], ...]  # (x, measured, bound, slack)
@@ -114,50 +116,46 @@ class GrowthReport:
 def growth_check(problem: SLProblem, lam: complex, x_samples: int = 32) -> GrowthReport:
     """Check |d/dx log W| <= sqrt|lambda| (r + s) + |q|/sqrt|lambda| pointwise.
 
-    The derivative is measured by centered differences of the exactly
-    propagated solution.  Samples are distributed over the pieces with the
-    stencil kept strictly inside a single piece (the bound is local, and a
-    stencil straddling a coefficient jump would measure the neighbour).
+    The derivative is exact, read from the propagated state at each sample:
+    with k = lambda r - q, u' = -s v and v' = k u give W' = -2 s |lambda|
+    Re(conj(u) v) + 2 Re(conj(v) k u), free of the propagator's scale, and
+    since |k| <= |lambda| r + |q| and W >= 2 sqrt|lambda| |u| |v|, W'/W obeys
+    the bound.  Samples lie strictly inside the pieces, at least one in each.
     """
     lam = complex(lam)
     if not cmath.isfinite(lam):
         raise OutOfDomain(f"growth bound needs finite lambda, got {lam!r}")
     if abs(lam) < 1.0:
         raise OutOfDomain(f"growth bound needs |lambda| >= 1, got {abs(lam):g}")
-    if x_samples < 1:
-        raise OutOfDomain(f"x_samples must be >= 1, got {x_samples}")
+    if not 1 <= x_samples <= _MAX_SAMPLES:
+        raise OutOfDomain(f"x_samples must be in [1, {_MAX_SAMPLES}], got {x_samples}")
     widths, svals, qvals, rvals = _solver_pieces(problem, abs(lam), "|lambda|", definite=False)
     total = sum(widths)
     alpha = problem.bc.alpha
-    h_default = total / (4.0 * x_samples)
     sqrt_mod = math.sqrt(abs(lam))
 
     # allocate samples to pieces proportionally to width, at least one each
     alloc = [max(1, round(x_samples * h / total)) for h in widths]
     rows = []
     acc = 0.0
-    # (u, v, ls) is the state at the piece's left end; each piece is crossed
-    # once, and each stencil point reached from it across its own tail
-    u, v, ls = complex(math.sin(alpha)), complex(-math.cos(alpha)), 0.0
+    # (u, v) is the state at the piece's left end; each piece is crossed
+    # once, and each sample reached from it across its own tail
+    u, v = complex(math.sin(alpha)), complex(-math.cos(alpha))
     for h, s, q, r, c in zip(widths, svals, qvals, rvals, alloc):
-        h_fd = min(h_default, 0.45 * h / (c + 1))
+        # W' = 2 Re(conj(u) v (conj(k) - s |lambda|))
+        factor = (lam * r - q).conjugate() - s * abs(lam)
         bound = sqrt_mod * (r + s) + abs(q) / sqrt_mod
         for j in range(c):
             x_rel = acc + (j + 1) * h / (c + 1)
-            log_w = []
-            for x in (x_rel + h_fd, x_rel - h_fd):
-                ux, vx, lx = _propagate_scaled((x - acc,), (s,), (q,), (r,), lam, u, v, ls)
-                log_w.append(math.log(abs(lam) * abs(ux) ** 2 + abs(vx) ** 2) + 2.0 * lx)
-            measured = (log_w[0] - log_w[1]) / (2.0 * h_fd)
-            slack = bound - abs(measured)
-            rows.append((problem.interval.a + x_rel, measured, bound, slack))
-        u, v, ls = _propagate_scaled((h,), (s,), (q,), (r,), lam, u, v, ls)
+            ux, vx, _ = _propagate_scaled((x_rel - acc,), (s,), (q,), (r,), lam, u, v)
+            w = abs(lam) * abs(ux) ** 2 + abs(vx) ** 2
+            measured = 2.0 * (ux.conjugate() * vx * factor).real / w
+            rows.append((problem.interval.a + x_rel, measured, bound, bound - abs(measured)))
+        u, v, _ = _propagate_scaled((h,), (s,), (q,), (r,), lam, u, v)
         acc += h
     min_slack = min(row[3] for row in rows)
     passed = all(slack >= -1e-3 * bound for _, _, bound, slack in rows)
-    return GrowthReport(
-        lam=lam, samples=tuple(rows), min_slack=min_slack, passed=passed
-    )
+    return GrowthReport(lam=lam, samples=tuple(rows), min_slack=min_slack, passed=passed)
 
 
 @dataclass(frozen=True)
@@ -187,8 +185,8 @@ def order_estimate(
         raise OutOfDomain(f"radii must be finite, got {radii}")
     if any(r1 <= r0 for r0, r1 in zip(radii, radii[1:])) or radii[0] <= 0:
         raise OutOfDomain("radii must be positive and strictly increasing")
-    if angular_samples < 4:
-        raise OutOfDomain(f"angular_samples must be >= 4, got {angular_samples}")
+    if not 4 <= angular_samples <= _MAX_SAMPLES:
+        raise OutOfDomain(f"angular_samples must be in [4, {_MAX_SAMPLES}], got {angular_samples}")
     # radii increase, so the largest covers every circle
     pieces = _solver_pieces(problem, radii[-1], "|lambda|", definite=False)
     alpha = problem.bc.alpha

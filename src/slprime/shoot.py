@@ -120,8 +120,9 @@ def _scaled_piece(s, q, r, lam, h):
     return c, -s * h * sg, k * h * sg, c, m
 
 
-def _propagate_scaled(widths, svals, qvals, rvals, lam, u, v, ls=0.0):
-    """Normalized propagation of e^ls (u, v); returns (u, v, log_scale), true state e^log_scale (u, v)."""
+def _propagate_scaled(widths, svals, qvals, rvals, lam, u, v):
+    """Normalized propagation of (u, v); returns (u, v, log_scale), true state e^log_scale (u, v)."""
+    ls = 0.0
     for h, s, q, r in zip(widths, svals, qvals, rvals):
         m11, m12, m21, m22, piece_ls = _scaled_piece(s, q, r, lam, h)
         u, v = m11 * u + m12 * v, m21 * u + m22 * v
@@ -134,8 +135,8 @@ def _propagate_scaled(widths, svals, qvals, rvals, lam, u, v, ls=0.0):
     return u, v, ls
 
 
-def integrate_system_scaled(problem: SLProblem, lam, init: State | None = None):
-    """Propagate init (default: the left boundary state) from a to b: (State, log_scale).
+def integrate_system_scaled(problem: SLProblem, lam):
+    """Propagate the left boundary state from a to b: (State, log_scale).
 
     Works for real and complex lambda.  The true terminal state is
     e^log_scale times the returned one; use the log form directly when
@@ -145,7 +146,7 @@ def integrate_system_scaled(problem: SLProblem, lam, init: State | None = None):
     lam = complex(lam)
     if not cmath.isfinite(lam):
         raise OutOfDomain(f"integrate_system_scaled needs finite lambda, got {lam!r}")
-    state = boundary_state(problem.bc.alpha) if init is None else init
+    state = boundary_state(problem.bc.alpha)
     pieces = _solver_pieces(problem, abs(lam), "|lambda|", definite=False)
     u, v, ls = _propagate_scaled(*pieces, lam, complex(state.u), complex(state.v))
     return State(u, v), ls

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import random_problem, sieve_edge_indices
+from slprime import analysis
 from slprime.analysis import (
     growth_check,
     incompatibility_report,
@@ -37,15 +38,15 @@ def test_growth_unit_problem_closed_form():
     assert rep.min_slack >= 0.0
     for x, measured, bound, slack in rep.samples:
         assert bound == pytest.approx(20.0, rel=1e-14)
-        assert measured == pytest.approx(20.0 * math.tanh(20.0 * x), abs=0.2)
+        assert measured == pytest.approx(20.0 * math.tanh(20.0 * x), abs=1e-12 * bound)
 
 
 def test_growth_oscillatory_regime_flat():
-    # positive lambda on the unit problem: W = 1 identically, derivative ~ 0
+    # positive lambda on the unit problem: W is constant, derivative 0
     rep = growth_check(unit_problem(), 1e6, x_samples=5)
     assert rep.passed
     for _, measured, bound, _ in rep.samples:
-        assert abs(measured) < 1e-4
+        assert abs(measured) < 1e-9 * bound
         assert bound == pytest.approx(2e3, rel=1e-12)
 
 
@@ -57,12 +58,15 @@ def test_growth_randomized_suite():
         for lam in lams:
             rep = growth_check(prob, lam, x_samples=6)
             assert rep.passed, (prob.content_hash(), lam, rep.min_slack)
+            # the bound is a theorem for the exact derivative, not a tolerance
+            for x, _, bound, slack in rep.samples:
+                assert slack >= -1e-9 * bound, (prob.content_hash(), lam, x, slack)
 
 
 def _reference_growth_samples(prob, lam, x_samples):
-    """growth_check's samples with every stencil point propagated from a, piece by piece."""
+    """growth_check's samples with every sample propagated from a, piece by piece."""
 
-    def log_w(x_rel):
+    def state(x_rel):
         pw, ps, pq, pr = [], [], [], []
         acc = 0.0
         for h, s, q, r in zip(widths, svals, qvals, rvals):
@@ -81,25 +85,26 @@ def _reference_growth_samples(prob, lam, x_samples):
                     pr.append(r)
                 break
         alpha = prob.bc.alpha
-        u, v, ls = _propagate_scaled(
+        u, v, _ = _propagate_scaled(
             pw, ps, pq, pr, lam, complex(math.sin(alpha)), complex(-math.cos(alpha))
         )
-        return math.log(abs(lam) * abs(u) ** 2 + abs(v) ** 2) + 2.0 * ls
+        return u, v
 
     lam = complex(lam)
     widths, svals, qvals, rvals = prob.coeffs.piece_arrays()
     total = sum(widths)
-    h_default = total / (4.0 * x_samples)
     sqrt_mod = math.sqrt(abs(lam))
     alloc = [max(1, round(x_samples * h / total)) for h in widths]
     rows = []
     acc = 0.0
     for h, s, q, r, c in zip(widths, svals, qvals, rvals, alloc):
-        h_fd = min(h_default, 0.45 * h / (c + 1))
         bound = sqrt_mod * (r + s) + abs(q) / sqrt_mod
         for j in range(c):
             x_rel = acc + (j + 1) * h / (c + 1)
-            measured = (log_w(x_rel + h_fd) - log_w(x_rel - h_fd)) / (2.0 * h_fd)
+            u, v = state(x_rel)
+            # W' = 2 Re(conj(u) v (conj(lam r - q) - s |lam|)), W = |lam| |u|^2 + |v|^2
+            w_prime = 2.0 * (u.conjugate() * v * ((lam * r - q).conjugate() - s * abs(lam))).real
+            measured = w_prime / (abs(lam) * abs(u) ** 2 + abs(v) ** 2)
             rows.append((prob.interval.a + x_rel, measured, bound, bound - abs(measured)))
         acc += h
     return tuple(rows)
@@ -122,11 +127,63 @@ def test_growth_walk_matches_per_point_propagation():
     assert scaled >= 10
 
 
-def test_growth_guards():
+def _mp_log_derivatives(prob, lam, xs, dps=30):
+    """d/dx log(|lam| |u|^2 + |v|^2) at each x, by mpmath.diff in dps-digit arithmetic.
+
+    The state comes from the trig formulas piece by piece, with no scaling,
+    and the derivative from mpmath's own differencing of log W, so neither
+    the package's propagator nor its W' formula is involved.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        lam = mp.mpc(lam)
+        bps = [mp.mpf(x) for x in prob.coeffs.breakpoints]
+        pieces = [tuple(mp.mpf(x) for x in row) for row in zip(*prob.coeffs.piece_arrays())]
+
+        def across(u, v, s, q, r, width):
+            k = lam * r - q
+            w = mp.sqrt(s * k * width * width)
+            c, sig = (mp.cos(w), mp.sin(w) / w) if w != 0 else (mp.mpf(1), mp.mpf(1))
+            return c * u - s * width * sig * v, k * width * sig * u + c * v
+
+        def log_w(x):
+            u, v = mp.sin(mp.mpf(prob.bc.alpha)), -mp.cos(mp.mpf(prob.bc.alpha))
+            for x0, x1, (_, s, q, r) in zip(bps, bps[1:], pieces):
+                u, v = across(u, v, s, q, r, min(x, x1) - x0)
+                if x <= x1:
+                    break
+            return mp.log(abs(lam) * abs(u) ** 2 + abs(v) ** 2)
+
+        return [float(mp.diff(log_w, mp.mpf(x))) for x in xs]
+
+
+def test_growth_matches_an_mpmath_derivative_of_log_w():
+    # an oracle that shares neither the propagator nor the W' algebra, so a
+    # sign or conjugation slip in either shows here
+    rng = np.random.default_rng(97)
+    for _ in range(4):
+        prob = random_problem(rng, max_pieces=5)
+        for lam in (-100.0, 1e4j, complex(300.0, 400.0), 1e6):
+            rep = growth_check(prob, lam, x_samples=4)
+            exact = _mp_log_derivatives(prob, lam, [row[0] for row in rep.samples])
+            for (x, measured, bound, _), oracle in zip(rep.samples, exact):
+                assert abs(measured - oracle) <= 1e-8 * bound, (prob, lam, x, measured, oracle)
+
+
+def _no_propagation(*args):
+    raise AssertionError("a rejected sample count must not reach the propagator")
+
+
+def test_growth_guards(monkeypatch):
     with pytest.raises(OutOfDomain):
         growth_check(unit_problem(), 0.5)  # |lambda| < 1
-    with pytest.raises(OutOfDomain):
-        growth_check(unit_problem(), 10.0, x_samples=0)
+    # a sample count out of range fails before any propagation starts
+    with monkeypatch.context() as patched:
+        patched.setattr(analysis, "_propagate_scaled", _no_propagation)
+        for count in (0, 10**6 + 1, 10**20):
+            with pytest.raises(OutOfDomain, match="x_samples"):
+                growth_check(unit_problem(), 10.0, x_samples=count)
     for lam in (math.nan, math.inf, complex(-100.0, math.nan)):
         with pytest.raises(OutOfDomain):
             growth_check(unit_problem(), lam)
@@ -150,15 +207,18 @@ def test_order_estimate_with_potential():
     assert 0.4 <= est.slope <= 0.6
 
 
-def test_order_estimate_flags_and_guards():
+def test_order_estimate_flags_and_guards(monkeypatch):
     est = order_estimate(unit_problem(), [10.0, 30.0, 100.0])
     assert est.low_confidence
     with pytest.raises(OutOfDomain):
         order_estimate(unit_problem(), [1e2, 1e3])
     with pytest.raises(OutOfDomain):
         order_estimate(unit_problem(), [1e3, 1e2, 1e4])
-    with pytest.raises(OutOfDomain):
-        order_estimate(unit_problem(), [1e2, 1e3, 1e4], angular_samples=3)
+    with monkeypatch.context() as patched:
+        patched.setattr(analysis, "_propagate_scaled", _no_propagation)
+        for count in (3, 10**6 + 1, 10**20):
+            with pytest.raises(OutOfDomain, match="angular_samples"):
+                order_estimate(unit_problem(), [1e2, 1e3, 1e4], angular_samples=count)
     for bad in ([1e2, 1e3, math.nan], [1e2, math.nan, 1e4], [1e2, 1e3, math.inf]):
         with pytest.raises(OutOfDomain):
             order_estimate(unit_problem(), bad)

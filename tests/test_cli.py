@@ -362,6 +362,10 @@ def test_growth_command(tmp_path, capsys):
     # so is a non-finite lambda, which would otherwise print a nan slack
     assert run(["growth", "--config", cfg, "--lambda-re", "nan"]) == 2
     assert run(["growth", "--config", cfg, "--lambda-im", "inf"]) == 2
+    # so is a sample count past the limit, before anything is propagated
+    for count in ("1000001", "100000000000000000000"):
+        assert run(["growth", "--config", cfg, "--x-samples", count]) == 2
+        assert "x_samples must be in [1, 1000000]" in capsys.readouterr().err
 
 
 def test_order_command(tmp_path, capsys):
@@ -379,6 +383,9 @@ def test_order_command(tmp_path, capsys):
     # a non-finite radius is a validation error, not a radius left out of the fit
     for radii in ("1e2,1e3,nan", "1e2,1e3,1e4,1e400"):
         assert run(["order", "--config", cfg, "--radii", radii]) == 2
+    for count in ("1000001", "100000000000000000000"):
+        assert run(["order", "--config", cfg, "--angular-samples", count]) == 2
+        assert "angular_samples must be in [4, 1000000]" in capsys.readouterr().err
 
 
 def test_series_command(tmp_path, capsys):

@@ -117,6 +117,9 @@ def commands() -> dict:
         "growth_unit": ["growth", *cfg("unit"), "--lambda-re=-100", "--out", "out.csv"],
         "growth_seeded4": ["growth", *cfg("seeded4"), "--lambda-re", "0", "--lambda-im", "1e4",
                            "--x-samples", "12", "--out", "out.csv"],
+        # many oscillations between samples, where W'/W swings the most
+        "growth_seeded4_1e6": ["growth", *cfg("seeded4"), "--lambda-re", "1e6",
+                               "--out", "out.csv"],
         "growth_wide": ["growth", *cfg("wide"), "--out", "out.csv"],
         "growth_huge": ["growth", *cfg("huge"), "--out", "out.csv"],
         "order_unit": ["order", *cfg("unit"), "--out", "out.csv"],
