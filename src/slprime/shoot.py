@@ -34,11 +34,24 @@ The scan carries (u, v) unnormalised and rescales it when its size
 of Sturm-Liouville Problems, 1993), so it moves |(u, v)| by a factor of
 at most max(sqrt(k/s), sqrt(s/k)), below max(sqrt((|q| + cap r)/s),
 100 s h) for |lambda| <= cap since z = s k h^2 > 1e-4 there.  Where
-those bounds multiply to less than 1e180 over a problem's pieces with
-s > 0, a state that left its last size test inside 1e+-120 stays inside
-1e+-300, and the scan tests the size only after the pieces that can
-move it further: those with s = 0 and the non-oscillating ones.  On
-other problems it tests after every piece.
+those bounds multiply to less than 1e180 over the pieces with s > 0
+since the last size test, a state that left it inside 1e+-120 stays
+inside 1e+-300.  So the scan tests the size after the pieces that can
+move it further (those with s = 0 and the non-oscillating ones) and,
+among the oscillating ones, only after a piece past which the next one
+could take the product to 1e180 (_scan_records).  A problem whose
+bounds multiply to less than 1e180 in all tests no oscillating piece.
+
+Inside an eigenvalue bracket the zero count is not needed.  theta(b;
+lambda) is non-decreasing in lambda on a right-definite problem, so at
+a lambda between two scanned ends whose windings differ by at most one
+the winding is one of those two.  Since theta(a) = alpha lies in
+[0, pi) and u = rho sin theta, u(b) > 0 exactly when the winding is
+even.  A scan given the two windings therefore propagates (u, v) with
+the same arithmetic and size tests, counts no zeros on its oscillatory
+pieces, and takes the winding whose parity the sign of u(b) gives.
+Where u(b) is exactly 0, or where the two windings are equal and u(b)
+has the other parity, it repeats itself with counting.
 """
 
 from __future__ import annotations
@@ -163,21 +176,34 @@ class AngleResult:
 def _scan_records(widths, svals, qvals, rvals, cap):
     """One (h, s, q, r, s h, check) record per piece: the rows _theta_scan walks at |lambda| <= cap.
 
-    check is one flag for the whole problem: whether _theta_scan tests the
-    state's size after an oscillating piece.  It is False when the sum over
-    the pieces with s > 0 of log10(1 + max(sqrt((|q| + cap r)/s), 100 s h)),
-    the decades by which such a piece can move |(u, v)| at most, stays
-    below _UNCHECKED_DECADES (see the module docstring).
+    check says whether _theta_scan tests the state's size after the piece
+    when it oscillates.  A piece with s > 0 can move |(u, v)| by at most
+    log10(1 + max(sqrt((|q| + cap r)/s), 100 s h)) decades (see the module
+    docstring); those decades add up from the last piece after which the
+    size is always tested (one with check set, or with s = 0).  check is
+    set on the piece after which the next one would bring the sum to
+    _UNCHECKED_DECADES, and on one that brings it there by itself, so that
+    an overflow there reads NaN.  A problem whose pieces stay below it in
+    all has no check set.
     """
-    decades = 0.0
+    checks = []
+    decades = 0.0  # since the last piece whose size test is certain
     for h, s, q, r in zip(widths, svals, qvals, rvals):
         if s > 0.0:
-            decades += math.log10(1.0 + max(math.sqrt((abs(q) + cap * r) / s), 100.0 * s * h))
-    check = not decades < _UNCHECKED_DECADES  # a NaN bound checks too
-    return tuple((h, s, q, r, s * h, check) for h, s, q, r in zip(widths, svals, qvals, rvals))
+            grow = math.log10(1.0 + max(math.sqrt((abs(q) + cap * r) / s), 100.0 * s * h))
+            if checks and not decades + grow < _UNCHECKED_DECADES:
+                checks[-1] = True
+                decades = 0.0
+            decades += grow
+        else:
+            decades = 0.0
+        checks.append(not decades < _UNCHECKED_DECADES)  # a NaN bound checks too
+    return tuple(
+        (h, s, q, r, s * h, check) for h, s, q, r, check in zip(widths, svals, qvals, rvals, checks)
+    )
 
 
-def _theta_scan(records, alpha, lam):
+def _theta_scan(records, alpha, lam, within=None):
     """Crossing count and terminal angle fraction for real lambda.
 
     records holds one (h, s, q, r, s h, check) tuple per piece
@@ -204,6 +230,12 @@ def _theta_scan(records, alpha, lam):
     by a whole pi.  Its parity must match the sign flip of u, so a
     mismatch is adjusted by +-1, the direction chosen by which side of a
     pi-multiple the phase ended on.
+
+    within = (w_lo, w_hi), w_hi - w_lo <= 1, holds the windings of two
+    scans that bracket lambda; the winding is then read from the sign of
+    u(b) as the module docstring says, and frac, u and v are unchanged.
+    The two readings agree wherever the computed theta(b) is monotone in
+    lambda, which fails only where forward shooting loses the solution at b.
     """
     sqrt, cos, sin, atan2, floor = math.sqrt, math.cos, math.sin, math.atan2, math.floor
     pi, half_pi, cut = _PI, _HALF_PI, _SERIES_CUT
@@ -225,39 +257,41 @@ def _theta_scan(records, alpha, lam):
                 sg = sin(w) / w
                 u1 = cw * u - sh * sg * v
                 v1 = k * h * sg * u + cw * v
-                turns = w / pi
-                zc = floor(turns)
-                if lo < turns - zc < hi and turns < turns_max and u != 0.0 and u1 != 0.0:
-                    # K or K + 1 zeros: the one whose parity is the sign flip
-                    zc += (zc + ((u > 0.0) != (u1 > 0.0))) & 1
-                else:
-                    # phase count: psi advances exactly linearly (by w) and
-                    # u = 0 iff psi is a multiple of pi, so crossings are a
-                    # floor count.  up is the sign of u just inside the
-                    # piece; at u == 0 that of u'(0+) = -s v
-                    up = u > 0.0 or (u == 0.0 and v < 0.0)
-                    psi0 = atan2(w * u, -sh * v)
-                    sector = 0 if up else -1
-                    if not up and psi0 > 0.0:
-                        # u = +0 with v > 0: atan2 gives +pi for the sector's -pi
-                        psi0 -= 2.0 * pi
-                    psi1 = psi0 + w
-                    f1 = floor(psi1 / pi)
-                    end_frac = psi1 - pi * f1
-                    if u1 != 0.0:
-                        zc = f1 - sector
-                        end_up = u1 > 0.0
+                if within is None:
+                    turns = w / pi
+                    zc = floor(turns)
+                    if lo < turns - zc < hi and turns < turns_max and u != 0.0 and u1 != 0.0:
+                        # K or K + 1 zeros: the one whose parity is the sign flip
+                        zc += (zc + ((u > 0.0) != (u1 > 0.0))) & 1
                     else:
-                        # zero exactly at the right end: it belongs to this
-                        # piece, and the sign just before it is that of v1
-                        zc = f1 - sector - 1
-                        end_up = v1 > 0.0
-                    if (up != end_up) == (zc % 2 == 0):
-                        zc += 1 if end_frac > half_pi else -1
-                        if zc < 0:
-                            zc += 2
-                    if u1 == 0.0:
-                        zc += 1
+                        # phase count: psi advances exactly linearly (by w) and
+                        # u = 0 iff psi is a multiple of pi, so crossings are a
+                        # floor count.  up is the sign of u just inside the
+                        # piece; at u == 0 that of u'(0+) = -s v
+                        up = u > 0.0 or (u == 0.0 and v < 0.0)
+                        psi0 = atan2(w * u, -sh * v)
+                        sector = 0 if up else -1
+                        if not up and psi0 > 0.0:
+                            # u = +0 with v > 0: atan2 gives +pi for the sector's -pi
+                            psi0 -= 2.0 * pi
+                        psi1 = psi0 + w
+                        f1 = floor(psi1 / pi)
+                        end_frac = psi1 - pi * f1
+                        if u1 != 0.0:
+                            zc = f1 - sector
+                            end_up = u1 > 0.0
+                        else:
+                            # zero exactly at the right end: it belongs to this
+                            # piece, and the sign just before it is that of v1
+                            zc = f1 - sector - 1
+                            end_up = v1 > 0.0
+                        if (up != end_up) == (zc % 2 == 0):
+                            zc += 1 if end_frac > half_pi else -1
+                            if zc < 0:
+                                zc += 2
+                        if u1 == 0.0:
+                            zc += 1
+                    winding += zc
             else:
                 if z < -cut:
                     w = sqrt(-z)
@@ -290,15 +324,21 @@ def _theta_scan(records, alpha, lam):
                 # non-oscillatory: at most one zero in (0, h], seen as a sign
                 # flip from up (the sign just inside, as above)
                 up = u > 0.0 or (u == 0.0 and v < 0.0)
-                zc = 1 if u1 == 0.0 or up != (u1 > 0.0) else 0
+                if u1 == 0.0 or up != (u1 > 0.0):
+                    winding += 1
                 check = True
             u, v = u1, v1
-            winding += zc
         if check:
             n = abs(u) + abs(v)
             if n > 1e120 or n < 1e-120:
                 u /= n
                 v /= n
+    if within is not None:
+        # u(b) > 0 for an even winding, < 0 for an odd one
+        w_lo, w_hi = within
+        winding = w_lo if (w_lo & 1) == (u < 0.0) else w_hi
+        if u == 0.0 or (winding & 1) != (u < 0.0):
+            return _theta_scan(records, alpha, lam)
     if u == 0.0:
         # the zero at b is already in the winding; atan2(+0, -v) would
         # read pi for u = +0 with v > 0 and add a second pi

@@ -29,7 +29,11 @@ h = rho(b) sin f, a positive multiple of u(b) cos beta + v(b) sin beta
 (Pryce, Numerical Solution of Sturm-Liouville Problems, 1993), which
 stays smooth in lambda where theta(b) steps past a localized mode;
 beyond |f| = pi, h continues monotonically with the sign of f.  Sign
-tests, tolerance and residual use f.  Where theta(b) is so steep that
+tests, tolerance and residual use f.  A scan at a point inside a
+bracket whose ends' windings differ by at most one is given those
+windings: its winding is then one of the two, read from the sign of
+u(b), and the scan skips the per-piece zero count (shoot._theta_scan).
+The guess and expansion scans count.  Where theta(b) is so steep that
 the bracket reaches its tolerance before the angle does, the same loop
 steps anywhere strictly inside the bracket until the floats run out.
 The bracket end with the smaller |f| is the eigenvalue.
@@ -166,8 +170,8 @@ def eigenvalue(
     target = beta + (n - 1) * _PI
     scanned = []
 
-    def scan(lam: float):
-        winding, frac, u, v = _theta_scan(records, alpha, lam)
+    def scan(lam: float, within: tuple | None = None):
+        winding, frac, u, v = _theta_scan(records, alpha, lam, within)
         point = _point(lam, winding, frac, _hypot(u, v), beta, n)
         if not _isfinite(point[1]):
             raise OutOfDomain(
@@ -271,7 +275,10 @@ def eigenvalue(
             x = xa + 0.5 * w
             if not (x - xa) * (x - xb) < 0.0:
                 break
-        p = scan(x)
+        # the windings of the ends bound the one at x: with at most one
+        # between them, the sign of u(b) picks it (_theta_scan)
+        w_lo, w_hi = (a[3], b[3]) if a[3] <= b[3] else (b[3], a[3])
+        p = scan(x, (w_lo, w_hi) if w_hi - w_lo <= 1 else None)
         if (p[1] >= 0.0) == (a[1] >= 0.0):
             a, c = p, a
         else:

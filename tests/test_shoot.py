@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import slprime.shoot as shoot_mod
 from helpers import hand_piece_matrix, random_problem, rk4_prufer_angle
 from slprime.coeff import constant, make_piecewise, problem, unit_problem
 from slprime.errors import NotRightDefinite, OutOfDomain
@@ -382,23 +383,25 @@ def flat_theta_scan(widths, svals, qvals, rvals, alpha, lam, cap=None):
 
 
 def _size_tested(widths, svals, qvals, rvals, cap):
-    """Whether _scan_records at cap has _theta_scan test the size after every piece."""
-    return _scan_records(widths, svals, qvals, rvals, cap)[0][-1]
+    """Whether _scan_records at cap has _theta_scan test the size after some oscillating piece."""
+    return any(rec[-1] for rec in _scan_records(widths, svals, qvals, rvals, cap))
 
 
 def _bound_missing_args(local):
     """(widths, s, q, r, alpha, lam, cap): 32-48 random pieces at cap 1e12, half with one s near 1e-8.
 
-    About half of them miss the growth bound, so that every piece's size
-    is tested; lambda lies anywhere below cap, as a spectrum scans below
-    its lambda_cap, and up to 1e9 where one piece has s near 1e-8.
+    s > 0 on every piece, so the growth bound adds up over all of them, and
+    most draws pass it: the size is then tested after some oscillating
+    pieces.  lambda lies anywhere below cap, as a spectrum scans below its
+    lambda_cap, and up to 1e9 where one piece has s near 1e-8.
     """
     widths, svals, qvals, rvals, alpha, lam = _random_scan_args(local)
     size = int(local.integers(32, 49))
     while len(widths) < size:
         extra = _random_scan_args(local)[:4]
         widths, svals, qvals, rvals = (a + b for a, b in zip((widths, svals, qvals, rvals), extra))
-    widths, svals, qvals, rvals = (col[:size] for col in (widths, svals, qvals, rvals))
+    widths, qvals, rvals = (col[:size] for col in (widths, qvals, rvals))
+    svals = [s or 1.0 for s in svals[:size]]
     if local.random() < 0.5:
         i = int(local.integers(0, size))
         svals[i] = 1e-8 * local.uniform(0.5, 2.0)
@@ -509,20 +512,22 @@ def test_theta_scan_matches_reference_kernel_bit_for_bit():
     # on an exact zero of u
     assert near_integer > 1000 and off_margin > 10000, (near_integer, off_margin)
     assert zero_starts > 1000, zero_starts
-    # both record kinds ran: the size tested after every piece, and only
-    # after the pieces that can move it past the growth bound
+    # both record kinds ran: the size tested after some oscillating
+    # pieces, and only after the pieces that can move it past the growth bound
     assert tested[True] > 250 and tested[False] > 6000, tested
 
 
-def test_scan_records_flag_the_size_test_per_problem():
+def test_scan_records_flag_the_size_test_per_piece():
     # the unit problem in m equal pieces at cap 1e12: each piece can move
-    # the state by log10(1 + 1e6) decades, 168 in all at m = 28, 192 at 32
-    for m, check in ((28, False), (32, True)):
+    # the state by log10(1 + 1e6) decades, so 29 of them stay below 180 and
+    # 30 do not; the size is tested after every 29th piece, and not at all
+    # where the problem stays below 180 in all (168 decades at m = 28)
+    for m, flagged in ((28, []), (32, [28]), (64, [28, 57]), (128, [28, 57, 86, 115])):
         records = _scan_records([1.0 / m] * m, [1.0] * m, [0.0] * m, [1.0] * m, 1e12)
-        assert len(records) == m and {rec[-1] for rec in records} == {check}, m
-    # sqrt(cap r / s) overflows: every piece is tested
+        assert len(records) == m and [i for i, rec in enumerate(records) if rec[-1]] == flagged, m
+    # sqrt(cap r / s) overflows on piece 1: the size is tested before it and after it
     records = _scan_records([0.5, 0.5], [1.0, 1e-300], [0.0, 0.0], [1.0, 1.0], 1e12)
-    assert {rec[-1] for rec in records} == {True}
+    assert [rec[-1] for rec in records] == [True, True]
     # pieces with s = 0 add nothing to the bound (their size is always tested)
     assert not _size_tested([1.0, 1.0], [0.0, 1.0], [1e300, 0.0], [1.0, 1.0], 1e12)
 
@@ -531,21 +536,25 @@ def test_theta_scan_stays_finite_just_inside_the_growth_bound():
     # quarter turns at lambda = cap alternate between a piece that turns
     # (1, 0) into (0, 1e6) and one that turns (0, 1) into (-1e6, 0): the
     # state grows by 1e144 over 12 pairs, unrescaled between breakpoints,
-    # against a bound of 170.4 decades
-    cap, pairs = 1e12, 12
-    widths = [0.5 * math.pi / math.sqrt(cap), 0.5 * math.pi] * pairs
-    svals, qvals, rvals = [1.0, 1e6] * pairs, [0.0, -1e-6] * pairs, [1.0, 0.0] * pairs
-    decades = sum(
-        math.log10(1.0 + max(math.sqrt((abs(q) + cap * r) / s), 100.0 * s * h))
-        for h, s, q, r in zip(widths, svals, qvals, rvals)
-    )
-    assert 170.0 < decades < 179.0
-    assert not _size_tested(widths, svals, qvals, rvals, cap)
-    winding, frac, u, v = flat_theta_scan(widths, svals, qvals, rvals, 0.5 * math.pi, cap)
-    assert 1e140 < abs(u) + abs(v) < math.inf
-    ref = reference_theta_scan(widths, svals, qvals, rvals, 0.5 * math.pi, cap)
-    assert winding == ref[0]
-    assert abs(frac - ref[1]) <= 4 * math.ulp(ref[1]), (frac, ref[1])
+    # against a bound of 170.4 decades.  36 pairs pass the bound: the size
+    # is tested after pieces 24 and 49 only, where the next pair could
+    # take it past 1e300, and the last 22 pieces grow it to 1e132 again
+    cap = 1e12
+    for pairs, flagged, floor in ((12, [], 1e140), (36, [24, 49], 1e130)):
+        widths = [0.5 * math.pi / math.sqrt(cap), 0.5 * math.pi] * pairs
+        svals, qvals, rvals = [1.0, 1e6] * pairs, [0.0, -1e-6] * pairs, [1.0, 0.0] * pairs
+        decades = sum(
+            math.log10(1.0 + max(math.sqrt((abs(q) + cap * r) / s), 100.0 * s * h))
+            for h, s, q, r in zip(widths, svals, qvals, rvals)
+        )
+        assert 170.0 * pairs / 12 < decades < 179.0 * pairs / 12
+        records = _scan_records(widths, svals, qvals, rvals, cap)
+        assert [i for i, rec in enumerate(records) if rec[-1]] == flagged
+        winding, frac, u, v = flat_theta_scan(widths, svals, qvals, rvals, 0.5 * math.pi, cap)
+        assert floor < abs(u) + abs(v) < math.inf
+        ref = reference_theta_scan(widths, svals, qvals, rvals, 0.5 * math.pi, cap)
+        assert winding == ref[0]
+        assert abs(frac - ref[1]) <= 4 * math.ulp(ref[1]), (frac, ref[1])
 
 
 def test_theta_scan_keeps_a_zero_that_lands_on_a_breakpoint():
@@ -570,3 +579,68 @@ def test_theta_scan_exact_zero_at_b_counts_once():
         winding, frac, u, _ = flat_theta_scan(_THIRDS, [1.0] * 3, [0.0] * 3, [1.0] * 3, 0.0, lam)
         assert u == 0.0
         assert (winding, frac) == (n, 0.0)
+
+
+def _bits(scan):
+    """(winding, frac, u, v) with the floats as hex strings, for bit-for-bit comparison."""
+    return scan[0], *(x.hex() for x in scan[1:])
+
+
+def test_bracketed_scan_matches_the_counted_scan_bit_for_bit():
+    # s, r > 0: theta(b) is non-decreasing in lambda, so the winding at a
+    # lambda inside a bracket lies between those of its ends, and with at
+    # most one between them the sign of u(b) names it
+    local = np.random.default_rng(20261019)
+    checked = 0
+    for _ in range(200):
+        prob = random_problem(local, max_pieces=6, allow_zero=False)
+        records = _scan_records(*prob.coeffs.piece_arrays(), 1e6)
+        alpha = prob.bc.alpha
+        for _ in range(10):
+            lam = float(local.uniform(-300.0, 3000.0))
+            width = 10.0 ** local.uniform(-14.0, 1.0) * max(1.0, abs(lam))
+            lo, hi = lam - width * local.random(), lam + width * local.random()
+            w_lo, w_hi = _theta_scan(records, alpha, lo)[0], _theta_scan(records, alpha, hi)[0]
+            if w_hi - w_lo > 1:
+                continue
+            checked += 1
+            got = _theta_scan(records, alpha, lam, (w_lo, w_hi))
+            assert _bits(got) == _bits(_theta_scan(records, alpha, lam)), (prob, lo, lam, hi)
+    assert checked > 1500, checked
+
+
+def _counting_rescans(monkeypatch):
+    """Calls of _theta_scan made through its module binding: the bracketed scan's rescans."""
+    calls = []
+    scan = shoot_mod._theta_scan
+    monkeypatch.setattr(shoot_mod, "_theta_scan", lambda *a: calls.append(a) or scan(*a))
+    return scan, calls
+
+
+def test_bracketed_scan_rescans_an_exact_zero_at_b(monkeypatch):
+    # u(b) = +0.0: its sign names no parity, so the scan counts after all
+    scan, rescans = _counting_rescans(monkeypatch)
+    records = _scan_records(_THIRDS, [1.0] * 3, [0.0] * 3, [1.0] * 3, 1e4)
+    for n, lam in zip((7, 28), _UNIT_THIRDS_LAMS):
+        counted = scan(records, 0.0, lam)
+        assert counted[2] == 0.0 and counted[:2] == (n, 0.0)
+        for within in ((n - 1, n), (n, n + 1)):
+            rescans.clear()
+            assert _bits(scan(records, 0.0, lam, within)) == _bits(counted)
+            assert rescans == [(records, 0.0, lam)]
+
+
+def test_bracketed_scan_rescans_a_parity_mismatch(monkeypatch):
+    # equal windings at the ends whose parity is not that of u(b): the
+    # scan counts rather than pick a winding outside the bracket
+    scan, rescans = _counting_rescans(monkeypatch)
+    records = _scan_records([1.0], [1.0], [0.0], [1.0], 1e4)
+    lam = 30.0  # sqrt(30) / pi = 1.74 turns: winding 1, u(b) < 0
+    counted = scan(records, 0.0, lam)
+    assert counted[0] == 1 and counted[2] < 0.0
+    for within in ((0, 1), (1, 1), (1, 2)):
+        assert _bits(scan(records, 0.0, lam, within)) == _bits(counted)
+    assert rescans == []
+    for within in ((0, 0), (2, 2)):
+        assert _bits(scan(records, 0.0, lam, within)) == _bits(counted)
+        assert rescans.pop() == (records, 0.0, lam) and not rescans

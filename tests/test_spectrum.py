@@ -277,7 +277,7 @@ def test_low_cap_reports_not_found_with_cap(monkeypatch):
     # (alpha = 3 puts the guess ((beta - alpha) / C)^2 = 8.41 above the cap)
     lams = []
     scan = spectrum_mod._theta_scan
-    monkeypatch.setattr(spectrum_mod, "_theta_scan", lambda *a: lams.append(a[-1]) or scan(*a))
+    monkeypatch.setattr(spectrum_mod, "_theta_scan", lambda *a: lams.append(a[2]) or scan(*a))
     one = make_piecewise([0.0, 1.0], [1.0])
     prob = problem(one, make_piecewise([0.0, 1.0], [0.0]), one, alpha=3.0, beta=0.1)
     with pytest.raises(EigenvalueNotFound) as err:
@@ -395,6 +395,36 @@ def test_float_exhaustion_returns_the_smaller_residual_end(monkeypatch):
             assert math.nextafter(lo[0], hi[0]) == hi[0], (n, lo[0], hi[0])
             exhausted += 1
     assert exhausted >= 6  # the phase really ran
+
+
+def test_bracketed_scans_leave_every_spectrum_bit_for_bit(monkeypatch):
+    # the root loop passes the windings of its bracket ends to _theta_scan,
+    # which then takes the winding from the sign of u(b); a run that
+    # ignores them counts every scan.  They agree bit for bit except where
+    # forward shooting loses the solution at b (ROADMAP item 5): there the
+    # computed theta(b) is not monotone, the counted run's residuals are
+    # large, and the two runs stay within the lambda tolerance
+    scan = spectrum_mod._theta_scan
+    opts = SolverOptions()
+    rng7, rng3 = np.random.default_rng(7), np.random.default_rng(3)
+    cases = [random_problem(rng7, max_pieces=6, allow_zero=False) for _ in range(300)]
+    cases += [random_problem(rng3, max_pieces=6) for _ in range(150)]
+    identical = lossy = 0
+    for prob in cases:
+        got = compute_spectrum(prob, 10)
+        with monkeypatch.context() as m:
+            m.setattr(spectrum_mod, "_theta_scan", lambda rec, alpha, lam, within: scan(rec, alpha, lam))
+            counted = compute_spectrum(prob, 10)
+        if got == counted:
+            identical += 1
+            continue
+        assert max(ev.residual for ev in counted.eigenvalues) > 0.1, prob
+        assert len(got.eigenvalues) == len(counted.eigenvalues), prob
+        for ev, ref in zip(got.eigenvalues, counted.eigenvalues):
+            tol = max(opts.lambda_tol_abs, opts.lambda_tol_rel * abs(ref.value))
+            assert abs(ev.value - ref.value) <= tol, (prob, ev, ref)
+        lossy += 1
+    assert identical >= 440 and lossy <= 10, (identical, lossy)
 
 
 def test_interleaved_walks_share_no_state():

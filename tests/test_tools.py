@@ -45,7 +45,8 @@ def test_bench_scan_measures_a_small_stream(monkeypatch):
     assert set(run) == {
         "git_head", "python", "machine", "nproc", "problems", "eigenvalues", "scans",
         "pieces_scanned", "scans_per_eigenvalue", "scans_per_call_p50", "scans_per_call_p90",
-        "scans_per_call_max", "unchecked_share", "l0_ns_per_piece", "l0_ns_per_piece_runs",
+        "scans_per_call_max", "unchecked_share", "bracketed_share", "by_kind",
+        "l0_ns_per_piece", "l0_ns_per_piece_runs",
         "pass_s", "pass_s_runs", "l0_norm_ns_per_piece", "l0_norm_ns_per_piece_runs",
         "pass_norm_s", "pass_norm_s_runs",
     }
@@ -55,6 +56,16 @@ def test_bench_scan_measures_a_small_stream(monkeypatch):
     assert run["pieces_scanned"] >= run["scans"]
     # these one-piece problems meet the growth bound: no oscillating piece is size-tested
     assert run["unchecked_share"] == {"problems": 1.0, "pieces": 1.0}
+    # the root loop's scans are bracketed, the guess and expansion scans are
+    # not, and each kind is replayed on its own
+    share = run["bracketed_share"]
+    assert 0.0 < share["scans"] < 1.0 and 0.0 < share["pieces"] < 1.0
+    kinds = run["by_kind"]
+    assert set(kinds) == {"counted", "bracketed"}
+    assert kinds["counted"]["pieces"] + kinds["bracketed"]["pieces"] == run["pieces_scanned"]
+    assert kinds["bracketed"]["pieces"] == pytest.approx(share["pieces"] * run["pieces_scanned"])
+    for kind in kinds.values():
+        assert kind["l0_ns_per_piece"] > 0.0 and kind["l0_norm_ns_per_piece"] > 0.0
     for raw, norm, count in (("l0_ns_per_piece", "l0_norm_ns_per_piece", 2),
                              ("pass_s", "pass_norm_s", 1)):
         assert run[raw] > 0.0 and len(run[f"{raw}_runs"]) == count

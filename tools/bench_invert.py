@@ -7,9 +7,11 @@ this process (SLPRIME_THREADS=1, so every count is made here and repeats
 exactly) against whichever slprime the import finds.  For each seed it
 records best/baseline, wall time, evaluations (spectrum solves the search
 starts, the q = 0 baseline included, whether or not it finishes them),
-theta-scans and Jacobians (eigenfunction walks).  The run is stored
-under LABEL in the output JSON, next to the runs already there, so one
-file can hold the same harness run on two checkouts.
+theta-scans, the share of them that the root loop passed the windings of
+its bracket ends (bracketed_share), and Jacobians (eigenfunction walks).
+The run is stored under LABEL in the output JSON, next to the runs
+already there, so one file can hold the same harness run on two
+checkouts.
 """
 
 from __future__ import annotations
@@ -42,10 +44,12 @@ def measure() -> dict:
     import slprime.inverse as inverse
     import slprime.spectrum as spectrum
 
-    counts = {"evaluations": 0, "_theta_scan": 0, "_jacobian": 0}
+    counts = {"evaluations": 0, "_theta_scan": 0, "bracketed": 0, "_jacobian": 0}
     # every spectrum solve, whole or cut short, starts with index 1
     _counted(spectrum, "eigenvalue", counts, lambda args: "evaluations" if args[1] == 1 else None)
-    _counted(spectrum, "_theta_scan", counts)
+    # a scan passed the windings of its bracket ends (none on a kernel without them)
+    _counted(spectrum, "_theta_scan", counts,
+             lambda args: "_theta_scan" if args[3:] in ((), (None,)) else "bracketed")
     _counted(inverse, "_jacobian", counts)
     inverse.search(inverse.SearchConfig(pieces=1, targets=1, restarts=1, max_iters=1))  # warm-up
 
@@ -63,11 +67,13 @@ def measure() -> dict:
             "ratio": res.best_objective / res.baseline_objective,
             "wall_s": round(wall, 3),
             "evaluations": counts["evaluations"],
-            "theta_scans": counts["_theta_scan"],
+            "theta_scans": counts["_theta_scan"] + counts["bracketed"],
+            "bracketed_share": counts["bracketed"] / (counts["_theta_scan"] + counts["bracketed"]),
             "jacobians": counts["_jacobian"],
         })
         print(f"seed {seed}: ratio {runs[-1]['ratio']!r} in {wall:.2f} s, "
-              f"{runs[-1]['evaluations']} evaluations, {runs[-1]['theta_scans']} theta-scans, "
+              f"{runs[-1]['evaluations']} evaluations, {runs[-1]['theta_scans']} theta-scans "
+              f"({runs[-1]['bracketed_share']:.3f} bracketed), "
               f"{runs[-1]['jacobians']} Jacobians", file=sys.stderr)
     package = Path(inverse.__file__).resolve().parent
     return {

@@ -11,10 +11,14 @@ stream is then replayed through shoot._theta_scan.  It records the
 kernel's ns per piece (median of the replays), theta-scans and
 piece-scans, theta-scans per eigenvalue (the mean over eigenvalues
 found; p50, p90 and max over eigenvalue calls, the call that finds a
-finite spectrum's end included), unchecked_share (the share of problems,
-and of piece-scans, whose scan records let the kernel skip the state's
-size test on oscillating pieces), and the untraced compute_spectrum pass
-time (median of the passes), against whichever slprime the import finds.
+finite spectrum's end included), unchecked_share (the share of problems
+whose scan records let the kernel skip the state's size test on every
+oscillating piece, and of piece-scans over such records),
+bracketed_share (the share of scans, and of piece-scans, that the root
+loop passed the windings of its bracket ends) with the kernel's ns per
+piece over each kind of scan replayed alone (by_kind), and the untraced
+compute_spectrum pass time (median of the passes), against whichever
+slprime the import finds.
 The run is stored under LABEL in the output JSON, next to the runs
 already there, so one file can hold the same harness run on two
 checkouts.
@@ -106,9 +110,13 @@ def measure(count: int | None = None, replays: int = REPLAYS, passes: int = PASS
     pieces = sum(len(args[0]) for args in stream)  # one entry per piece
     per_eigenvalue.sort()
     # a record's last field is False where the kernel skips the size test
-    # after oscillating pieces (a kernel without that flag skips nothing)
-    unchecked_problems = sum(stream[i][0][0][-1] is False for i, j in zip(ends, ends[1:]) if j > i)
-    unchecked_pieces = sum(len(args[0]) for args in stream if args[0][0][-1] is False)
+    # after an oscillating piece (a kernel without that flag skips nothing)
+    unchecked = [not any(rec[-1] is not False for rec in args[0]) for args in stream]
+    unchecked_problems = sum(unchecked[i] for i, j in zip(ends, ends[1:]) if j > i)
+    unchecked_pieces = sum(len(args[0]) for args, free in zip(stream, unchecked) if free)
+    # a scan is bracketed where it was passed the windings of the bracket
+    # ends (a kernel that takes no such argument has none)
+    bracketed = [args[3:] not in ((), (None,)) for args in stream]
 
     scan = shoot._theta_scan
 
@@ -118,6 +126,18 @@ def measure(count: int | None = None, replays: int = REPLAYS, passes: int = PASS
 
     chunks = [stream[i:j] for i, j in zip(ends, ends[1:])]
     replay_times = [_paired(replay, chunks) for _ in range(replays)]
+    by_kind = {}
+    for kind, label in ((False, "counted"), (True, "bracketed")):
+        kind_chunks = [[args for args, b in zip(chunk, bracketed[i:j]) if b is kind]
+                       for chunk, i, j in zip(chunks, ends, ends[1:])]
+        kind_pieces = sum(len(args[0]) for chunk in kind_chunks for args in chunk)
+        if kind_pieces:
+            times = [_paired(replay, kind_chunks) for _ in range(replays)]
+            by_kind[label] = {
+                "pieces": kind_pieces,
+                "l0_ns_per_piece": statistics.median(1e9 * raw / kind_pieces for raw, _ in times),
+                "l0_norm_ns_per_piece": statistics.median(1e9 * norm / kind_pieces for _, norm in times),
+            }
     pass_times = [_paired(lambda case: _solve_all([case]), cases) for _ in range(passes)]
     l0_raw = [1e9 * raw / pieces for raw, _ in replay_times]
     l0_norm = [1e9 * norm / pieces for _, norm in replay_times]
@@ -137,6 +157,9 @@ def measure(count: int | None = None, replays: int = REPLAYS, passes: int = PASS
         "scans_per_call_max": per_eigenvalue[-1],
         "unchecked_share": {"problems": unchecked_problems / len(cases),
                             "pieces": unchecked_pieces / pieces},
+        "bracketed_share": {"scans": sum(bracketed) / len(stream),
+                            "pieces": sum(len(a[0]) for a, b in zip(stream, bracketed) if b) / pieces},
+        "by_kind": by_kind,
         "l0_ns_per_piece": statistics.median(l0_raw),
         "l0_ns_per_piece_runs": [round(x, 1) for x in l0_raw],
         "l0_norm_ns_per_piece": statistics.median(l0_norm),
@@ -155,7 +178,8 @@ def main(argv) -> int:
           f"{run['scans_per_eigenvalue']:.3f} scans/eigenvalue (p50 {run['scans_per_call_p50']}, "
           f"p90 {run['scans_per_call_p90']}, max {run['scans_per_call_max']}), "
           f"{run['pieces_scanned']} piece-scans ({run['unchecked_share']['pieces']:.3f} "
-          f"unchecked), pass {run['pass_s']:.4f} s; normalised "
+          f"unchecked, {run['bracketed_share']['pieces']:.3f} bracketed), "
+          f"pass {run['pass_s']:.4f} s; normalised "
           f"{run['l0_norm_ns_per_piece']:.1f} ns/piece, pass {run['pass_norm_s']:.4f} s",
           file=sys.stderr)
     record(args.out, args.label, run)
