@@ -22,11 +22,9 @@ principal angle difference plus pi times the number of interior zeros
 of u, never by blind unwrapping.
 
 On an oscillatory piece the phase of (u, v) advances by exactly
-w = sqrt(z), so with K < w/pi < K + 1 the piece holds K or K + 1 zeros
-of u, and since every zero flips the sign of u, the sign of u at the
-two ends says which.  The theta-scan takes that parity count when w/pi
-is more than _PARITY_MARGIN from an integer and u is nonzero at both
-ends; otherwise it counts the phase's pi-multiples from atan2.
+w = sqrt(z), and u vanishes where the phase is a multiple of pi, so the
+theta-scan counts the phase's pi-multiples from atan2; on a
+non-oscillatory piece u has at most one zero, seen as a sign flip.
 
 The scan carries (u, v) unnormalised and rescales it when its size
 |u| + |v| leaves 1e+-120.  An oscillating piece conserves k u^2 + s v^2
@@ -42,16 +40,16 @@ among the oscillating ones, only after a piece past which the next one
 could take the product to 1e180 (_scan_records).  A problem whose
 bounds multiply to less than 1e180 in all tests no oscillating piece.
 
-Inside an eigenvalue bracket the zero count is not needed.  theta(b;
+Between two scanned points the zero count is not needed.  theta(b;
 lambda) is non-decreasing in lambda on a right-definite problem, so at
-a lambda between two scanned ends whose windings differ by at most one
-the winding is one of those two.  Since theta(a) = alpha lies in
+a lambda between two scanned points whose windings differ by at most
+one the winding is one of those two.  Since theta(a) = alpha lies in
 [0, pi) and u = rho sin theta, u(b) > 0 exactly when the winding is
 even.  A scan given the two windings therefore propagates (u, v) with
-the same arithmetic and size tests, counts no zeros on its oscillatory
-pieces, and takes the winding whose parity the sign of u(b) gives.
-Where u(b) is exactly 0, or where the two windings are equal and u(b)
-has the other parity, it repeats itself with counting.
+the same arithmetic and size tests, counts no zeros on any piece, and
+takes the winding whose parity the sign of u(b) gives.  Where u(b) is
+exactly 0, or where the two windings are equal and u(b) has the other
+parity, it repeats itself with counting.
 """
 
 from __future__ import annotations
@@ -77,12 +75,6 @@ _SERIES_CUT = 1e-4
 
 _PI = math.pi
 _HALF_PI = 0.5 * math.pi
-
-# an oscillatory piece whose w/pi lies within this of an integer, or
-# reaches _PARITY_MAX_TURNS (where the rounding of w/pi nears the margin),
-# counts its zeros from the phase instead of the sign parity
-_PARITY_MARGIN = 1e-6
-_PARITY_MAX_TURNS = 1e9
 
 # the decades of growth that oscillating pieces may add up to between two
 # size tests: 1e120 from the rescale threshold to 1e300 from overflow
@@ -215,31 +207,26 @@ def _theta_scan(records, alpha, lam, within=None):
     one whose record has check set.
 
     On an oscillatory piece the phase psi = atan2(w u, -s h v) advances by
-    exactly w, and u vanishes where psi is a multiple of pi.  When
-    K < w/pi < K + 1 the piece therefore holds K or K + 1 zeros, each a
-    sign flip of u, and the parity of the flip between the two ends picks
-    the count, with no angle computed.  K = floor(w/pi) is exact while
-    w/pi lies more than _PARITY_MARGIN from an integer, since below
-    _PARITY_MAX_TURNS its rounding error (~1.5e-16 w/pi) is far smaller.
-    The parity needs u nonzero at both ends.  Otherwise, or inside the
-    margin, the count falls back to the floor of psi, which starts in the
-    sector (0 or -1, in units of pi) that the sign of u just inside the
-    piece gives, not the one the rounded atan2 gives: psi0 can round onto
-    pi while u > 0.  Roundoff can still mis-bin a zero that falls on a
-    piece boundary; the count is then off by one, which would shift theta
-    by a whole pi.  Its parity must match the sign flip of u, so a
-    mismatch is adjusted by +-1, the direction chosen by which side of a
-    pi-multiple the phase ended on.
+    exactly w, and u vanishes where psi is a multiple of pi, so the piece's
+    zeros are counted by the floor of psi.  psi starts in the sector (0 or
+    -1, in units of pi) that the sign of u just inside the piece gives,
+    not the one the rounded atan2 gives: psi0 can round onto pi while
+    u > 0.  Roundoff can still mis-bin a zero that falls on a piece
+    boundary; the count is then off by one, which would shift theta by a
+    whole pi.  Its parity must match the sign flip of u, so a mismatch is
+    adjusted by +-1, the direction chosen by which side of a pi-multiple
+    the phase ended on.  A non-oscillatory piece holds at most one zero,
+    counted where u flips sign.
 
     within = (w_lo, w_hi), w_hi - w_lo <= 1, holds the windings of two
-    scans that bracket lambda; the winding is then read from the sign of
-    u(b) as the module docstring says, and frac, u and v are unchanged.
+    scans on either side of lambda; no piece's zeros are then counted,
+    the winding is read from the sign of u(b) as the module docstring
+    says, and frac, u and v are unchanged.
     The two readings agree wherever the computed theta(b) is monotone in
     lambda, which fails only where forward shooting loses the solution at b.
     """
     sqrt, cos, sin, atan2, floor = math.sqrt, math.cos, math.sin, math.atan2, math.floor
     pi, half_pi, cut = _PI, _HALF_PI, _SERIES_CUT
-    lo, hi, turns_max = _PARITY_MARGIN, 1.0 - _PARITY_MARGIN, _PARITY_MAX_TURNS
     u = sin(alpha)
     v = -cos(alpha)
     winding = 0
@@ -258,39 +245,33 @@ def _theta_scan(records, alpha, lam, within=None):
                 u1 = cw * u - sh * sg * v
                 v1 = k * h * sg * u + cw * v
                 if within is None:
-                    turns = w / pi
-                    zc = floor(turns)
-                    if lo < turns - zc < hi and turns < turns_max and u != 0.0 and u1 != 0.0:
-                        # K or K + 1 zeros: the one whose parity is the sign flip
-                        zc += (zc + ((u > 0.0) != (u1 > 0.0))) & 1
+                    # psi advances exactly linearly (by w) and u = 0 iff psi
+                    # is a multiple of pi, so crossings are a floor count.
+                    # up is the sign of u just inside the piece; at u == 0
+                    # that of u'(0+) = -s v
+                    up = u > 0.0 or (u == 0.0 and v < 0.0)
+                    psi0 = atan2(w * u, -sh * v)
+                    sector = 0 if up else -1
+                    if not up and psi0 > 0.0:
+                        # u = +0 with v > 0: atan2 gives +pi for the sector's -pi
+                        psi0 -= 2.0 * pi
+                    psi1 = psi0 + w
+                    f1 = floor(psi1 / pi)
+                    end_frac = psi1 - pi * f1
+                    if u1 != 0.0:
+                        zc = f1 - sector
+                        end_up = u1 > 0.0
                     else:
-                        # phase count: psi advances exactly linearly (by w) and
-                        # u = 0 iff psi is a multiple of pi, so crossings are a
-                        # floor count.  up is the sign of u just inside the
-                        # piece; at u == 0 that of u'(0+) = -s v
-                        up = u > 0.0 or (u == 0.0 and v < 0.0)
-                        psi0 = atan2(w * u, -sh * v)
-                        sector = 0 if up else -1
-                        if not up and psi0 > 0.0:
-                            # u = +0 with v > 0: atan2 gives +pi for the sector's -pi
-                            psi0 -= 2.0 * pi
-                        psi1 = psi0 + w
-                        f1 = floor(psi1 / pi)
-                        end_frac = psi1 - pi * f1
-                        if u1 != 0.0:
-                            zc = f1 - sector
-                            end_up = u1 > 0.0
-                        else:
-                            # zero exactly at the right end: it belongs to this
-                            # piece, and the sign just before it is that of v1
-                            zc = f1 - sector - 1
-                            end_up = v1 > 0.0
-                        if (up != end_up) == (zc % 2 == 0):
-                            zc += 1 if end_frac > half_pi else -1
-                            if zc < 0:
-                                zc += 2
-                        if u1 == 0.0:
-                            zc += 1
+                        # zero exactly at the right end: it belongs to this
+                        # piece, and the sign just before it is that of v1
+                        zc = f1 - sector - 1
+                        end_up = v1 > 0.0
+                    if (up != end_up) == (zc % 2 == 0):
+                        zc += 1 if end_frac > half_pi else -1
+                        if zc < 0:
+                            zc += 2
+                    if u1 == 0.0:
+                        zc += 1
                     winding += zc
             else:
                 if z < -cut:
@@ -321,11 +302,12 @@ def _theta_scan(records, alpha, lam, within=None):
                         # e underflowed (w > ~370): the e^{-w} part alone
                         # gives the direction
                         u1, v1 = u + a * v, v - b * u
-                # non-oscillatory: at most one zero in (0, h], seen as a sign
-                # flip from up (the sign just inside, as above)
-                up = u > 0.0 or (u == 0.0 and v < 0.0)
-                if u1 == 0.0 or up != (u1 > 0.0):
-                    winding += 1
+                if within is None:
+                    # non-oscillatory: at most one zero in (0, h], seen as a
+                    # sign flip from up (the sign just inside, as above)
+                    up = u > 0.0 or (u == 0.0 and v < 0.0)
+                    if u1 == 0.0 or up != (u1 > 0.0):
+                        winding += 1
                 check = True
             u, v = u1, v1
         if check:

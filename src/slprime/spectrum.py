@@ -29,13 +29,15 @@ h = rho(b) sin f, a positive multiple of u(b) cos beta + v(b) sin beta
 (Pryce, Numerical Solution of Sturm-Liouville Problems, 1993), which
 stays smooth in lambda where theta(b) steps past a localized mode;
 beyond |f| = pi, h continues monotonically with the sign of f.  Sign
-tests, tolerance and residual use f.  A scan at a point inside a
-bracket whose ends' windings differ by at most one is given those
-windings: its winding is then one of the two, read from the sign of
-u(b), and the scan skips the per-piece zero count (shoot._theta_scan).
-The guess and expansion scans count.  Where theta(b) is so steep that
-the bracket reaches its tolerance before the angle does, the same loop
-steps anywhere strictly inside the bracket until the floats run out.
+tests, tolerance and residual use f.  Every scan that lies between two
+scanned points (a guess between the carried ends, an expansion step
+short of a carried end, each step inside the bracket) is given their
+windings when they differ by at most one: its winding is then one of
+the two, read from the sign of u(b), and the scan counts no zeros
+(shoot._theta_scan).  A scan with no scanned point on one side, or
+between windings two or more apart, counts.  Where theta(b) is so steep
+that the bracket reaches its tolerance before the angle does, the same
+loop steps anywhere strictly inside the bracket until the floats run out.
 The bracket end with the smaller |f| is the eigenvalue.
 """
 
@@ -170,7 +172,14 @@ def eigenvalue(
     target = beta + (n - 1) * _PI
     scanned = []
 
-    def scan(lam: float, within: tuple | None = None):
+    def scan(lam: float, lo: tuple | None = None, hi: tuple | None = None):
+        # lo and hi: scanned points on either side of lam, whose windings
+        # bound the one at lam (_theta_scan)
+        within = None
+        if lo is not None and hi is not None:
+            w_lo, w_hi = (lo[3], hi[3]) if lo[3] <= hi[3] else (hi[3], lo[3])
+            if w_hi - w_lo <= 1:
+                within = (w_lo, w_hi)
         winding, frac, u, v = _theta_scan(records, alpha, lam, within)
         point = _point(lam, winding, frac, _hypot(u, v), beta, n)
         if not _isfinite(point[1]):
@@ -215,7 +224,7 @@ def eigenvalue(
     elif hi is not None and guess >= hi[0]:
         near = hi
     else:
-        near = scan(guess)
+        near = scan(guess, lo, hi)
     up = near[1] < 0.0
     end = hi if up else lo
     origin = near[0]
@@ -231,7 +240,7 @@ def eigenvalue(
         if end is not None and (x >= end[0] if up else x <= end[0]):
             far = end
             break
-        far = scan(min(x, cap) if up else max(x, -cap))
+        far = scan(min(x, cap) if up else max(x, -cap), near, end)
         if (far[1] >= 0.0) == up:
             break
         # a clamped point sits at the cap on its own side of the guess
@@ -275,10 +284,7 @@ def eigenvalue(
             x = xa + 0.5 * w
             if not (x - xa) * (x - xb) < 0.0:
                 break
-        # the windings of the ends bound the one at x: with at most one
-        # between them, the sign of u(b) picks it (_theta_scan)
-        w_lo, w_hi = (a[3], b[3]) if a[3] <= b[3] else (b[3], a[3])
-        p = scan(x, (w_lo, w_hi) if w_hi - w_lo <= 1 else None)
+        p = scan(x, a, b)
         if (p[1] >= 0.0) == (a[1] >= 0.0):
             a, c = p, a
         else:

@@ -11,7 +11,6 @@ from helpers import hand_piece_matrix, random_problem, rk4_prufer_angle
 from slprime.coeff import constant, make_piecewise, problem, unit_problem
 from slprime.errors import NotRightDefinite, OutOfDomain
 from slprime.shoot import (
-    _PARITY_MARGIN,
     _SERIES_CUT,
     _kernel_series,
     _scaled_piece,
@@ -474,6 +473,7 @@ def _breakpoint_zero_args(local):
 
 def test_theta_scan_matches_reference_kernel_bit_for_bit():
     local = np.random.default_rng(20261018)
+    margin = 1e-6  # w/pi this close to an integer counts as near-integer
     series = near_integer = off_margin = zero_starts = 0
     tested = {False: 0, True: 0}  # draws by whether every piece's size is tested
     draws = [_random_scan_args] * 6000 + [_near_integer_turns_args] * 1500
@@ -499,7 +499,7 @@ def test_theta_scan_matches_reference_kernel_bit_for_bit():
             z = s * (lam * r - q) * h * h
             if z > _SERIES_CUT:
                 turns = math.sqrt(z) / math.pi
-                if abs(turns - round(turns)) <= _PARITY_MARGIN:
+                if abs(turns - round(turns)) <= margin:
                     near_integer += 1
                 else:
                     off_margin += 1
@@ -507,9 +507,9 @@ def test_theta_scan_matches_reference_kernel_bit_for_bit():
                 zero_starts += alpha == 0.0 and not live
             live = True
     assert series > 500  # the series branch really was exercised
-    # both zero counts ran: the parity rule (w/pi off the margin) and the
-    # phase count, inside the margin and on oscillatory pieces that start
-    # on an exact zero of u
+    # the phase count ran on pieces whose w/pi lies near an integer, on
+    # pieces well away from one, and on oscillatory pieces that start on
+    # an exact zero of u
     assert near_integer > 1000 and off_margin > 10000, (near_integer, off_margin)
     assert zero_starts > 1000, zero_starts
     # both record kinds ran: the size tested after some oscillating
@@ -589,9 +589,10 @@ def _bits(scan):
 def test_bracketed_scan_matches_the_counted_scan_bit_for_bit():
     # s, r > 0: theta(b) is non-decreasing in lambda, so the winding at a
     # lambda inside a bracket lies between those of its ends, and with at
-    # most one between them the sign of u(b) names it
+    # most one between them the sign of u(b) names it.  A bracketed scan
+    # counts no zeros on any piece, the non-oscillating ones included
     local = np.random.default_rng(20261019)
-    checked = 0
+    checked = non_oscillating = 0
     for _ in range(200):
         prob = random_problem(local, max_pieces=6, allow_zero=False)
         records = _scan_records(*prob.coeffs.piece_arrays(), 1e6)
@@ -606,7 +607,10 @@ def test_bracketed_scan_matches_the_counted_scan_bit_for_bit():
             checked += 1
             got = _theta_scan(records, alpha, lam, (w_lo, w_hi))
             assert _bits(got) == _bits(_theta_scan(records, alpha, lam)), (prob, lo, lam, hi)
-    assert checked > 1500, checked
+            non_oscillating += any(
+                s * (lam * r - q) * h * h <= _SERIES_CUT for h, s, q, r, _, _ in records
+            )
+    assert checked > 1500 and non_oscillating > 150, (checked, non_oscillating)
 
 
 def _counting_rescans(monkeypatch):

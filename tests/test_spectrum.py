@@ -1,6 +1,9 @@
 """Eigenvalue solver: closed forms, the finite Atkinson spectrum, Weyl fits."""
 
+import inspect
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -398,8 +401,8 @@ def test_float_exhaustion_returns_the_smaller_residual_end(monkeypatch):
 
 
 def test_bracketed_scans_leave_every_spectrum_bit_for_bit(monkeypatch):
-    # the root loop passes the windings of its bracket ends to _theta_scan,
-    # which then takes the winding from the sign of u(b); a run that
+    # a scan between two scanned points is passed their windings, and
+    # _theta_scan then takes the winding from the sign of u(b); a run that
     # ignores them counts every scan.  They agree bit for bit except where
     # forward shooting loses the solution at b (ROADMAP item 5): there the
     # computed theta(b) is not monotone, the counted run's residuals are
@@ -425,6 +428,109 @@ def test_bracketed_scans_leave_every_spectrum_bit_for_bit(monkeypatch):
             assert abs(ev.value - ref.value) <= tol, (prob, ev, ref)
         lossy += 1
     assert identical >= 440 and lossy <= 10, (identical, lossy)
+
+
+def test_every_scan_between_two_scanned_points_is_passed_their_windings(monkeypatch):
+    # the walk reads the winding from u(b) wherever a scan lies between two
+    # points it has scanned: the guess between the carried ends, each
+    # expansion step short of a carried end and each step inside the
+    # bracket.  Where the computed theta(b) is monotone over an eigenvalue
+    # call's points, those are the nearest of them on either side of the
+    # scan; a scan with no point on one side counts
+    scan, solve = spectrum_mod._theta_scan, spectrum_mod.eigenvalue
+    calls = []  # per eigenvalue call: its carried (lambda, winding, frac), then its scans
+
+    def spying_solve(prob, n, opts, carry):
+        calls.append(([(p[0], p[3], p[4]) for p in carry[1]], []))
+        return solve(prob, n, opts, carry)
+
+    def spying_scan(records, alpha, lam, within):
+        got = scan(records, alpha, lam, within)
+        calls[-1][1].append(((lam, got[0], got[1]), within))
+        return got
+
+    def walk(prob):
+        found = []
+        try:
+            found.extend(itertools.islice(spectrum_mod._ascending(prob), 15))
+        except EigenvalueNotFound:
+            pass
+        return found
+
+    rng = np.random.default_rng(23)
+    cases = [random_problem(rng, max_pieces=8, allow_zero=False) for _ in range(80)]
+    with monkeypatch.context() as m:
+        m.setattr(spectrum_mod, "eigenvalue", spying_solve)
+        m.setattr(spectrum_mod, "_theta_scan", spying_scan)
+        walks = [walk(prob) for prob in cases]
+    tally = {"carried ends": 0, "a carried end": 0, "scanned ends": 0, "counted": 0}
+    lossy = 0
+    for carried, scans in calls:
+        points = carried + [point for point, _ in scans]
+        ordered = sorted(points)
+        if any(a[1:] > b[1:] for a, b in zip(ordered, ordered[1:])):
+            lossy += 1  # forward shooting lost the solution at b (ROADMAP item 5)
+            continue
+        winding = {lam: w for lam, w, _ in points}
+        known = {lam: True for lam, _, _ in carried}  # lambda: carried?
+        for (lam, _, _), within in scans:
+            below = max((x for x in known if x < lam), default=None)
+            above = min((x for x in known if x > lam), default=None)
+            expected = None
+            if below is not None and above is not None and winding[above] - winding[below] <= 1:
+                expected = (winding[below], winding[above])
+            assert within == expected, (lam, below, above, within)
+            if expected is None:
+                tally["counted"] += 1
+            else:
+                carried_ends = known[below] + known[above]
+                tally[("scanned ends", "a carried end", "carried ends")[carried_ends]] += 1
+            known[lam] = False
+    assert lossy <= 0.01 * len(calls), (lossy, len(calls))
+    # guesses (and first expansion steps) between the carried ends, and
+    # expansion and root steps next to a carried end, really were bracketed
+    assert tally["carried ends"] > 50 and tally["a carried end"] > 500, tally
+
+    # the same walks reading every winding by the zero count, bit for bit
+    with monkeypatch.context() as m:
+        m.setattr(spectrum_mod, "_theta_scan", lambda rec, alpha, lam, _: scan(rec, alpha, lam))
+        assert [walk(prob) for prob in cases] == walks
+
+
+def test_root_loop_clamps_a_step_next_to_the_far_end():
+    # a constant Neumann problem, one of perfbench's closed-form spectra
+    # cases: at these indices the interpolation lands within tol/2 of the
+    # bracket end across from the newest point and is pulled back to it
+    s, q, r = 0.7257536083590793, -22.54275261091521, 0.7329464048869161
+    length, half_pi = 1.5060403453491558, 0.5 * math.pi
+    coeffs = (make_piecewise([0.0, length], [c]) for c in (s, q, r))
+    prob = problem(*coeffs, alpha=half_pi, beta=half_pi)
+    code = spectrum_mod.eigenvalue.__code__
+    lines, _ = inspect.getsourcelines(code)
+    clamp = code.co_firstlineno + next(
+        i for i, line in enumerate(lines) if line.strip() == "t = 1.0 - tlim"
+    )
+    clamped = []  # the index of each clamped step
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == clamp:
+            clamped.append(frame.f_locals["n"])
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        spec = compute_spectrum(prob, 300)
+    finally:
+        sys.settrace(previous)
+    assert clamped, "the upper clamp never ran"
+    assert len(spec.eigenvalues) == 300
+    opts = SolverOptions()
+    for ev in spec.eigenvalues:
+        exact = q / r + ((ev.index - 1) * math.pi / length) ** 2 / (s * r)
+        tol = max(opts.lambda_tol_abs, opts.lambda_tol_rel * abs(exact))
+        assert abs(ev.value - exact) <= tol, ev
+        assert ev.oscillation == ev.index - 1
 
 
 def test_interleaved_walks_share_no_state():

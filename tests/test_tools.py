@@ -56,8 +56,9 @@ def test_bench_scan_measures_a_small_stream(monkeypatch):
     assert run["pieces_scanned"] >= run["scans"]
     # these one-piece problems meet the growth bound: no oscillating piece is size-tested
     assert run["unchecked_share"] == {"problems": 1.0, "pieces": 1.0}
-    # the root loop's scans are bracketed, the guess and expansion scans are
-    # not, and each kind is replayed on its own
+    # scans between two scanned points are bracketed, those with no scanned
+    # point on one side (a cold first guess, most expansion steps) are not,
+    # and each kind is replayed on its own
     share = run["bracketed_share"]
     assert 0.0 < share["scans"] < 1.0 and 0.0 < share["pieces"] < 1.0
     kinds = run["by_kind"]
@@ -76,6 +77,35 @@ def test_bench_scan_measures_a_small_stream(monkeypatch):
     run = bench_scan.measure(count=2, replays=3, passes=2)
     for raw, norm in (("l0_ns_per_piece", "l0_norm_ns_per_piece"), ("pass_s", "pass_norm_s")):
         assert run[norm] == pytest.approx(0.25 * run[raw], rel=1e-12)
+
+
+def test_bench_invert_measures_a_tiny_search(monkeypatch):
+    monkeypatch.setenv("SLPRIME_THREADS", "0")  # measure sets it to 1; undone after the test
+    bench_invert = _load("bench_invert")
+    import slprime.inverse as inverse
+    import slprime.spectrum as spectrum
+
+    # the times are paired with perfbench's own reference loop, not a copy of it
+    gauge = sys.modules["gauge"]
+    assert Path(gauge.__file__).resolve() == TOOLS.parent / "perfbench" / "gauge.py"
+    assert bench_invert.reference_seconds is gauge.reference_seconds
+
+    bindings = (spectrum.eigenvalue, spectrum._theta_scan, inverse._jacobian)
+    shape = {"pieces": 2, "targets": 3, "restarts": 1, "max_iters": 3}
+    # on a core where the reference loop takes 4 ms, every time counts a quarter
+    monkeypatch.setattr(bench_invert, "reference_seconds", lambda: 4.0 * gauge.REF_NOMINAL_S)
+    run = bench_invert.measure(seeds=[5, 6], shape=shape)
+    # the counting wrappers are gone again
+    assert (spectrum.eigenvalue, spectrum._theta_scan, inverse._jacobian) == bindings
+    assert run["seeds"] == [5, 6] and [r["seed"] for r in run["runs"]] == [5, 6]
+    assert run["config"] == {**shape, "bound": 200.0}
+    for r in run["runs"]:
+        assert r["wall_s"] > 0.0 and r["wall_norm_s"] == pytest.approx(0.25 * r["wall_s"], rel=1e-12)
+        assert r["evaluations"] > 1 and r["theta_scans"] > r["evaluations"] and r["jacobians"] > 0
+        assert 0.0 < r["bracketed_share"] < 1.0
+        assert r["ratio"] == r["best_objective"] / r["baseline_objective"] <= 1.0
+    assert run["total_wall_s"] == pytest.approx(sum(r["wall_s"] for r in run["runs"]))
+    assert run["total_norm_s"] == pytest.approx(0.25 * run["total_wall_s"], rel=1e-12)
 
 
 def test_git_head_marks_an_uncommitted_tree_dirty(tmp_path):

@@ -14,9 +14,10 @@ found; p50, p90 and max over eigenvalue calls, the call that finds a
 finite spectrum's end included), unchecked_share (the share of problems
 whose scan records let the kernel skip the state's size test on every
 oscillating piece, and of piece-scans over such records),
-bracketed_share (the share of scans, and of piece-scans, that the root
-loop passed the windings of its bracket ends) with the kernel's ns per
-piece over each kind of scan replayed alone (by_kind), and the untraced
+bracketed_share (the share of scans, and of piece-scans, passed the
+windings of two scanned points around them: any scan between two
+scanned points) with the kernel's ns per piece over each kind of scan
+replayed alone (by_kind), and the untraced
 compute_spectrum pass time (median of the passes), against whichever
 slprime the import finds.
 The run is stored under LABEL in the output JSON, next to the runs
@@ -114,8 +115,8 @@ def measure(count: int | None = None, replays: int = REPLAYS, passes: int = PASS
     unchecked = [not any(rec[-1] is not False for rec in args[0]) for args in stream]
     unchecked_problems = sum(unchecked[i] for i, j in zip(ends, ends[1:]) if j > i)
     unchecked_pieces = sum(len(args[0]) for args, free in zip(stream, unchecked) if free)
-    # a scan is bracketed where it was passed the windings of the bracket
-    # ends (a kernel that takes no such argument has none)
+    # a scan is bracketed where it was passed the windings of two scanned
+    # points around it (a kernel that takes no such argument has none)
     bracketed = [args[3:] not in ((), (None,)) for args in stream]
 
     scan = shoot._theta_scan
