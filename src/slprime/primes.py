@@ -11,12 +11,15 @@ All primes come from one segment walker, _segments.  Every p_n the
 package reads comes from nth_primes, and the partial sums in analysis
 stream the same walk: each holds one 1 MB segment however far it reads.
 sieve keeps every prime up to a limit, for callers that want the table.
+nth_primes up to n = 145,969, a walk of one segment, never imports numpy,
+whose import costs more than that sieve (see _segments).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import TYPE_CHECKING
 
 from .errors import LimitTooLarge, OutOfDomain
@@ -88,15 +91,24 @@ def _segments(limit: int):
     set and stands for the prime 2.  Segment 0 also yields the base primes
     up to sqrt(limit), since sqrt(_SIEVE_MAX) < 2 * _SEGMENT.  Every
     segment reuses one buffer: read it before asking for the next.
-    """
-    import numpy as np
 
+    A walk that fits one segment (limit <= 2^21) sieves a bytearray and
+    never imports numpy.  A longer one sieves numpy bools from segment 0
+    on: a bytearray strike needs a zero block per prime (350 KB for p = 3),
+    which would raise the max RSS of a long walk such as series over 10^6.
+    """
     n_odd = (limit + 1) // 2
-    flags = np.ones(min(n_odd, _SEGMENT), dtype=bool)
-    for i in range(1, (math.isqrt(2 * flags.size - 1) - 1) // 2 + 1):
+    short = n_odd <= _SEGMENT
+    if not short:
+        import numpy as np
+    flags = bytearray(b"\x01") * n_odd if short else np.ones(_SEGMENT, dtype=bool)
+    for i in range(1, (math.isqrt(2 * len(flags) - 1) - 1) // 2 + 1):
         if flags[i]:
             p = 2 * i + 1
-            flags[p * p // 2 :: p] = False
+            flags[p * p // 2 :: p] = bytearray(len(range(p * p // 2, n_odd, p))) if short else False
+    if short:
+        yield 0, flags
+        return
     base = 2 * np.flatnonzero(flags[1 : (math.isqrt(limit) - 1) // 2 + 1]) + 3
     yield 0, flags
 
@@ -112,11 +124,11 @@ def _segments(limit: int):
         yield lo, flags
 
 
-def _segment_primes(lo: int, flags: np.ndarray) -> np.ndarray:
-    """The ascending int64 primes of one segment of _segments."""
+def _segment_primes(lo: int, flags: np.ndarray | bytearray) -> np.ndarray:
+    """The ascending int64 primes of one segment of _segments, whichever its buffer."""
     import numpy as np
 
-    primes = np.flatnonzero(flags).astype(np.int64, copy=False)
+    primes = np.flatnonzero(np.frombuffer(flags, dtype=bool)).astype(np.int64, copy=False)
     primes *= 2
     primes += 2 * lo + 1
     if lo == 0:
@@ -154,11 +166,14 @@ def nth_primes(ns) -> list[int]:
     if any(b < a for a, b in zip(ns, ns[1:])):
         raise OutOfDomain("prime indices must be ascending")
     _rosser_bound(ns[0])  # the smallest index meets the same rules as the largest
-    import numpy as np
-
     out = []
     count = 0  # primes in the segments before this one
     for lo, flags in _segments(_rosser_bound(ns[-1])):
+        if isinstance(flags, bytearray):  # a one-segment walk: read without numpy
+            primes = list(compress(range(1, 2 * len(flags), 2), flags))
+            primes[0] = 2
+            return [primes[n - 1] for n in ns]
+        import numpy as np  # imported by _segments for a walk this long
         count_here = count + int(np.count_nonzero(flags))
         if ns[len(out)] <= count_here:
             primes = _segment_primes(lo, flags)

@@ -305,7 +305,8 @@ def test_streamed_partial_sums_match_one_cumsum_bit_for_bit():
     # the one-table, one-cumsum computation the streamed sums replaced
     table = sieve(8 * _SEGMENT + 1)
     chunk_edges = [k * 2**16 + d for k in (1, 2, 3) for d in (-1, 0, 1)]
-    ns = sorted({1, *sieve_edge_indices(table), *chunk_edges})
+    # up to n = 145,969 the primes come from a one-segment bytearray walk
+    ns = sorted({1, *sieve_edge_indices(table), *chunk_edges, 145_969, 145_970})
     n_all = np.arange(1, ns[-1] + 1, dtype=np.float64)
     for eps in (0.01, 0.25, 0.49):
         prime_sums = np.cumsum(table.primes[: ns[-1]].astype(np.float64) ** -(0.5 + eps))

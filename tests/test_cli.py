@@ -526,25 +526,50 @@ def test_cli_import_leaves_out_the_process_pool():
     assert out.stdout.strip() == "[]"
 
 
-def test_numpy_free_commands_start_without_numpy(tmp_path):
-    # numpy is imported where arrays are built; --help, spectrum, growth and
-    # order build none, so their processes never pay for importing it
-    cfg = write_doc(tmp_path, UNIT_DOC)
+def _numpy_after_each(argvs):
+    """Run each argv through slprime.cli.run in one fresh process: is numpy imported after it?"""
     code = (
         "import sys, slprime.cli\n"
         "seen = ['numpy' in sys.modules]\n"
-        f"for argv in (['--help'], ['spectrum', '--config', {cfg!r}, '--n-max', '5'],\n"
-        f"             ['growth', '--config', {cfg!r}], ['order', '--config', {cfg!r}]):\n"
+        f"for argv in {argvs!r}:\n"
         "    assert slprime.cli.run(argv) == 0, argv\n"
         "    seen.append('numpy' in sys.modules)\n"
         "print(seen, file=sys.stderr)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60,
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stderr.strip() == "[False, False, False, False, False]"
+    return out.stderr.strip()
+
+
+def test_numpy_free_commands_start_without_numpy(tmp_path):
+    # numpy is imported where arrays are built; --help, spectrum, growth and
+    # order build none, and prime reads that fit one sieve segment (p_n up to
+    # n = 145,969) sieve a bytearray, so these processes never pay for importing it
+    cfg = write_doc(tmp_path, UNIT_DOC)
+    search = tmp_path / "search.json"
+    search.write_text(json.dumps({"pieces": 1, "targets": 1, "seed": 42, "restarts": 1,
+                                  "max_iters": 60}))
+    argvs = [
+        ["--help"],
+        ["spectrum", "--config", cfg, "--n-max", "5"],
+        ["growth", "--config", cfg],
+        ["order", "--config", cfg],
+        ["primes", "--n-max", "100", "--out", str(tmp_path / "p.csv")],
+        ["nonlinear", "--n-max", "1000", "--out", str(tmp_path / "nl.csv")],
+        ["incompat", "--config", cfg, "--n-max", "10000", "--out", str(tmp_path / "inc.csv")],
+        ["invert", "--config", str(search), "--out", str(tmp_path / "inv.json")],
+    ]
+    assert _numpy_after_each(argvs) == str([False] * (len(argvs) + 1))
+
+
+def test_long_prime_walks_import_numpy(tmp_path):
+    # series builds arrays of terms, and p_145970's walk outgrows one segment
+    for argv in (["series", "--n-max", "1000", "--out", str(tmp_path / "s.csv")],
+                 ["primes", "--n-max", "145970", "--out", str(tmp_path / "p.csv")]):
+        assert _numpy_after_each([argv]) == "[False, True]", argv
 
 
 def test_readme_command_lines_parse():

@@ -50,7 +50,8 @@ def test_sieve_counts_frozen():
 
 def test_segmented_sieve_matches_single_array():
     # segment k covers the odd numbers [2 SEG k + 1, 2 SEG (k + 1)); limits
-    # around each edge end a segment early, exactly, or one slot into the next
+    # around each edge end a segment early, exactly, or one slot into the next.
+    # Up to 2 SEG the walk sieves a bytearray, past it numpy bools
     limits = [2 * SEG * k + d for k in (1, 2, 3) for d in (-2, -1, 0, 1, 2)]
     # 2053 is the first prime whose square lies past segment 1; 4_219_999
     # spans three segments with base-prime squares in the last one
@@ -60,6 +61,17 @@ def test_segmented_sieve_matches_single_array():
         table = sieve(limit)
         assert table.primes.dtype == np.int64
         assert np.array_equal(table.primes, single_array_sieve(limit)), limit
+
+
+def test_only_walks_past_one_segment_sieve_numpy_bools():
+    assert [type(flags) for _, flags in primes_mod._segments(2 * SEG)] == [bytearray]
+    assert [type(flags) for _, flags in primes_mod._segments(2 * SEG + 1)] == [np.ndarray] * 2
+    # p_145969 is the last index whose Rosser bound fits one segment
+    bounds = [primes_mod._rosser_bound(n) for n in (145_969, 145_970)]
+    assert bounds == [2_097_139, 2_097_154] and bounds[0] < 2 * SEG < bounds[1]
+    table = sieve(2 * SEG + 2)
+    for n in (1, 145_968, 145_969, 145_970):
+        assert nth_primes([1, n]) == [2, int(table.primes[n - 1])], n
 
 
 def test_nth_primes_large_indices():

@@ -85,22 +85,28 @@ def test_bench_invert_measures_a_tiny_search(monkeypatch):
     import slprime.inverse as inverse
     import slprime.spectrum as spectrum
 
-    # the times are paired with perfbench's own reference loop, not a copy of it
+    # the times are divided by perfbench's own gauge process, not a copy of it
     gauge = sys.modules["gauge"]
     assert Path(gauge.__file__).resolve() == TOOLS.parent / "perfbench" / "gauge.py"
-    assert bench_invert.reference_seconds is gauge.reference_seconds
+    assert (bench_invert.Sampler, bench_invert.one_core) == (gauge.Sampler, gauge.one_core)
 
     bindings = (spectrum.eigenvalue, spectrum._theta_scan, inverse._jacobian)
     shape = {"pieces": 2, "targets": 3, "restarts": 1, "max_iters": 3}
-    # on a core where the reference loop takes 4 ms, every time counts a quarter
-    monkeypatch.setattr(bench_invert, "reference_seconds", lambda: 4.0 * gauge.REF_NOMINAL_S)
+    # the gauge is read over each search's own window; where the loop ran
+    # 4x slower than nominal, every time counts a quarter
+    windows = []
+    monkeypatch.setattr(gauge.Sampler, "slowdown",
+                        lambda self, t0, t1: windows.append((t0, t1)) or 4.0)
     run = bench_invert.measure(seeds=[5, 6], shape=shape)
     # the counting wrappers are gone again
     assert (spectrum.eigenvalue, spectrum._theta_scan, inverse._jacobian) == bindings
     assert run["seeds"] == [5, 6] and [r["seed"] for r in run["runs"]] == [5, 6]
     assert run["config"] == {**shape, "bound": 200.0}
+    assert [t1 - t0 for t0, t1 in windows] == [r["wall_s"] for r in run["runs"]]
+    assert windows[0][1] <= windows[1][0]
     for r in run["runs"]:
-        assert r["wall_s"] > 0.0 and r["wall_norm_s"] == pytest.approx(0.25 * r["wall_s"], rel=1e-12)
+        assert r["wall_s"] > 0.0 and r["slowdown"] == 4.0
+        assert r["wall_norm_s"] == pytest.approx(0.25 * r["wall_s"], rel=1e-12)
         assert r["evaluations"] > 1 and r["theta_scans"] > r["evaluations"] and r["jacobians"] > 0
         assert 0.0 < r["bracketed_share"] < 1.0
         assert r["ratio"] == r["best_objective"] / r["baseline_objective"] <= 1.0
@@ -157,9 +163,16 @@ def test_bench_sieve_measures_small_runs():
     for layer in run["layers"].values():
         assert layer["wall_s"] > 0.0 and layer["traced_peak_mb"] > 0.0
     assert run["processes"]["primes"]["argv"] == ["primes", "--n-max", "1000"]
+    assert run["processes"]["incompat"]["argv"] == [
+        "incompat", "--config", "unit.json", "--n-max", "10000"
+    ]
     for proc in run["processes"].values():
         assert proc["wall_s"] > 0.0 and len(proc["max_rss_mb_runs"]) == 1
         assert proc["max_rss_mb"] > 1.0
+    # series builds arrays; every other read here fits one sieve segment
+    imported = {name: proc["numpy_imported"] for name, proc in run["processes"].items()}
+    assert imported == {"primes": False, "series": True, "nonlinear": False, "incompat": False,
+                        "invert": False}
 
 
 def test_cli_snapshot_compare_names_every_change(tmp_path, capsys):

@@ -13,14 +13,15 @@ Jacobians (eigenfunction walks).  The run is stored under LABEL in the
 output JSON, next to the runs already there, so one file can hold the
 same harness run on two checkouts.
 
-Core speed on a shared VM drifts by up to 2x between runs, so each
-seed's search is paired with a run of perfbench's reference loop
-(perfbench/gauge.py, imported unchanged) just before it, as
-tools/bench_scan.py pairs its problems.  wall_norm_s is the search's
-time / reference time x REF_NOMINAL_S, its time on a core where the loop
-takes 1 ms, and total_norm_s their sum, next to the raw wall_s and
-total_wall_s.  One 1 ms loop reads the speed of its moment only, so
-wall_norm_s still moves with drift during a search.
+Core speed on a shared VM drifts by up to 2x between runs and within a
+3 s search, so the searches run beside perfbench's gauge process
+(perfbench/gauge.py Sampler, imported unchanged), which times its
+reference loop every 20 ms, as perfbench's inverse workload does.  The
+search is one thread here, so it and the gauge are pinned to one core
+(gauge.one_core) and the gauge sees the speed the search gets.  Each
+seed's slowdown is the gauge's mean over that search's own window, and
+wall_norm_s = wall_s / slowdown, its time on a core where the loop takes
+1 ms; total_norm_s is their sum, next to the raw wall_s and total_wall_s.
 """
 
 from __future__ import annotations
@@ -28,13 +29,14 @@ from __future__ import annotations
 import dataclasses
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 from benchmeta import bench_parser, record, run_header
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-from gauge import REF_NOMINAL_S, reference_seconds  # noqa: E402
+from gauge import Sampler, one_core  # noqa: E402
 
 SEEDS = range(101, 111)
 
@@ -57,7 +59,7 @@ def _counted(module, name, counts, key=None):
 
 
 def measure(seeds=SEEDS, shape: dict | None = None) -> dict:
-    """One search(SearchConfig(seed=s, **shape)) per seed, each after a reference loop run."""
+    """One search(SearchConfig(seed=s, **shape)) per seed, on one core with the gauge process."""
     os.environ["SLPRIME_THREADS"] = "1"
     import slprime.inverse as inverse
     import slprime.spectrum as spectrum
@@ -73,37 +75,40 @@ def measure(seeds=SEEDS, shape: dict | None = None) -> dict:
                  lambda args: "_theta_scan" if args[3:] in ((), (None,)) else "bracketed"),
         _counted(inverse, "_jacobian", counts),
     ]
-    runs = []
+    runs, windows = [], []
     try:
         inverse.search(inverse.SearchConfig(pieces=1, targets=1, restarts=1, max_iters=1))  # warm-up
-        for seed in seeds:
-            for key in counts:
-                counts[key] = 0
-            ref = reference_seconds()
-            t0 = time.perf_counter()
-            res = inverse.search(inverse.SearchConfig(seed=seed, **shape))
-            wall = time.perf_counter() - t0
-            scans = counts["_theta_scan"] + counts["bracketed"]
-            runs.append({
-                "seed": seed,
-                "best_objective": res.best_objective,
-                "baseline_objective": res.baseline_objective,
-                "ratio": res.best_objective / res.baseline_objective,
-                "wall_s": wall,
-                "wall_norm_s": wall / ref * REF_NOMINAL_S,
-                "evaluations": counts["evaluations"],
-                "theta_scans": scans,
-                "bracketed_share": counts["bracketed"] / scans,
-                "jacobians": counts["_jacobian"],
-            })
-            print(f"seed {seed}: ratio {runs[-1]['ratio']!r} in {wall:.2f} s "
-                  f"({runs[-1]['wall_norm_s']:.2f} s normalised), "
-                  f"{runs[-1]['evaluations']} evaluations, {scans} theta-scans "
-                  f"({runs[-1]['bracketed_share']:.3f} bracketed), "
-                  f"{runs[-1]['jacobians']} Jacobians", file=sys.stderr)
+        with (one_core(), tempfile.TemporaryDirectory() as work,
+              Sampler(Path(work)) as gauge):
+            for seed in seeds:
+                for key in counts:
+                    counts[key] = 0
+                t0 = time.perf_counter()
+                res = inverse.search(inverse.SearchConfig(seed=seed, **shape))
+                windows.append((t0, time.perf_counter()))
+                scans = counts["_theta_scan"] + counts["bracketed"]
+                runs.append({
+                    "seed": seed,
+                    "best_objective": res.best_objective,
+                    "baseline_objective": res.baseline_objective,
+                    "ratio": res.best_objective / res.baseline_objective,
+                    "wall_s": windows[-1][1] - t0,
+                    "evaluations": counts["evaluations"],
+                    "theta_scans": scans,
+                    "bracketed_share": counts["bracketed"] / scans,
+                    "jacobians": counts["_jacobian"],
+                })
     finally:
         for undo in restore:
             undo()
+    for run, window in zip(runs, windows):  # the gauge's log is read once it has stopped
+        run["slowdown"] = gauge.slowdown(*window)
+        run["wall_norm_s"] = run["wall_s"] / run["slowdown"]
+        print(f"seed {run['seed']}: ratio {run['ratio']!r} in {run['wall_s']:.2f} s "
+              f"({run['wall_norm_s']:.2f} s normalised), "
+              f"{run['evaluations']} evaluations, {run['theta_scans']} theta-scans "
+              f"({run['bracketed_share']:.3f} bracketed), "
+              f"{run['jacobians']} Jacobians", file=sys.stderr)
     config = dataclasses.asdict(inverse.SearchConfig(**shape))
     del config["seed"]
     package = Path(inverse.__file__).resolve().parent
