@@ -37,6 +37,7 @@ __all__ = [
     "order_estimate",
     "partial_sum_primes",
     "partial_sum_spectrum",
+    "series_verdict",
 ]
 
 _MAX_SAMPLES = 10**6  # the largest x_samples (growth) and angular_samples (order) taken
@@ -112,6 +113,10 @@ class GrowthReport:
     min_slack: float
     passed: bool
 
+    @property
+    def verdict(self) -> str:
+        return "PASS" if self.passed else "FAIL"
+
 
 def growth_check(problem: SLProblem, lam: complex, x_samples: int = 32) -> GrowthReport:
     """Check |d/dx log W| <= sqrt|lambda| (r + s) + |q|/sqrt|lambda| pointwise.
@@ -167,6 +172,7 @@ class OrderEstimate:
     slope: float
     low_confidence: bool
     used: tuple[bool, ...]
+    verdict: str
 
 
 def order_estimate(
@@ -175,8 +181,10 @@ def order_estimate(
     """Max modulus of u(b; lambda) over circles |lambda| = R, fitted for the order.
 
     Radii spanning fewer than three decades are accepted but flagged
-    low_confidence; radii where M(R) <= 10 are excluded from the fit to
-    keep log log M away from its singularity.
+    low_confidence, and the verdict is then INCONCLUSIVE; otherwise it is
+    PASS when the slope lies in [0.4, 0.6] and FAIL outside.  Radii where
+    M(R) <= 10 are excluded from the fit to keep log log M away from its
+    singularity.
     """
     radii = tuple(float(rr) for rr in radii)
     if len(radii) < 3:
@@ -213,13 +221,9 @@ def order_estimate(
     dxs = [x - x_mean for x in xs]  # the least-squares slope, in closed form
     slope = math.fsum(dx * (y - y_mean) for dx, y in zip(dxs, ys)) / math.fsum(d * d for d in dxs)
     low_confidence = radii[-1] < 1e3 * radii[0]
-    return OrderEstimate(
-        radii=radii,
-        log_max_modulus=tuple(log_m),
-        slope=slope,
-        low_confidence=low_confidence,
-        used=used,
-    )
+    verdict = "INCONCLUSIVE" if low_confidence else "PASS" if 0.4 <= slope <= 0.6 else "FAIL"
+    return OrderEstimate(radii=radii, log_max_modulus=tuple(log_m), slope=slope,
+                         low_confidence=low_confidence, used=used, verdict=verdict)
 
 
 _MODEL_CHUNK = 1 << 16  # model-spectrum terms summed per chunk
@@ -307,3 +311,21 @@ def partial_sum_spectrum(c: float, epsilon: float, n_terms: int):
         (m, s, scale * m ** (-2.0 * epsilon) / (2.0 * epsilon))
         for m, s in _running_sums(chunks, _checkpoints(n_terms))
     )
+
+
+def series_verdict(prime_rows, model_rows) -> str:
+    """PASS/FAIL/INCONCLUSIVE for partial_sum_primes and partial_sum_spectrum rows of one n_terms.
+
+    PASS needs increasing prime sums that at least double from the last
+    checkpoint M <= n_terms/100 to n_terms, and model sums that grow past
+    the first checkpoint by at most its tail bound; below n_terms = 10^5
+    there is no such M and the verdict is withheld.  At n_terms = 10^6 the
+    doubling holds only for eps <= 0.27, though the sums diverge for every eps < 1/2.
+    """
+    sums = [sp for _, sp in prime_rows]
+    anchor = [sp for m, sp in prime_rows if m * 100 <= prime_rows[-1][0]]
+    if not anchor:
+        return "INCONCLUSIVE"
+    increasing = all(a < b for a, b in zip(sums, sums[1:]))
+    model_ok = model_rows[-1][1] - model_rows[0][1] <= model_rows[0][2] * (1 + 1e-12)
+    return "PASS" if increasing and sums[-1] >= 2.0 * anchor[-1] and model_ok else "FAIL"

@@ -24,6 +24,7 @@ from .analysis import (
     order_estimate,
     partial_sum_primes,
     partial_sum_spectrum,
+    series_verdict,
 )
 from .coeff import (
     BoundaryCondition,
@@ -42,6 +43,7 @@ from .spectrum import SolverOptions, compute_spectrum
 __all__ = ["run", "main", "document_to_problem", "problem_to_document"]
 
 _ANGLE_STRINGS = {"pi": math.pi, "pi/2": math.pi / 2}
+_UNIT_STRING_C = math.pi**2  # series' model c n^2 is the unit string's (n pi)^2
 
 
 # ---------------------------------------------------------------- documents
@@ -162,11 +164,6 @@ def _load_problem(path: str) -> tuple[SLProblem, SolverOptions, dict]:
 # ---------------------------------------------------------------- output
 
 
-def _config_hash(effective: dict) -> str:
-    blob = json.dumps(effective, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -175,9 +172,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(out_path: str | None, header, rows, cfg_hash: str) -> None:
+def _write_csv(out_path: str | None, command: str, header, rows, **config) -> None:
+    """Header and rows as CSV, after a line hashing the effective {"command": command, **config}."""
+    blob = json.dumps({"command": command, **config}, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
     buf = io.StringIO()
-    buf.write(f"# slprime {__version__} config_sha256={cfg_hash}\n")
+    buf.write(f"# slprime {__version__} config_sha256={digest}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
@@ -199,9 +199,9 @@ def _verdict(tag: str, verdict: str) -> int:
 def _cmd_spectrum(args) -> int:
     problem, opts, doc = _load_problem(args.config)
     spec = compute_spectrum(problem, args.n_max, opts)
-    cfg = _config_hash({"command": "spectrum", "doc": doc, "n_max": args.n_max})
     rows = [(ev.index, ev.value, ev.oscillation, ev.residual) for ev in spec.eigenvalues]
-    _write_csv(args.out, ("n", "lambda", "oscillation", "residual"), rows, cfg)
+    _write_csv(args.out, args.command, ("n", "lambda", "oscillation", "residual"), rows,
+               doc=doc, n_max=args.n_max)
     if spec.truncated:
         print(spec.truncation_note)
     return 0
@@ -220,7 +220,6 @@ def _cmd_nonlinear(args) -> int:
         nl = NonlinearProblem(PiecewiseConstant((0.0, 1.0), (0.0,)))
         opts, doc = SolverOptions(), None
     spec = compute_spectrum(nl.base(), args.n_max, opts)
-    cfg = _config_hash({"command": "nonlinear", "doc": doc, "n_max": args.n_max})
     composed = _composed_rows(spec)
     # read the primes of the rows printed, not of the n_max asked for: a
     # truncated spectrum needs only its own
@@ -228,7 +227,8 @@ def _cmd_nonlinear(args) -> int:
         (row.index, row.mu, row.lam, p, None if row.lam is None else row.lam - p)
         for row, p in zip(composed, nth_primes([row.index for row in composed]))
     ]
-    _write_csv(args.out, ("n", "mu", "lambda", "p_n", "lambda_minus_p"), rows, cfg)
+    _write_csv(args.out, args.command, ("n", "mu", "lambda", "p_n", "lambda_minus_p"), rows,
+               doc=doc, n_max=args.n_max)
     if spec.truncated:
         print(spec.truncation_note)
     return 0
@@ -247,7 +247,6 @@ def _prime_checkpoints(n_max: int) -> list[int]:
 
 
 def _cmd_primes(args) -> int:
-    cfg = _config_hash({"command": "primes", "n_max": args.n_max})
     checkpoints = _prime_checkpoints(args.n_max)
     rows = []
     for n, p in zip(checkpoints, nth_primes(checkpoints)):
@@ -258,9 +257,10 @@ def _cmd_primes(args) -> int:
         rows.append((n, p, asym, ces, err_a, err_c))
     _write_csv(
         args.out,
+        args.command,
         ("n", "p_n", "n_log_n", "cesaro", "rel_err_pnt", "rel_err_cesaro"),
         rows,
-        cfg,
+        n_max=args.n_max,
     )
     return 0
 
@@ -274,27 +274,20 @@ def _cmd_incompat(args) -> int:
             f"spectrum truncated before n = {args.n_max}; incompat needs the full range"
         )
     report = incompatibility_report(spec, args.n_max)
-    cfg = _config_hash({"command": "incompat", "doc": doc, "n_max": args.n_max})
-    _write_csv(args.out, ("n", "lambda", "p_n", "ratio"), report.rows, cfg)
+    _write_csv(args.out, args.command, ("n", "lambda", "p_n", "ratio"), report.rows,
+               doc=doc, n_max=args.n_max)
     print(report.note)
-    return _verdict("incompat", report.verdict)
+    return _verdict(args.command, report.verdict)
 
 
 def _cmd_growth(args) -> int:
     problem, _, doc = _load_problem(args.config)
     lam = complex(args.lambda_re, args.lambda_im)
     report = growth_check(problem, lam, args.x_samples)
-    cfg = _config_hash(
-        {
-            "command": "growth",
-            "doc": doc,
-            "lambda": [args.lambda_re, args.lambda_im],
-            "x_samples": args.x_samples,
-        }
-    )
-    _write_csv(args.out, ("x", "measured", "bound", "slack"), report.samples, cfg)
+    _write_csv(args.out, args.command, ("x", "measured", "bound", "slack"), report.samples,
+               doc=doc, x_samples=args.x_samples, **{"lambda": [args.lambda_re, args.lambda_im]})
     print(f"min_slack {report.min_slack!r}")
-    return _verdict("growth", "PASS" if report.passed else "FAIL")
+    return _verdict(args.command, report.verdict)
 
 
 def _cmd_order(args) -> int:
@@ -304,55 +297,20 @@ def _cmd_order(args) -> int:
     except ValueError as exc:
         raise BadConfig(f"--radii must be comma-separated numbers: {exc}") from exc
     est = order_estimate(problem, radii, args.angular_samples)
-    cfg = _config_hash(
-        {
-            "command": "order",
-            "doc": doc,
-            "radii": radii,
-            "angular_samples": args.angular_samples,
-        }
-    )
     rows = list(zip(est.radii, est.log_max_modulus, (int(u) for u in est.used)))
-    _write_csv(args.out, ("radius", "log_max_modulus", "used_in_fit"), rows, cfg)
+    _write_csv(args.out, args.command, ("radius", "log_max_modulus", "used_in_fit"), rows,
+               doc=doc, radii=radii, angular_samples=args.angular_samples)
     print(f"slope {est.slope!r}")
-    if est.low_confidence:
-        verdict = "INCONCLUSIVE"
-    elif 0.4 <= est.slope <= 0.6:
-        verdict = "PASS"
-    else:
-        verdict = "FAIL"
-    return _verdict("order", verdict)
+    return _verdict(args.command, est.verdict)
 
 
 def _cmd_series(args) -> int:
     prime_rows = partial_sum_primes(args.epsilon, args.n_max)
-    model_rows = partial_sum_spectrum(args.growth_constant, args.epsilon, args.n_max)
-    cfg = _config_hash(
-        {
-            "command": "series",
-            "epsilon": args.epsilon,
-            "n_max": args.n_max,
-            "growth_constant": args.growth_constant,
-        }
-    )
-    rows = [
-        (m, sp, sm, tb)
-        for (m, sp), (_, sm, tb) in zip(prime_rows, model_rows)
-    ]
-    _write_csv(args.out, ("M", "prime_sum", "model_sum", "model_tail_bound"), rows, cfg)
-
-    sums = [sp for _, sp in prime_rows]
-    increasing = all(a < b for a, b in zip(sums, sums[1:]))
-    last_m = prime_rows[-1][0]
-    anchor = [sp for m, sp in prime_rows if m * 100 <= last_m]
-    model_ok = model_rows[-1][1] - model_rows[0][1] <= model_rows[0][2] * (1 + 1e-12)
-    if not anchor:
-        verdict = "INCONCLUSIVE"
-    elif increasing and sums[-1] >= 2.0 * anchor[-1] and model_ok:
-        verdict = "PASS"
-    else:
-        verdict = "FAIL"
-    return _verdict("series", verdict)
+    model_rows = partial_sum_spectrum(_UNIT_STRING_C, args.epsilon, args.n_max)
+    rows = [(m, sp, sm, tb) for (m, sp), (_, sm, tb) in zip(prime_rows, model_rows)]
+    _write_csv(args.out, args.command, ("M", "prime_sum", "model_sum", "model_tail_bound"), rows,
+               epsilon=args.epsilon, n_max=args.n_max, growth_constant=_UNIT_STRING_C)
+    return _verdict(args.command, series_verdict(prime_rows, model_rows))
 
 
 def _cmd_invert(args) -> int:
@@ -370,7 +328,6 @@ def _cmd_invert(args) -> int:
 
     result = search(cfg_obj)
     cfg_dict = dataclasses.asdict(cfg_obj)
-    cfg_hash = _config_hash({"command": "invert", "config": cfg_dict})
     payload = {
         "config": cfg_dict,
         "baseline_objective": result.baseline_objective,
@@ -387,7 +344,8 @@ def _cmd_invert(args) -> int:
         (t.index, t.target, t.achieved, t.implied_lambda, t.prime)
         for t in result.per_target
     ]
-    _write_csv(csv_path, ("n", "target_mu", "achieved_mu", "implied_lambda", "p_n"), rows, cfg_hash)
+    _write_csv(csv_path, args.command, ("n", "target_mu", "achieved_mu", "implied_lambda", "p_n"),
+               rows, config=cfg_dict)
     print(
         f"invert: baseline {result.baseline_objective!r} "
         f"best {result.best_objective!r} -> {args.out}"
@@ -446,7 +404,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="partial-sum dichotomy: primes vs model spectrum")
     p.add_argument("--epsilon", type=float, default=0.25)
     p.add_argument("--n-max", type=int, default=10**6)
-    p.add_argument("--growth-constant", type=float, default=math.pi**2)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_series)
 

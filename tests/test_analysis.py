@@ -15,6 +15,7 @@ from slprime.analysis import (
     order_estimate,
     partial_sum_primes,
     partial_sum_spectrum,
+    series_verdict,
 )
 from slprime.coeff import constant, problem, unit_problem
 from slprime.errors import (
@@ -194,6 +195,7 @@ def test_order_estimate_unit_problem():
     assert not est.low_confidence
     assert all(est.used)
     assert 0.45 <= est.slope <= 0.55  # entire of order exactly 1/2
+    assert est.verdict == "PASS"
     # the closed-form slope is np.polyfit's up to rounding
     fit = np.polyfit(np.log(est.radii), np.log(est.log_max_modulus), 1)[0]
     assert est.slope == pytest.approx(fit, rel=1e-14)
@@ -204,12 +206,23 @@ def test_order_estimate_with_potential():
         constant(1.0, 0.0, 1.0), constant(40.0, 0.0, 1.0), constant(1.0, 0.0, 1.0)
     )
     est = order_estimate(prob, [1e2, 1e3, 1e4, 1e5, 1e6])
-    assert 0.4 <= est.slope <= 0.6
+    assert est.verdict == "PASS"
+
+
+def test_order_estimate_fails_outside_the_band():
+    # q = 1e4 dominates u(b; lambda) while |lambda| << q: log M(R) barely
+    # moves over three decades of R, so the slope reads near 0
+    prob = problem(constant(1.0), constant(1e4), constant(1.0))
+    est = order_estimate(prob, [1.0, 10.0, 100.0, 1000.0])
+    assert not est.low_confidence and all(est.used)
+    assert est.slope == pytest.approx(0.0067, abs=1e-4)
+    assert est.verdict == "FAIL"
 
 
 def test_order_estimate_flags_and_guards(monkeypatch):
     est = order_estimate(unit_problem(), [10.0, 30.0, 100.0])
     assert est.low_confidence
+    assert est.verdict == "INCONCLUSIVE"
     with pytest.raises(OutOfDomain):
         order_estimate(unit_problem(), [1e2, 1e3])
     with pytest.raises(OutOfDomain):
@@ -288,6 +301,27 @@ def test_partial_sum_primes_checkpoints_and_oracle():
 def test_partial_sum_primes_diverges_in_practice():
     rows = dict(partial_sum_primes(0.25, 10**6))
     assert rows[10**6] / rows[10**4] >= 2.0
+
+
+def test_series_verdict_clauses():
+    # synthetic rows for n_terms = 1e5: the doubling is read from M = 1e3
+    primes = ((10**3, 1.0), (10**4, 1.5), (10**5, 2.0))
+    model = ((10**3, 0.5, 0.125), (10**4, 0.6, 0.04), (10**5, 0.625, 0.0125))
+    assert series_verdict(primes, model) == "PASS"  # both clauses met exactly
+    not_increasing = ((10**3, 1.0), (10**4, 2.5), (10**5, 2.4))
+    assert series_verdict(not_increasing, model) == "FAIL"
+    not_doubled = ((10**3, 1.0), (10**4, 1.5), (10**5, 1.99))
+    assert series_verdict(not_doubled, model) == "FAIL"
+    past_tail = ((10**3, 0.5, 0.125), (10**4, 0.6, 0.04), (10**5, 0.6251, 0.0125))
+    assert series_verdict(primes, past_tail) == "FAIL"
+    # at n_terms = 1e6 the anchor is the last checkpoint at or below 1e4
+    late = ((10**3, 1.0), (10**4, 1.5), (10**5, 2.5), (10**6, 2.9))
+    model6 = (*model, (10**6, 0.625, 0.004))
+    assert series_verdict(late, model6) == "FAIL"
+    assert series_verdict((*late[:3], (10**6, 3.0)), model6) == "PASS"
+    # below n_terms = 1e5 no checkpoint lies at n_terms/100: withheld, whatever the sums
+    assert series_verdict(((10**3, 1.0), (2000, 1.2)), model[:2]) == "INCONCLUSIVE"
+    assert series_verdict(((10**3, 1.0), (2000, 0.5)), model[:2]) == "INCONCLUSIVE"
 
 
 def test_partial_sum_spectrum_tail_bound():

@@ -386,6 +386,13 @@ def test_order_command(tmp_path, capsys):
     for count in ("1000001", "100000000000000000000"):
         assert run(["order", "--config", cfg, "--angular-samples", count]) == 2
         assert "angular_samples must be in [4, 1000000]" in capsys.readouterr().err
+    # q = 1e4 holds the slope near 0 over radii 1..1000: FAIL, exit 3
+    heavy = json.loads(json.dumps(UNIT_DOC))
+    heavy["coefficients"]["q"]["values"] = [1e4]
+    cfg = write_doc(tmp_path, heavy, "heavy.json")
+    code = run(["order", "--config", cfg, "--radii", "1,10,100,1000", "--out", str(tmp_path / "o3.csv")])
+    assert code == 3
+    assert capsys.readouterr().out.splitlines()[-1] == "VERDICT: FAIL order"
 
 
 def test_series_command(tmp_path, capsys):
@@ -400,6 +407,52 @@ def test_series_command(tmp_path, capsys):
     assert "VERDICT: INCONCLUSIVE series" in captured.out
     # epsilon outside (0, 1/2) is a validation error
     assert run(["series", "--epsilon", "0.9", "--n-max", "1000"]) == 2
+    # the model's c is the unit string's pi^2, not an option
+    assert run(["series", "--growth-constant", "9.0", "--n-max", "1000"]) == 2
+    assert "unrecognized arguments: --growth-constant" in capsys.readouterr().err
+
+
+@pytest.mark.xfail(strict=True, reason="the doubling clause needs eps <= 0.27 at n_max 1e6, "
+                   "though the prime series diverges for every eps < 1/2")
+def test_series_passes_wherever_the_prime_series_diverges(tmp_path, capsys):
+    code = run(["series", "--epsilon", "0.3", "--n-max", "1000000", "--out", str(tmp_path / "s.csv")])
+    assert capsys.readouterr().out.splitlines()[-1] == "VERDICT: PASS series"
+    assert code == 0
+
+
+# one light run per subcommand and the config_sha256 its CSV header carries;
+# the hash covers the effective configuration, so it must not drift
+CONFIG_HASHES = {
+    "spectrum": (["--config", "{unit}", "--n-max", "5"],
+                 "7bd4a77e2f2e6f9499fffafa266f672df41f4296b6a75a124f8826e5b32f23b5"),
+    "nonlinear": (["--n-max", "5"],
+                  "69e0851b158ead3593ee017a745d91b0ab1f8ae7217325c7be3f2f81c0dd6646"),
+    "primes": (["--n-max", "100"],
+               "d2181b0de13f4a1549832a20226c299f86ef73afa8c7157b9e7d8004855a5149"),
+    "incompat": (["--config", "{unit}", "--n-max", "10"],
+                 "44814700946a37d01f6d08401a8bf7183a32da85b1e5cd9fee98197baf4a0520"),
+    "growth": (["--config", "{unit}", "--x-samples", "6"],
+               "aa1ffe93d6a9b1349ba2a682cfb029d03aa01542805ad3235d87ce2b4fda7b5c"),
+    "order": (["--config", "{unit}", "--radii", "10,30,100"],
+              "91df8ef952140a2006d74da2d056b1fc4e9e7304f1f82561f60f40d1feaa15c6"),
+    "series": (["--n-max", "2000"],
+               "2cc445c5c784f00f06845afd48806697532bcd2c659931f50c9f7cceb66baae9"),
+    "invert": (["--config", "{search}"],
+               "23bb9d3294145a12bcd34cc2b06ac863ada9e82c3fa81173f62194ba964a7ce6"),
+}
+
+
+@pytest.mark.parametrize("command", list(CONFIG_HASHES))
+def test_config_hash_is_pinned(tmp_path, capsys, command):
+    paths = {"unit": write_doc(tmp_path, UNIT_DOC), "search": str(tmp_path / "search.json")}
+    (tmp_path / "search.json").write_text(
+        json.dumps({"pieces": 1, "targets": 1, "seed": 42, "restarts": 1, "max_iters": 5})
+    )
+    options, expected = CONFIG_HASHES[command]
+    out = tmp_path / "out.json" if command == "invert" else tmp_path / "out.csv"
+    assert run([command, *(opt.format(**paths) for opt in options), "--out", str(out)]) == 0
+    csv_path = tmp_path / "out_targets.csv" if command == "invert" else out
+    assert csv_path.read_text().splitlines()[0] == f"# slprime 0.1.0 config_sha256={expected}"
 
 
 def test_nonlinear_command(tmp_path, capsys):
