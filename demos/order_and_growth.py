@@ -5,8 +5,9 @@ Entire-function fingerprints of the boundary value
 u(b; lambda) is entire in lambda.  Two numerical fingerprints pin down its
 growth class:
 
- * the max modulus over circles |lambda| = R fits log log M(R) ~ 0.5 log R,
-   i.e. order 1/2;
+ * the max modulus M(R) over circles |lambda| = R, bounded below by
+   |u(b; -R)| and above by |u(b; -R - 2|c|)| for c below every zero, fits
+   log log M(R) ~ 0.5 log R, i.e. order 1/2;
  * pointwise, the logarithmic derivative of W = |lambda||u|^2 + |v|^2 stays
    inside sqrt(|lambda|)(r + s) + |q|/sqrt(|lambda|).  It is exact, not
    measured: W'/W is read from the propagated state (u, v) itself.
@@ -24,7 +25,7 @@ for name, prob in [
     ("q = 50", problem(constant(1.0), constant(50.0), constant(1.0))),
 ]:
     est = order_estimate(prob, radii)
-    print(f"{name}: fitted order {est.slope:.4f}")
+    print(f"{name}: fitted order {est.slope:.4f} (upper bound {est.slope_upper:.4f})")
     for rr, lm, kept in zip(est.radii, est.log_max_modulus, est.used):
         mark = "" if kept else "   (excluded: modulus too small)"
         print(f"    R = {rr:8.0f}   log M(R) = {lm:10.3f}{mark}")

@@ -5,8 +5,8 @@ Three independent signatures, each testable numerically:
 * eigenvalues grow like n^2 while primes grow like n log n, so p_n/lambda_n
   decays to zero (incompatibility report);
 * solutions are entire of order <= 1/2 in lambda (exact log-derivative
-  growth bound and max-modulus order estimate), so sum |lambda_n|^(-1/2-eps)
-  converges over any admissible spectrum;
+  growth bound; the order of M(R), bounded on both sides on the negative
+  axis), so sum |lambda_n|^(-1/2-eps) converges over any admissible spectrum;
 * the same sum over the primes diverges (partial-sum dichotomy).
 """
 
@@ -14,19 +14,22 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 
-from .coeff import SLProblem
+from .coeff import BoundaryCondition, SLProblem
 from .errors import (
     DegenerateModulus,
+    EigenvalueNotFound,
     EpsilonOutOfRange,
     InsufficientData,
     LimitTooLarge,
+    NotRightDefinite,
     OutOfDomain,
 )
 from .primes import _prime_chunks, nth_primes
-from .shoot import _propagate_scaled, _solver_pieces
-from .spectrum import Spectrum
+from .shoot import _propagate_scaled, _solver_pieces, prufer_angle
+from .spectrum import DEFAULT_OPTIONS, Spectrum, eigenvalue
 
 __all__ = [
     "IncompatReport",
@@ -40,7 +43,7 @@ __all__ = [
     "series_verdict",
 ]
 
-_MAX_SAMPLES = 10**6  # the largest x_samples (growth) and angular_samples (order) taken
+_MAX_SAMPLES = 10**6  # the largest x_samples growth takes
 
 
 @dataclass(frozen=True)
@@ -165,26 +168,28 @@ def growth_check(problem: SLProblem, lam: complex, x_samples: int = 32) -> Growt
 
 @dataclass(frozen=True)
 class OrderEstimate:
-    """Least-squares slope of log log M(R) against log R; order 1/2 shows as ~0.5."""
+    """Slopes of log log M(R) against log R for a lower and an upper bound on log M(R)."""
 
     radii: tuple[float, ...]
-    log_max_modulus: tuple[float, ...]
+    log_max_modulus: tuple[float, ...]  # the lower bound, log|u(b; -R)|
+    log_max_modulus_upper: tuple[float, ...]
     slope: float
+    slope_upper: float
     low_confidence: bool
     used: tuple[bool, ...]
     verdict: str
 
 
-def order_estimate(
-    problem: SLProblem, radii, angular_samples: int = 16
-) -> OrderEstimate:
-    """Max modulus of u(b; lambda) over circles |lambda| = R, fitted for the order.
+def order_estimate(problem: SLProblem, radii) -> OrderEstimate:
+    """Both-sided bounds on log M(R), M(R) = max |u(b; lambda)| over |lambda| = R, fitted for the order.
 
-    Radii spanning fewer than three decades are accepted but flagged
-    low_confidence, and the verdict is then INCONCLUSIVE; otherwise it is
-    PASS when the slope lies in [0.4, 0.6] and FAIL outside.  Radii where
-    M(R) <= 10 are excluded from the fit to keep log log M away from its
-    singularity.
+    u(b; .) is entire of order <= 1/2 (growth_check's bound): a genus-0
+    product over its zeros nu_k, the eigenvalues with beta = pi (Levin,
+    Lectures on Entire Functions, 1996, Lectures 1-4).  So for c <= 0 below
+    every nu_k, log|u(b; -R)| <= log M(R) <= log|u(b; -R - 2|c|)|.  PASS when
+    the lower bound's slope is >= 0.4 and the upper's <= 0.6, INCONCLUSIVE
+    (low_confidence) when the radii span under three decades.  Radii where
+    the lower bound is <= log 10 are left out of both fits.
     """
     radii = tuple(float(rr) for rr in radii)
     if len(radii) < 3:
@@ -193,37 +198,36 @@ def order_estimate(
         raise OutOfDomain(f"radii must be finite, got {radii}")
     if any(r1 <= r0 for r0, r1 in zip(radii, radii[1:])) or radii[0] <= 0:
         raise OutOfDomain("radii must be positive and strictly increasing")
-    if not 4 <= angular_samples <= _MAX_SAMPLES:
-        raise OutOfDomain(f"angular_samples must be in [4, {_MAX_SAMPLES}], got {angular_samples}")
-    # radii increase, so the largest covers every circle
-    pieces = _solver_pieces(problem, radii[-1], "|lambda|", definite=False)
-    alpha = problem.bc.alpha
-    u0, v0 = complex(math.sin(alpha)), complex(-math.cos(alpha))
-    log_m = []
-    for rad in radii:
-        best = -math.inf
-        for j in range(angular_samples):
-            lam = rad * complex(math.cos(2 * math.pi * j / angular_samples),
-                                math.sin(2 * math.pi * j / angular_samples))
-            u, _, ls = _propagate_scaled(*pieces, lam, u0, v0)
-            mag = abs(u)
-            if mag > 0.0:
-                best = max(best, math.log(mag) + ls)
-        log_m.append(best)
+    _solver_pieces(problem, radii[-1], "|lambda|", definite=False)  # names an overflow at R first
+    at_pi = SLProblem(problem.interval, problem.coeffs, BoundaryCondition(problem.bc.alpha, math.pi))
+    # c: the lowest zero, the first eigenvalue past theta(b; -lambda_cap), less twice its tolerance;
+    # no zero below lambda_cap, or u(b; .) constant (s or r zero throughout), leaves c = 0
+    shift, opts = 0.0, DEFAULT_OPTIONS  # shift = 2|c|
+    with suppress(EigenvalueNotFound, NotRightDefinite):
+        nu = eigenvalue(at_pi, prufer_angle(at_pi, -opts.lambda_cap).winding + 1).value
+        shift = max(0.0, 4.0 * max(opts.lambda_tol_abs, opts.lambda_tol_rel * abs(nu)) - 2.0 * nu)
+    pieces = _solver_pieces(problem, radii[-1] + shift, "|lambda|", definite=False)
+    u0, v0 = complex(math.sin(problem.bc.alpha)), complex(-math.cos(problem.bc.alpha))
+
+    def log_abs_u(lam: float) -> float:
+        u, _, ls = _propagate_scaled(*pieces, lam, u0, v0)
+        return math.log(abs(u)) + ls if u else -math.inf
+    log_m, log_up = [log_abs_u(-rad) for rad in radii], [log_abs_u(-rad - shift) for rad in radii]
     used = tuple(lm > math.log(10.0) for lm in log_m)
     xs = [math.log(rad) for rad, keep in zip(radii, used) if keep]
-    ys = [math.log(lm) for lm, keep in zip(log_m, used) if keep]
     if len(xs) < 2:
-        raise DegenerateModulus(
-            "max modulus never exceeded 10; no order slope can be fitted"
-        )
-    x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
-    dxs = [x - x_mean for x in xs]  # the least-squares slope, in closed form
-    slope = math.fsum(dx * (y - y_mean) for dx, y in zip(dxs, ys)) / math.fsum(d * d for d in dxs)
+        raise DegenerateModulus("max modulus never exceeded 10; no order slope can be fitted")
+    x_mean = math.fsum(xs) / len(xs)
+    dxs = [x - x_mean for x in xs]  # the least-squares slopes, in closed form
+    slopes = []
+    for logs in (log_m, log_up):
+        ys = [math.log(lm) for lm, keep in zip(logs, used) if keep]
+        y_mean = math.fsum(ys) / len(ys)
+        slopes.append(math.fsum(dx * (y - y_mean) for dx, y in zip(dxs, ys)) / math.fsum(d * d for d in dxs))
     low_confidence = radii[-1] < 1e3 * radii[0]
-    verdict = "INCONCLUSIVE" if low_confidence else "PASS" if 0.4 <= slope <= 0.6 else "FAIL"
-    return OrderEstimate(radii=radii, log_max_modulus=tuple(log_m), slope=slope,
-                         low_confidence=low_confidence, used=used, verdict=verdict)
+    passed = slopes[0] >= 0.4 and slopes[1] <= 0.6  # neither bound's order off 1/2
+    verdict = "INCONCLUSIVE" if low_confidence else "PASS" if passed else "FAIL"
+    return OrderEstimate(radii, tuple(log_m), tuple(log_up), *slopes, low_confidence, used, verdict)
 
 
 _MODEL_CHUNK = 1 << 16  # model-spectrum terms summed per chunk

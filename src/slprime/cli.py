@@ -296,11 +296,11 @@ def _cmd_order(args) -> int:
         radii = [float(tok) for tok in args.radii.split(",") if tok.strip()]
     except ValueError as exc:
         raise BadConfig(f"--radii must be comma-separated numbers: {exc}") from exc
-    est = order_estimate(problem, radii, args.angular_samples)
-    rows = list(zip(est.radii, est.log_max_modulus, (int(u) for u in est.used)))
-    _write_csv(args.out, args.command, ("radius", "log_max_modulus", "used_in_fit"), rows,
-               doc=doc, radii=radii, angular_samples=args.angular_samples)
-    print(f"slope {est.slope!r}")
+    est = order_estimate(problem, radii)
+    rows = zip(est.radii, est.log_max_modulus, est.log_max_modulus_upper, map(int, est.used))
+    _write_csv(args.out, args.command, ("radius", "log_max_modulus", "log_max_modulus_upper",
+               "used_in_fit"), rows, doc=doc, radii=radii, angular_samples=16)  # hash kept
+    print(f"slope {est.slope!r}\nslope_upper {est.slope_upper!r}")
     return _verdict(args.command, est.verdict)
 
 
@@ -397,7 +397,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("order", help="entire-function order estimate")
     p.add_argument("--config", required=True)
     p.add_argument("--radii", default="1e2,1e3,1e4,1e5,1e6")
-    p.add_argument("--angular-samples", type=int, default=16)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_order)
 

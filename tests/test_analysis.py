@@ -17,7 +17,7 @@ from slprime.analysis import (
     partial_sum_spectrum,
     series_verdict,
 )
-from slprime.coeff import constant, problem, unit_problem
+from slprime.coeff import PiecewiseConstant, constant, problem, unit_problem
 from slprime.errors import (
     DegenerateModulus,
     EpsilonOutOfRange,
@@ -219,7 +219,7 @@ def test_order_estimate_fails_outside_the_band():
     assert est.verdict == "FAIL"
 
 
-def test_order_estimate_flags_and_guards(monkeypatch):
+def test_order_estimate_flags_and_guards():
     est = order_estimate(unit_problem(), [10.0, 30.0, 100.0])
     assert est.low_confidence
     assert est.verdict == "INCONCLUSIVE"
@@ -227,16 +227,94 @@ def test_order_estimate_flags_and_guards(monkeypatch):
         order_estimate(unit_problem(), [1e2, 1e3])
     with pytest.raises(OutOfDomain):
         order_estimate(unit_problem(), [1e3, 1e2, 1e4])
-    with monkeypatch.context() as patched:
-        patched.setattr(analysis, "_propagate_scaled", _no_propagation)
-        for count in (3, 10**6 + 1, 10**20):
-            with pytest.raises(OutOfDomain, match="angular_samples"):
-                order_estimate(unit_problem(), [1e2, 1e3, 1e4], angular_samples=count)
     for bad in ([1e2, 1e3, math.nan], [1e2, math.nan, 1e4], [1e2, 1e3, math.inf]):
         with pytest.raises(OutOfDomain):
             order_estimate(unit_problem(), bad)
     with pytest.raises(DegenerateModulus):
         order_estimate(unit_problem(), [1.05, 1.1, 1.2])  # M(R) never reaches 10
+
+
+# perfbench `cli` documents (cli_inputs seeds 487 and 630): breakpoints, s, q, r, alpha, beta
+CLI_SEED_487 = (
+    (0.0, 1.9309137987774423, 2.0),
+    (0.39616696721586797, 0.19563678076268332),
+    (-42.807498892038474, -47.46049210648029),
+    (0.4912859730789497, 0.5208866665611495),
+    0.17817978198326992, 2.440928835232085,
+)
+CLI_SEED_630 = (
+    (0.0, 0.17899408287397045, 1.7596890696277427, 1.9743075470198777, 2.0),
+    (0.9929722878058301, 2.0250170297205816, 0.601371418917966, 1.8235622700677023),
+    (-20.178249205270525, -30.354888631874633, -20.19671750733384, -12.280901589939788),
+    (2.175580907139062, 0.27322824285569225, 0.1569238472744191, 2.6362172389819887),
+    2.7284386521401203, 2.426617263912334,
+)
+DEFAULT_RADII = [1e2, 1e3, 1e4, 1e5, 1e6]
+
+
+def _stepped(bps, s, q, r, alpha, beta):
+    return problem(*(PiecewiseConstant(bps, vals) for vals in (s, q, r)), alpha, beta)
+
+
+def _circle_max(prob, rad, samples):
+    """max log|u(b; lambda)| over `samples` equally spaced points of |lambda| = rad."""
+    pieces = prob.coeffs.piece_arrays()
+    u0, v0 = complex(math.sin(prob.bc.alpha)), complex(-math.cos(prob.bc.alpha))
+    best = -math.inf
+    for j in range(samples):
+        u, _, ls = _propagate_scaled(*pieces, cmath.rect(rad, 2 * math.pi * j / samples), u0, v0)
+        if u:
+            best = max(best, math.log(abs(u)) + ls)
+    return best
+
+
+def test_order_estimate_passes_where_circle_samples_failed():
+    # 16 samples of each circle read 2.53 at R = 1e2, past the log 10 cut
+    # that log|u(b; -1e2)| = 1.56 misses, and fitted a slope of 0.613: FAIL
+    est = order_estimate(_stepped(*CLI_SEED_487), DEFAULT_RADII)
+    assert 0.4 <= est.slope_upper <= est.slope <= 0.6
+    assert est.verdict == "PASS"
+
+
+def test_order_estimate_passes_on_the_upper_bound():
+    # nu_1 < 0: the lower bound alone climbs too steeply over R = 1e2..1e6;
+    # the upper one, shifted by 2|c|, keeps the order at 1/2
+    est = order_estimate(_stepped(*CLI_SEED_630), DEFAULT_RADII)
+    assert est.slope > 0.6 >= est.slope_upper >= 0.4
+    assert est.log_max_modulus_upper[0] > est.log_max_modulus[0]
+    assert est.verdict == "PASS"
+
+
+def test_order_bounds_sandwich_the_circle_maximum():
+    # log|u(b; -R)| <= max over 64 circle samples <= log|u(b; -R - 2|c|)|
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        prob = random_problem(rng, allow_zero=False)
+        est = order_estimate(prob, [1e2, 1e3, 1e4])
+        for rad, lower, upper in zip(est.radii, est.log_max_modulus, est.log_max_modulus_upper):
+            m = _circle_max(prob, rad, 64)
+            assert lower - 1e-9 * abs(m) <= m <= upper + 1e-9 * abs(m)
+
+
+def test_order_estimate_finds_the_lowest_zero_past_a_missing_index():
+    # r = 0 on the last piece, where u oscillates whatever lambda is: theta(b)
+    # never falls below pi, so beta = pi has no eigenvalue 1, yet u(b; .) has
+    # negative zeros.  Taking c = 0 there would make the upper bound the
+    # lower one, 9.42 at R = 1e2, under the circle's 9.95
+    prob = _stepped(
+        (0.0, 1.1559869794696027, 1.4543796324881226, 2.0),
+        (0.9075783351766462, 1.7222983409950379, 1.1265665278704564),
+        (-43.117144379465365, -35.82039281899023, -45.650904834270534),
+        (0.5622629180423854, 2.731097175671458, 0.0),
+        1.9567009202623367, 2.946414787127715,
+    )
+    at_pi = problem(prob.coeffs.s, prob.coeffs.q, prob.coeffs.r, prob.bc.alpha, math.pi)
+    assert compute_spectrum(at_pi, 1).eigenvalues == ()
+    est = order_estimate(prob, DEFAULT_RADII)
+    m = _circle_max(prob, 1e2, 64)
+    assert est.log_max_modulus[0] < m - 0.5
+    assert m <= est.log_max_modulus_upper[0]
+    assert est.verdict == "PASS"
 
 
 def test_incompatibility_report_unit_problem():

@@ -79,6 +79,8 @@ def documents() -> dict:
         # the overflow cases: the unit document stretched to [0, 1e200], and s = q = r = 1e308
         "wide": _unit(b=1e200),
         "huge": _unit(s=1e308, q=1e308, r=1e308),
+        # nu_1 = pi^2 - 500 < 0: order's upper bound sits 2|c| ~ 980 further out
+        "qneg": _unit(q=-500.0),
         "split_mesh": split,
         "capped": _unit(solver={"lambda_cap": 1000}),
         "invert_1piece": {"pieces": 1, "bound": 100.0, "targets": 2, "restarts": 2,
@@ -125,6 +127,7 @@ def commands() -> dict:
         "order_unit": ["order", *cfg("unit"), "--out", "out.csv"],
         "order_seeded4": ["order", *cfg("seeded4"), "--radii", "1e2,1e3,1e4,1e5",
                           "--out", "out.csv"],
+        "order_qneg": ["order", *cfg("qneg"), "--out", "out.csv"],
         "order_wide": ["order", *cfg("wide"), "--out", "out.csv"],
         "order_huge": ["order", *cfg("huge"), "--out", "out.csv"],
         "series_100000": ["series", "--n-max", "100000", "--out", "out.csv"],
