@@ -19,6 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import (
+    _X_SAMPLES,
     growth_check,
     incompatibility_report,
     order_estimate,
@@ -283,23 +284,19 @@ def _cmd_incompat(args) -> int:
 def _cmd_growth(args) -> int:
     problem, _, doc = _load_problem(args.config)
     lam = complex(args.lambda_re, args.lambda_im)
-    report = growth_check(problem, lam, args.x_samples)
+    report = growth_check(problem, lam)
     _write_csv(args.out, args.command, ("x", "measured", "bound", "slack"), report.samples,
-               doc=doc, x_samples=args.x_samples, **{"lambda": [args.lambda_re, args.lambda_im]})
+               doc=doc, x_samples=_X_SAMPLES, **{"lambda": [args.lambda_re, args.lambda_im]})
     print(f"min_slack {report.min_slack!r}")
     return _verdict(args.command, report.verdict)
 
 
 def _cmd_order(args) -> int:
     problem, _, doc = _load_problem(args.config)
-    try:
-        radii = [float(tok) for tok in args.radii.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise BadConfig(f"--radii must be comma-separated numbers: {exc}") from exc
-    est = order_estimate(problem, radii)
+    est = order_estimate(problem)
     rows = zip(est.radii, est.log_max_modulus, est.log_max_modulus_upper, map(int, est.used))
     _write_csv(args.out, args.command, ("radius", "log_max_modulus", "log_max_modulus_upper",
-               "used_in_fit"), rows, doc=doc, radii=radii, angular_samples=16)  # hash kept
+               "used_in_fit"), rows, doc=doc, radii=est.radii, angular_samples=16)  # hash kept
     print(f"slope {est.slope!r}\nslope_upper {est.slope_upper!r}")
     return _verdict(args.command, est.verdict)
 
@@ -390,13 +387,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--lambda-re", type=float, default=-100.0)
     p.add_argument("--lambda-im", type=float, default=0.0)
-    p.add_argument("--x-samples", type=int, default=32)
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_growth)
 
     p = sub.add_parser("order", help="entire-function order estimate")
     p.add_argument("--config", required=True)
-    p.add_argument("--radii", default="1e2,1e3,1e4,1e5,1e6")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_order)
 

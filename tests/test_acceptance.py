@@ -162,10 +162,9 @@ def test_06_prime_asymptotics(capsys):
 
 def test_07_order_half(capsys):
     t0 = time.perf_counter()
-    radii = [10**k for k in range(2, 7)]
     slopes = [
-        order_estimate(unit_problem(), radii).slope,
-        order_estimate(problem(constant(1.0), constant(50.0), constant(1.0)), radii).slope,
+        order_estimate(unit_problem()).slope,
+        order_estimate(problem(constant(1.0), constant(50.0), constant(1.0))).slope,
     ]
     elapsed = time.perf_counter() - t0
     ok = all(0.4 <= s <= 0.6 for s in slopes) and elapsed < 30.0

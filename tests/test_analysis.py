@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from helpers import random_problem, sieve_edge_indices
-from slprime import analysis
 from slprime.analysis import (
     growth_check,
     incompatibility_report,
@@ -34,7 +33,7 @@ PI2 = math.pi**2
 
 def test_growth_unit_problem_closed_form():
     # lam = -100: W(x) = cosh(20 x), so d/dx log W = 20 tanh(20 x) < 20 = bound
-    rep = growth_check(unit_problem(), -100.0, x_samples=8)
+    rep = growth_check(unit_problem(), -100.0)
     assert rep.passed
     assert rep.min_slack >= 0.0
     for x, measured, bound, slack in rep.samples:
@@ -44,7 +43,7 @@ def test_growth_unit_problem_closed_form():
 
 def test_growth_oscillatory_regime_flat():
     # positive lambda on the unit problem: W is constant, derivative 0
-    rep = growth_check(unit_problem(), 1e6, x_samples=5)
+    rep = growth_check(unit_problem(), 1e6)
     assert rep.passed
     for _, measured, bound, _ in rep.samples:
         assert abs(measured) < 1e-9 * bound
@@ -57,7 +56,7 @@ def test_growth_randomized_suite():
     for _ in range(8):
         prob = random_problem(rng, max_pieces=5)
         for lam in lams:
-            rep = growth_check(prob, lam, x_samples=6)
+            rep = growth_check(prob, lam)
             assert rep.passed, (prob.content_hash(), lam, rep.min_slack)
             # the bound is a theorem for the exact derivative, not a tolerance
             for x, _, bound, slack in rep.samples:
@@ -119,8 +118,8 @@ def test_growth_walk_matches_per_point_propagation():
     for _ in range(12):
         prob = random_problem(rng, max_pieces=6)
         for lam in (1.0, -100.0, 1e6, complex(-1e6, 3e5), 1e3j):
-            rep = growth_check(prob, lam, x_samples=7)
-            assert rep.samples == _reference_growth_samples(prob, lam, 7), (prob, lam)
+            rep = growth_check(prob, lam)
+            assert rep.samples == _reference_growth_samples(prob, lam, 32), (prob, lam)
             scaled += any(
                 abs(cmath.sqrt(s * (lam * r - q) * h * h).imag) >= 30.0
                 for h, s, q, r in zip(*prob.coeffs.piece_arrays())
@@ -166,33 +165,26 @@ def test_growth_matches_an_mpmath_derivative_of_log_w():
     for _ in range(4):
         prob = random_problem(rng, max_pieces=5)
         for lam in (-100.0, 1e4j, complex(300.0, 400.0), 1e6):
-            rep = growth_check(prob, lam, x_samples=4)
+            rep = growth_check(prob, lam)
             exact = _mp_log_derivatives(prob, lam, [row[0] for row in rep.samples])
             for (x, measured, bound, _), oracle in zip(rep.samples, exact):
                 assert abs(measured - oracle) <= 1e-8 * bound, (prob, lam, x, measured, oracle)
 
 
-def _no_propagation(*args):
-    raise AssertionError("a rejected sample count must not reach the propagator")
-
-
-def test_growth_guards(monkeypatch):
+def test_growth_guards():
     with pytest.raises(OutOfDomain):
         growth_check(unit_problem(), 0.5)  # |lambda| < 1
-    # a sample count out of range fails before any propagation starts
-    with monkeypatch.context() as patched:
-        patched.setattr(analysis, "_propagate_scaled", _no_propagation)
-        for count in (0, 10**6 + 1, 10**20):
-            with pytest.raises(OutOfDomain, match="x_samples"):
-                growth_check(unit_problem(), 10.0, x_samples=count)
+    # about 32 samples, each piece its width's share, rounded, and at least one
+    prob = problem(*(PiecewiseConstant((0.0, 0.001, 0.5, 1.0), (1.0,) * 3) for _ in range(3)))
+    assert len(growth_check(prob, 10.0).samples) == 1 + 16 + 16
     for lam in (math.nan, math.inf, complex(-100.0, math.nan)):
         with pytest.raises(OutOfDomain):
             growth_check(unit_problem(), lam)
 
 
 def test_order_estimate_unit_problem():
-    est = order_estimate(unit_problem(), [1e2, 1e3, 1e4, 1e5, 1e6])
-    assert not est.low_confidence
+    est = order_estimate(unit_problem())
+    assert est.radii == (1e2, 1e3, 1e4, 1e5, 1e6)  # q = 0: R_0 = 100
     assert all(est.used)
     assert 0.45 <= est.slope <= 0.55  # entire of order exactly 1/2
     assert est.verdict == "PASS"
@@ -205,33 +197,65 @@ def test_order_estimate_with_potential():
     prob = problem(
         constant(1.0, 0.0, 1.0), constant(40.0, 0.0, 1.0), constant(1.0, 0.0, 1.0)
     )
-    est = order_estimate(prob, [1e2, 1e3, 1e4, 1e5, 1e6])
+    est = order_estimate(prob)
+    assert est.radii[0] == 400.0  # ten times the turning point R r = |q|
+    assert est.verdict == "PASS"
+
+
+def test_order_estimate_starts_past_every_turning_point():
+    # q = 1e4 dominates u(b; lambda) while R << q: over radii 1e2..1e6 log M(R)
+    # barely moved and the slope read 0.2555, a FAIL.  The radii start at
+    # 10 |q|/r = 1e5, where log M(R) grows like sqrt(R)
+    est = order_estimate(problem(constant(1.0), constant(1e4), constant(1.0)))
+    assert est.radii == (1e5, 1e6, 1e7, 1e8, 1e9)
+    assert est.slope == pytest.approx(0.4976, abs=1e-4)
+    assert est.verdict == "PASS"
+    # random_problem(rng 5, allow_zero=True, q_scale=5000)'s fifth document
+    # read 0.352 over 1e2..1e6; R_0 = 10 q/r = 17,722 here
+    heavy = problem(
+        constant(2.4140082696813607, 0.0, 2.0),
+        constant(2132.5786412445214, 0.0, 2.0),
+        constant(1.2033785748656385, 0.0, 2.0),
+        1.9223571523249368, 2.9591917020808585,
+    )
+    est = order_estimate(heavy)
+    assert est.radii[0] == pytest.approx(17721.5939, rel=1e-9)
+    assert 0.4 <= est.slope == est.slope_upper <= 0.6
     assert est.verdict == "PASS"
 
 
 def test_order_estimate_fails_outside_the_band():
-    # q = 1e4 dominates u(b; lambda) while |lambda| << q: log M(R) barely
-    # moves over three decades of R, so the slope reads near 0
-    prob = problem(constant(1.0), constant(1e4), constant(1.0))
-    est = order_estimate(prob, [1.0, 10.0, 100.0, 1000.0])
-    assert not est.low_confidence and all(est.used)
-    assert est.slope == pytest.approx(0.0067, abs=1e-4)
+    # q = 0, r = 1 and s alternating 1/0: five s = 1 pieces of width 0.002, so
+    # C = 0.01, and the s = 0 pieces between them grow like a polynomial in R.
+    # log M(R) passes log 10 only at R = 1e5, and the slope reads 0.36
+    bps = (0.0, 0.002, 0.2, 0.202, 0.4, 0.402, 0.6, 0.602, 0.8, 0.802, 1.0)
+    prob = problem(
+        PiecewiseConstant(bps, (1.0, 0.0) * 5),
+        PiecewiseConstant(bps, (0.0,) * 10),
+        PiecewiseConstant(bps, (1.0,) * 10),
+    )
+    est = order_estimate(prob)
+    assert est.radii == (1e2, 1e3, 1e4, 1e5, 1e6)
+    assert est.used == (False, False, False, True, True)
+    assert est.slope == pytest.approx(0.3599, abs=1e-4)
     assert est.verdict == "FAIL"
 
 
 def test_order_estimate_flags_and_guards():
-    est = order_estimate(unit_problem(), [10.0, 30.0, 100.0])
-    assert est.low_confidence
-    assert est.verdict == "INCONCLUSIVE"
-    with pytest.raises(OutOfDomain):
-        order_estimate(unit_problem(), [1e2, 1e3])
-    with pytest.raises(OutOfDomain):
-        order_estimate(unit_problem(), [1e3, 1e2, 1e4])
-    for bad in ([1e2, 1e3, math.nan], [1e2, math.nan, 1e4], [1e2, 1e3, math.inf]):
-        with pytest.raises(OutOfDomain):
-            order_estimate(unit_problem(), bad)
+    # Atkinson's document: s = 0 where r = 1 and r = 0 where s = 1, so C = 0
+    # and u(b; lambda) = 1 for every lambda; no radius lifts M(R) past 10
+    bps = (0.0, 1.0, 2.0)
+    atkinson = problem(
+        PiecewiseConstant(bps, (1.0, 0.0)),
+        PiecewiseConstant(bps, (0.0, 0.0)),
+        PiecewiseConstant(bps, (0.0, 1.0)),
+        0.0, math.pi / 2,
+    )
     with pytest.raises(DegenerateModulus):
-        order_estimate(unit_problem(), [1.05, 1.1, 1.2])  # M(R) never reaches 10
+        order_estimate(atkinson)
+    # a turning point past the float range is named before anything is propagated
+    with pytest.raises(OutOfDomain, match="piece 0 on .* overflows the propagator at"):
+        order_estimate(problem(constant(1.0), constant(1e300), constant(1e-300)))
 
 
 # perfbench `cli` documents (cli_inputs seeds 487 and 630): breakpoints, s, q, r, alpha, beta
@@ -249,7 +273,6 @@ CLI_SEED_630 = (
     (2.175580907139062, 0.27322824285569225, 0.1569238472744191, 2.6362172389819887),
     2.7284386521401203, 2.426617263912334,
 )
-DEFAULT_RADII = [1e2, 1e3, 1e4, 1e5, 1e6]
 
 
 def _stepped(bps, s, q, r, alpha, beta):
@@ -270,17 +293,21 @@ def _circle_max(prob, rad, samples):
 
 def test_order_estimate_passes_where_circle_samples_failed():
     # 16 samples of each circle read 2.53 at R = 1e2, past the log 10 cut
-    # that log|u(b; -1e2)| = 1.56 misses, and fitted a slope of 0.613: FAIL
-    est = order_estimate(_stepped(*CLI_SEED_487), DEFAULT_RADII)
+    # that log|u(b; -1e2)| = 1.56 misses, and fitted a slope of 0.613: FAIL.
+    # The radii now start at 10 |q|/r = 911 on piece 0
+    est = order_estimate(_stepped(*CLI_SEED_487))
+    assert est.radii[0] == pytest.approx(911.148, rel=1e-6)
     assert 0.4 <= est.slope_upper <= est.slope <= 0.6
     assert est.verdict == "PASS"
 
 
 def test_order_estimate_passes_on_the_upper_bound():
-    # nu_1 < 0: the lower bound alone climbs too steeply over R = 1e2..1e6;
-    # the upper one, shifted by 2|c|, keeps the order at 1/2
-    est = order_estimate(_stepped(*CLI_SEED_630), DEFAULT_RADII)
-    assert est.slope > 0.6 >= est.slope_upper >= 0.4
+    # nu_1 < 0: over R = 1e2..1e6 the lower bound alone climbed too steeply
+    # (0.643), below the turning point R r = |q| of piece 2.  From 10 |q|/r =
+    # 1287 on, both bounds keep the order at 1/2, the upper one shifted by 2|c|
+    est = order_estimate(_stepped(*CLI_SEED_630))
+    assert est.radii[0] == pytest.approx(1287.04, rel=1e-6)
+    assert 0.4 <= est.slope_upper <= est.slope <= 0.6
     assert est.log_max_modulus_upper[0] > est.log_max_modulus[0]
     assert est.verdict == "PASS"
 
@@ -290,7 +317,7 @@ def test_order_bounds_sandwich_the_circle_maximum():
     rng = np.random.default_rng(5)
     for _ in range(30):
         prob = random_problem(rng, allow_zero=False)
-        est = order_estimate(prob, [1e2, 1e3, 1e4])
+        est = order_estimate(prob)
         for rad, lower, upper in zip(est.radii, est.log_max_modulus, est.log_max_modulus_upper):
             m = _circle_max(prob, rad, 64)
             assert lower - 1e-9 * abs(m) <= m <= upper + 1e-9 * abs(m)
@@ -300,7 +327,7 @@ def test_order_estimate_finds_the_lowest_zero_past_a_missing_index():
     # r = 0 on the last piece, where u oscillates whatever lambda is: theta(b)
     # never falls below pi, so beta = pi has no eigenvalue 1, yet u(b; .) has
     # negative zeros.  Taking c = 0 there would make the upper bound the
-    # lower one, 9.42 at R = 1e2, under the circle's 9.95
+    # lower one, which at R = 1e2 read 9.42, under the circle's 9.95
     prob = _stepped(
         (0.0, 1.1559869794696027, 1.4543796324881226, 2.0),
         (0.9075783351766462, 1.7222983409950379, 1.1265665278704564),
@@ -310,10 +337,10 @@ def test_order_estimate_finds_the_lowest_zero_past_a_missing_index():
     )
     at_pi = problem(prob.coeffs.s, prob.coeffs.q, prob.coeffs.r, prob.bc.alpha, math.pi)
     assert compute_spectrum(at_pi, 1).eigenvalues == ()
-    est = order_estimate(prob, DEFAULT_RADII)
-    m = _circle_max(prob, 1e2, 64)
-    assert est.log_max_modulus[0] < m - 0.5
-    assert m <= est.log_max_modulus_upper[0]
+    est = order_estimate(prob)
+    assert all(up > lo for lo, up in zip(est.log_max_modulus, est.log_max_modulus_upper))
+    m = _circle_max(prob, est.radii[0], 64)
+    assert est.log_max_modulus[0] - 1e-9 * m <= m <= est.log_max_modulus_upper[0]
     assert est.verdict == "PASS"
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import slprime.primes as primes_mod
@@ -350,9 +351,7 @@ def test_incompat_keeps_the_exit_code_contract(tmp_path_factory, seed):
 def test_growth_command(tmp_path, capsys):
     cfg = write_doc(tmp_path, UNIT_DOC)
     out = tmp_path / "g.csv"
-    code = run(
-        ["growth", "--config", cfg, "--lambda-re", "-100", "--x-samples", "6", "--out", str(out)]
-    )
+    code = run(["growth", "--config", cfg, "--lambda-re", "-100", "--out", str(out)])
     captured = capsys.readouterr()
     assert code == 0
     assert "VERDICT: PASS growth" in captured.out
@@ -362,10 +361,9 @@ def test_growth_command(tmp_path, capsys):
     # so is a non-finite lambda, which would otherwise print a nan slack
     assert run(["growth", "--config", cfg, "--lambda-re", "nan"]) == 2
     assert run(["growth", "--config", cfg, "--lambda-im", "inf"]) == 2
-    # so is a sample count past the limit, before anything is propagated
-    for count in ("1000001", "100000000000000000000"):
-        assert run(["growth", "--config", cfg, "--x-samples", count]) == 2
-        assert "x_samples must be in [1, 1000000]" in capsys.readouterr().err
+    # the sample count is growth_check's 32, not an option
+    assert run(["growth", "--config", cfg, "--x-samples", "6"]) == 2
+    assert "unrecognized arguments: --x-samples" in capsys.readouterr().err
 
 
 def test_order_command(tmp_path, capsys):
@@ -377,25 +375,69 @@ def test_order_command(tmp_path, capsys):
     # the unit string's zeros are positive, so the two bounds coincide
     slope, upper = captured.out.splitlines()[:2]
     assert slope.startswith("slope ") and upper == "slope_upper " + slope.split()[1]
-    code = run(
-        ["order", "--config", cfg, "--radii", "10,30,100", "--out", str(tmp_path / "o2.csv")]
-    )
-    captured = capsys.readouterr()
-    assert code == 0
-    assert "VERDICT: INCONCLUSIVE order" in captured.out
-    # a non-finite radius is a validation error, not a radius left out of the fit
-    for radii in ("1e2,1e3,nan", "1e2,1e3,1e4,1e400"):
-        assert run(["order", "--config", cfg, "--radii", radii]) == 2
-    # M(R) is bounded on the negative axis, so there are no circle samples to count
-    assert run(["order", "--config", cfg, "--angular-samples", "16"]) == 2
-    assert "unrecognized arguments: --angular-samples" in capsys.readouterr().err
-    # q = 1e4 holds the slope near 0 over radii 1..1000: FAIL, exit 3
+    # M(R) is bounded on the negative axis, so there are no circle samples to
+    # count, and the radii come from the document
+    for option in ("--angular-samples", "--radii"):
+        assert run(["order", "--config", cfg, option, "16"]) == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    # q = 1e4: the radii start at 10 |q|/r = 1e5, past the turning point, and
+    # the slope reads 0.4976 where radii 1e2..1e6 read 0.2555, a FAIL
     heavy = json.loads(json.dumps(UNIT_DOC))
     heavy["coefficients"]["q"]["values"] = [1e4]
-    cfg = write_doc(tmp_path, heavy, "heavy.json")
-    code = run(["order", "--config", cfg, "--radii", "1,10,100,1000", "--out", str(tmp_path / "o3.csv")])
+    code = run(["order", "--config", write_doc(tmp_path, heavy, "heavy.json"),
+                "--out", str(tmp_path / "o2.csv")])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "VERDICT: PASS order"
+    assert [row.split(",")[0] for row in (tmp_path / "o2.csv").read_text().splitlines()[2:]] == [
+        "100000.0", "1000000.0", "10000000.0", "100000000.0", "1000000000.0"
+    ]
+    # C = 0.01 from five s = 1 pieces of width 0.002: the slope reads 0.36, FAIL, exit 3
+    bps = [0.0, 0.002, 0.2, 0.202, 0.4, 0.402, 0.6, 0.602, 0.8, 0.802, 1.0]
+    small_c = json.loads(json.dumps(UNIT_DOC))
+    small_c["coefficients"] = {
+        key: {"breakpoints": bps, "values": values}
+        for key, values in (("s", [1.0, 0.0] * 5), ("q", [0.0] * 10), ("r", [1.0] * 10))
+    }
+    code = run(["order", "--config", write_doc(tmp_path, small_c, "small_c.json"),
+                "--out", str(tmp_path / "o3.csv")])
     assert code == 3
     assert capsys.readouterr().out.splitlines()[-1] == "VERDICT: FAIL order"
+    # C = 0: u(b; lambda) = 1 on Atkinson's document, so no slope can be fitted
+    assert run(["order", "--config", write_doc(tmp_path, ATKINSON_DOC, "atk.json")]) == 2
+    assert "max modulus never exceeded 10" in capsys.readouterr().err
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.floats(-300.0, 1.0), st.floats(-2.0, 300.0),
+                          st.booleans(), st.booleans()), min_size=1, max_size=4))
+@example([(True, -300.0, 10.0, False, False)])  # |q|/r = 1e310: R_0 reads inf
+@example([(True, -300.0, -2.0, False, True), (False, 0.0, 300.0, True, False)])
+def test_order_keeps_the_exit_code_contract(tmp_path_factory, pieces):
+    # s on or off, r = 10^r_exp or 0, q = +-10^q_exp on each piece, so |q|/r
+    # runs past 1e300 and r down to 1e-300: a verdict (0 PASS, 3 FAIL) or an
+    # input error 2, never an exception.  Where R_0 10^4 leaves the float
+    # range, the refusal names the piece the propagator would overflow on
+    n = len(pieces)
+    bps = [2.0 * i / n for i in range(n + 1)]
+    s = [1.0 if s_on else 0.0 for s_on, *_ in pieces]
+    r = [0.0 if r_off else 10.0**r_exp for _, r_exp, _, r_off, _ in pieces]
+    q = [(-1.0 if neg else 1.0) * 10.0**q_exp for _, _, q_exp, _, neg in pieces]
+    s[0], r[0] = s[0] or 1.0, r[0] or 1.0  # neither vanishes identically
+    doc = json.loads(json.dumps(UNIT_DOC))
+    doc["interval"]["b"] = 2.0
+    doc["coefficients"] = {key: {"breakpoints": bps, "values": values}
+                           for key, values in (("s", s), ("q", q), ("r", r))}
+    work = tmp_path_factory.mktemp("order")
+    cfg = write_doc(work, doc)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = run(["order", "--config", cfg, "--out", str(work / "o.csv")])
+    turn = max(abs(qq) / rr for qq, rr in zip(q, r) if rr > 0.0)
+    if max(100.0, 10.0 * turn) * 1e4 == math.inf:
+        assert code == 2
+        assert re.search(r"piece \d+ on \[.*\] overflows the propagator at \|lambda\| inf",
+                         err.getvalue()), err.getvalue()
+    else:
+        assert code in (0, 2, 3), (code, err.getvalue())
 
 
 def test_series_command(tmp_path, capsys):
@@ -434,10 +476,10 @@ CONFIG_HASHES = {
                "d2181b0de13f4a1549832a20226c299f86ef73afa8c7157b9e7d8004855a5149"),
     "incompat": (["--config", "{unit}", "--n-max", "10"],
                  "44814700946a37d01f6d08401a8bf7183a32da85b1e5cd9fee98197baf4a0520"),
-    "growth": (["--config", "{unit}", "--x-samples", "6"],
-               "aa1ffe93d6a9b1349ba2a682cfb029d03aa01542805ad3235d87ce2b4fda7b5c"),
-    "order": (["--config", "{unit}", "--radii", "10,30,100"],
-              "91df8ef952140a2006d74da2d056b1fc4e9e7304f1f82561f60f40d1feaa15c6"),
+    "growth": (["--config", "{unit}"],
+               "78e3661f114a2c2a1f32f32db4b05fac4548906b39f91e07a50d10cc4dab32f9"),
+    "order": (["--config", "{unit}"],
+              "7ba17640961970003e10d5e67d9f84983bc451fb22aab5b47234a093a23f84e7"),
     "series": (["--n-max", "2000"],
                "2cc445c5c784f00f06845afd48806697532bcd2c659931f50c9f7cceb66baae9"),
     "invert": (["--config", "{search}"],

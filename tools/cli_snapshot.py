@@ -81,6 +81,8 @@ def documents() -> dict:
         "huge": _unit(s=1e308, q=1e308, r=1e308),
         # nu_1 = pi^2 - 500 < 0: order's upper bound sits 2|c| ~ 980 further out
         "qneg": _unit(q=-500.0),
+        # q/r = 1e4: order's radii start at 1e5, ten times the turning point
+        "qheavy": _unit(q=1e4),
         "split_mesh": split,
         "capped": _unit(solver={"lambda_cap": 1000}),
         "invert_1piece": {"pieces": 1, "bound": 100.0, "targets": 2, "restarts": 2,
@@ -118,16 +120,16 @@ def commands() -> dict:
         "primes_3000000": ["primes", "--n-max", "3000000", "--out", "out.csv"],
         "growth_unit": ["growth", *cfg("unit"), "--lambda-re=-100", "--out", "out.csv"],
         "growth_seeded4": ["growth", *cfg("seeded4"), "--lambda-re", "0", "--lambda-im", "1e4",
-                           "--x-samples", "12", "--out", "out.csv"],
+                           "--out", "out.csv"],
         # many oscillations between samples, where W'/W swings the most
         "growth_seeded4_1e6": ["growth", *cfg("seeded4"), "--lambda-re", "1e6",
                                "--out", "out.csv"],
         "growth_wide": ["growth", *cfg("wide"), "--out", "out.csv"],
         "growth_huge": ["growth", *cfg("huge"), "--out", "out.csv"],
         "order_unit": ["order", *cfg("unit"), "--out", "out.csv"],
-        "order_seeded4": ["order", *cfg("seeded4"), "--radii", "1e2,1e3,1e4,1e5",
-                          "--out", "out.csv"],
+        "order_seeded4": ["order", *cfg("seeded4"), "--out", "out.csv"],
         "order_qneg": ["order", *cfg("qneg"), "--out", "out.csv"],
+        "order_qheavy": ["order", *cfg("qheavy"), "--out", "out.csv"],
         "order_wide": ["order", *cfg("wide"), "--out", "out.csv"],
         "order_huge": ["order", *cfg("huge"), "--out", "out.csv"],
         "series_100000": ["series", "--n-max", "100000", "--out", "out.csv"],
