@@ -30,7 +30,7 @@ from .errors import (
 )
 from .primes import _prime_chunks, nth_primes
 from .shoot import _propagate_scaled, _solver_pieces, prufer_angle
-from .spectrum import DEFAULT_OPTIONS, Spectrum, eigenvalue
+from .spectrum import DEFAULT_OPTIONS, SolverOptions, Spectrum, eigenvalue
 
 __all__ = [
     "IncompatReport",
@@ -184,7 +184,8 @@ def order_estimate(problem: SLProblem) -> OrderEstimate:
     u(b; .) is entire of order <= 1/2 (growth_check's bound): a genus-0
     product over its zeros nu_k, the eigenvalues with beta = pi (Levin,
     Lectures on Entire Functions, 1996, Lectures 1-4).  So for c <= 0 below
-    every nu_k, log|u(b; -R)| <= log M(R) <= log|u(b; -R - 2|c|)|.  The
+    every nu_k, log|u(b; -R)| <= log M(R) <= log|u(b; -R - 2|c|)|, c sought
+    above -L, L the larger of lambda_cap and the largest radius.  The
     radii are R_0 10^k, k = 0..4, with R_0 = max(100, 10 max |q|/r over the
     pieces with r > 0): every such piece is past its turning point
     R r = |q| tenfold, where log M(R) grows like sqrt(R).  PASS when the
@@ -196,11 +197,12 @@ def order_estimate(problem: SLProblem) -> OrderEstimate:
     radii = tuple(max(100.0, 10.0 * turn) * 10**k for k in range(5))
     _solver_pieces(problem, radii[-1], "|lambda|", definite=False)  # names an overflow at R first
     at_pi = SLProblem(problem.interval, problem.coeffs, BoundaryCondition(problem.bc.alpha, math.pi))
-    # c: the lowest zero, the first eigenvalue past theta(b; -lambda_cap), less twice its tolerance;
-    # no zero below lambda_cap, or u(b; .) constant (s or r zero throughout), leaves c = 0
-    shift, opts = 0.0, DEFAULT_OPTIONS  # shift = 2|c|
+    # c: the lowest zero, the first eigenvalue past theta(b; -L), less twice its tolerance;
+    # no zero above -L, or u(b; .) constant (s or r zero throughout), leaves c = 0
+    opts = SolverOptions(lambda_cap=max(DEFAULT_OPTIONS.lambda_cap, radii[-1]))  # cap = L
+    shift = 0.0  # 2|c|
     with suppress(EigenvalueNotFound, NotRightDefinite):
-        nu = eigenvalue(at_pi, prufer_angle(at_pi, -opts.lambda_cap).winding + 1).value
+        nu = eigenvalue(at_pi, prufer_angle(at_pi, -opts.lambda_cap).winding + 1, opts).value
         shift = max(0.0, 4.0 * max(opts.lambda_tol_abs, opts.lambda_tol_rel * abs(nu)) - 2.0 * nu)
     pieces = _solver_pieces(problem, radii[-1] + shift, "|lambda|", definite=False)
     u0, v0 = complex(math.sin(problem.bc.alpha)), complex(-math.cos(problem.bc.alpha))

@@ -274,6 +274,17 @@ CLI_SEED_630 = (
     2.7284386521401203, 2.426617263912334,
 )
 
+# a random_problem(rng 5, allow_zero=True) document with no eigenvalue 1 at beta = pi, its q
+# set to -4 where r > 0 (so R_0 = 100) and to -219.708 on the r = 0 piece, which puts
+# u(b; .)'s lowest zero near -102: breakpoints, s, q, r, alpha, beta
+MISSING_INDEX = (
+    (0.0, 1.1559869794696027, 1.4543796324881226, 2.0),
+    (0.9075783351766462, 1.7222983409950379, 1.1265665278704564),
+    (-4.0, -4.0, -219.708),
+    (0.5622629180423854, 2.731097175671458, 0.0),
+    1.9567009202623367, 2.946414787127715,
+)
+
 
 def _stepped(bps, s, q, r, alpha, beta):
     return problem(*(PiecewiseConstant(bps, vals) for vals in (s, q, r)), alpha, beta)
@@ -297,17 +308,29 @@ def test_order_estimate_passes_where_circle_samples_failed():
     # The radii now start at 10 |q|/r = 911 on piece 0
     est = order_estimate(_stepped(*CLI_SEED_487))
     assert est.radii[0] == pytest.approx(911.148, rel=1e-6)
-    assert 0.4 <= est.slope_upper <= est.slope <= 0.6
+    assert est.slope == pytest.approx(0.5144, abs=1e-4)
+    assert est.slope_upper == pytest.approx(0.5058, abs=1e-4)
     assert est.verdict == "PASS"
 
 
 def test_order_estimate_passes_on_the_upper_bound():
-    # nu_1 < 0: over R = 1e2..1e6 the lower bound alone climbed too steeply
-    # (0.643), below the turning point R r = |q| of piece 2.  From 10 |q|/r =
-    # 1287 on, both bounds keep the order at 1/2, the upper one shifted by 2|c|
+    # u(b; .)'s lowest zero lies near -102, just past -R_0 = -100: q/r is small
+    # where r > 0, and the zeros come from the r = 0 piece.  log|u(b; -100)|
+    # dips to 3.28 there, so the lower bound alone climbs too steeply (0.631),
+    # and the upper one, shifted by 2|c| past every zero, keeps the order at 1/2
+    est = order_estimate(_stepped(*MISSING_INDEX))
+    assert est.radii == (1e2, 1e3, 1e4, 1e5, 1e6)
+    assert all(est.used)
+    assert est.slope == pytest.approx(0.6314, abs=1e-4)
+    assert est.slope_upper == pytest.approx(0.4560, abs=1e-4)
+    assert est.verdict == "PASS"
+    # perfbench `cli` seed 630 read 0.643 on the lower bound over R = 1e2..1e6,
+    # below the turning point R r = |q| of piece 2.  From 10 |q|/r = 1287 on,
+    # both bounds keep the order at 1/2
     est = order_estimate(_stepped(*CLI_SEED_630))
     assert est.radii[0] == pytest.approx(1287.04, rel=1e-6)
-    assert 0.4 <= est.slope_upper <= est.slope <= 0.6
+    assert est.slope == pytest.approx(0.5055, abs=1e-4)
+    assert est.slope_upper == pytest.approx(0.4980, abs=1e-4)
     assert est.log_max_modulus_upper[0] > est.log_max_modulus[0]
     assert est.verdict == "PASS"
 
@@ -327,20 +350,28 @@ def test_order_estimate_finds_the_lowest_zero_past_a_missing_index():
     # r = 0 on the last piece, where u oscillates whatever lambda is: theta(b)
     # never falls below pi, so beta = pi has no eigenvalue 1, yet u(b; .) has
     # negative zeros.  Taking c = 0 there would make the upper bound the
-    # lower one, which at R = 1e2 read 9.42, under the circle's 9.95
-    prob = _stepped(
-        (0.0, 1.1559869794696027, 1.4543796324881226, 2.0),
-        (0.9075783351766462, 1.7222983409950379, 1.1265665278704564),
-        (-43.117144379465365, -35.82039281899023, -45.650904834270534),
-        (0.5622629180423854, 2.731097175671458, 0.0),
-        1.9567009202623367, 2.946414787127715,
-    )
+    # lower one, which at R = 1e2 reads 3.28, under the circle's 11.12
+    prob = _stepped(*MISSING_INDEX)
     at_pi = problem(prob.coeffs.s, prob.coeffs.q, prob.coeffs.r, prob.bc.alpha, math.pi)
     assert compute_spectrum(at_pi, 1).eigenvalues == ()
     est = order_estimate(prob)
     assert all(up > lo for lo, up in zip(est.log_max_modulus, est.log_max_modulus_upper))
     m = _circle_max(prob, est.radii[0], 64)
-    assert est.log_max_modulus[0] - 1e-9 * m <= m <= est.log_max_modulus_upper[0]
+    assert est.log_max_modulus[0] < m - 0.5
+    assert m <= est.log_max_modulus_upper[0]
+
+
+def test_order_estimate_reaches_below_lambda_cap():
+    # q = -1e13: nu_1 = q + pi^2, far below -lambda_cap = -1e12, and the radii
+    # run 1e14..1e18.  The search for c reaches down to the largest radius, so
+    # the upper bound at R_0 is log|u(b; -R_0 - 2|nu_1|)|, not one shifted by
+    # the zero nearest -lambda_cap (about 2e12)
+    prob = problem(constant(1.0), constant(-1e13), constant(1.0))
+    est = order_estimate(prob)
+    assert est.radii == (1e14, 1e15, 1e16, 1e17, 1e18)
+    nu_1 = -1e13 + PI2
+    u, _, ls = _propagate_scaled(*prob.coeffs.piece_arrays(), -est.radii[0] + 2.0 * nu_1, 0j, -1 + 0j)
+    assert est.log_max_modulus_upper[0] == pytest.approx(math.log(abs(u)) + ls, rel=1e-9)
     assert est.verdict == "PASS"
 
 
