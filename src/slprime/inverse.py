@@ -14,7 +14,9 @@ Jacobian d mu_n / d q_i = int_{piece i} u_n^2 / int_0^1 u_n^2 of the
 Hellmann-Feynman identity (Poeschel & Trubowitz, Inverse Spectral Theory,
 1987), and accepts a step only when the objective itself falls; a trial
 stops solving once its misfit, summed in index order, reaches the
-incumbent's.
+incumbent's.  Restarts are independent: search() runs them in this process
+and in children forked from it, one per usable CPU (worker_count), and
+gets bit-identical results for every worker count.
 """
 
 from __future__ import annotations
@@ -141,7 +143,7 @@ class SearchResult:
 
 
 def worker_count() -> int:
-    """Parallel restart workers: SLPRIME_THREADS caps it, 0 or unset means auto."""
+    """Restart workers: the CPUs this process may run on, capped by SLPRIME_THREADS (0: no cap)."""
     raw = os.environ.get("SLPRIME_THREADS", "0")
     try:
         cap = int(raw)
@@ -149,7 +151,10 @@ def worker_count() -> int:
         cap = 0
     if cap < 0:
         cap = 0
-    auto = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        auto = len(os.sched_getaffinity(0))
+    else:
+        auto = os.cpu_count() or 1
     return auto if cap == 0 else min(cap, auto)
 
 
@@ -324,36 +329,107 @@ def _lm_restart(cfg: SearchConfig, k: int):
     return tuple(vals), best, tuple(trace)
 
 
+def _fork(work):
+    """(pid, read end) of a forked child that pickles work() into a pipe.
+
+    The child leaves by os._exit, 0 once the whole result is written and 1
+    if anything raised, so it never returns into the caller's stack.
+    """
+    import pickle
+
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with os.fdopen(w, "wb") as out:
+                pickle.dump(work(), out)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, os.fdopen(r, "rb")
+
+
+def _run_restarts(cfg: SearchConfig, nw: int, first):
+    """(first(), [outcome of restart k for k < cfg.restarts]), restart k run by worker k mod nw.
+
+    Worker 0 is this process.  It forks workers 1..nw-1, calls first() and
+    runs its own share while they run theirs, then reads each child's
+    result to EOF and reaps it.  A share whose child could not be forked,
+    or did not exit 0, runs again here, so an exception surfaces here as it
+    would serially.  If this process's own work raises, every child not yet
+    reaped is killed and reaped.
+    """
+
+    def share(w):
+        return [_lm_restart(cfg, k) for k in range(w, cfg.restarts, nw)]
+
+    done = {}  # worker -> its share's outcomes
+    children = []  # (worker, pid, pipe), not yet reaped
+    if nw > 1:
+        # on the fork path only: pickle carries the children's outcomes, and
+        # restarts past 0 draw their starts with numpy, imported once here
+        # before the fork rather than once in every worker
+        import pickle
+
+        import numpy  # noqa: F401
+    try:
+        for w in range(1, nw):
+            try:
+                children.append((w, *_fork(lambda w=w: share(w))))
+            except OSError:
+                break
+        head = first()
+        done[0] = share(0)
+        while children:
+            w, pid, pipe = children[0]
+            with pipe:
+                report = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            if os.waitstatus_to_exitcode(status) == 0:
+                done[w] = pickle.loads(report)
+        for w in range(1, nw):
+            if w not in done:
+                done[w] = share(w)
+    finally:
+        if children:
+            # only when this process's own work raised: signal costs start-up time
+            import signal
+
+        for _, pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return head, [done[k % nw][k // nw] for k in range(cfg.restarts)]
+
+
 def search(config: SearchConfig | None = None) -> SearchResult:
     """Run the restarted search; deterministic for a fixed config.
 
     Restart 0 starts from the constant potential that meets target 1, the
     rest from uniform draws in the box seeded by (config.seed, restart
     index).  The zero potential is kept as incumbent, so the reported best
-    is never worse than the baseline.  Restarts are independent and run in
-    parallel when more than one worker is available, with bit-identical
-    results either way.
+    is never worse than the baseline.  Restarts are independent: this
+    process and up to worker_count() - 1 forked children share them, with
+    bit-identical results for every worker count; where os.fork does not
+    exist, they all run here.
     """
     cfg = config or SearchConfig()
     mesh = _uniform_mesh(cfg.pieces)
 
     zero = (0.0,) * cfg.pieces
-    baseline = objective(PiecewiseConstant(mesh, zero), cfg.targets)
-
-    jobs = ([cfg] * cfg.restarts, range(cfg.restarts))
-    nw = min(worker_count(), cfg.restarts)
-    if nw > 1:
-        # imported here: concurrent.futures pulls in multiprocessing, which
-        # no other command needs at start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        try:
-            with ProcessPoolExecutor(max_workers=nw) as pool:
-                outcomes = list(pool.map(_lm_restart, *jobs))
-        except OSError:
-            outcomes = list(map(_lm_restart, *jobs))
-    else:
-        outcomes = list(map(_lm_restart, *jobs))
+    nw = min(worker_count(), cfg.restarts) if hasattr(os, "fork") else 1
+    baseline, outcomes = _run_restarts(
+        cfg, nw, lambda: objective(PiecewiseConstant(mesh, zero), cfg.targets)
+    )
 
     best_vals, best_j = zero, baseline
     traces = []

@@ -610,18 +610,32 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
-def test_cli_import_leaves_out_the_process_pool():
-    # only invert's search uses the pool; every other command starts without it
+def test_cli_import_leaves_out_the_process_pool(tmp_path):
+    # concurrent.futures and multiprocessing cost start-up time that no
+    # command needs: a one-restart search runs here, and a longer one forks
+    # its workers with os.fork
+    argvs = []
+    for restarts in (1, 2):
+        search = tmp_path / f"search{restarts}.json"
+        search.write_text(json.dumps({"pieces": 2, "targets": 2, "restarts": restarts,
+                                      "max_iters": 5}))
+        argvs.append(["invert", "--config", str(search), "--out", str(tmp_path / "inv.json")])
     code = (
-        "import sys, slprime.cli; "
-        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+        "import sys, slprime.cli\n"
+        "def pool(): return [m for m in ('concurrent.futures', 'multiprocessing') "
+        "if m in sys.modules]\n"
+        "seen = [pool()]\n"
+        f"for argv in {argvs!r}:\n"
+        "    assert slprime.cli.run(argv) == 0, argv\n"
+        "    seen.append(pool())\n"
+        "print(seen, file=sys.stderr)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": src, "SLPRIME_THREADS": "2"},
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stderr.strip() == "[[], [], []]"
 
 
 def _numpy_after_each(argvs):

@@ -178,35 +178,119 @@ def test_search_trace_monotone_and_incumbent():
         assert [it for it, _ in tr] == list(range(len(tr)))
 
 
+def _cpus(monkeypatch, n):
+    """Make worker_count() see n CPUs, whichever call it reads them from."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+
+def _count_forks(monkeypatch):
+    """A list that grows by one at every os.fork, which still forks."""
+    forks, real = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_pool_and_serial_search_bit_identical(monkeypatch):
-    cfg = SearchConfig(pieces=4, bound=150.0, targets=4, seed=9, restarts=3, max_iters=10)
+    # 3 and 5 restarts over 1-4 workers: shares of uneven size, up to 3 children
+    _cpus(monkeypatch, 4)
+    forks = _count_forks(monkeypatch)
+    for restarts in (3, 5):
+        cfg = SearchConfig(pieces=4, bound=150.0, targets=4, seed=9, restarts=restarts,
+                           max_iters=10)
+        monkeypatch.setenv("SLPRIME_THREADS", "1")
+        serial = search(cfg)
+        for threads in (2, 3, 4):
+            monkeypatch.setenv("SLPRIME_THREADS", str(threads))
+            forks.clear()
+            forked = search(cfg)
+            assert len(forks) == min(threads, restarts) - 1
+            assert forked == serial, (restarts, threads)
+            assert forked.best_objective.hex() == serial.best_objective.hex()
+            _assert_no_child_left()
+
+
+_CFG = SearchConfig(pieces=4, bound=150.0, targets=4, seed=9, restarts=3, max_iters=10)
+
+
+def _serial_and_restarts_here(monkeypatch):
+    """The serial result of _CFG, then 2 workers on 2 CPUs and a list of the restarts run here."""
+    import slprime.inverse as inverse
+
     monkeypatch.setenv("SLPRIME_THREADS", "1")
-    serial = search(cfg)
-    monkeypatch.setenv("SLPRIME_THREADS", "2")  # the pool, wherever there are two cores
-    pooled = search(cfg)
-    assert serial == pooled
-    assert serial.best_objective.hex() == pooled.best_objective.hex()
+    serial = search(_CFG)
+    _cpus(monkeypatch, 2)
+    monkeypatch.setenv("SLPRIME_THREADS", "2")
+    parent, real, here = os.getpid(), inverse._lm_restart, []
+
+    def spy(cfg, k):
+        if os.getpid() == parent:
+            here.append(k)
+        return real(cfg, k)
+
+    monkeypatch.setattr(inverse, "_lm_restart", spy)
+    return serial, here
 
 
 def test_search_runs_serially_when_the_pool_cannot_start(monkeypatch):
-    import concurrent.futures
-
-    cfg = SearchConfig(pieces=4, bound=150.0, targets=4, seed=9, restarts=3, max_iters=10)
-    monkeypatch.setenv("SLPRIME_THREADS", "1")
-    serial = search(cfg)
+    serial, here = _serial_and_restarts_here(monkeypatch)
     attempts = []
 
-    def no_pool(max_workers):
-        attempts.append(max_workers)
+    def no_fork():
+        attempts.append(1)
         raise OSError("no process can start")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setenv("SLPRIME_THREADS", "2")
-    fallback = search(cfg)
-    assert attempts == [2]  # the pool was asked for, failed, and the restarts ran here
+    monkeypatch.setattr(os, "fork", no_fork)
+    fallback = search(_CFG)
+    assert attempts == [1]  # the child was asked for, failed, and its share ran here
+    assert here == [0, 2, 1]
     assert fallback == serial
     assert fallback.best_objective.hex() == serial.best_objective.hex()
+
+
+def test_a_failed_child_has_its_share_rerun_here(monkeypatch):
+    import slprime.inverse as inverse
+
+    serial, here = _serial_and_restarts_here(monkeypatch)
+    parent, spy = os.getpid(), inverse._lm_restart
+
+    def child_dies(cfg, k):
+        if os.getpid() != parent:
+            os._exit(7)
+        return spy(cfg, k)
+
+    monkeypatch.setattr(inverse, "_lm_restart", child_dies)
+    forks = _count_forks(monkeypatch)
+    rerun = search(_CFG)
+    # worker 0 runs restarts 0 and 2, then the child's restart 1 once it exited 7
+    assert forks == [1]
+    assert here == [0, 2, 1]
+    assert rerun == serial
+    _assert_no_child_left()
+
+
+def test_no_child_outlives_a_search_whose_own_share_raises(monkeypatch):
+    import slprime.inverse as inverse
+
+    _serial_and_restarts_here(monkeypatch)
+    parent, spy = os.getpid(), inverse._lm_restart
+
+    def parent_raises(cfg, k):
+        if os.getpid() == parent:
+            raise RuntimeError(f"restart {k} raised here")
+        return spy(cfg, k)
+
+    monkeypatch.setattr(inverse, "_lm_restart", parent_raises)
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(RuntimeError, match="restart 0 raised here"):
+        search(_CFG)
+    assert forks == [1]
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -303,6 +387,15 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("SLPRIME_THREADS", "not-a-number")
     assert worker_count() >= 1  # garbage falls back to auto
     monkeypatch.delenv("SLPRIME_THREADS")
-    assert worker_count() == (os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count() or 1
+    assert worker_count() == usable  # the CPUs this process may run on, not every CPU
     monkeypatch.setenv("SLPRIME_THREADS", "-3")
-    assert worker_count() == (os.cpu_count() or 1)  # a negative cap also means auto
+    assert worker_count() == usable  # a negative cap also means auto
+    _cpus(monkeypatch, 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2}, raising=False)
+    assert worker_count() == 1  # pinned to one of four CPUs
+    monkeypatch.setenv("SLPRIME_THREADS", "3")
+    assert worker_count() == 1

@@ -7,8 +7,11 @@ package in this checkout's `src/`, inside OUTDIR/<name>/, with every path
 relative, so nothing in the output depends on where OUTDIR lies.  A
 command's directory holds the files it wrote and its stdout (stdout.txt);
 OUTDIR/exit_codes.tsv lists name, exit code and last stderr line per
-command.  To compare two checkouts, run each one's copy of this script
-into its own directory and compare the two:
+command.  Every command runs with SLPRIME_THREADS=1; the `invert` ones
+(PARALLEL) run once more with SLPRIME_THREADS=2, in a directory removed
+afterwards, and the script exits 1 if that run's files, exit code or last
+stderr line differ in any byte.  To compare two checkouts, run each one's
+copy of this script into its own directory and compare the two:
 
     python tools/cli_snapshot.py --compare OLD NEW
 
@@ -28,6 +31,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -140,6 +144,9 @@ def commands() -> dict:
     }
 
 
+# run a second time on two workers, whose output must not differ from one worker's
+PARALLEL = ("invert_1piece", "invert_3piece")
+
 LAMBDA_COLUMNS = ("lambda", "mu", "achieved_mu")  # the columns that hold eigenvalues
 
 
@@ -227,14 +234,11 @@ def compare(old: Path, new: Path) -> int:
 
     tols = SolverOptions.lambda_tol_abs, SolverOptions().lambda_tol_rel
 
-    def files(root):
-        return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
-
-    a, b = files(old), files(new)
-    lines = [f"only in {old}: {name}" for name in sorted(a - b)]
-    lines += [f"only in {new}: {name}" for name in sorted(b - a)]
-    for name in sorted(a & b):
-        if (old / name).read_bytes() != (new / name).read_bytes():
+    a, b = _files(old), _files(new)
+    lines = [f"only in {old}: {name}" for name in sorted(a.keys() - b.keys())]
+    lines += [f"only in {new}: {name}" for name in sorted(b.keys() - a.keys())]
+    for name in sorted(a.keys() & b.keys()):
+        if a[name] != b[name]:
             lines.append(f"{name}: {_describe(old / name, new / name, *tols)}")
     print("\n".join(lines) if lines else f"{len(a)} files, all identical")
     return 1 if lines else 0
@@ -255,20 +259,41 @@ def main(argv) -> int:
     for name, doc in documents().items():
         (out / "docs" / f"{name}.json").write_text(json.dumps(doc, indent=2) + "\n")
     env = {**os.environ, "PYTHONPATH": str(SRC), "SLPRIME_THREADS": "1"}
-    table = []
+    table = {}
     for name, args in commands().items():
         work = out / name
         work.mkdir()
-        proc = subprocess.run(
-            [sys.executable, "-m", "slprime.cli", *args],
-            cwd=work, env=env, capture_output=True, text=True, timeout=300,
-        )
-        (work / "stdout.txt").write_text(proc.stdout)
-        err = proc.stderr.strip().splitlines()
-        table.append(f"{name}\t{proc.returncode}\t{err[-1] if err else ''}\n")
-    (out / "exit_codes.tsv").write_text("".join(table))
+        table[name] = _run(args, work, env)
+    (out / "exit_codes.tsv").write_text(
+        "".join(f"{name}\t{code}\t{err}\n" for name, (code, err) in table.items())
+    )
     print(f"{len(table)} commands -> {out / 'exit_codes.tsv'}")
+    differ = []
+    for name in PARALLEL:
+        with tempfile.TemporaryDirectory(dir=out) as tmp:
+            row = _run(commands()[name], Path(tmp), {**env, "SLPRIME_THREADS": "2"})
+            if row != table[name] or _files(Path(tmp)) != _files(out / name):
+                differ.append(name)
+    if differ:
+        print(f"differ on two workers: {', '.join(differ)}", file=sys.stderr)
+        return 1
     return 0
+
+
+def _run(args, work: Path, env) -> tuple[int, str]:
+    """Run one command in work and keep its stdout there; (exit code, last stderr line)."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "slprime.cli", *args],
+        cwd=work, env=env, capture_output=True, text=True, timeout=300,
+    )
+    (work / "stdout.txt").write_text(proc.stdout)
+    err = proc.stderr.strip().splitlines()
+    return proc.returncode, err[-1] if err else ""
+
+
+def _files(root: Path) -> dict:
+    """{path relative to root: bytes} of every file under root."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 if __name__ == "__main__":
