@@ -8,69 +8,59 @@ with piecewise-constant coefficients by exact transfer matrices, counts
 eigenvalues through a Pruefer angle, composes the linear spectrum with the
 map lambda -> (pi lambda / log lambda)^2, and searches potentials whose
 composed spectrum approaches the squared primes.
+
+The public names are lazy: ``import slprime`` loads no submodule, and
+``slprime.compute_spectrum`` imports ``slprime.spectrum`` on first use.
+Each access reads the name from its module again, so a binding patched
+there (a test's monkeypatch, a tracer's wrapper) is what ``slprime``
+returns too.
 """
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .coeff import (
-    BoundaryCondition,
-    CoefficientSet,
-    DIRICHLET,
-    Interval,
-    PiecewiseConstant,
-    SLProblem,
-    constant,
-    make_piecewise,
-    merged_mesh,
-    problem,
-    refine_common_mesh,
-    unit_problem,
-    weyl_constant,
-)
-from .errors import (
-    BadConfig,
-    DegenerateModulus,
-    DomainMismatch,
-    EigenvalueNotFound,
-    EpsilonOutOfRange,
-    InsufficientData,
-    LengthMismatch,
-    LimitTooLarge,
-    NoRoot,
-    NonFiniteValue,
-    NonMonotoneMesh,
-    NotRightDefinite,
-    OutOfDomain,
-    SlprimeError,
-)
-from .shoot import AngleResult, State, integrate_system_scaled, prufer_angle
-from .spectrum import (
-    DEFAULT_OPTIONS,
-    Eigenvalue,
-    SolverOptions,
-    Spectrum,
-    WeylFit,
-    compute_spectrum,
-    eigenvalue,
-    weyl_fit,
-)
-from .primes import PrimeTable, cesaro, nth_prime, pnt_asymptotic, sieve
-from .nonlinear import (
-    BRANCH_MIN,
-    NonlinearProblem,
-    NonlinearRow,
-    invert_map,
-    lambda_map,
-    nonlinear_spectrum,
-)
-from .analysis import (
-    GrowthReport,
-    IncompatReport,
-    OrderEstimate,
-    growth_check,
-    incompatibility_report,
-    order_estimate,
-    partial_sum_primes,
-    partial_sum_spectrum,
-)
-from .inverse import SearchConfig, SearchResult, TargetRow, objective, search, target_mu
+# submodule -> the public names the package re-exports from it; the
+# submodules themselves are public names too
+_EXPORTS = {
+    "coeff": (
+        "BoundaryCondition", "CoefficientSet", "DIRICHLET", "Interval", "PiecewiseConstant",
+        "SLProblem", "constant", "make_piecewise", "merged_mesh", "problem",
+        "refine_common_mesh", "unit_problem", "weyl_constant",
+    ),
+    "errors": (
+        "BadConfig", "DegenerateModulus", "DomainMismatch", "EigenvalueNotFound",
+        "EpsilonOutOfRange", "InsufficientData", "LengthMismatch", "LimitTooLarge", "NoRoot",
+        "NonFiniteValue", "NonMonotoneMesh", "NotRightDefinite", "OutOfDomain", "SlprimeError",
+    ),
+    "shoot": ("AngleResult", "State", "integrate_system_scaled", "prufer_angle"),
+    "spectrum": (
+        "DEFAULT_OPTIONS", "Eigenvalue", "SolverOptions", "Spectrum", "WeylFit",
+        "compute_spectrum", "eigenvalue", "weyl_fit",
+    ),
+    "primes": ("PrimeTable", "cesaro", "nth_prime", "pnt_asymptotic", "sieve"),
+    "nonlinear": (
+        "BRANCH_MIN", "NonlinearProblem", "NonlinearRow", "invert_map", "lambda_map",
+        "nonlinear_spectrum",
+    ),
+    "analysis": (
+        "GrowthReport", "IncompatReport", "OrderEstimate", "growth_check",
+        "incompatibility_report", "order_estimate", "partial_sum_primes", "partial_sum_spectrum",
+    ),
+    "inverse": ("SearchConfig", "SearchResult", "TargetRow", "objective", "search", "target_mu"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_OWNER, *_EXPORTS])
+
+
+def __getattr__(name):
+    if name in _OWNER:
+        return getattr(_import_module(f".{_OWNER[name]}", __name__), name)
+    if name in _EXPORTS:
+        return _import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

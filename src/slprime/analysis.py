@@ -28,7 +28,7 @@ from .errors import (
     NotRightDefinite,
     OutOfDomain,
 )
-from .primes import _prime_chunks, nth_primes
+from .primes import _prime_chunks, nth_primes, prime_bounds
 from .shoot import _propagate_scaled, _solver_pieces, prufer_angle
 from .spectrum import DEFAULT_OPTIONS, SolverOptions, Spectrum, eigenvalue
 
@@ -226,7 +226,7 @@ def order_estimate(problem: SLProblem) -> OrderEstimate:
     return OrderEstimate(radii, tuple(log_m), tuple(log_up), *slopes, used, verdict)
 
 
-_MODEL_CHUNK = 1 << 16  # model-spectrum terms summed per chunk
+_MODEL_CHUNK = 1 << 16  # model-spectrum and minorant terms summed per chunk
 
 
 def _checkpoints(n: int) -> list[int]:
@@ -298,14 +298,8 @@ def partial_sum_spectrum(c: float, epsilon: float, n_terms: int):
         raise OutOfDomain(f"need at least one term, got {n_terms}")
     if n_terms > 10**7:
         raise LimitTooLarge(f"n_terms capped at 1e7, got {n_terms}")
-    import numpy as np
-
     expo = 0.5 + epsilon
-    chunks = (
-        (c * np.arange(lo + 1, min(lo + _MODEL_CHUNK, n_terms) + 1, dtype=np.float64) ** 2)
-        ** (-expo)
-        for lo in range(0, n_terms, _MODEL_CHUNK)
-    )
+    chunks = ((c * n**2) ** (-expo) for n in _index_chunks(0, n_terms))
     scale = c ** (-expo)
     return tuple(
         (m, s, scale * m ** (-2.0 * epsilon) / (2.0 * epsilon))
@@ -313,19 +307,41 @@ def partial_sum_spectrum(c: float, epsilon: float, n_terms: int):
     )
 
 
-def series_verdict(prime_rows, model_rows) -> str:
-    """PASS/FAIL/INCONCLUSIVE for partial_sum_primes and partial_sum_spectrum rows of one n_terms.
+def _index_chunks(start: int, stop: int):
+    """The indices start < n <= stop as float64 arrays of at most _MODEL_CHUNK each."""
+    import numpy as np
 
-    PASS needs increasing prime sums that at least double from the last
-    checkpoint M <= n_terms/100 to n_terms, and model sums that grow past
-    the first checkpoint by at most its tail bound; below n_terms = 10^5
-    there is no such M and the verdict is withheld.  At n_terms = 10^6 the
-    doubling holds only for eps <= 0.27, though the sums diverge for every eps < 1/2.
+    for lo in range(start, stop, _MODEL_CHUNK):
+        yield np.arange(lo + 1, min(lo + _MODEL_CHUNK, stop) + 1, dtype=np.float64)
+
+
+def series_verdict(epsilon: float, prime_rows, model_rows) -> tuple[str, str]:
+    """(PASS/FAIL/INCONCLUSIVE, the numbers it read) for partial_sum_primes and
+    partial_sum_spectrum rows of one n_terms and epsilon.
+
+    With s = 1/2 + eps and M the last checkpoint <= n_terms/100, every
+    prime term past M exceeds m_n = hi_n^(-s), hi_n = prime_bounds(n)[1]
+    (Rosser & Schoenfeld, n >= 6).  PASS needs the prime sums to rise from
+    M to n_terms by at least sum_{M<n<=n_terms} m_n, which the theorem
+    guarantees, so falling short flags a sieve or summation fault; and that
+    minorant rise to exceed the model's tail bound T(M), so the primes gain
+    more past M than the model c n^2 can gain in all.  It also needs
+    increasing prime sums, and model sums that grow past the first
+    checkpoint by at most its tail bound.  Below n_terms = 10^5 there is no
+    such M and the verdict is withheld.
     """
-    sums = [sp for _, sp in prime_rows]
-    anchor = [sp for m, sp in prime_rows if m * 100 <= prime_rows[-1][0]]
+    n_terms = prime_rows[-1][0]
+    anchor = [i for i, (m, _) in enumerate(prime_rows) if m * 100 <= n_terms]
     if not anchor:
-        return "INCONCLUSIVE"
+        return "INCONCLUSIVE", f"no checkpoint M <= n_max/100 = {n_terms / 100:g}"
+    (m, s_m), (_, s_n), tail = prime_rows[anchor[-1]], prime_rows[-1], model_rows[anchor[-1]][2]
+    expo = -(0.5 + epsilon)
+    minorant = math.fsum(
+        float((prime_bounds(n)[1] ** expo).sum()) for n in _index_chunks(m, n_terms)
+    )
+    sums = [sp for _, sp in prime_rows]
     increasing = all(a < b for a, b in zip(sums, sums[1:]))
     model_ok = model_rows[-1][1] - model_rows[0][1] <= model_rows[0][2] * (1 + 1e-12)
-    return "PASS" if increasing and sums[-1] >= 2.0 * anchor[-1] and model_ok else "FAIL"
+    verdict = "PASS" if increasing and model_ok and s_n - s_m >= minorant > tail else "FAIL"
+    return verdict, (f"from M = {m}: prime_increase {s_n - s_m!r} "
+                     f"minorant_increase {minorant!r} model_tail_bound {tail!r}")

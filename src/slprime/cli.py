@@ -8,38 +8,18 @@ Exit codes: 0 success (including TRUNCATED spectra, a legitimate outcome),
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
-import hashlib
-import io
-import json
 import math
 import sys
-from pathlib import Path
 
 from . import __version__
-from .analysis import (
-    _X_SAMPLES,
-    growth_check,
-    incompatibility_report,
-    order_estimate,
-    partial_sum_primes,
-    partial_sum_spectrum,
-    series_verdict,
-)
-from .coeff import (
-    BoundaryCondition,
-    Interval,
-    PiecewiseConstant,
-    SLProblem,
-    _as_float,
-    refine_common_mesh,
-)
 from .errors import BadConfig, SlprimeError
-from .inverse import SearchConfig, search
-from .nonlinear import NonlinearProblem, _composed_rows
-from .primes import cesaro, nth_primes, pnt_asymptotic
-from .spectrum import SolverOptions, compute_spectrum
+
+# Every other import sits in the function that needs it, so a command loads
+# only the layers it runs.  Imported as a module, though, cli binds every
+# layer at once: a tracer that patches the package's functions finds them in
+# sys.modules.  Only `python -m slprime.cli` defers them.
+if __name__ != "__main__":
+    from . import analysis, inverse, nonlinear, primes, spectrum  # noqa: F401
 
 __all__ = ["run", "main", "document_to_problem", "problem_to_document"]
 
@@ -62,6 +42,8 @@ def _expect_fields(obj, path: str, required: set[str], optional: set[str] = froz
 
 
 def _number(value, path: str) -> float:
+    from .coeff import _as_float
+
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise BadConfig(f"{path} must be a number")
     out = _as_float(value)  # an integer literal past the float range reads inf
@@ -87,6 +69,8 @@ def _owned(prefix: str, build, *args, **kwargs):
 
 
 def _piecewise(obj, path: str) -> PiecewiseConstant:
+    from .coeff import PiecewiseConstant
+
     _expect_fields(obj, path, {"breakpoints", "values"})
     bp = obj["breakpoints"]
     vals = obj["values"]
@@ -106,6 +90,11 @@ def document_to_problem(doc) -> tuple[SLProblem, SolverOptions]:
 
     This checks the JSON shape only; every range rule is the owning type's.
     """
+    import dataclasses
+
+    from .coeff import BoundaryCondition, Interval, SLProblem, refine_common_mesh
+    from .spectrum import SolverOptions
+
     _expect_fields(doc, "document", {"interval", "coefficients", "bc"}, {"solver"})
     _expect_fields(doc["interval"], "interval", {"a", "b"})
     a = _number(doc["interval"]["a"], "interval.a")
@@ -134,6 +123,10 @@ def document_to_problem(doc) -> tuple[SLProblem, SolverOptions]:
 
 def problem_to_document(problem: SLProblem, opts: SolverOptions | None = None) -> dict:
     """Serialize back to the JSON document shape; parse(serialize(x)) == x."""
+    import dataclasses
+
+    from .spectrum import SolverOptions
+
     return {
         "interval": {"a": problem.interval.a, "b": problem.interval.b},
         "coefficients": {
@@ -147,8 +140,11 @@ def problem_to_document(problem: SLProblem, opts: SolverOptions | None = None) -
 
 
 def _read_json(path: str):
+    import json
+
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise BadConfig(f"cannot read config '{path}': {exc}") from exc
     try:
@@ -175,6 +171,11 @@ def _fmt(value) -> str:
 
 def _write_csv(out_path: str | None, command: str, header, rows, **config) -> None:
     """Header and rows as CSV, after a line hashing the effective {"command": command, **config}."""
+    import csv
+    import hashlib
+    import io
+    import json
+
     blob = json.dumps({"command": command, **config}, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
     buf = io.StringIO()
@@ -186,7 +187,8 @@ def _write_csv(out_path: str | None, command: str, header, rows, **config) -> No
     if out_path is None:
         sys.stdout.write(buf.getvalue())
     else:
-        Path(out_path).write_text(buf.getvalue(), encoding="utf-8")
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(buf.getvalue())
 
 
 def _verdict(tag: str, verdict: str) -> int:
@@ -198,6 +200,8 @@ def _verdict(tag: str, verdict: str) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    from .spectrum import compute_spectrum
+
     problem, opts, doc = _load_problem(args.config)
     spec = compute_spectrum(problem, args.n_max, opts)
     rows = [(ev.index, ev.value, ev.oscillation, ev.residual) for ev in spec.eigenvalues]
@@ -209,6 +213,11 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_nonlinear(args) -> int:
+    from .coeff import PiecewiseConstant
+    from .nonlinear import NonlinearProblem, _composed_rows
+    from .primes import nth_primes
+    from .spectrum import SolverOptions, compute_spectrum
+
     if args.config is not None:
         problem, opts, doc = _load_problem(args.config)
         nl = NonlinearProblem(problem.coeffs.q)
@@ -248,6 +257,8 @@ def _prime_checkpoints(n_max: int) -> list[int]:
 
 
 def _cmd_primes(args) -> int:
+    from .primes import cesaro, nth_primes, pnt_asymptotic
+
     checkpoints = _prime_checkpoints(args.n_max)
     rows = []
     for n, p in zip(checkpoints, nth_primes(checkpoints)):
@@ -267,6 +278,9 @@ def _cmd_primes(args) -> int:
 
 
 def _cmd_incompat(args) -> int:
+    from .analysis import incompatibility_report
+    from .spectrum import compute_spectrum
+
     problem, opts, doc = _load_problem(args.config)
     spec = compute_spectrum(problem, args.n_max, opts)
     if spec.truncated:
@@ -282,6 +296,8 @@ def _cmd_incompat(args) -> int:
 
 
 def _cmd_growth(args) -> int:
+    from .analysis import _X_SAMPLES, growth_check
+
     problem, _, doc = _load_problem(args.config)
     lam = complex(args.lambda_re, args.lambda_im)
     report = growth_check(problem, lam)
@@ -292,6 +308,8 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_order(args) -> int:
+    from .analysis import order_estimate
+
     problem, _, doc = _load_problem(args.config)
     est = order_estimate(problem)
     rows = zip(est.radii, est.log_max_modulus, est.log_max_modulus_upper, map(int, est.used))
@@ -302,15 +320,24 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    from .analysis import partial_sum_primes, partial_sum_spectrum, series_verdict
+
     prime_rows = partial_sum_primes(args.epsilon, args.n_max)
     model_rows = partial_sum_spectrum(_UNIT_STRING_C, args.epsilon, args.n_max)
     rows = [(m, sp, sm, tb) for (m, sp), (_, sm, tb) in zip(prime_rows, model_rows)]
     _write_csv(args.out, args.command, ("M", "prime_sum", "model_sum", "model_tail_bound"), rows,
                epsilon=args.epsilon, n_max=args.n_max, growth_constant=_UNIT_STRING_C)
-    return _verdict(args.command, series_verdict(prime_rows, model_rows))
+    verdict, note = series_verdict(args.epsilon, prime_rows, model_rows)
+    print(note)
+    return _verdict(args.command, verdict)
 
 
 def _cmd_invert(args) -> int:
+    import dataclasses
+    import json
+
+    from .inverse import SearchConfig, search
+
     doc = _read_json(args.config)
     _expect_fields(doc, "document", set(), {f.name for f in dataclasses.fields(SearchConfig)})
     kwargs = dict(doc)
@@ -332,7 +359,8 @@ def _cmd_invert(args) -> int:
         "best_q": _piecewise_doc(result.best_q),
         "trace": [[[it, j] for it, j in tr] for tr in result.trace],
     }
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload, indent=2) + "\n")
     csv_path = args.csv
     if csv_path is None:
         stem = args.out[:-5] if args.out.endswith(".json") else args.out

@@ -32,6 +32,7 @@ __all__ = [
     "sieve",
     "nth_prime",
     "nth_primes",
+    "prime_bounds",
     "pnt_asymptotic",
     "cesaro",
 ]
@@ -136,12 +137,33 @@ def _segment_primes(lo: int, flags: np.ndarray | bytearray) -> np.ndarray:
     return primes
 
 
+def prime_bounds(n):
+    """(lo, hi) with lo < p_n for n >= 2 and p_n < hi for n >= 6.
+
+    hi = n (ln n + ln ln n) is Rosser & Schoenfeld's upper bound (Illinois
+    J. Math. 6, 1962) and lo = hi - n Dusart's lower one (Math. Comp. 68,
+    1999).  n is an int, or an array of indices for elementwise bounds.
+    """
+    if isinstance(n, int):
+        if n < 2:
+            raise OutOfDomain(f"prime bounds need n >= 2, got {n}")
+        ln = math.log(n)
+        lln = math.log(ln)
+    else:
+        import numpy as np
+
+        ln = np.log(n)
+        lln = np.log(ln)
+    hi = n * (ln + lln)
+    return hi - n, hi
+
+
 def _rosser_bound(n: int) -> int:
     """A sieve limit that holds the first n primes (n >= 1).
 
-    The Rosser bound p_n < n(log n + log log n), valid for n >= 6; the
-    primes below 15 cover n < 6.  Past pi(_SIEVE_MAX) it raises, so no
-    caller sieves anything for an index it cannot serve.
+    prime_bounds' hi, plus a margin; the primes below 15 cover n < 6.
+    Past pi(_SIEVE_MAX) it raises, so no caller sieves anything for an
+    index it cannot serve.
     """
     if n < 1:
         raise OutOfDomain(f"prime index must be >= 1, got {n}")
@@ -149,8 +171,7 @@ def _rosser_bound(n: int) -> int:
         raise LimitTooLarge(f"prime #{n} lies beyond the sieve ceiling {_SIEVE_MAX}")
     if n < 6:
         return 15
-    ln = math.log(n)
-    return min(math.ceil(n * (ln + math.log(ln))) + 10, _SIEVE_MAX)
+    return min(math.ceil(prime_bounds(n)[1]) + 10, _SIEVE_MAX)
 
 
 def nth_primes(ns) -> list[int]:

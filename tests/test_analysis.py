@@ -439,25 +439,57 @@ def test_partial_sum_primes_diverges_in_practice():
     assert rows[10**6] / rows[10**4] >= 2.0
 
 
+def _minorant_increase(eps, m, n):
+    """sum over m < k <= n of (k (ln k + ln ln k))^-(1/2+eps), term by term."""
+    return math.fsum((k * (math.log(k) + math.log(math.log(k)))) ** -(0.5 + eps)
+                     for k in range(m + 1, n + 1))
+
+
 def test_series_verdict_clauses():
-    # synthetic rows for n_terms = 1e5: the doubling is read from M = 1e3
-    primes = ((10**3, 1.0), (10**4, 1.5), (10**5, 2.0))
+    # synthetic rows for n_terms = 1e5: the rise is read from M = 1e3
+    eps = 0.25
+    rise = _minorant_increase(eps, 10**3, 10**5)  # 7.67
     model = ((10**3, 0.5, 0.125), (10**4, 0.6, 0.04), (10**5, 0.625, 0.0125))
-    assert series_verdict(primes, model) == "PASS"  # both clauses met exactly
-    not_increasing = ((10**3, 1.0), (10**4, 2.5), (10**5, 2.4))
-    assert series_verdict(not_increasing, model) == "FAIL"
-    not_doubled = ((10**3, 1.0), (10**4, 1.5), (10**5, 1.99))
-    assert series_verdict(not_doubled, model) == "FAIL"
+
+    def primes(gain):
+        return ((10**3, 1.0), (10**4, 1.0 + gain / 2), (10**5, 1.0 + gain))
+
+    verdict, note = series_verdict(eps, primes(rise * (1 + 1e-9)), model)
+    assert verdict == "PASS"  # every clause met, the rise by a hair
+    assert note.startswith("from M = 1000: prime_increase ")
+    assert float(note.split("minorant_increase ")[1].split()[0]) == pytest.approx(rise, rel=1e-12)
+    assert series_verdict(eps, primes(rise * (1 - 1e-9)), model)[0] == "FAIL"  # short of it
+    not_increasing = ((10**3, 1.0), (10**4, 1.0 + 2 * rise), (10**5, 1.0 + 1.5 * rise))
+    assert series_verdict(eps, not_increasing, model)[0] == "FAIL"
     past_tail = ((10**3, 0.5, 0.125), (10**4, 0.6, 0.04), (10**5, 0.6251, 0.0125))
-    assert series_verdict(primes, past_tail) == "FAIL"
-    # at n_terms = 1e6 the anchor is the last checkpoint at or below 1e4
-    late = ((10**3, 1.0), (10**4, 1.5), (10**5, 2.5), (10**6, 2.9))
+    assert series_verdict(eps, primes(2 * rise), past_tail)[0] == "FAIL"
+    # the minorant's rise must beat the model's whole tail past M
+    tail_above = ((10**3, 0.5, 1.01 * rise), *model[1:])
+    assert series_verdict(eps, primes(2 * rise), tail_above)[0] == "FAIL"
+    # at n_terms = 1e6 the rise is read from the last checkpoint at or below 1e4
+    late_rise = _minorant_increase(eps, 10**4, 10**6)  # 11.76
+    late = ((10**3, 1.0), (10**4, 2.0), (10**5, 2.0 + late_rise / 2))
     model6 = (*model, (10**6, 0.625, 0.004))
-    assert series_verdict(late, model6) == "FAIL"
-    assert series_verdict((*late[:3], (10**6, 3.0)), model6) == "PASS"
+    assert series_verdict(eps, (*late, (10**6, 2.0 + 0.99 * late_rise)), model6)[0] == "FAIL"
+    assert series_verdict(eps, (*late, (10**6, 2.0 + 1.01 * late_rise)), model6)[0] == "PASS"
     # below n_terms = 1e5 no checkpoint lies at n_terms/100: withheld, whatever the sums
-    assert series_verdict(((10**3, 1.0), (2000, 1.2)), model[:2]) == "INCONCLUSIVE"
-    assert series_verdict(((10**3, 1.0), (2000, 0.5)), model[:2]) == "INCONCLUSIVE"
+    for short in (((10**3, 1.0), (2000, 1.2)), ((10**3, 1.0), (2000, 0.5))):
+        assert series_verdict(eps, short, model[:2]) == (
+            "INCONCLUSIVE", "no checkpoint M <= n_max/100 = 20")
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.49])
+def test_series_verdict_fails_a_walk_that_skips_primes(monkeypatch, eps):
+    # the real sums pass; a walk that keeps every other prime reads
+    # p_n ~ p_2n, and its rise from M falls below the Rosser minorant's
+    import slprime.analysis as analysis
+
+    model = partial_sum_spectrum(PI2, eps, 10**5)
+    assert series_verdict(eps, partial_sum_primes(eps, 10**5), model)[0] == "PASS"
+    walk = analysis._prime_chunks
+    monkeypatch.setattr(analysis, "_prime_chunks",
+                        lambda n: iter([np.concatenate(list(walk(2 * n)))[1::2]]))
+    assert series_verdict(eps, partial_sum_primes(eps, 10**5), model)[0] == "FAIL"
 
 
 def test_partial_sum_spectrum_tail_bound():

@@ -16,6 +16,7 @@ from slprime.primes import (
     nth_prime,
     nth_primes,
     pnt_asymptotic,
+    prime_bounds,
     sieve,
 )
 
@@ -131,6 +132,20 @@ def test_nth_prime_values():
     assert nth_prime(100) == 541
     assert nth_prime(1_000) == 7_919
     assert nth_prime(10_000) == 104_729
+
+
+def test_prime_bounds_hold_up_to_1e5():
+    # Dusart's lo < p_n from n = 2, Rosser-Schoenfeld's p_n < hi from n = 6,
+    # elementwise on an index array and one index at a time
+    n = np.arange(2, 10**5 + 1)
+    p = sieve(primes_mod._rosser_bound(10**5)).primes[1 : 10**5]
+    lo, hi = prime_bounds(n)
+    assert np.all(lo < p)
+    assert np.all(p[4:] < hi[4:])
+    assert [int(p[k - 2] < prime_bounds(k)[1]) for k in range(2, 7)] == [0, 0, 0, 0, 1]
+    assert prime_bounds(10**5) == pytest.approx((lo[-1], hi[-1]), rel=1e-15)
+    with pytest.raises(OutOfDomain):
+        prime_bounds(1)
 
 
 def test_prime_table_nth_bounds():

@@ -138,6 +138,8 @@ def commands() -> dict:
         "order_huge": ["order", *cfg("huge"), "--out", "out.csv"],
         "series_100000": ["series", "--n-max", "100000", "--out", "out.csv"],
         "series_2000000": ["series", "--n-max", "2000000", "--out", "out.csv"],
+        # eps = 0.3: S(1e6) < 2 S(1e4), though the prime series diverges
+        "series_eps03": ["series", "--epsilon", "0.3", "--n-max", "1000000", "--out", "out.csv"],
         "invert_1piece": ["invert", *cfg("invert_1piece"), "--seed", "3", "--out", "out.json"],
         "invert_3piece": ["invert", *cfg("invert_3piece"), "--seed", "5", "--out", "out.json",
                           "--csv", "targets.csv"],
