@@ -17,7 +17,8 @@ from .errors import BadConfig, SlprimeError
 # Every other import sits in the function that needs it, so a command loads
 # only the layers it runs.  Imported as a module, though, cli binds every
 # layer at once: a tracer that patches the package's functions finds them in
-# sys.modules.  Only `python -m slprime.cli` defers them.
+# sys.modules.  Run as a program (`python -m slprime.cli`, `python -m slprime`
+# or the installed `slprime` script, see __main__.py), cli defers them.
 if __name__ != "__main__":
     from . import analysis, inverse, nonlinear, primes, spectrum  # noqa: F401
 

@@ -463,9 +463,17 @@ def test_series_verdict_clauses():
     assert series_verdict(eps, not_increasing, model)[0] == "FAIL"
     past_tail = ((10**3, 0.5, 0.125), (10**4, 0.6, 0.04), (10**5, 0.6251, 0.0125))
     assert series_verdict(eps, primes(2 * rise), past_tail)[0] == "FAIL"
-    # the minorant's rise must beat the model's whole tail past M
+    # where the minorant's rise does not beat the model's whole tail past M,
+    # the window cannot tell primes from model: withheld, unless a clause fails
     tail_above = ((10**3, 0.5, 1.01 * rise), *model[1:])
-    assert series_verdict(eps, primes(2 * rise), tail_above)[0] == "FAIL"
+    assert series_verdict(eps, primes(2 * rise), tail_above)[0] == "INCONCLUSIVE"
+    assert series_verdict(eps, primes(rise * (1 - 1e-9)), tail_above)[0] == "FAIL"
+    assert series_verdict(eps, not_increasing, tail_above)[0] == "FAIL"
+    # the real sums at eps = 1e-4 and n_terms = 1e5: T(1e3) = 1/(2 eps pi) past a rise of ~150
+    tiny = 1e-4
+    real = series_verdict(tiny, partial_sum_primes(tiny, 10**5),
+                          partial_sum_spectrum(PI2, tiny, 10**5))
+    assert real[0] == "INCONCLUSIVE", real
     # at n_terms = 1e6 the rise is read from the last checkpoint at or below 1e4
     late_rise = _minorant_increase(eps, 10**4, 10**6)  # 11.76
     late = ((10**3, 1.0), (10**4, 2.0), (10**5, 2.0 + late_rise / 2))

@@ -467,6 +467,14 @@ def test_series_passes_wherever_the_prime_series_diverges(tmp_path, capsys):
         note, verdict = capsys.readouterr().out.splitlines()
         assert (verdict, code) == ("VERDICT: PASS series", 0), eps
         assert note.startswith("from M = 10000: prime_increase "), eps
+    # below eps ~ 3.5e-4 the model's tail bound outgrows the minorant's rise
+    # at this n_max, so no verdict can be read from the window: withheld
+    code = run(["series", "--epsilon", "0.0001", "--n-max", "1000000",
+                "--out", str(tmp_path / "s.csv")])
+    note, verdict = capsys.readouterr().out.splitlines()
+    assert (verdict, code) == ("VERDICT: INCONCLUSIVE series", 0)
+    _, rise, _, minorant, _, tail = note.split(": ")[1].split()
+    assert float(minorant) <= float(rise) and float(minorant) < float(tail)
 
 
 # one light run per subcommand and the config_sha256 its CSV header carries;
@@ -722,6 +730,24 @@ def test_each_command_loads_only_the_layers_it_runs(tmp_path):
                            "--n-max", "5", "--out", str(tmp_path / "s.csv")])
     assert "slprime.spectrum" in spectrum
     assert not spectrum & {f"slprime.{m}" for m in ("analysis", "inverse", "nonlinear", "primes")}
+
+
+def test_installed_script_loads_only_the_layers_it_runs():
+    # the [project.scripts] entry runs cli as a program, so it starts as
+    # lean as `python -m slprime.cli`, not through an eager `import slprime.cli`
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, func = re.search(r'^slprime = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    loaded = _fresh(
+        "import sys\n"
+        "sys.argv = ['slprime', '--help']\n"
+        f"from {module} import {func}\n"
+        "try:\n"
+        f"    {func}()\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code in (None, 0), exc.code\n"
+        "print(sorted(m for m in sys.modules if m.startswith('slprime')), file=sys.stderr)\n"
+    )
+    assert set(loaded) == {"slprime", module, "slprime.errors"}
 
 
 def test_importing_cli_binds_every_layer():
