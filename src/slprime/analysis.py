@@ -4,10 +4,10 @@ Three independent signatures, each testable numerically:
 
 * eigenvalues grow like n^2 while primes grow like n log n, so p_n/lambda_n
   decays to zero (incompatibility report);
-* solutions are entire of order <= 1/2 in lambda (exact log-derivative
-  growth bound; the order of M(R), bounded on both sides on the negative
-  axis at radii past every turning point R r = |q|), so
-  sum |lambda_n|^(-1/2-eps) converges over any admissible spectrum;
+* solutions are entire of order <= 1/2 in lambda: W = |lambda| |u|^2 + |v|^2
+  has |W'/W| <= sqrt|lambda| (r + s) + |q|/sqrt|lambda| (growth_check), and
+  integrated over [a, b] that bounds log|u(b; lambda)| (order_estimate's U),
+  so sum |lambda_n|^(-1/2-eps) converges over any admissible spectrum;
 * the same sum over the primes diverges (partial-sum dichotomy).
 """
 
@@ -15,22 +15,19 @@ from __future__ import annotations
 
 import cmath
 import math
-from contextlib import suppress
 from dataclasses import dataclass, field
 
-from .coeff import BoundaryCondition, SLProblem
+from .coeff import SLProblem, weyl_constant
 from .errors import (
     DegenerateModulus,
-    EigenvalueNotFound,
     EpsilonOutOfRange,
     InsufficientData,
     LimitTooLarge,
-    NotRightDefinite,
     OutOfDomain,
 )
 from .primes import _prime_chunks, nth_primes, prime_bounds
-from .shoot import _propagate_scaled, _solver_pieces, prufer_angle
-from .spectrum import DEFAULT_OPTIONS, SolverOptions, Spectrum, eigenvalue
+from .shoot import _propagate_scaled, _solver_pieces
+from .spectrum import Spectrum
 
 __all__ = [
     "IncompatReport",
@@ -167,50 +164,49 @@ def growth_check(problem: SLProblem, lam: complex) -> GrowthReport:
 
 @dataclass(frozen=True)
 class OrderEstimate:
-    """Slopes of log log M(R) against log R for a lower and an upper bound on log M(R)."""
+    """log M(R) bounded from both sides at each radius, and what the lower bound reads."""
 
     radii: tuple[float, ...]
     log_max_modulus: tuple[float, ...]  # the lower bound, log|u(b; -R)|
-    log_max_modulus_upper: tuple[float, ...]
-    slope: float
-    slope_upper: float
+    log_max_modulus_upper: tuple[float, ...]  # the upper bound, U(R)
+    slope: float  # a reading: log log|u(b; -R)| on log R
+    slope_upper: float  # log log U(R) on log R
     used: tuple[bool, ...]
     verdict: str
+    type_ratio: float  # a reading: log|u(b; -R)| / (C sqrt(R)) at the largest radius
+    upper_a: float  # U(R)'s A
+    upper_b: float  # U(R)'s B
 
 
 def order_estimate(problem: SLProblem) -> OrderEstimate:
-    """Both-sided bounds on log M(R), M(R) = max |u(b; lambda)| over |lambda| = R, fitted for the order.
+    """log M(R), M(R) = max |u(b; lambda)| over |lambda| = R: a theorem above, the data below.
 
-    u(b; .) is entire of order <= 1/2 (growth_check's bound): a genus-0
-    product over its zeros nu_k, the eigenvalues with beta = pi (Levin,
-    Lectures on Entire Functions, 1996, Lectures 1-4).  So for c <= 0 below
-    every nu_k, log|u(b; -R)| <= log M(R) <= log|u(b; -R - 2|c|)|, c sought
-    above -L, L the larger of lambda_cap and the largest radius.  The
-    radii are R_0 10^k, k = 0..4, with R_0 = max(100, 10 max |q|/r over the
-    pieces with r > 0): every such piece is past its turning point
-    R r = |q| tenfold, where log M(R) grows like sqrt(R).  PASS when the
-    lower bound's slope is >= 0.4 and the upper's <= 0.6.  Radii where the
-    lower bound is <= log 10 are left out of both fits.
+    growth_check's |W'/W| <= sqrt(R) (r + s) + |q|/sqrt(R), integrated over
+    [a, b] from W(a) = R sin^2 alpha + cos^2 alpha, with R |u(b)|^2 <= W(b),
+    gives log M(R) <= U(R) = A sqrt(R) + B/sqrt(R) + log(sin^2 alpha + cos^2
+    alpha/R)/2, A = int (r + s)/2, B = int |q|/2, for every admissible
+    document.  One real propagation per radius gives log|u(b; -R)| <= log M(R),
+    and only a propagator fault puts it above U(R) (past 1e-9 |U|): FAIL.
+    The radii R_0 10^k, k = 0..4, R_0 = max(100, 10 max |q|/r where r > 0),
+    pass every turning point R r = |q| tenfold.  Readings that cannot FAIL:
+    the slopes of log log|u(b; -R)| and log U(R) on log R where the lower
+    bound exceeds log 10, and the type log|u(b; -R)|/(C sqrt(R)) at the
+    largest radius, C = weyl_constant.
     """
-    _, _, qvals, rvals = problem.coeffs.piece_arrays()
+    widths, svals, qvals, rvals = pieces = problem.coeffs.piece_arrays()
     turn = max((abs(q) / r for q, r in zip(qvals, rvals) if r > 0.0), default=0.0)
     radii = tuple(max(100.0, 10.0 * turn) * 10**k for k in range(5))
     _solver_pieces(problem, radii[-1], "|lambda|", definite=False)  # names an overflow at R first
-    at_pi = SLProblem(problem.interval, problem.coeffs, BoundaryCondition(problem.bc.alpha, math.pi))
-    # c: the lowest zero, the first eigenvalue past theta(b; -L), less twice its tolerance;
-    # no zero above -L, or u(b; .) constant (s or r zero throughout), leaves c = 0
-    opts = SolverOptions(lambda_cap=max(DEFAULT_OPTIONS.lambda_cap, radii[-1]))  # cap = L
-    shift = 0.0  # 2|c|
-    with suppress(EigenvalueNotFound, NotRightDefinite):
-        nu = eigenvalue(at_pi, prufer_angle(at_pi, -opts.lambda_cap).winding + 1, opts).value
-        shift = max(0.0, 4.0 * max(opts.lambda_tol_abs, opts.lambda_tol_rel * abs(nu)) - 2.0 * nu)
-    pieces = _solver_pieces(problem, radii[-1] + shift, "|lambda|", definite=False)
-    u0, v0 = complex(math.sin(problem.bc.alpha)), complex(-math.cos(problem.bc.alpha))
+    upper_a = 0.5 * sum(h * (r + s) for h, s, r in zip(widths, svals, rvals))  # may overflow: no fsum
+    upper_b = 0.5 * sum(h * abs(q) for h, q in zip(widths, qvals))
+    sin_a, cos_a = math.sin(problem.bc.alpha), math.cos(problem.bc.alpha)
 
     def log_abs_u(lam: float) -> float:
-        u, _, ls = _propagate_scaled(*pieces, lam, u0, v0)
+        u, _, ls = _propagate_scaled(*pieces, lam, complex(sin_a), complex(-cos_a))
         return math.log(abs(u)) + ls if u else -math.inf
-    log_m, log_up = [log_abs_u(-rad) for rad in radii], [log_abs_u(-rad - shift) for rad in radii]
+    log_m = tuple(log_abs_u(-rad) for rad in radii)
+    log_up = tuple(upper_a * math.sqrt(rad) + upper_b / math.sqrt(rad)
+                   + 0.5 * math.log(sin_a**2 + cos_a**2 / rad) for rad in radii)
     used = tuple(lm > math.log(10.0) for lm in log_m)
     xs = [math.log(rad) for rad, keep in zip(radii, used) if keep]
     if len(xs) < 2:
@@ -218,12 +214,14 @@ def order_estimate(problem: SLProblem) -> OrderEstimate:
     x_mean = math.fsum(xs) / len(xs)
     dxs = [x - x_mean for x in xs]  # the least-squares slopes, in closed form
     slopes = []
-    for logs in (log_m, log_up):
-        ys = [math.log(lm) for lm, keep in zip(logs, used) if keep]
+    for logs in (log_m, log_up):  # NaN where U(R) is not positive and finite
+        ys = [math.log(v) if 0.0 < v < math.inf else math.nan for v, keep in zip(logs, used) if keep]
         y_mean = math.fsum(ys) / len(ys)
         slopes.append(math.fsum(dx * (y - y_mean) for dx, y in zip(dxs, ys)) / math.fsum(d * d for d in dxs))
-    verdict = "PASS" if slopes[0] >= 0.4 and slopes[1] <= 0.6 else "FAIL"  # neither order off 1/2
-    return OrderEstimate(radii, tuple(log_m), tuple(log_up), *slopes, used, verdict)
+    c = weyl_constant(problem.coeffs)
+    type_ratio = log_m[-1] / (c * math.sqrt(radii[-1])) if c > 0.0 else math.inf
+    verdict = "FAIL" if any(lo > up + 1e-9 * abs(up) for lo, up in zip(log_m, log_up)) else "PASS"
+    return OrderEstimate(radii, log_m, log_up, *slopes, used, verdict, type_ratio, upper_a, upper_b)
 
 
 _MODEL_CHUNK = 1 << 16  # model-spectrum and minorant terms summed per chunk

@@ -315,8 +315,9 @@ def _cmd_order(args) -> int:
     est = order_estimate(problem)
     rows = zip(est.radii, est.log_max_modulus, est.log_max_modulus_upper, map(int, est.used))
     _write_csv(args.out, args.command, ("radius", "log_max_modulus", "log_max_modulus_upper",
-               "used_in_fit"), rows, doc=doc, radii=est.radii, angular_samples=16)  # hash kept
-    print(f"slope {est.slope!r}\nslope_upper {est.slope_upper!r}")
+               "used_in_fit"), rows, doc=doc, radii=est.radii)
+    print(f"slope {est.slope!r}\nslope_upper {est.slope_upper!r}\ntype {est.type_ratio!r}\n"
+          f"A {est.upper_a!r}\nB {est.upper_b!r}")
     return _verdict(args.command, est.verdict)
 
 

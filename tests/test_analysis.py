@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_problem, sieve_edge_indices
 from slprime.analysis import (
@@ -188,6 +190,15 @@ def test_order_estimate_unit_problem():
     assert all(est.used)
     assert 0.45 <= est.slope <= 0.55  # entire of order exactly 1/2
     assert est.verdict == "PASS"
+    # A = (1/2) int (r + s) = 1, B = 0 and alpha = 0: U(R) = sqrt(R) - log(R)/2,
+    # log 2 above log|u(1; -R)| = log(sinh(sqrt(R))/sqrt(R))
+    assert (est.upper_a, est.upper_b) == (1.0, 0.0)
+    for rad, lower, upper in zip(est.radii, est.log_max_modulus, est.log_max_modulus_upper):
+        root = math.sqrt(rad)
+        assert upper == pytest.approx(root - 0.5 * math.log(rad), rel=1e-15)
+        sinh = root + math.log(-math.expm1(-2.0 * root) / 2.0)  # log sinh(sqrt(R))
+        assert lower == pytest.approx(sinh - 0.5 * math.log(rad), rel=1e-12)
+    assert est.type_ratio == pytest.approx(est.log_max_modulus[-1] / 1e3, rel=1e-15)  # C = 1
     # the closed-form slope is np.polyfit's up to rounding
     fit = np.polyfit(np.log(est.radii), np.log(est.log_max_modulus), 1)[0]
     assert est.slope == pytest.approx(fit, rel=1e-14)
@@ -220,14 +231,17 @@ def test_order_estimate_starts_past_every_turning_point():
     )
     est = order_estimate(heavy)
     assert est.radii[0] == pytest.approx(17721.5939, rel=1e-9)
-    assert 0.4 <= est.slope == est.slope_upper <= 0.6
+    assert est.slope == pytest.approx(0.4958, abs=1e-4)
+    assert est.slope_upper == pytest.approx(0.4970, abs=1e-4)
     assert est.verdict == "PASS"
 
 
-def test_order_estimate_fails_outside_the_band():
-    # q = 0, r = 1 and s alternating 1/0: five s = 1 pieces of width 0.002, so
-    # C = 0.01, and the s = 0 pieces between them grow like a polynomial in R.
-    # log M(R) passes log 10 only at R = 1e5, and the slope reads 0.36
+def test_order_estimate_passes_where_the_band_failed():
+    # the lower slope is a reading, and these order-1/2 documents read it
+    # below the 0.4 edge that used to FAIL them.  q = 0, r = 1 and s
+    # alternating 1/0: five s = 1 pieces of width 0.002, so C = 0.01, and the
+    # s = 0 pieces between them grow like a polynomial in R; log|u(b; -R)|
+    # passes log 10 only from R = 1e5, and the slope reads 0.36
     bps = (0.0, 0.002, 0.2, 0.202, 0.4, 0.402, 0.6, 0.602, 0.8, 0.802, 1.0)
     prob = problem(
         PiecewiseConstant(bps, (1.0, 0.0) * 5),
@@ -238,7 +252,31 @@ def test_order_estimate_fails_outside_the_band():
     assert est.radii == (1e2, 1e3, 1e4, 1e5, 1e6)
     assert est.used == (False, False, False, True, True)
     assert est.slope == pytest.approx(0.3599, abs=1e-4)
-    assert est.verdict == "FAIL"
+    assert est.verdict == "PASS"
+    # random_problem(rng 11, allow_zero=True, q_scale=5000) documents 215 and
+    # 242: a piece with r = 0 and a large q > 0 multiplies u(b; .) by about
+    # e^(h sqrt(s q)) whatever lambda is, which holds the slope down
+    rng = np.random.default_rng(11)
+    docs = [random_problem(rng, allow_zero=True, q_scale=5000.0) for _ in range(243)]
+    for index, slope in ((215, 0.2528), (242, 0.3646)):
+        est = order_estimate(docs[index])
+        assert est.slope == pytest.approx(slope, abs=1e-4), index
+        assert est.verdict == "PASS", index
+
+
+def test_order_estimate_fails_a_lower_bound_above_the_theorem(monkeypatch):
+    # the unit string's lower bound sits log 2 under U(R) at every radius: a
+    # propagator reading |u| 2.1 times too large crosses U, and 1.9 times not
+    import slprime.analysis as analysis
+
+    exact = analysis._propagate_scaled
+    for factor, verdict in ((1.9, "PASS"), (2.1, "FAIL")):
+        def inflated(*args, factor=factor):
+            u, v, ls = exact(*args)
+            return factor * u, v, ls
+
+        monkeypatch.setattr(analysis, "_propagate_scaled", inflated)
+        assert order_estimate(unit_problem()).verdict == verdict, factor
 
 
 def test_order_estimate_flags_and_guards():
@@ -309,34 +347,34 @@ def test_order_estimate_passes_where_circle_samples_failed():
     est = order_estimate(_stepped(*CLI_SEED_487))
     assert est.radii[0] == pytest.approx(911.148, rel=1e-6)
     assert est.slope == pytest.approx(0.5144, abs=1e-4)
-    assert est.slope_upper == pytest.approx(0.5058, abs=1e-4)
+    assert est.slope_upper == pytest.approx(0.5015, abs=1e-4)
     assert est.verdict == "PASS"
 
 
 def test_order_estimate_passes_on_the_upper_bound():
     # u(b; .)'s lowest zero lies near -102, just past -R_0 = -100: q/r is small
     # where r > 0, and the zeros come from the r = 0 piece.  log|u(b; -100)|
-    # dips to 3.28 there, so the lower bound alone climbs too steeply (0.631),
-    # and the upper one, shifted by 2|c| past every zero, keeps the order at 1/2
+    # dips to 3.28 there, so the lower bound climbs steeply (0.631), a reading
+    # only: U(R) keeps the order at 1/2
     est = order_estimate(_stepped(*MISSING_INDEX))
     assert est.radii == (1e2, 1e3, 1e4, 1e5, 1e6)
     assert all(est.used)
     assert est.slope == pytest.approx(0.6314, abs=1e-4)
-    assert est.slope_upper == pytest.approx(0.4560, abs=1e-4)
+    assert est.slope_upper == pytest.approx(0.4731, abs=1e-4)
     assert est.verdict == "PASS"
     # perfbench `cli` seed 630 read 0.643 on the lower bound over R = 1e2..1e6,
     # below the turning point R r = |q| of piece 2.  From 10 |q|/r = 1287 on,
-    # both bounds keep the order at 1/2
+    # both slopes read 1/2
     est = order_estimate(_stepped(*CLI_SEED_630))
     assert est.radii[0] == pytest.approx(1287.04, rel=1e-6)
     assert est.slope == pytest.approx(0.5055, abs=1e-4)
-    assert est.slope_upper == pytest.approx(0.4980, abs=1e-4)
+    assert est.slope_upper == pytest.approx(0.5002, abs=1e-4)
     assert est.log_max_modulus_upper[0] > est.log_max_modulus[0]
     assert est.verdict == "PASS"
 
 
 def test_order_bounds_sandwich_the_circle_maximum():
-    # log|u(b; -R)| <= max over 64 circle samples <= log|u(b; -R - 2|c|)|
+    # log|u(b; -R)| <= max over 64 circle samples <= U(R)
     rng = np.random.default_rng(5)
     for _ in range(30):
         prob = random_problem(rng, allow_zero=False)
@@ -346,32 +384,16 @@ def test_order_bounds_sandwich_the_circle_maximum():
             assert lower - 1e-9 * abs(m) <= m <= upper + 1e-9 * abs(m)
 
 
-def test_order_estimate_finds_the_lowest_zero_past_a_missing_index():
-    # r = 0 on the last piece, where u oscillates whatever lambda is: theta(b)
-    # never falls below pi, so beta = pi has no eigenvalue 1, yet u(b; .) has
-    # negative zeros.  Taking c = 0 there would make the upper bound the
-    # lower one, which at R = 1e2 reads 3.28, under the circle's 11.12
-    prob = _stepped(*MISSING_INDEX)
-    at_pi = problem(prob.coeffs.s, prob.coeffs.q, prob.coeffs.r, prob.bc.alpha, math.pi)
-    assert compute_spectrum(at_pi, 1).eigenvalues == ()
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((50.0, 5000.0)))
+def test_order_upper_bound_is_a_theorem(seed, q_scale):
+    # U(R) bounds log|u(b; lambda)| on the whole circle |lambda| = R for every
+    # admissible document, s = 0 and r = 0 pieces included: above the
+    # propagated lower bound at every radius, and above 64 samples of R_0's circle
+    prob = random_problem(np.random.default_rng(seed), allow_zero=True, q_scale=q_scale)
     est = order_estimate(prob)
-    assert all(up > lo for lo, up in zip(est.log_max_modulus, est.log_max_modulus_upper))
-    m = _circle_max(prob, est.radii[0], 64)
-    assert est.log_max_modulus[0] < m - 0.5
-    assert m <= est.log_max_modulus_upper[0]
-
-
-def test_order_estimate_reaches_below_lambda_cap():
-    # q = -1e13: nu_1 = q + pi^2, far below -lambda_cap = -1e12, and the radii
-    # run 1e14..1e18.  The search for c reaches down to the largest radius, so
-    # the upper bound at R_0 is log|u(b; -R_0 - 2|nu_1|)|, not one shifted by
-    # the zero nearest -lambda_cap (about 2e12)
-    prob = problem(constant(1.0), constant(-1e13), constant(1.0))
-    est = order_estimate(prob)
-    assert est.radii == (1e14, 1e15, 1e16, 1e17, 1e18)
-    nu_1 = -1e13 + PI2
-    u, _, ls = _propagate_scaled(*prob.coeffs.piece_arrays(), -est.radii[0] + 2.0 * nu_1, 0j, -1 + 0j)
-    assert est.log_max_modulus_upper[0] == pytest.approx(math.log(abs(u)) + ls, rel=1e-9)
+    assert all(lo <= up for lo, up in zip(est.log_max_modulus, est.log_max_modulus_upper))
+    assert _circle_max(prob, est.radii[0], 64) <= est.log_max_modulus_upper[0]
     assert est.verdict == "PASS"
 
 

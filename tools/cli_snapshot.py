@@ -72,6 +72,7 @@ def documents() -> dict:
     qstep = _unit()
     qstep["coefficients"]["q"] = _pw([0.0, 0.25, 0.5, 0.75, 1.0], [10.0, -5.0, 0.0, 20.0])
     atk_mesh = [0.0, 1.0, 2.0]
+    small_mesh = [0.0, 0.002, 0.2, 0.202, 0.4, 0.402, 0.6, 0.602, 0.8, 0.802, 1.0]
     return {
         "unit": _unit(),
         "atkinson": _doc(2.0, _pw(atk_mesh, [1.0, 0.0]), _pw(atk_mesh, [0.0, 0.0]),
@@ -83,10 +84,21 @@ def documents() -> dict:
         # the overflow cases: the unit document stretched to [0, 1e200], and s = q = r = 1e308
         "wide": _unit(b=1e200),
         "huge": _unit(s=1e308, q=1e308, r=1e308),
-        # nu_1 = pi^2 - 500 < 0: order's upper bound sits 2|c| ~ 980 further out
+        # nu_1 = pi^2 - 500 < 0: a zero of u(b; .) on the negative axis
         "qneg": _unit(q=-500.0),
         # q/r = 1e4: order's radii start at 1e5, ten times the turning point
         "qheavy": _unit(q=1e4),
+        # C = 0.01 from five s = 1 pieces of width 0.002 between s = 0 ones:
+        # order's lower slope reads 0.36
+        "smallc": _doc(1.0, _pw(small_mesh, [1.0, 0.0] * 5), _pw(small_mesh, [0.0] * 10),
+                       _pw(small_mesh, [1.0] * 10)),
+        # random_problem(rng 11, allow_zero=True, q_scale=5000)'s document 242: r = 0
+        # and q = 3845 on a piece of width 1.50, and order's lower slope reads 0.365
+        "r0heavy": _doc(2.0, *(_pw([0.0, 1.5020555309300676, 1.543723481415793, 2.0], v) for v in (
+            [2.766380033295988, 2.352150840374514, 0.8818792406933684],
+            [3844.875030115565, 320.03816339722925, -1179.5752180215381],
+            [0.0, 2.0386950128657486, 1.309934780358961])),
+            alpha=0.3390994553277778, beta=0.6372516616833906),
         "split_mesh": split,
         "capped": _unit(solver={"lambda_cap": 1000}),
         "invert_1piece": {"pieces": 1, "bound": 100.0, "targets": 2, "restarts": 2,
@@ -136,6 +148,8 @@ def commands() -> dict:
         "order_qheavy": ["order", *cfg("qheavy"), "--out", "out.csv"],
         "order_wide": ["order", *cfg("wide"), "--out", "out.csv"],
         "order_huge": ["order", *cfg("huge"), "--out", "out.csv"],
+        "order_smallc": ["order", *cfg("smallc"), "--out", "out.csv"],
+        "order_r0heavy": ["order", *cfg("r0heavy"), "--out", "out.csv"],
         "series_100000": ["series", "--n-max", "100000", "--out", "out.csv"],
         "series_2000000": ["series", "--n-max", "2000000", "--out", "out.csv"],
         # eps = 0.3: S(1e6) < 2 S(1e4), though the prime series diverges
