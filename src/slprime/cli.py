@@ -205,8 +205,8 @@ def _cmd_spectrum(args) -> int:
 
     problem, opts, doc = _load_problem(args.config)
     spec = compute_spectrum(problem, args.n_max, opts)
-    rows = [(ev.index, ev.value, ev.oscillation, ev.residual) for ev in spec.eigenvalues]
-    _write_csv(args.out, args.command, ("n", "lambda", "oscillation", "residual"), rows,
+    rows = [(ev.index, ev.value, ev.residual) for ev in spec.eigenvalues]
+    _write_csv(args.out, args.command, ("n", "lambda", "residual"), rows,
                doc=doc, n_max=args.n_max)
     if spec.truncated:
         print(spec.truncation_note)

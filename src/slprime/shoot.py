@@ -39,6 +39,9 @@ move it further (those with s = 0 and the non-oscillating ones) and,
 among the oscillating ones, only after a piece past which the next one
 could take the product to 1e180 (_scan_records).  A problem whose
 bounds multiply to less than 1e180 in all tests no oscillating piece.
+No bound holds across a piece with s = 0 or a non-oscillating one: a
+large |k h| there can overflow the state before its size test; theta(b)
+then reads NaN, which the callers refuse with OutOfDomain.
 
 Between two scanned points the zero count is not needed.  theta(b;
 lambda) is non-decreasing in lambda on a right-definite problem, so at
@@ -370,7 +373,10 @@ def prufer_angle(problem: SLProblem, lam: float) -> AngleResult:
         raise OutOfDomain(f"prufer_angle needs real finite lambda, got {lam!r}")
     cap = abs(lam)
     records = _scan_records(*_solver_pieces(problem, cap, "|lambda|"), cap)
-    winding, frac, _, _ = _theta_scan(records, problem.bc.alpha, lam)
+    try:
+        winding, frac, _, _ = _theta_scan(records, problem.bc.alpha, lam)
+    except ValueError:  # the zero count's floor() met the NaN of an overflowed state
+        winding, frac = 0, math.nan
     theta_b = winding * _PI + frac
     if not math.isfinite(theta_b):
         raise OutOfDomain(f"theta(b) at lambda {lam!r} is not finite: the state overflowed")

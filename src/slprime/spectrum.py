@@ -38,7 +38,8 @@ the two, read from the sign of u(b), and the scan counts no zeros
 between windings two or more apart, counts.  Where theta(b) is so steep
 that the bracket reaches its tolerance before the angle does, the same
 loop steps anywhere strictly inside the bracket until the floats run out.
-The bracket end with the smaller |f| is the eigenvalue.
+The bracket end with the smaller |f| is the eigenvalue, and |f| there is
+its residual: at most angle_tol, unless the two ends are adjacent floats.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 from .coeff import CoefficientSet, SLProblem, _as_float, weyl_constant
@@ -96,7 +97,6 @@ DEFAULT_OPTIONS = SolverOptions()
 class Eigenvalue:
     index: int
     value: float
-    oscillation: int
     residual: float
 
 
@@ -154,10 +154,11 @@ def eigenvalue(
 
     Stops once the bracket is within max(lambda_tol_abs, lambda_tol_rel
     |lambda|) and |theta(b) - target| <= angle_tol at one of its ends, or
-    once no float lies strictly inside it, and returns the bracket end
-    with the smaller |theta(b) - target|; value, residual and oscillation
-    all come from that one theta-scan.  Raises OutOfDomain for a problem
-    whose theta-scan could overflow below lambda_cap.
+    once no float lies strictly inside it (or after 300 steps), and
+    returns the bracket end with the smaller |theta(b) - target| as value
+    and residual: that is at most angle_tol unless the ends are adjacent
+    floats or the steps ran out.  Raises OutOfDomain for a problem whose
+    theta-scan could overflow below lambda_cap, or does.
 
     _carry is _ascending's walk state on the same problem and options:
     (_scannable_pieces at lambda_cap, the scan points of index n - 1),
@@ -180,7 +181,10 @@ def eigenvalue(
             w_lo, w_hi = (lo[3], hi[3]) if lo[3] <= hi[3] else (hi[3], lo[3])
             if w_hi - w_lo <= 1:
                 within = (w_lo, w_hi)
-        winding, frac, u, v = _theta_scan(records, alpha, lam, within)
+        try:
+            winding, frac, u, v = _theta_scan(records, alpha, lam, within)
+        except ValueError:  # the zero count's floor() met the NaN of an overflowed state
+            winding = frac = u = v = math.nan
         point = _point(lam, winding, frac, _hypot(u, v), beta, n)
         if not _isfinite(point[1]):
             raise OutOfDomain(
@@ -303,13 +307,8 @@ def eigenvalue(
         # a point below the bracket cannot bound index n + 1 more tightly than it
         top = max(a[0], b[0])
         carried[:] = [p for p in starts + scanned if p[0] >= top]
-    lam_hat, f_hat, _, wind_hat, frac_hat, _ = a if abs(a[1]) <= abs(b[1]) else b
-    residual = abs(f_hat)
-    # a terminal crossing counted in the winding is the boundary zero at b,
-    # not an interior one; frac ~ 0 is the signature of that configuration
-    kappa = min(1e-8, 0.5 * beta)
-    oscillation = wind_hat - 1 if frac_hat < kappa else wind_hat
-    return Eigenvalue(index=n, value=lam_hat, oscillation=oscillation, residual=residual)
+    best = a if abs(a[1]) <= abs(b[1]) else b
+    return Eigenvalue(index=n, value=best[0], residual=abs(best[1]))
 
 
 def _ascending(problem: SLProblem, opts: SolverOptions = DEFAULT_OPTIONS):
@@ -353,7 +352,6 @@ class WeylFit:
     fitted: float
     reference: float
     deviation: float
-    per_n: tuple[tuple[int, float, float], ...] = field(repr=False)
 
 
 def weyl_fit(spectrum: Spectrum, coeffs: CoefficientSet) -> WeylFit:
@@ -365,14 +363,8 @@ def weyl_fit(spectrum: Spectrum, coeffs: CoefficientSet) -> WeylFit:
         )
     c = weyl_constant(coeffs)
     reference = (_PI / c) ** 2 if c > 0.0 else math.inf
-    ratios = [(ev.index, ev.value / ev.index**2) for ev in evs]
-    half = [val for idx, val in ratios if idx > len(evs) // 2]
-    half.sort()
+    half = sorted(ev.value / ev.index**2 for ev in evs if ev.index > len(evs) // 2)
     mid = len(half) // 2
     fitted = half[mid] if len(half) % 2 == 1 else 0.5 * (half[mid - 1] + half[mid])
     deviation = abs(fitted - reference) / reference if math.isfinite(reference) else math.nan
-    per_n = tuple(
-        (idx, val, abs(val - reference) / reference if math.isfinite(reference) else math.nan)
-        for idx, val in ratios
-    )
-    return WeylFit(fitted=fitted, reference=reference, deviation=deviation, per_n=per_n)
+    return WeylFit(fitted=fitted, reference=reference, deviation=deviation)

@@ -420,7 +420,7 @@ def test_incompatibility_report_fails_on_prime_like_spectrum():
     # a spectrum that *is* the primes keeps the ratio at 1: the verdict must flip
     table = sieve(10_000)
     evs = tuple(
-        Eigenvalue(index=n, value=float(table.nth(n)), oscillation=n - 1, residual=0.0)
+        Eigenvalue(index=n, value=float(table.nth(n)), residual=0.0)
         for n in range(1, 201)
     )
     fake = Spectrum(

@@ -115,7 +115,7 @@ def test_spectrum_command_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# slprime 0.1.0 config_sha256=")
     assert len(lines[0].split("config_sha256=")[1]) == 64
-    assert lines[1] == "n,lambda,oscillation,residual"
+    assert lines[1] == "n,lambda,residual"
     assert len(lines) == 7
     lam_col = [float(ln.split(",")[1]) for ln in lines[2:]]
     for n, lam in enumerate(lam_col, start=1):
@@ -129,7 +129,8 @@ def test_spectrum_truncation_is_exit_zero(tmp_path, capsys):
     assert code == 0
     assert "TRUNCATED at n = 2" in captured.out
     # the one real eigenvalue is printed before the note
-    assert ",0," in captured.out or "1,0.9999999999" in captured.out
+    row = next(ln for ln in captured.out.splitlines() if ln.startswith("1,"))
+    assert float(row.split(",")[1]) == pytest.approx(1.0, abs=1e-8)
     # on [0, 1e-300], lambda_1 = (pi / b)^2 lies far past the cap: the Weyl
     # guess is clamped before (n pi / C)^2 can overflow
     tiny = json.loads(json.dumps(UNIT_DOC))
@@ -237,6 +238,26 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     assert run(argv) == 2
     assert "is not finite" in capsys.readouterr().err
     assert not out.exists()
+    # here each piece passes too, but an s = 0 piece with k h = -3.1e284
+    # overflows the state, and the zero count after it used to raise a
+    # ValueError on the NaN angle: a traceback with exit 1
+    mesh = [0.0, 0.5, 1.0, 1.5, 2.0]
+    nan_state = {
+        "interval": {"a": 0.0, "b": 2.0},
+        "coefficients": {
+            "s": {"breakpoints": mesh, "values": [1.0, 1.0, 0.0, 1.0]},
+            "q": {"breakpoints": mesh, "values": [3.8969425020917765e162, -1.6293214750500667e40,
+                                                  6.179729093553748e284, -1.4159561397882008e284]},
+            "r": {"breakpoints": mesh, "values": [7.334178569363634e-30, 0.0, 0.0, 0.0]},
+        },
+        "bc": {"alpha": 0.6137152057018777, "beta": "pi"},
+    }
+    for command in ("spectrum", "incompat"):
+        argv = [command, "--config", write_doc(tmp_path, nan_state), "--n-max", "3", "--out", str(out)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "theta(b) at lambda 1000000000000.0 is not finite" in err
+        assert not out.exists()
 
     search_cfg = tmp_path / "search.json"
     search_cfg.write_text(json.dumps({"pieces": 2, "targets": 2, "restarts": 1}))
@@ -832,12 +853,13 @@ def test_cli_snapshot_exit_codes(tmp_path):
         f"{command}_{doc}"
         for command in ("spectrum", "growth", "order")
         for doc in ("wide", "huge")
-    } | {"spectrum_missing"}
+    } | {"spectrum_missing", "spectrum_nanstate"}
     assert len(codes) == len(table) >= 25
     assert codes == {name: failing.get(name, 2 if name in refused else 0) for name in codes}
     last_err = {name: err for name, _, err in table}
-    for name in refused - {"spectrum_missing"}:
+    for name in refused - {"spectrum_missing", "spectrum_nanstate"}:
         assert "piece 0 on" in last_err[name] and "overflows the" in last_err[name]
+    assert "is not finite" in last_err["spectrum_nanstate"]
     assert all(last_err[name] == "" for name, code in codes.items() if code != 2)
     assert (tmp_path / "spectrum_split_mesh" / "out.csv").exists()
     assert (tmp_path / "nonlinear_capped" / "stdout.txt").read_text().startswith(

@@ -99,6 +99,14 @@ def documents() -> dict:
             [3844.875030115565, 320.03816339722925, -1179.5752180215381],
             [0.0, 2.0386950128657486, 1.309934780358961])),
             alpha=0.3390994553277778, beta=0.6372516616833906),
+        # each piece passes the overflow gate, but the s = 0 piece's k h = -3.1e284
+        # overflows the state: theta(b) is NaN
+        "nanstate": _doc(2.0, *(_pw([0.0, 0.5, 1.0, 1.5, 2.0], v) for v in (
+            [1.0, 1.0, 0.0, 1.0],
+            [3.8969425020917765e162, -1.6293214750500667e40, 6.179729093553748e284,
+             -1.4159561397882008e284],
+            [7.334178569363634e-30, 0.0, 0.0, 0.0])),
+            alpha=0.6137152057018777),
         "split_mesh": split,
         "capped": _unit(solver={"lambda_cap": 1000}),
         "invert_1piece": {"pieces": 1, "bound": 100.0, "targets": 2, "restarts": 2,
@@ -122,6 +130,7 @@ def commands() -> dict:
         "spectrum_split_mesh": ["spectrum", *cfg("split_mesh"), "--n-max", "10", "--out", "out.csv"],
         "spectrum_wide": ["spectrum", *cfg("wide"), "--n-max", "3", "--out", "out.csv"],
         "spectrum_huge": ["spectrum", *cfg("huge"), "--n-max", "3", "--out", "out.csv"],
+        "spectrum_nanstate": ["spectrum", *cfg("nanstate"), "--n-max", "3", "--out", "out.csv"],
         "spectrum_missing": ["spectrum", *cfg("missing"), "--out", "out.csv"],
         "incompat_unit": ["incompat", *cfg("unit"), "--n-max", "1000", "--out", "out.csv"],
         "incompat_seeded4": ["incompat", *cfg("seeded4"), "--n-max", "120", "--out", "out.csv"],
