@@ -171,25 +171,23 @@ def _fmt(value) -> str:
 
 
 def _write_csv(out_path: str | None, command: str, header, rows, **config) -> None:
-    """Header and rows as CSV, after a line hashing the effective {"command": command, **config}."""
+    """Header and rows as CSV, after a line hashing the effective {"command": command, **config}.
+
+    Each row goes straight to out_path (stdout if None), so no copy of the file is held.
+    """
+    import contextlib
     import csv
     import hashlib
-    import io
     import json
 
     blob = json.dumps({"command": command, **config}, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-    buf = io.StringIO()
-    buf.write(f"# slprime {__version__} config_sha256={digest}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    if out_path is None:
-        sys.stdout.write(buf.getvalue())
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue())
+    with (contextlib.nullcontext(sys.stdout) if out_path is None
+          else open(out_path, "w", encoding="utf-8")) as fh:
+        fh.write(f"# slprime {__version__} config_sha256={digest}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _verdict(tag: str, verdict: str) -> int:

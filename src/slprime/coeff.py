@@ -13,7 +13,6 @@ them is exact, no quadrature anywhere.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -253,16 +252,9 @@ class SLProblem:
 
     def content_hash(self) -> str:
         """Stable 16-hex-digit digest of the full problem description."""
-        payload = {
-            "interval": [self.interval.a, self.interval.b],
-            "mesh": list(self.coeffs.breakpoints),
-            "s": list(self.coeffs.s.values),
-            "q": list(self.coeffs.q.values),
-            "r": list(self.coeffs.r.values),
-            "alpha": self.bc.alpha,
-            "beta": self.bc.beta,
-        }
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+        c = self.coeffs
+        blob = repr((self.interval.a, self.interval.b, c.breakpoints, c.s.values, c.q.values,
+                     c.r.values, self.bc.alpha, self.bc.beta)).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
 

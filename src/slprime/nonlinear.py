@@ -86,7 +86,7 @@ def invert_map(mu: float) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NonlinearRow:
     index: int
     mu: float

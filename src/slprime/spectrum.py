@@ -93,7 +93,7 @@ class SolverOptions:
 DEFAULT_OPTIONS = SolverOptions()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Eigenvalue:
     index: int
     value: float

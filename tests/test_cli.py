@@ -120,6 +120,10 @@ def test_spectrum_command_csv(tmp_path, capsys):
     lam_col = [float(ln.split(",")[1]) for ln in lines[2:]]
     for n, lam in enumerate(lam_col, start=1):
         assert lam == pytest.approx(n * n * math.pi**2, rel=1e-8)
+    # without --out the same bytes, hash line first, stream to stdout
+    capsys.readouterr()
+    assert run(["spectrum", "--config", cfg, "--n-max", "5"]) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_spectrum_truncation_is_exit_zero(tmp_path, capsys):

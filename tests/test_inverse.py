@@ -50,6 +50,11 @@ def _widths(pieces):
         *(np.random.default_rng((seed, 99)).uniform(-200.0, 200.0, 16).tolist() for seed in range(5)),
         # one steep hyperbolic piece, w = sqrt(q) h = 50, where the walk factors e^w out
         [1e4, 0.0],
+        # the steep piece at b: the forward walk loses u_n there, and rows are
+        # off by about 1 (ROADMAP item 5, step 1)
+        *(pytest.param([0.0, q], marks=pytest.mark.xfail(
+            strict=True, reason="forward walk loses u_n on a steep hyperbolic piece at b"))
+          for q in (1e4, 2e3)),
     ],
 )
 def test_jacobian_matches_central_differences(vals):

@@ -64,6 +64,20 @@ def test_nonlinear_spectrum_unit_potential():
         assert row.lam == pytest.approx(bisect_lambda_over_log(row.index), rel=1e-9)
 
 
+def test_nonlinear_rows_are_slotted_values():
+    import pickle
+
+    from slprime.nonlinear import NonlinearRow
+
+    rows = nonlinear_spectrum(NonlinearProblem(PiecewiseConstant((0.0, 1.0), (0.0,))), 4)
+    assert rows[0].lam is None and rows[3].lam is not None  # both kinds of row
+    for row in rows:
+        assert not hasattr(row, "__dict__")
+        rebuilt = NonlinearRow(row.index, row.mu, row.lam)
+        assert rebuilt == row and hash(rebuilt) == hash(row) and repr(rebuilt) == repr(row)
+        assert pickle.loads(pickle.dumps(row)) == row
+
+
 def test_nonlinear_rows_closer_to_n_log_n_at_large_n():
     nl = NonlinearProblem(PiecewiseConstant((0.0, 1.0), (0.0,)))
     rows = {row.index: row for row in nonlinear_spectrum(nl, 1000)}

@@ -39,6 +39,22 @@ def test_unit_problem_closed_form():
         assert ev.index == n
 
 
+def test_eigenvalue_records_are_slotted_values():
+    # a long walk keeps one record per index, so a record carries no __dict__;
+    # it still pickles, and compares, hashes and prints by value
+    import pickle
+
+    from slprime.spectrum import Eigenvalue
+
+    spec = compute_spectrum(unit_problem(), 3)
+    for ev in spec.eigenvalues:
+        assert not hasattr(ev, "__dict__")
+        rebuilt = Eigenvalue(ev.index, ev.value, ev.residual)
+        assert rebuilt == ev and hash(rebuilt) == hash(ev) and repr(rebuilt) == repr(ev)
+        assert pickle.loads(pickle.dumps(ev)) == ev
+    assert pickle.loads(pickle.dumps(spec)) == spec
+
+
 def test_unit_problem_high_index_within_tolerance():
     # theta(b) - target is formed from the winding offset and the fractional
     # angle, so its resolution does not degrade as n pi grows; formed as

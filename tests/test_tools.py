@@ -204,3 +204,25 @@ def test_cli_snapshot_compare_names_every_change(tmp_path, capsys):
     ]
     assert cli_snapshot.main(["--compare", str(old), str(old)]) == 0
     assert capsys.readouterr().out == "6 files, all identical\n"
+
+
+def test_cli_snapshot_compare_names_columns_and_compares_the_shared_cells(tmp_path, capsys):
+    cli_snapshot = _load("cli_snapshot")
+    old, new = tmp_path / "old", tmp_path / "new"
+    files = {
+        # a dropped column, and lambda[2] moving 5e-11 at lambda = 100 (0.5 units)
+        "spectrum/out.csv": ("n,lambda,oscillation,residual\n1,1.0,0,0.0\n2,100.0,1,1e-12\n",
+                             "n,lambda,residual\n1,1.0,0.0\n2,100.00000000005,1e-12\n"),
+        # an added column, every shared cell equal
+        "primes/out.csv": ("n,p_n\n1,2\n2,3\n", "n,p_n,gap\n1,2,\n2,3,1\n"),
+    }
+    for name, (old_text, new_text) in files.items():
+        for root, text in ((old, old_text), (new, new_text)):
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_text(text)
+    assert cli_snapshot.main(["--compare", str(old), str(new)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "primes/out.csv: added columns gap, 0 numeric cells changed",
+        "spectrum/out.csv: dropped columns oscillation, 1 numeric cells changed, largest "
+        "relative change 5e-13 at lambda[2], eigenvalues 0.5 tolerance units",
+    ]

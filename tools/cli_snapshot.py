@@ -223,11 +223,15 @@ def _describe(old: Path, new: Path, tol_abs: float, tol_rel: float) -> str:
     a, b = _cells(old), _cells(new)
     if a is None:
         return "differs"
-    if a.keys() != b.keys():
-        return "differs in shape"
+    names_a, names_b = ({name for name, _ in cells.values()} - {None} for cells in (a, b))
+    dropped, added = names_a - names_b, names_b - names_a
+    if any((a.get(key) or b[key])[0] not in dropped | added for key in a.keys() ^ b.keys()):
+        return "differs in shape"  # rows or containers came or went, not whole columns
     numeric = text = 0
     worst, worst_key, units = 0.0, None, 0.0
     for key, (name, x) in a.items():
+        if key not in b or name is None and (dropped or added):
+            continue  # a dropped column's cells, or a header the column lists already name
         y = b[key][1]
         if x == y:
             continue
@@ -241,7 +245,9 @@ def _describe(old: Path, new: Path, tol_abs: float, tol_rel: float) -> str:
             worst, worst_key = rel, key
         if name in LAMBDA_COLUMNS:
             units = max(units, abs(fy - fx) / max(tol_abs, tol_rel * abs(fx)))
-    parts = [f"{numeric} numeric cells changed"]
+    parts = [f"{label} columns {', '.join(sorted(names))}"
+             for label, names in (("dropped", dropped), ("added", added)) if names]
+    parts.append(f"{numeric} numeric cells changed")
     if numeric:
         parts.append(f"largest relative change {worst:.3g} at {worst_key}")
     if units:
