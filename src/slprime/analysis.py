@@ -234,6 +234,16 @@ def _checkpoints(n: int) -> list[int]:
     return ks
 
 
+def _series_terms(epsilon: float, n_terms: int) -> None:
+    """Refuse a series exponent outside (0, 1/2) or a term count outside 1..1e7."""
+    if not 0.0 < epsilon < 0.5:
+        raise EpsilonOutOfRange(f"epsilon must lie in (0, 1/2), got {epsilon}")
+    if n_terms < 1:
+        raise OutOfDomain(f"need at least one term, got {n_terms}")
+    if n_terms > 10**7:
+        raise LimitTooLarge(f"n_terms capped at 1e7, got {n_terms}")
+
+
 def partial_sum_primes(epsilon: float, n_terms: int):
     """Partial sums of sum p_n^(-(1/2+eps)) at decade checkpoints up to n_terms.
 
@@ -243,12 +253,7 @@ def partial_sum_primes(epsilon: float, n_terms: int):
     primes stream in one 1 MB sieve segment at a time, so memory does not
     grow with n_terms.
     """
-    if not 0.0 < epsilon < 0.5:
-        raise EpsilonOutOfRange(f"epsilon must lie in (0, 1/2), got {epsilon}")
-    if n_terms < 1:
-        raise OutOfDomain(f"need at least one term, got {n_terms}")
-    if n_terms > 10**7:
-        raise LimitTooLarge(f"n_terms capped at 1e7, got {n_terms}")
+    _series_terms(epsilon, n_terms)
     import numpy as np
 
     expo = -(0.5 + epsilon)
@@ -288,14 +293,9 @@ def partial_sum_spectrum(c: float, epsilon: float, n_terms: int):
     The terms are summed _MODEL_CHUNK at a time, so memory does not grow
     with n_terms.
     """
-    if not 0.0 < epsilon < 0.5:
-        raise EpsilonOutOfRange(f"epsilon must lie in (0, 1/2), got {epsilon}")
+    _series_terms(epsilon, n_terms)
     if c <= 0.0 or not math.isfinite(c):
         raise OutOfDomain(f"growth constant must be positive, got {c}")
-    if n_terms < 1:
-        raise OutOfDomain(f"need at least one term, got {n_terms}")
-    if n_terms > 10**7:
-        raise LimitTooLarge(f"n_terms capped at 1e7, got {n_terms}")
     expo = 0.5 + epsilon
     chunks = ((c * n**2) ** (-expo) for n in _index_chunks(0, n_terms))
     scale = c ** (-expo)

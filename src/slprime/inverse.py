@@ -12,8 +12,10 @@ potentials.  Each restart descends by projected Levenberg-Marquardt (More,
 LNM 630, 1978) on the residuals (mu_n - mu*_n) / mu*_n, with the exact
 Jacobian d mu_n / d q_i = int_{piece i} u_n^2 / int_0^1 u_n^2 of the
 Hellmann-Feynman identity (Poeschel & Trubowitz, Inverse Spectral Theory,
-1987), and accepts a step only when the objective itself falls; a trial
-stops solving once its misfit, summed in index order, reaches the
+1987), and accepts a step only when the objective itself falls.  The q = 0
+baseline, each restart's start and every trial share one evaluation: the
+eigenvalues are solved in index order and their squared residuals summed
+as they come, and a trial stops solving once that sum reaches the
 incumbent's.  Restarts are independent: search() runs them in this process
 and in children forked from it, one per usable CPU (worker_count), and
 gets bit-identical results for every worker count.
@@ -33,7 +35,8 @@ from .errors import BadConfig, EigenvalueNotFound
 from .nonlinear import NonlinearProblem, lambda_map, nonlinear_spectrum
 from .primes import nth_prime, nth_primes
 from .shoot import _SERIES_CUT, _kernel_series
-from .spectrum import _ascending, compute_spectrum
+# nothing here calls compute_spectrum: perfbench's hook test pins this binding
+from .spectrum import _ascending, compute_spectrum  # noqa: F401
 
 __all__ = [
     "SearchConfig",
@@ -73,11 +76,10 @@ def _uniform_mesh(pieces: int) -> tuple[float, ...]:
 
 
 def objective(q: PiecewiseConstant, n_targets: int) -> float:
-    """Relative squared misfit sum_n ((mu_n(q) - mu*_n) / mu*_n)^2."""
+    """Relative squared misfit sum_n ((mu_n(q) - mu*_n) / mu*_n)^2, as the search's trials sum it."""
     if n_targets < 1:
         raise BadConfig(f"need at least one target, got {n_targets}")
-    spec = compute_spectrum(NonlinearProblem(q).base(), n_targets)
-    return _misfit(None if spec.truncated else [_residual(ev) for ev in spec.eigenvalues])
+    return _residuals(q, n_targets)[2]
 
 
 @dataclass(frozen=True)
@@ -164,12 +166,13 @@ def _residual(ev) -> float:
 
 
 def _residuals(q: PiecewiseConstant, n_targets: int, stop: float = math.inf):
-    """(residuals, mu_n) for n = 1..n_targets; (None, None) if truncated or the misfit reaches stop.
+    """(residuals, mu_n, misfit) for n = 1..n_targets: the one misfit formula.
 
-    Eigenvalues are solved in index order and their squared residuals
-    summed in that order, as _misfit sums them.  Later terms are
-    non-negative, so once the running sum reaches stop the full misfit
-    would too, and the remaining solves are skipped.
+    The misfit is the sum of the squared residuals, taken in index order as
+    the eigenvalues are solved.  Later terms are non-negative, so once the
+    running sum reaches stop the full misfit would too, and the remaining
+    solves are skipped.  Returns (None, None, inf) for a truncated
+    spectrum or one cut short at stop.
     """
     res, mus, total = [], [], 0.0
     try:
@@ -177,22 +180,12 @@ def _residuals(q: PiecewiseConstant, n_targets: int, stop: float = math.inf):
             x = _residual(ev)
             total += x**2
             if total >= stop:
-                return None, None
+                return None, None, math.inf
             res.append(x)
             mus.append(ev.value)
     except EigenvalueNotFound:
-        return None, None
-    return res, mus
-
-
-def _misfit(res) -> float:
-    """Sum of squared residuals, inf for a truncated spectrum: the one misfit formula."""
-    if res is None:
-        return math.inf
-    total = 0.0
-    for x in res:
-        total += x**2
-    return total
+        return None, None, math.inf
+    return res, mus, total
 
 
 def _jacobian(widths, qvals, mus):
@@ -284,8 +277,7 @@ def _lm_restart(cfg: SearchConfig, k: int):
         import numpy as np
 
         vals = np.random.default_rng((cfg.seed, k)).uniform(-bound, bound, cfg.pieces).tolist()
-    res, mus = _residuals(PiecewiseConstant(mesh, tuple(vals)), n)
-    best = _misfit(res)
+    res, mus, best = _residuals(PiecewiseConstant(mesh, tuple(vals)), n)
     trace = [(0, best)]
     damp = _LM_DAMP0
     for it in range(1, cfg.max_iters + 1):
@@ -312,8 +304,7 @@ def _lm_restart(cfg: SearchConfig, k: int):
                     trial[i] = min(bound, max(-bound, vals[i] + step))
                 if trial != vals:
                     # a misfit that reaches best is rejected anyway: stop its solves there
-                    t_res, t_mus = _residuals(PiecewiseConstant(mesh, tuple(trial)), n, best)
-                    t_best = _misfit(t_res)
+                    t_res, t_mus, t_best = _residuals(PiecewiseConstant(mesh, tuple(trial)), n, best)
                     if t_best < best:
                         break
             damp *= _LM_UP

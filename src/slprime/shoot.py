@@ -40,8 +40,9 @@ among the oscillating ones, only after a piece past which the next one
 could take the product to 1e180 (_scan_records).  A problem whose
 bounds multiply to less than 1e180 in all tests no oscillating piece.
 No bound holds across a piece with s = 0 or a non-oscillating one: a
-large |k h| there can overflow the state before its size test; theta(b)
-then reads NaN, which the callers refuse with OutOfDomain.
+large |k h| there can overflow the state before its size test, which
+then ends the scan with a NaN theta(b); the callers refuse it with
+OutOfDomain.
 
 Between two scanned points the zero count is not needed.  theta(b;
 lambda) is non-decreasing in lambda on a right-definite problem, so at
@@ -207,7 +208,8 @@ def _theta_scan(records, alpha, lam, within=None):
     terminal state.  The angle is exact mod pi at every breakpoint because
     frac always comes from the state itself.  The state's size is tested
     after a piece with s = 0, a non-oscillating piece, and an oscillating
-    one whose record has check set.
+    one whose record has check set; a test that finds it overflowed (inf
+    or NaN) ends the scan with (0, NaN, NaN, NaN), which the callers refuse.
 
     On an oscillatory piece the phase psi = atan2(w u, -s h v) advances by
     exactly w, and u vanishes where psi is a multiple of pi, so the piece's
@@ -315,7 +317,9 @@ def _theta_scan(records, alpha, lam, within=None):
             u, v = u1, v1
         if check:
             n = abs(u) + abs(v)
-            if n > 1e120 or n < 1e-120:
+            if n > 1e120 or not n >= 1e-120:
+                if not n < math.inf:  # inf or NaN: the state overflowed
+                    return 0, math.nan, math.nan, math.nan
                 u /= n
                 v /= n
     if within is not None:
@@ -373,10 +377,7 @@ def prufer_angle(problem: SLProblem, lam: float) -> AngleResult:
         raise OutOfDomain(f"prufer_angle needs real finite lambda, got {lam!r}")
     cap = abs(lam)
     records = _scan_records(*_solver_pieces(problem, cap, "|lambda|"), cap)
-    try:
-        winding, frac, _, _ = _theta_scan(records, problem.bc.alpha, lam)
-    except ValueError:  # the zero count's floor() met the NaN of an overflowed state
-        winding, frac = 0, math.nan
+    winding, frac, _, _ = _theta_scan(records, problem.bc.alpha, lam)
     theta_b = winding * _PI + frac
     if not math.isfinite(theta_b):
         raise OutOfDomain(f"theta(b) at lambda {lam!r} is not finite: the state overflowed")

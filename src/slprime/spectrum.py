@@ -181,10 +181,7 @@ def eigenvalue(
             w_lo, w_hi = (lo[3], hi[3]) if lo[3] <= hi[3] else (hi[3], lo[3])
             if w_hi - w_lo <= 1:
                 within = (w_lo, w_hi)
-        try:
-            winding, frac, u, v = _theta_scan(records, alpha, lam, within)
-        except ValueError:  # the zero count's floor() met the NaN of an overflowed state
-            winding = frac = u = v = math.nan
+        winding, frac, u, v = _theta_scan(records, alpha, lam, within)
         point = _point(lam, winding, frac, _hypot(u, v), beta, n)
         if not _isfinite(point[1]):
             raise OutOfDomain(

@@ -562,13 +562,17 @@ def test_streamed_partial_sums_hold_one_chunk_not_a_table():
 
 
 def test_partial_sum_guards():
-    with pytest.raises(EpsilonOutOfRange):
-        partial_sum_primes(0.0, 100)
-    with pytest.raises(EpsilonOutOfRange):
-        partial_sum_primes(0.5, 100)
-    with pytest.raises(LimitTooLarge):
-        partial_sum_primes(0.25, 10**7 + 1)
-    with pytest.raises(OutOfDomain):
+    # both series refuse the same epsilon and term counts
+    for eps, n, err in ((0.0, 100, EpsilonOutOfRange), (0.5, 100, EpsilonOutOfRange),
+                        (0.25, 0, OutOfDomain), (0.25, 10**7 + 1, LimitTooLarge)):
+        with pytest.raises(err):
+            partial_sum_primes(eps, n)
+        with pytest.raises(err):
+            partial_sum_spectrum(PI2, eps, n)
+    with pytest.raises(OutOfDomain, match="growth constant"):
         partial_sum_spectrum(-1.0, 0.25, 100)
-    with pytest.raises(OutOfDomain):
-        partial_sum_spectrum(PI2, 0.25, 0)
+    # epsilon and the term count are checked before the growth constant
+    with pytest.raises(LimitTooLarge):
+        partial_sum_spectrum(-1.0, 0.25, 10**7 + 1)
+    with pytest.raises(EpsilonOutOfRange):
+        partial_sum_spectrum(-1.0, 0.0, 100)

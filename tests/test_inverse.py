@@ -14,6 +14,7 @@ from slprime.inverse import (
     SearchConfig,
     _damped_solve,
     _jacobian,
+    _residuals,
     _uniform_mesh,
     objective,
     search,
@@ -145,6 +146,28 @@ def test_objective_constant_shift_hits_one_target():
     c = target_mu(1) - PI2
     qc = PiecewiseConstant((0.0, 1.0), (c,))
     assert objective(qc, 1) < 1e-18
+
+
+def test_objective_is_the_misfit_every_trial_sums():
+    # the q = 0 baseline and the LM trials share one evaluation, bit for bit
+    for seed in range(3):
+        vals = np.random.default_rng((seed, 99)).uniform(-200.0, 200.0, 16).tolist()
+        q = PiecewiseConstant(_uniform_mesh(16), tuple(vals))
+        res, mus, misfit = _residuals(q, 8)
+        assert misfit.hex() == objective(q, 8).hex()
+        assert mus == _mus(vals, 8)
+        assert res == [(mu - target_mu(m)) / target_mu(m) for m, mu in enumerate(mus, 1)]
+        total = 0.0
+        for x in res:
+            total += x**2
+        assert total == misfit
+        # a trial whose running sum reaches the incumbent's stops solving
+        for stop in (0.5 * misfit, misfit):
+            assert _residuals(q, 8, stop) == (None, None, math.inf)
+    # mu_1 lies past lambda_cap: the spectrum is truncated and the misfit inf
+    far = PiecewiseConstant((0.0, 1.0), (2e12,))
+    assert _residuals(far, 2) == (None, None, math.inf)
+    assert objective(far, 2) == math.inf
 
 
 def test_search_single_constant_single_target():

@@ -260,21 +260,40 @@ def test_prufer_angle_refuses_overflowing_pieces():
     )
     with pytest.raises(OutOfDomain, match="theta\\(b\\) at lambda 0.0 is not finite"):
         prufer_angle(carried, 0.0)
-    # the state leaves piece 1 as (1.7e58, -5.7e80), and the s = 0 piece's
-    # v += k h u with k h = -3.1e284 overflows it: the oscillating last
-    # piece's zero count then took floor() of a NaN angle (a ValueError)
+    nan_state = _nan_state()
+    for lam in (-1e12, -1e6, 0.0, 1e6):
+        with pytest.raises(OutOfDomain, match=f"theta\\(b\\) at lambda {lam!r} is not finite"):
+            prufer_angle(nan_state, lam)
+
+
+def _nan_state():
+    """Every piece passes the overflow rule, yet the state overflows at every lambda.
+
+    It leaves piece 1 as (1.7e58, -5.7e80), and the s = 0 piece's
+    v += k h u with k h = -3.1e284 overflows it before the oscillating last
+    piece.  The same document is cli_snapshot's `nanstate`.
+    """
     mesh = [0.0, 0.5, 1.0, 1.5, 2.0]
     q = [3.8969425020917765e162, -1.6293214750500667e40, 6.179729093553748e284,
          -1.4159561397882008e284]
-    nan_state = problem(
+    return problem(
         make_piecewise(mesh, [1.0, 1.0, 0.0, 1.0]),
         make_piecewise(mesh, q),
         make_piecewise(mesh, [7.334178569363634e-30, 0.0, 0.0, 0.0]),
         alpha=0.6137152057018777,
     )
-    for lam in (-1e12, -1e6, 0.0, 1e6):
-        with pytest.raises(OutOfDomain, match=f"theta\\(b\\) at lambda {lam!r} is not finite"):
-            prufer_angle(nan_state, lam)
+
+
+def test_theta_scan_reads_an_overflowed_state_as_a_nan_frac():
+    # the counted scan used to carry the overflowed state on and raise a
+    # ValueError from floor() of the last piece's NaN phase, where the
+    # bracketed one read NaN
+    nan_state = _nan_state()
+    records = _scan_records(*shoot_mod._solver_pieces(nan_state, 1e12), 1e12)
+    for lam in (-1e12, -1e6, -1.0, 0.0, 1.0, 1e6, 1e12):
+        for within in (None, (0, 1)):
+            _, frac, _, _ = _theta_scan(records, nan_state.bc.alpha, lam, within)
+            assert not math.isfinite(frac), (lam, within)
 
 
 

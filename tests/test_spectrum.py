@@ -4,6 +4,7 @@ import inspect
 import itertools
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,15 @@ from hypothesis import strategies as st
 
 import slprime.spectrum as spectrum_mod
 from helpers import mp_boundary_function, random_problem, rk4_prufer_angle
-from slprime.coeff import constant, make_piecewise, problem, unit_problem, weyl_constant
+from slprime.coeff import (
+    BoundaryCondition,
+    PiecewiseConstant,
+    constant,
+    make_piecewise,
+    problem,
+    unit_problem,
+    weyl_constant,
+)
 from slprime.errors import (
     BadConfig,
     EigenvalueNotFound,
@@ -206,6 +215,64 @@ def test_carried_brackets_match_cold_solves(seed, search_shape):
     if spec.truncated:
         with pytest.raises(EigenvalueNotFound):
             eigenvalue(prob, len(vals) + 1, opts)
+
+
+def _holds(a, b):
+    """a <= b within two tolerance units, max(lambda_tol_abs, lambda_tol_rel |lambda|)."""
+    opts = SolverOptions()
+    return a <= b + 2.0 * max(opts.lambda_tol_abs, opts.lambda_tol_rel * max(abs(a), abs(b)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.floats(0.0, 100.0))
+def test_eigenvalues_do_not_fall_when_q_rises(seed, allow_zero, rise):
+    # theta' = s cos^2 + (lambda r - q) sin^2 falls as q rises, so theta(b)
+    # reaches each target angle at a lambda no lower than before
+    rng = np.random.default_rng(seed)
+    prob = random_problem(rng, allow_zero=allow_zero)
+    q = prob.coeffs.q
+    dq = rng.uniform(0.0, rise, len(q.values)) * (rng.random(len(q.values)) < 0.7)
+    raised = PiecewiseConstant(q.breakpoints, tuple(float(v + d) for v, d in zip(q.values, dq)))
+    before = compute_spectrum(prob, 30).values()
+    after = compute_spectrum(replace(prob, coeffs=replace(prob.coeffs, q=raised)), 30).values()
+    # with r = 0 on a piece, theta(b) can stay above beta as lambda -> -inf:
+    # the walk then stops at n = 1, and a q that rises can bring lambda_1 back
+    assert len(after) >= len(before) and (allow_zero or len(before) == 30)
+    for n, (a, b) in enumerate(zip(before, after), 1):
+        assert _holds(a, b), (n, a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.floats(0.01, math.pi), st.floats(0.01, math.pi))
+def test_eigenvalues_interlace_in_beta(seed, allow_zero, beta1, beta2):
+    # the target angle beta + (n - 1) pi rises with beta and stays below
+    # beta1 + n pi for beta2 < beta1 + pi: lambda_n(beta1) <= lambda_n(beta2)
+    # <= lambda_{n+1}(beta1)
+    beta1, beta2 = min(beta1, beta2), max(beta1, beta2)
+    prob = random_problem(np.random.default_rng(seed), allow_zero=allow_zero)
+    lo = compute_spectrum(replace(prob, bc=BoundaryCondition(prob.bc.alpha, beta1)), 31).values()
+    hi = compute_spectrum(replace(prob, bc=BoundaryCondition(prob.bc.alpha, beta2)), 30).values()
+    # a beta that rises can likewise bring lambda_1 back (r = 0 on a piece)
+    assert len(hi) >= min(len(lo), 30) and (allow_zero or len(lo) == 31)
+    for n, (a, b, c) in enumerate(zip(lo, hi, lo[1:]), 1):
+        assert _holds(a, b) and _holds(b, c), (n, a, b, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_eigenvalues_lie_above_the_closed_form_minorant(seed):
+    # with s, r > 0 on every piece, Neumann bracketing gives
+    # lambda_n >= L(n) = m + (pi (n - P - 2) / C)^2 for n >= P + 3, with P
+    # pieces, C = weyl_constant and m = min q/r
+    prob = random_problem(np.random.default_rng(seed), allow_zero=False)
+    widths, _, qvals, rvals = prob.coeffs.piece_arrays()
+    pieces, c = len(widths), weyl_constant(prob.coeffs)
+    m = min(q / r for q, r in zip(qvals, rvals))
+    spec = compute_spectrum(prob, 120)
+    assert not spec.truncated
+    for ev in spec.eigenvalues[pieces + 2:]:
+        minorant = m + (math.pi * (ev.index - pieces - 2) / c) ** 2
+        assert _holds(minorant, ev.value), (ev, minorant)
 
 
 def test_compute_spectrum_deterministic():

@@ -175,6 +175,18 @@ def test_bench_sieve_measures_small_runs():
                         "invert": False}
 
 
+def test_cli_snapshot_runs_every_subcommand():
+    # a subcommand the snapshot never runs would escape the byte-identity oracle
+    import argparse
+
+    from slprime.cli import _build_parser
+
+    cli_snapshot = _load("cli_snapshot")
+    (sub,) = (a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    run = {argv[0] for argv in cli_snapshot.commands().values() if argv != ["--help"]}
+    assert run == set(sub.choices)
+
+
 def test_cli_snapshot_compare_names_every_change(tmp_path, capsys):
     cli_snapshot = _load("cli_snapshot")
     old, new = tmp_path / "old", tmp_path / "new"
