@@ -33,12 +33,15 @@ _EXPORTS = {
         "EpsilonOutOfRange", "InsufficientData", "LengthMismatch", "LimitTooLarge", "NoRoot",
         "NonFiniteValue", "NonMonotoneMesh", "NotRightDefinite", "OutOfDomain", "SlprimeError",
     ),
-    "shoot": ("AngleResult", "State", "integrate_system_scaled", "prufer_angle"),
+    "shoot": ("AngleResult", "State", "boundary_state", "integrate_system_scaled", "prufer_angle"),
     "spectrum": (
         "DEFAULT_OPTIONS", "Eigenvalue", "SolverOptions", "Spectrum", "WeylFit",
         "compute_spectrum", "eigenvalue", "weyl_fit",
     ),
-    "primes": ("PrimeTable", "cesaro", "nth_prime", "pnt_asymptotic", "sieve"),
+    "primes": (
+        "PrimeTable", "cesaro", "nth_prime", "nth_primes", "pnt_asymptotic", "prime_bounds",
+        "sieve",
+    ),
     "nonlinear": (
         "BRANCH_MIN", "NonlinearProblem", "NonlinearRow", "invert_map", "lambda_map",
         "nonlinear_spectrum",
@@ -46,8 +49,12 @@ _EXPORTS = {
     "analysis": (
         "GrowthReport", "IncompatReport", "OrderEstimate", "growth_check",
         "incompatibility_report", "order_estimate", "partial_sum_primes", "partial_sum_spectrum",
+        "series_verdict",
     ),
-    "inverse": ("SearchConfig", "SearchResult", "TargetRow", "objective", "search", "target_mu"),
+    "inverse": (
+        "SearchConfig", "SearchResult", "TargetRow", "objective", "search", "target_mu",
+        "worker_count",
+    ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

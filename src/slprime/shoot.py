@@ -41,8 +41,7 @@ could take the product to 1e180 (_scan_records).  A problem whose
 bounds multiply to less than 1e180 in all tests no oscillating piece.
 No bound holds across a piece with s = 0 or a non-oscillating one: a
 large |k h| there can overflow the state before its size test, which
-then ends the scan with a NaN theta(b); the callers refuse it with
-OutOfDomain.
+then raises OutOfDomain: theta(b) is not finite.
 
 Between two scanned points the zero count is not needed.  theta(b;
 lambda) is non-decreasing in lambda on a right-definite problem, so at
@@ -179,7 +178,7 @@ def _scan_records(widths, svals, qvals, rvals, cap):
     size is always tested (one with check set, or with s = 0).  check is
     set on the piece after which the next one would bring the sum to
     _UNCHECKED_DECADES, and on one that brings it there by itself, so that
-    an overflow there reads NaN.  A problem whose pieces stay below it in
+    an overflow there is refused.  A problem whose pieces stay below it in
     all has no check set.
     """
     checks = []
@@ -209,7 +208,7 @@ def _theta_scan(records, alpha, lam, within=None):
     frac always comes from the state itself.  The state's size is tested
     after a piece with s = 0, a non-oscillating piece, and an oscillating
     one whose record has check set; a test that finds it overflowed (inf
-    or NaN) ends the scan with (0, NaN, NaN, NaN), which the callers refuse.
+    or NaN) raises OutOfDomain.
 
     On an oscillatory piece the phase psi = atan2(w u, -s h v) advances by
     exactly w, and u vanishes where psi is a multiple of pi, so the piece's
@@ -319,7 +318,10 @@ def _theta_scan(records, alpha, lam, within=None):
             n = abs(u) + abs(v)
             if n > 1e120 or not n >= 1e-120:
                 if not n < math.inf:  # inf or NaN: the state overflowed
-                    return 0, math.nan, math.nan, math.nan
+                    raise OutOfDomain(
+                        f"theta(b) at lambda {lam!r} is not finite: the terminal state "
+                        "overflowed the theta-scan on these coefficients"
+                    )
                 u /= n
                 v /= n
     if within is not None:
@@ -378,7 +380,4 @@ def prufer_angle(problem: SLProblem, lam: float) -> AngleResult:
     cap = abs(lam)
     records = _scan_records(*_solver_pieces(problem, cap, "|lambda|"), cap)
     winding, frac, _, _ = _theta_scan(records, problem.bc.alpha, lam)
-    theta_b = winding * _PI + frac
-    if not math.isfinite(theta_b):
-        raise OutOfDomain(f"theta(b) at lambda {lam!r} is not finite: the state overflowed")
-    return AngleResult(theta_b=theta_b, winding=winding)
+    return AngleResult(theta_b=winding * _PI + frac, winding=winding)

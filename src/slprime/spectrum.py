@@ -67,7 +67,7 @@ __all__ = [
 _PI = math.pi
 _INF = math.inf
 # bound once: every theta-scan goes through them
-_sin, _copysign, _hypot, _isfinite = math.sin, math.copysign, math.hypot, math.isfinite
+_sin, _copysign, _hypot = math.sin, math.copysign, math.hypot
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ class SolverOptions:
             v = _as_float(v)
             object.__setattr__(self, f.name, v)
             if not 0.0 < v < math.inf:
-                raise BadConfig(f"{f.name} must be {'finite' if v > 0 else 'positive'}, got {v}")
+                raise BadConfig(f"{f.name} must be {'positive' if v <= 0 else 'finite'}, got {v}")
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -183,11 +183,6 @@ def eigenvalue(
                 within = (w_lo, w_hi)
         winding, frac, u, v = _theta_scan(records, alpha, lam, within)
         point = _point(lam, winding, frac, _hypot(u, v), beta, n)
-        if not _isfinite(point[1]):
-            raise OutOfDomain(
-                f"theta(b) at lambda {lam!r} is not finite: the terminal state overflowed "
-                "the theta-scan on these coefficients"
-            )
         scanned.append(point)
         return point
 

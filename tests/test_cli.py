@@ -174,6 +174,14 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     huge_int.write_text(json.dumps(UNIT_DOC).replace('"a": 0.0', '"a": -1' + "0" * 400, 1))
     assert run(["spectrum", "--config", str(huge_int)]) == 2
     assert "interval.a must be finite" in capsys.readouterr().err
+    # a solver value reaches SolverOptions as written: its rules, under the key's path
+    solver_doc = tmp_path / "solver.json"
+    text = json.dumps({**UNIT_DOC, "solver": {"angle_tol": None}})
+    for literal, rule in (('"1e-9"', "a number, got '1e-9'"), ("true", "a number, got True"),
+                          ("1e999", "finite, got inf"), ("NaN", "finite, got nan")):
+        solver_doc.write_text(text.replace('"angle_tol": null', f'"angle_tol": {literal}'))
+        assert run(["spectrum", "--config", str(solver_doc)]) == 2
+        assert capsys.readouterr().err == f"error: solver.angle_tol must be {rule}\n"
     # the index range is compute_spectrum's rule, reported as an input error
     for argv in (["spectrum", "--config", write_doc(tmp_path, UNIT_DOC)], ["nonlinear"]):
         assert run([*argv, "--n-max", "0"]) == 2
@@ -275,6 +283,10 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     search_cfg.write_text(json.dumps({"pieces": 2, "restarts": 2, "bound": 1e308}))
     assert run(["invert", "--config", str(search_cfg), "--out", out]) == 2
     assert "2 * bound must be finite" in capsys.readouterr().err
+    # and bound reaches SearchConfig as written
+    search_cfg.write_text(json.dumps({"pieces": 2, "bound": "80"}))
+    assert run(["invert", "--config", str(search_cfg), "--out", out]) == 2
+    assert capsys.readouterr().err == "error: bound must be a number, got '80'\n"
 
 
 def test_coefficients_may_have_their_own_meshes(tmp_path):
@@ -330,7 +342,7 @@ def test_incompat_refuses_a_truncated_spectrum(tmp_path, capsys):
     assert run(["incompat", "--config", cfg, "--n-max", "20", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out.startswith("TRUNCATED at n = 2: ")
-    assert "incompat needs the full range" in captured.err
+    assert captured.err == "error: spectrum holds 1 eigenvalues, report needs 20\n"
     assert not out.exists()
 
 
@@ -369,7 +381,8 @@ def test_incompat_keeps_the_exit_code_contract(tmp_path_factory, seed):
         code = run(["incompat", "--config", cfg, "--n-max", "100", "--out", str(work / "i.csv")])
     if code == 2:
         assert out.getvalue().startswith("TRUNCATED at n = ")
-        assert "incompat needs the full range" in err.getvalue()
+        refusal = r"error: spectrum holds \d+ eigenvalues, report needs 100\n"
+        assert re.fullmatch(refusal, err.getvalue())
     else:
         assert code in (0, 3), (code, err.getvalue())
 
@@ -800,13 +813,25 @@ PACKAGE_NAMES = set("""
     GrowthReport IncompatReport InsufficientData Interval LengthMismatch LimitTooLarge NoRoot
     NonFiniteValue NonMonotoneMesh NonlinearProblem NonlinearRow NotRightDefinite
     OrderEstimate OutOfDomain PiecewiseConstant PrimeTable SLProblem SearchConfig SearchResult
-    SlprimeError SolverOptions Spectrum State TargetRow WeylFit analysis cesaro coeff
-    compute_spectrum constant eigenvalue errors growth_check incompatibility_report
+    SlprimeError SolverOptions Spectrum State TargetRow WeylFit analysis boundary_state cesaro
+    coeff compute_spectrum constant eigenvalue errors growth_check incompatibility_report
     integrate_system_scaled inverse invert_map lambda_map make_piecewise merged_mesh nonlinear
-    nonlinear_spectrum nth_prime objective order_estimate partial_sum_primes
-    partial_sum_spectrum pnt_asymptotic primes problem prufer_angle refine_common_mesh search
-    shoot sieve spectrum target_mu unit_problem weyl_constant weyl_fit
+    nonlinear_spectrum nth_prime nth_primes objective order_estimate partial_sum_primes
+    partial_sum_spectrum pnt_asymptotic prime_bounds primes problem prufer_angle
+    refine_common_mesh search series_verdict shoot sieve spectrum target_mu unit_problem
+    weyl_constant weyl_fit worker_count
 """.split())
+
+
+def test_package_re_exports_every_module_name():
+    # a name a module lists in __all__ is public: `from slprime import name` must find it
+    import importlib
+
+    import slprime
+
+    for module, names in slprime._EXPORTS.items():
+        listed = set(getattr(importlib.import_module(f"slprime.{module}"), "__all__", ()))
+        assert listed <= set(names), (module, listed - set(names))
 
 
 def test_package_names_are_lazy_and_unchanged(monkeypatch):

@@ -284,16 +284,41 @@ def _nan_state():
     )
 
 
-def test_theta_scan_reads_an_overflowed_state_as_a_nan_frac():
-    # the counted scan used to carry the overflowed state on and raise a
+def test_theta_scan_refuses_an_overflowed_state():
+    # the counted scan once carried the overflowed state on and raised a
     # ValueError from floor() of the last piece's NaN phase, where the
-    # bracketed one read NaN
+    # bracketed one read NaN; both now stop at the size test that finds it
     nan_state = _nan_state()
     records = _scan_records(*shoot_mod._solver_pieces(nan_state, 1e12), 1e12)
     for lam in (-1e12, -1e6, -1.0, 0.0, 1.0, 1e6, 1e12):
         for within in (None, (0, 1)):
-            _, frac, _, _ = _theta_scan(records, nan_state.bc.alpha, lam, within)
-            assert not math.isfinite(frac), (lam, within)
+            with pytest.raises(OutOfDomain, match=f"^theta\\(b\\) at lambda {lam!r} is not finite"):
+                _theta_scan(records, nan_state.bc.alpha, lam, within)
+
+
+def test_an_overflowed_state_has_one_refusal(tmp_path, capsys):
+    # prufer_angle, eigenvalue and the CLI all pass on the scan's own error:
+    # eigenvalue's first scan, at its clamped guess, is at lambda_cap
+    import json
+
+    from slprime.cli import problem_to_document, run
+    from slprime.spectrum import eigenvalue
+
+    message = (
+        "theta(b) at lambda 1000000000000.0 is not finite: the terminal state "
+        "overflowed the theta-scan on these coefficients"
+    )
+    nan_state = _nan_state()
+    for call in (lambda: prufer_angle(nan_state, 1e12), lambda: eigenvalue(nan_state, 1)):
+        with pytest.raises(OutOfDomain) as err:
+            call()
+        assert str(err.value) == message
+    cfg = tmp_path / "nanstate.json"
+    cfg.write_text(json.dumps(problem_to_document(nan_state)))
+    for command in ("spectrum", "incompat"):
+        assert run([command, "--config", str(cfg), "--n-max", "20"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 

@@ -354,6 +354,9 @@ def test_tight_tolerance_options_respected():
             SolverOptions(**kwargs)
     with pytest.raises(BadConfig, match=r"^angle_tol must be positive, got -1\.0$"):
         SolverOptions(angle_tol=-1.0)
+    # NaN fails the range test on the finite side, not the positive one
+    with pytest.raises(BadConfig, match=r"^angle_tol must be finite, got nan$"):
+        SolverOptions(angle_tol=math.nan)
 
 
 def test_solver_options_store_floats():
@@ -759,3 +762,32 @@ def test_decaying_state_collapse_does_not_crash():
             left = mp_boundary_function(prob, ev.value - d)
             right = mp_boundary_function(prob, ev.value + d)
             assert left * right < 0, ev
+
+
+def _late_start():
+    """random_problem(rng 3, allow_zero=True)'s draw 6: r = 0 on the piece at b.
+
+    theta(b) stays above beta + pi as lambda -> -inf, so indices 1 and 2
+    have no eigenvalue, and the first one is index 3.
+    """
+    rng = np.random.default_rng(3)
+    for _ in range(7):
+        prob = random_problem(rng, allow_zero=True)
+    return prob
+
+
+def test_late_start_has_eigenvalues_from_index_3():
+    prob = _late_start()
+    assert prob.coeffs.breakpoints == (0.0, 1.3902563317608754, 2.0)
+    assert prob.coeffs.r.values[1] == 0.0
+    floor = prob.bc.beta + math.pi
+    for lam in (-1e6, -1e12):
+        assert floor < prufer_angle(prob, lam).theta_b < floor + math.pi
+    assert prufer_angle(prob, 0.0).theta_b > prob.bc.beta + 2 * math.pi
+
+
+@pytest.mark.xfail(strict=True, reason="the walk stops at n = 1 instead of starting where "
+                   "the eigenvalues start (ROADMAP item 21)")
+def test_spectrum_starts_where_its_eigenvalues_start():
+    spec = compute_spectrum(_late_start(), 10)
+    assert spec.eigenvalues, spec.truncation_note

@@ -7,11 +7,14 @@ package in this checkout's `src/`, inside OUTDIR/<name>/, with every path
 relative, so nothing in the output depends on where OUTDIR lies.  A
 command's directory holds the files it wrote and its stdout (stdout.txt);
 OUTDIR/exit_codes.tsv lists name, exit code and last stderr line per
-command.  Every command runs with SLPRIME_THREADS=1; the `invert` ones
-(PARALLEL) run once more with SLPRIME_THREADS=2, in a directory removed
-afterwards, and the script exits 1 if that run's files, exit code or last
-stderr line differ in any byte.  To compare two checkouts, run each one's
-copy of this script into its own directory and compare the two:
+command.  Every command runs with SLPRIME_THREADS=1 and with
+PYTHONDONTWRITEBYTECODE=1, so that no run leaves __pycache__ under `src/`
+(a tree holding .pyc files starts faster than one compiled from source);
+the `invert` ones (PARALLEL) run once more with SLPRIME_THREADS=2, in a
+directory removed afterwards, and the script exits 1 if that run's files,
+exit code or last stderr line differ in any byte.  To compare two
+checkouts, run each one's copy of this script into its own directory and
+compare the two:
 
     python tools/cli_snapshot.py --compare OLD NEW
 
@@ -289,7 +292,8 @@ def main(argv) -> int:
     (out / "docs").mkdir(parents=True, exist_ok=True)
     for name, doc in documents().items():
         (out / "docs" / f"{name}.json").write_text(json.dumps(doc, indent=2) + "\n")
-    env = {**os.environ, "PYTHONPATH": str(SRC), "SLPRIME_THREADS": "1"}
+    env = {**os.environ, "PYTHONPATH": str(SRC), "SLPRIME_THREADS": "1",
+           "PYTHONDONTWRITEBYTECODE": "1"}
     table = {}
     for name, args in commands().items():
         work = out / name
@@ -328,4 +332,5 @@ def _files(root: Path) -> dict:
 
 
 if __name__ == "__main__":
+    sys.dont_write_bytecode = True  # --compare imports the package: no __pycache__ there either
     sys.exit(main(sys.argv[1:]))
