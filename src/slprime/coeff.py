@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -201,7 +202,8 @@ def weyl_constant(coeffs: CoefficientSet) -> float:
     """C = integral of sqrt((r*s)+) dx; the leading eigenvalue growth is n^2 pi^2 / C^2.
 
     Zero on any piece where r*s vanishes, so disjoint-support (finite
-    spectrum) problems have C = 0.
+    spectrum) problems have C = 0.  spectrum._scannable_pieces sums the
+    same terms in its own pass over the pieces.
     """
     widths, svals, _, rvals = coeffs.piece_arrays()
     return math.fsum(
@@ -251,10 +253,16 @@ class SLProblem:
             )
 
     def content_hash(self) -> str:
-        """Stable 16-hex-digit digest of the full problem description."""
+        """Stable 16-hex-digit digest of the full problem description.
+
+        It digests the piece count, then the breakpoints, s, q, r, alpha
+        and beta as little-endian float64: the numbers' exact bits, so a
+        one-ulp move changes it and float, int or numpy inputs of the same
+        values do not (every number is stored as a float).
+        """
         c = self.coeffs
-        blob = repr((self.interval.a, self.interval.b, c.breakpoints, c.s.values, c.q.values,
-                     c.r.values, self.bc.alpha, self.bc.beta)).encode()
+        nums = (*c.breakpoints, *c.s.values, *c.q.values, *c.r.values, self.bc.alpha, self.bc.beta)
+        blob = struct.pack(f"<q{len(nums)}d", len(c.s.values), *nums)
         return hashlib.sha256(blob).hexdigest()[:16]
 
 

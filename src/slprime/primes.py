@@ -40,6 +40,7 @@ __all__ = [
 _SIEVE_MAX = 1_000_000_000
 _PI_SIEVE_MAX = 50_847_534  # pi(10^9)
 _SEGMENT = 1 << 20  # odd numbers per sieve segment
+_WHEEL = 3 * 5 * 7 * 11 * 13  # 15,015: the period over the odd numbers of the primes 3 to 13
 
 
 @dataclass
@@ -93,36 +94,72 @@ def _segments(limit: int):
     up to sqrt(limit), since sqrt(_SIEVE_MAX) < 2 * _SEGMENT.  Every
     segment reuses one buffer: read it before asking for the next.
 
+    Each segment starts from the pattern of _wheel, which has the odd
+    multiples of 3, 5, 7, 11 and 13 struck, so only primes from 17 on
+    strike it.
+
     A walk that fits one segment (limit <= 2^21) sieves a bytearray and
     never imports numpy.  A longer one sieves numpy bools from segment 0
-    on: a bytearray strike needs a zero block per prime (350 KB for p = 3),
+    on: a bytearray strike needs a zero block per prime (60 KB for p = 17),
     which would raise the max RSS of a long walk such as series over 10^6.
     """
     n_odd = (limit + 1) // 2
     short = n_odd <= _SEGMENT
-    if not short:
+    wheel = _wheel()
+    if short:
+        flags = wheel[:_WHEEL] * (n_odd // _WHEEL + 1)
+        del flags[n_odd:]
+    else:
         import numpy as np
-    flags = bytearray(b"\x01") * n_odd if short else np.ones(_SEGMENT, dtype=bool)
-    for i in range(1, (math.isqrt(2 * len(flags) - 1) - 1) // 2 + 1):
+
+        wheel = np.frombuffer(wheel, dtype=bool)
+        flags = np.empty(_SEGMENT, dtype=bool)
+        _tile(flags, wheel, 0)
+    # 1 (standing for 2) and the primes 3 to 13 themselves stay set
+    head = min(n_odd, 7)
+    flags[:head] = [True, True, True, True, False, True, True][:head]
+    for i in range(8, (math.isqrt(2 * len(flags) - 1) - 1) // 2 + 1):
         if flags[i]:
             p = 2 * i + 1
             flags[p * p // 2 :: p] = bytearray(len(range(p * p // 2, n_odd, p))) if short else False
     if short:
         yield 0, flags
         return
-    base = 2 * np.flatnonzero(flags[1 : (math.isqrt(limit) - 1) // 2 + 1]) + 3
+    base = 2 * np.flatnonzero(flags[8 : (math.isqrt(limit) - 1) // 2 + 1]) + 17
     yield 0, flags
 
     # the odd multiples of p sit at slots p // 2 + k p; strike from p^2 on
     first = base * base // 2
     for lo in range(_SEGMENT, n_odd, _SEGMENT):
         flags = flags[: min(_SEGMENT, n_odd - lo)]
-        flags[:] = True
+        _tile(flags, wheel, lo)
         k = int(np.searchsorted(first, lo + flags.size))
         starts = np.maximum(first[:k], lo + (base[:k] // 2 - lo) % base[:k]) - lo
         for p, start in zip(base[:k].tolist(), starts.tolist()):
             flags[start::p] = False
         yield lo, flags
+
+
+def _wheel() -> bytearray:
+    """Two periods of flags over the odd numbers from 1 on, with every odd multiple of 3 to 13 struck.
+
+    Slot g stands for 2 g + 1, as in a segment; two periods hold the
+    pattern from any offset in one slice.
+    """
+    wheel = bytearray(b"\x01") * _WHEEL
+    for p in (3, 5, 7, 11, 13):
+        wheel[p // 2 :: p] = bytes(len(range(p // 2, _WHEEL, p)))
+    return wheel * 2
+
+
+def _tile(flags: np.ndarray, wheel: np.ndarray, lo: int) -> None:
+    """Fill the segment flags at slot lo with the wheel's pattern, doubling the filled part in place."""
+    done = min(flags.size, _WHEEL)
+    flags[:done] = wheel[lo % _WHEEL :][:done]
+    while done < flags.size:  # done is a whole number of periods here
+        more = min(done, flags.size - done)
+        flags[done : done + more] = flags[:more]
+        done += more
 
 
 def _segment_primes(lo: int, flags: np.ndarray | bytearray) -> np.ndarray:

@@ -181,30 +181,33 @@ def _scan_records(widths, svals, qvals, rvals, cap):
     an overflow there is refused.  A problem whose pieces stay below it in
     all has no check set.
     """
-    checks = []
+    records = []
     decades = 0.0  # since the last piece whose size test is certain
     for h, s, q, r in zip(widths, svals, qvals, rvals):
         if s > 0.0:
             grow = math.log10(1.0 + max(math.sqrt((abs(q) + cap * r) / s), 100.0 * s * h))
-            if checks and not decades + grow < _UNCHECKED_DECADES:
-                checks[-1] = True
+            if records and not decades + grow < _UNCHECKED_DECADES:
+                records[-1] = (*records[-1][:5], True)
                 decades = 0.0
             decades += grow
         else:
             decades = 0.0
-        checks.append(not decades < _UNCHECKED_DECADES)  # a NaN bound checks too
-    return tuple(
-        (h, s, q, r, s * h, check) for h, s, q, r, check in zip(widths, svals, qvals, rvals, checks)
-    )
+        records.append((h, s, q, r, s * h, not decades < _UNCHECKED_DECADES))  # a NaN bound checks too
+    return tuple(records)
 
 
-def _theta_scan(records, alpha, lam, within=None):
+def _theta_scan(
+    records, state, lam, within=None, *,
+    sqrt=math.sqrt, cos=math.cos, sin=math.sin, atan2=math.atan2, floor=math.floor,
+):
     """Crossing count and terminal angle fraction for real lambda.
 
     records holds one (h, s, q, r, s h, check) tuple per piece
-    (_scan_records), lambda within their cap.  Returns (winding, frac, u,
-    v) with theta(b) = winding*pi + frac and (u, v) the (rescaled)
-    terminal state.  The angle is exact mod pi at every breakpoint because
+    (_scan_records), lambda within their cap; state is the (u, v) of
+    boundary_state at a.  A spectrum walk derives both once per problem.
+    The keyword-only arguments bind the math functions as locals, and no
+    caller passes them.  Returns (winding, frac, u, v) with theta(b) =
+    winding*pi + frac and (u, v) the (rescaled) terminal state.  The angle is exact mod pi at every breakpoint because
     frac always comes from the state itself.  The state's size is tested
     after a piece with s = 0, a non-oscillating piece, and an oscillating
     one whose record has check set; a test that finds it overflowed (inf
@@ -229,10 +232,8 @@ def _theta_scan(records, alpha, lam, within=None):
     The two readings agree wherever the computed theta(b) is monotone in
     lambda, which fails only where forward shooting loses the solution at b.
     """
-    sqrt, cos, sin, atan2, floor = math.sqrt, math.cos, math.sin, math.atan2, math.floor
     pi, half_pi, cut = _PI, _HALF_PI, _SERIES_CUT
-    u = sin(alpha)
-    v = -cos(alpha)
+    u, v = state
     winding = 0
     for h, s, q, r, sh, check in records:
         k = lam * r - q
@@ -329,7 +330,7 @@ def _theta_scan(records, alpha, lam, within=None):
         w_lo, w_hi = within
         winding = w_lo if (w_lo & 1) == (u < 0.0) else w_hi
         if u == 0.0 or (winding & 1) != (u < 0.0):
-            return _theta_scan(records, alpha, lam)
+            return _theta_scan(records, state, lam)
     if u == 0.0:
         # the zero at b is already in the winding; atan2(+0, -v) would
         # read pi for u = +0 with v > 0 and add a second pi
@@ -379,5 +380,6 @@ def prufer_angle(problem: SLProblem, lam: float) -> AngleResult:
         raise OutOfDomain(f"prufer_angle needs real finite lambda, got {lam!r}")
     cap = abs(lam)
     records = _scan_records(*_solver_pieces(problem, cap, "|lambda|"), cap)
-    winding, frac, _, _ = _theta_scan(records, problem.bc.alpha, lam)
+    start = boundary_state(problem.bc.alpha)
+    winding, frac, _, _ = _theta_scan(records, (start.u, start.v), lam)
     return AngleResult(theta_b=winding * _PI + frac, winding=winding)

@@ -52,7 +52,7 @@ from typing import ClassVar
 
 from .coeff import CoefficientSet, SLProblem, _as_float, weyl_constant
 from .errors import BadConfig, EigenvalueNotFound, InsufficientData, OutOfDomain
-from .shoot import _scan_records, _solver_pieces, _theta_scan
+from .shoot import _scan_records, _solver_pieces, _theta_scan, boundary_state
 
 __all__ = [
     "SolverOptions",
@@ -115,15 +115,27 @@ class Spectrum:
 
 
 def _scannable_pieces(problem: SLProblem, cap: float):
-    """(_scan_records at cap, Weyl constant C, (1/C) sum h q sqrt(s/r) over s r > 0 or 0)."""
-    pieces = _solver_pieces(problem, cap)
-    weyl_c = weyl_constant(problem.coeffs)
+    """A walk's fixed inputs: (records, state, C, shift).
+
+    records are _scan_records at cap and state the boundary state (u, v)
+    at a, the theta-scan's inputs.  C is the Weyl constant and shift
+    (1/C) sum h q sqrt(s/r) over s r > 0, or 0; both are read in one pass
+    over the records, C as weyl_constant's fsum of the same terms.
+    """
+    records = _scan_records(*_solver_pieces(problem, cap), cap)
+    weyl_terms, shift_terms = [], []
+    for h, s, q, r, _, _ in records:
+        if s * r > 0.0:
+            weyl_terms.append(h * math.sqrt(s * r))
+            shift_terms.append(h * q * math.sqrt(s / r))
+    weyl_c = math.fsum(weyl_terms)
     shift = 0.0
     if weyl_c > 0.0:
-        shift = sum(h * q * math.sqrt(s / r) for h, s, q, r in zip(*pieces) if s * r > 0.0) / weyl_c
+        shift = sum(shift_terms) / weyl_c
         if not math.isfinite(shift):
             shift = 0.0
-    return _scan_records(*pieces, cap), weyl_c, shift
+    start = boundary_state(problem.bc.alpha)
+    return records, (start.u, start.v), weyl_c, shift
 
 
 def _point(lam: float, winding: int, frac: float, rho: float, beta: float, n: int):
@@ -168,7 +180,7 @@ def eigenvalue(
     if n < 1:
         raise OutOfDomain(f"eigenvalue index must be >= 1, got {n}")
     pieces, carried = _carry or (_scannable_pieces(problem, opts.lambda_cap), ())
-    records, weyl_c, shift = pieces
+    records, state, weyl_c, shift = pieces
     alpha, beta = problem.bc.alpha, problem.bc.beta
     target = beta + (n - 1) * _PI
     scanned = []
@@ -181,8 +193,17 @@ def eigenvalue(
             w_lo, w_hi = (lo[3], hi[3]) if lo[3] <= hi[3] else (hi[3], lo[3])
             if w_hi - w_lo <= 1:
                 within = (w_lo, w_hi)
-        winding, frac, u, v = _theta_scan(records, alpha, lam, within)
-        point = _point(lam, winding, frac, _hypot(u, v), beta, n)
+        winding, frac, u, v = _theta_scan(records, state, lam, within)
+        # _point, inlined: one call less per scan
+        rho = _hypot(u, v)
+        f = (winding - n + 1) * _PI + (frac - beta)
+        if -_PI < f < _PI:
+            h = rho * _sin(f)
+        else:
+            h = _copysign(rho * (1.0 + abs(f) - _PI), f)
+        if not 0.0 < abs(h) < _INF:
+            h = f
+        point = (lam, f, h, winding, frac, rho)
         scanned.append(point)
         return point
 

@@ -64,6 +64,26 @@ def test_segmented_sieve_matches_single_array():
         assert np.array_equal(table.primes, single_array_sieve(limit)), limit
 
 
+@pytest.mark.parametrize(
+    "limit", [2, 3, 15, 27, 169, 2 * 15_015 + 1, 2 * SEG - 1, 2 * SEG + 1, 6 * SEG + 1]
+)
+def test_segments_flags_equal_a_plain_strike(limit):
+    # each segment starts from the wheel pattern with 3 to 13 struck and
+    # only p >= 17 strike it; the walk's flags, segment by segment, are
+    # those of striking every odd multiple from p^2 on in one array
+    # (slot 0, the number 1, stays set for the prime 2)
+    want = np.ones((limit + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(limit) - 1) // 2 + 1):
+        if want[i]:
+            p = 2 * i + 1
+            want[p * p // 2 :: p] = False
+    got = []
+    for lo, flags in primes_mod._segments(limit):
+        assert lo == sum(map(len, got))
+        got.append(np.frombuffer(flags, dtype=bool).copy())
+    assert np.array_equal(np.concatenate(got), want), limit
+
+
 def test_only_walks_past_one_segment_sieve_numpy_bools():
     assert [type(flags) for _, flags in primes_mod._segments(2 * SEG)] == [bytearray]
     assert [type(flags) for _, flags in primes_mod._segments(2 * SEG + 1)] == [np.ndarray] * 2

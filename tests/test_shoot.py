@@ -24,6 +24,12 @@ from slprime.shoot import (
 rng = np.random.default_rng(20260814)
 
 
+def start(alpha):
+    """_theta_scan's state argument: boundary_state(alpha) as a (u, v) pair."""
+    state = boundary_state(alpha)
+    return state.u, state.v
+
+
 def kernel_matrix(s, q, r, lam, h):
     """The package's per-piece kernel as a plain 2x2 array, its scale e^ls multiplied back in."""
     m11, m12, m21, m22, ls = _scaled_piece(s, q, r, lam, h)
@@ -219,6 +225,36 @@ def test_prufer_angle_winding_consistent():
     assert res.theta_b == pytest.approx(7.5 * math.pi, rel=1e-10)
 
 
+def test_prufer_angle_is_the_walks_scan_bit_for_bit(monkeypatch):
+    # the boundary state reaches the kernel by two routes: prufer_angle
+    # derives it per call, a spectrum walk once per problem.  At every
+    # lambda a walk scans with counting, both read the same winding and
+    # theta(b), bit for bit, though the walk's records are built at the
+    # lambda cap and prufer_angle's at |lambda|
+    import slprime.spectrum as spectrum_mod
+
+    scan, scanned = spectrum_mod._theta_scan, []
+
+    def recording(records, state, lam, within):
+        got = scan(records, state, lam, within)
+        if within is None:
+            scanned.append((lam, got[0], got[0] * math.pi + got[1]))
+        return got
+
+    monkeypatch.setattr(spectrum_mod, "_theta_scan", recording)
+    local = np.random.default_rng(20261020)
+    checked = 0
+    for _ in range(60):
+        prob = random_problem(local, max_pieces=6)
+        scanned.clear()
+        spectrum_mod.compute_spectrum(prob, 12)
+        for lam, winding, theta_b in scanned:
+            got = prufer_angle(prob, lam)
+            assert (got.winding, got.theta_b.hex()) == (winding, theta_b.hex()), (prob, lam)
+        checked += len(scanned)
+    assert checked > 1000, checked
+
+
 def test_prufer_angle_requires_right_definite_content():
     s = make_piecewise([0.0, 1.0], [0.0])
     q = make_piecewise([0.0, 1.0], [1.0])
@@ -293,7 +329,7 @@ def test_theta_scan_refuses_an_overflowed_state():
     for lam in (-1e12, -1e6, -1.0, 0.0, 1.0, 1e6, 1e12):
         for within in (None, (0, 1)):
             with pytest.raises(OutOfDomain, match=f"^theta\\(b\\) at lambda {lam!r} is not finite"):
-                _theta_scan(records, nan_state.bc.alpha, lam, within)
+                _theta_scan(records, start(nan_state.bc.alpha), lam, within)
 
 
 def test_an_overflowed_state_has_one_refusal(tmp_path, capsys):
@@ -437,7 +473,7 @@ def flat_theta_scan(widths, svals, qvals, rvals, alpha, lam, cap=None):
     The records are built at cap, |lambda| unless given, as prufer_angle builds them.
     """
     cap = abs(lam) if cap is None else cap
-    return _theta_scan(_scan_records(widths, svals, qvals, rvals, cap), alpha, lam)
+    return _theta_scan(_scan_records(widths, svals, qvals, rvals, cap), start(alpha), lam)
 
 
 def _size_tested(widths, svals, qvals, rvals, cap):
@@ -655,17 +691,17 @@ def test_bracketed_scan_matches_the_counted_scan_bit_for_bit():
     for _ in range(200):
         prob = random_problem(local, max_pieces=6, allow_zero=False)
         records = _scan_records(*prob.coeffs.piece_arrays(), 1e6)
-        alpha = prob.bc.alpha
+        state = start(prob.bc.alpha)
         for _ in range(10):
             lam = float(local.uniform(-300.0, 3000.0))
             width = 10.0 ** local.uniform(-14.0, 1.0) * max(1.0, abs(lam))
             lo, hi = lam - width * local.random(), lam + width * local.random()
-            w_lo, w_hi = _theta_scan(records, alpha, lo)[0], _theta_scan(records, alpha, hi)[0]
+            w_lo, w_hi = _theta_scan(records, state, lo)[0], _theta_scan(records, state, hi)[0]
             if w_hi - w_lo > 1:
                 continue
             checked += 1
-            got = _theta_scan(records, alpha, lam, (w_lo, w_hi))
-            assert _bits(got) == _bits(_theta_scan(records, alpha, lam)), (prob, lo, lam, hi)
+            got = _theta_scan(records, state, lam, (w_lo, w_hi))
+            assert _bits(got) == _bits(_theta_scan(records, state, lam)), (prob, lo, lam, hi)
             non_oscillating += any(
                 s * (lam * r - q) * h * h <= _SERIES_CUT for h, s, q, r, _, _ in records
             )
@@ -685,12 +721,12 @@ def test_bracketed_scan_rescans_an_exact_zero_at_b(monkeypatch):
     scan, rescans = _counting_rescans(monkeypatch)
     records = _scan_records(_THIRDS, [1.0] * 3, [0.0] * 3, [1.0] * 3, 1e4)
     for n, lam in zip((7, 28), _UNIT_THIRDS_LAMS):
-        counted = scan(records, 0.0, lam)
+        counted = scan(records, start(0.0), lam)
         assert counted[2] == 0.0 and counted[:2] == (n, 0.0)
         for within in ((n - 1, n), (n, n + 1)):
             rescans.clear()
-            assert _bits(scan(records, 0.0, lam, within)) == _bits(counted)
-            assert rescans == [(records, 0.0, lam)]
+            assert _bits(scan(records, start(0.0), lam, within)) == _bits(counted)
+            assert rescans == [(records, start(0.0), lam)]
 
 
 def test_bracketed_scan_rescans_a_parity_mismatch(monkeypatch):
@@ -699,11 +735,11 @@ def test_bracketed_scan_rescans_a_parity_mismatch(monkeypatch):
     scan, rescans = _counting_rescans(monkeypatch)
     records = _scan_records([1.0], [1.0], [0.0], [1.0], 1e4)
     lam = 30.0  # sqrt(30) / pi = 1.74 turns: winding 1, u(b) < 0
-    counted = scan(records, 0.0, lam)
+    counted = scan(records, start(0.0), lam)
     assert counted[0] == 1 and counted[2] < 0.0
     for within in ((0, 1), (1, 1), (1, 2)):
-        assert _bits(scan(records, 0.0, lam, within)) == _bits(counted)
+        assert _bits(scan(records, start(0.0), lam, within)) == _bits(counted)
     assert rescans == []
     for within in ((0, 0), (2, 2)):
-        assert _bits(scan(records, 0.0, lam, within)) == _bits(counted)
-        assert rescans.pop() == (records, 0.0, lam) and not rescans
+        assert _bits(scan(records, start(0.0), lam, within)) == _bits(counted)
+        assert rescans.pop() == (records, start(0.0), lam) and not rescans

@@ -29,7 +29,7 @@ from slprime.errors import (
     NotRightDefinite,
     OutOfDomain,
 )
-from slprime.shoot import _scan_records, prufer_angle
+from slprime.shoot import _scan_records, boundary_state, prufer_angle
 from slprime.spectrum import (
     SolverOptions,
     compute_spectrum,
@@ -331,13 +331,26 @@ def test_non_finite_weyl_shift_falls_back_to_zero():
     prob = problem(make_piecewise(mesh, [1.0, 1.0]), make_piecewise(mesh, [1e200, 0.0]),
                    make_piecewise(mesh, [1e-300, 1.0]))
     assert math.isinf(0.5 * 1e200 * math.sqrt(1.0 / 1e-300))
-    _, weyl_c, shift = spectrum_mod._scannable_pieces(prob, SolverOptions().lambda_cap)
+    _, _, weyl_c, shift = spectrum_mod._scannable_pieces(prob, SolverOptions().lambda_cap)
     assert (weyl_c, shift) == (0.5, 0.0)
     # the huge q walls off the left half: the spectrum is the right half's, (2 n pi)^2
     spec = compute_spectrum(prob, 5)
     assert [ev.index for ev in spec.eigenvalues] == [1, 2, 3, 4, 5]
     for ev in spec.eigenvalues:
         assert ev.value == pytest.approx(4 * ev.index**2 * PI2, rel=1e-12)
+
+
+def test_walk_setup_reads_weyl_constant_and_boundary_state_bit_for_bit():
+    # _scannable_pieces reads C in its own pass over the records, and the
+    # boundary state once per walk: the same bits as weyl_constant and
+    # boundary_state
+    rng = np.random.default_rng(37)
+    for _ in range(200):
+        prob = random_problem(rng, max_pieces=16)
+        _, state, weyl_c, _ = spectrum_mod._scannable_pieces(prob, SolverOptions().lambda_cap)
+        start = boundary_state(prob.bc.alpha)
+        assert weyl_c.hex() == weyl_constant(prob.coeffs).hex()
+        assert state == (start.u, start.v)
 
 
 def test_tight_tolerance_options_respected():
@@ -475,8 +488,14 @@ def _impedance_jump_problem():
 def test_float_exhaustion_returns_the_smaller_residual_end(monkeypatch):
     prob, opts = _impedance_jump_problem(), SolverOptions()
     points = []
-    read = spectrum_mod._point
-    monkeypatch.setattr(spectrum_mod, "_point", lambda *a: points.append(read(*a)) or points[-1])
+    scan, read = spectrum_mod._theta_scan, spectrum_mod._point
+
+    def reading_scan(records, state, lam, within):
+        winding, frac, u, v = got = scan(records, state, lam, within)
+        points.append(read(lam, winding, frac, math.hypot(u, v), prob.bc.beta, n))
+        return got
+
+    monkeypatch.setattr(spectrum_mod, "_theta_scan", reading_scan)
     exhausted = 0
     for n in range(996, 1005):
         points.clear()
@@ -497,6 +516,26 @@ def test_float_exhaustion_returns_the_smaller_residual_end(monkeypatch):
     assert exhausted >= 6  # the phase really ran
 
 
+def test_scanned_points_read_as_point_reads_them():
+    # eigenvalue's scan builds its point inline; every point a walk
+    # carries to the next index, scanned or re-read, is _point's reading
+    opts = SolverOptions()
+    rng = np.random.default_rng(36)
+    cases = [_impedance_jump_problem()] + [random_problem(rng, max_pieces=6) for _ in range(40)]
+    checked = 0
+    for prob in cases:
+        walk = (spectrum_mod._scannable_pieces(prob, opts.lambda_cap), [])
+        for n in range(1, 31):
+            try:
+                eigenvalue(prob, n, opts, walk)
+            except EigenvalueNotFound:
+                break
+            for p in walk[1]:
+                assert spectrum_mod._point(p[0], *p[3:], prob.bc.beta, n) == p, (prob, n, p)
+                checked += 1
+    assert checked > 1000, checked
+
+
 def test_bracketed_scans_leave_every_spectrum_bit_for_bit(monkeypatch):
     # a scan between two scanned points is passed their windings, and
     # _theta_scan then takes the winding from the sign of u(b); a run that
@@ -513,7 +552,7 @@ def test_bracketed_scans_leave_every_spectrum_bit_for_bit(monkeypatch):
     for prob in cases:
         got = compute_spectrum(prob, 10)
         with monkeypatch.context() as m:
-            m.setattr(spectrum_mod, "_theta_scan", lambda rec, alpha, lam, within: scan(rec, alpha, lam))
+            m.setattr(spectrum_mod, "_theta_scan", lambda rec, state, lam, within: scan(rec, state, lam))
             counted = compute_spectrum(prob, 10)
         if got == counted:
             identical += 1
@@ -541,8 +580,8 @@ def test_every_scan_between_two_scanned_points_is_passed_their_windings(monkeypa
         calls.append(([(p[0], p[3], p[4]) for p in carry[1]], []))
         return solve(prob, n, opts, carry)
 
-    def spying_scan(records, alpha, lam, within):
-        got = scan(records, alpha, lam, within)
+    def spying_scan(records, state, lam, within):
+        got = scan(records, state, lam, within)
         calls[-1][1].append(((lam, got[0], got[1]), within))
         return got
 
@@ -590,7 +629,7 @@ def test_every_scan_between_two_scanned_points_is_passed_their_windings(monkeypa
 
     # the same walks reading every winding by the zero count, bit for bit
     with monkeypatch.context() as m:
-        m.setattr(spectrum_mod, "_theta_scan", lambda rec, alpha, lam, _: scan(rec, alpha, lam))
+        m.setattr(spectrum_mod, "_theta_scan", lambda rec, state, lam, _: scan(rec, state, lam))
         assert [walk(prob) for prob in cases] == walks
 
 
@@ -713,7 +752,8 @@ _piece = st.tuples(
 def test_boundary_function_has_the_sign_of_the_angle_mismatch(pieces, alpha, beta, offset, lam):
     widths, svals, qvals, rvals = (list(col) for col in zip(*pieces))
     records = _scan_records(widths, svals, qvals, rvals, abs(lam))
-    winding, frac, u, v = spectrum_mod._theta_scan(records, alpha, lam)
+    state = boundary_state(alpha)
+    winding, frac, u, v = spectrum_mod._theta_scan(records, (state.u, state.v), lam)
     # mostly the index whose target angle lies within pi of theta(b), where
     # h = rho sin f; the neighbours reach the continuation beyond |f| = pi
     n = max(1, winding + 1 + offset)

@@ -47,6 +47,7 @@ def test_bench_scan_measures_a_small_stream(monkeypatch):
         "pieces_scanned", "scans_per_eigenvalue", "scans_per_call_p50", "scans_per_call_p90",
         "scans_per_call_max", "unchecked_share", "bracketed_share", "by_kind",
         "l0_ns_per_piece", "l0_ns_per_piece_runs",
+        "l0_one_piece_ns_per_scan", "l0_one_piece_norm_ns_per_scan", "outside_eigenvalue",
         "pass_s", "pass_s_runs", "l0_norm_ns_per_piece", "l0_norm_ns_per_piece_runs",
         "pass_norm_s", "pass_norm_s_runs",
     }
@@ -71,11 +72,15 @@ def test_bench_scan_measures_a_small_stream(monkeypatch):
                              ("pass_s", "pass_norm_s", 1)):
         assert run[raw] > 0.0 and len(run[f"{raw}_runs"]) == count
         assert run[norm] > 0.0 and len(run[f"{norm}_runs"]) == count
+    # the fixed costs: a 1-piece scan's time, and the pass time outside eigenvalue
+    assert run["l0_one_piece_ns_per_scan"] > 0.0 and run["l0_one_piece_norm_ns_per_scan"] > 0.0
+    assert run["outside_eigenvalue"]["s"] > 0.0 and 0.0 < run["outside_eigenvalue"]["share"] < 1.0
 
     # on a core where the reference loop takes 4 ms, every time counts a quarter
     monkeypatch.setattr(bench_scan, "reference_seconds", lambda: 4.0 * gauge.REF_NOMINAL_S)
     run = bench_scan.measure(count=2, replays=3, passes=2)
-    for raw, norm in (("l0_ns_per_piece", "l0_norm_ns_per_piece"), ("pass_s", "pass_norm_s")):
+    for raw, norm in (("l0_ns_per_piece", "l0_norm_ns_per_piece"), ("pass_s", "pass_norm_s"),
+                      ("l0_one_piece_ns_per_scan", "l0_one_piece_norm_ns_per_scan")):
         assert run[norm] == pytest.approx(0.25 * run[raw], rel=1e-12)
 
 

@@ -20,6 +20,15 @@ scanned points) with the kernel's ns per piece over each kind of scan
 replayed alone (by_kind), and the untraced
 compute_spectrum pass time (median of the passes), against whichever
 slprime the import finds.
+
+It also records the fixed costs that ns per piece misses.
+l0_one_piece_ns_per_scan replays every scan of the stream with its
+records cut to the first piece and counting (no windings passed): the
+per-scan intercept, a kernel call's entry and exit plus one piece.
+outside_eigenvalue times passes with spectrum.eigenvalue wrapped by a
+clock: the pass time spent outside eigenvalue calls (per-call set-up,
+the content hash, the walk itself; the wrapper's own cost lands partly
+there), as seconds and as a share of each pass (medians).
 The run is stored under LABEL in the output JSON, next to the runs
 already there, so one file can hold the same harness run on two
 checkouts.
@@ -77,6 +86,27 @@ def _paired(work, chunks) -> tuple[float, float]:
         raw += dt
         norm += dt / ref * REF_NOMINAL_S
     return raw, norm
+
+
+def _outside_eigenvalue(spectrum, cases) -> tuple[float, float]:
+    """(seconds outside eigenvalue calls, pass seconds) of one compute_spectrum pass over cases."""
+    solve, inside = spectrum.eigenvalue, [0.0]
+
+    def clocked(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            inside[0] += time.perf_counter() - t0
+
+    spectrum.eigenvalue = clocked
+    try:
+        t0 = time.perf_counter()
+        _solve_all(cases)
+        total = time.perf_counter() - t0
+    finally:
+        spectrum.eigenvalue = solve
+    return total - inside[0], total
 
 
 def measure(count: int | None = None, replays: int = REPLAYS, passes: int = PASSES) -> dict:
@@ -139,7 +169,10 @@ def measure(count: int | None = None, replays: int = REPLAYS, passes: int = PASS
                 "l0_ns_per_piece": statistics.median(1e9 * raw / kind_pieces for raw, _ in times),
                 "l0_norm_ns_per_piece": statistics.median(1e9 * norm / kind_pieces for _, norm in times),
             }
+    one_piece_chunks = [[(args[0][:1], *args[1:3]) for args in chunk] for chunk in chunks]
+    one_piece_times = [_paired(replay, one_piece_chunks) for _ in range(replays)]
     pass_times = [_paired(lambda case: _solve_all([case]), cases) for _ in range(passes)]
+    outside = [_outside_eigenvalue(spectrum, cases) for _ in range(passes)]
     l0_raw = [1e9 * raw / pieces for raw, _ in replay_times]
     l0_norm = [1e9 * norm / pieces for _, norm in replay_times]
     pass_raw = [raw for raw, _ in pass_times]
@@ -165,6 +198,11 @@ def measure(count: int | None = None, replays: int = REPLAYS, passes: int = PASS
         "l0_ns_per_piece_runs": [round(x, 1) for x in l0_raw],
         "l0_norm_ns_per_piece": statistics.median(l0_norm),
         "l0_norm_ns_per_piece_runs": [round(x, 1) for x in l0_norm],
+        "l0_one_piece_ns_per_scan": statistics.median(1e9 * raw / len(stream) for raw, _ in one_piece_times),
+        "l0_one_piece_norm_ns_per_scan": statistics.median(
+            1e9 * norm / len(stream) for _, norm in one_piece_times),
+        "outside_eigenvalue": {"s": statistics.median(out for out, _ in outside),
+                               "share": statistics.median(out / total for out, total in outside)},
         "pass_s": statistics.median(pass_raw),
         "pass_s_runs": [round(x, 4) for x in pass_raw],
         "pass_norm_s": statistics.median(pass_norm),
@@ -180,7 +218,8 @@ def main(argv) -> int:
           f"p90 {run['scans_per_call_p90']}, max {run['scans_per_call_max']}), "
           f"{run['pieces_scanned']} piece-scans ({run['unchecked_share']['pieces']:.3f} "
           f"unchecked, {run['bracketed_share']['pieces']:.3f} bracketed), "
-          f"pass {run['pass_s']:.4f} s; normalised "
+          f"pass {run['pass_s']:.4f} s ({run['outside_eigenvalue']['share']:.3f} outside "
+          f"eigenvalue), {run['l0_one_piece_ns_per_scan']:.0f} ns per 1-piece scan; normalised "
           f"{run['l0_norm_ns_per_piece']:.1f} ns/piece, pass {run['pass_norm_s']:.4f} s",
           file=sys.stderr)
     record(args.out, args.label, run)
