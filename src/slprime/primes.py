@@ -107,12 +107,12 @@ def _segments(limit: int):
     short = n_odd <= _SEGMENT
     wheel = _wheel()
     if short:
-        flags = wheel[:_WHEEL] * (n_odd // _WHEEL + 1)
+        flags = wheel * (n_odd // _WHEEL + 1)
         del flags[n_odd:]
     else:
         import numpy as np
 
-        wheel = np.frombuffer(wheel, dtype=bool)
+        wheel = np.frombuffer(wheel * 2, dtype=bool)  # from any offset, one period in one slice
         flags = np.empty(_SEGMENT, dtype=bool)
         _tile(flags, wheel, 0)
     # 1 (standing for 2) and the primes 3 to 13 themselves stay set
@@ -141,19 +141,18 @@ def _segments(limit: int):
 
 
 def _wheel() -> bytearray:
-    """Two periods of flags over the odd numbers from 1 on, with every odd multiple of 3 to 13 struck.
+    """One period of flags over the odd numbers from 1 on, with every odd multiple of 3 to 13 struck.
 
-    Slot g stands for 2 g + 1, as in a segment; two periods hold the
-    pattern from any offset in one slice.
+    Slot g stands for 2 g + 1, as in a segment.
     """
     wheel = bytearray(b"\x01") * _WHEEL
     for p in (3, 5, 7, 11, 13):
         wheel[p // 2 :: p] = bytes(len(range(p // 2, _WHEEL, p)))
-    return wheel * 2
+    return wheel
 
 
 def _tile(flags: np.ndarray, wheel: np.ndarray, lo: int) -> None:
-    """Fill the segment flags at slot lo with the wheel's pattern, doubling the filled part in place."""
+    """Fill the segment flags at slot lo from two wheel periods, doubling the filled part in place."""
     done = min(flags.size, _WHEEL)
     flags[:done] = wheel[lo % _WHEEL :][:done]
     while done < flags.size:  # done is a whole number of periods here

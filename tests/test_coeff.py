@@ -25,12 +25,12 @@ from slprime.coeff import (
 )
 from slprime.errors import (
     DomainMismatch,
-    SlprimeError,
     LengthMismatch,
     NonFiniteValue,
     NonMonotoneMesh,
     NotRightDefinite,
     OutOfDomain,
+    SlprimeError,
 )
 from slprime.spectrum import compute_spectrum
 
