@@ -141,7 +141,7 @@ def _segments(limit: int):
 
 
 def _wheel() -> bytearray:
-    """One period of flags over the odd numbers from 1 on, with every odd multiple of 3 to 13 struck.
+    """One period of flags over the odd numbers from 1 on, every odd multiple of 3 to 13 struck.
 
     Slot g stands for 2 g + 1, as in a segment.
     """
@@ -152,7 +152,7 @@ def _wheel() -> bytearray:
 
 
 def _tile(flags: np.ndarray, wheel: np.ndarray, lo: int) -> None:
-    """Fill the segment flags at slot lo from two wheel periods, doubling the filled part in place."""
+    """Fill the segment flags at slot lo from two wheel periods, doubling the filled part."""
     done = min(flags.size, _WHEEL)
     flags[:done] = wheel[lo % _WHEEL :][:done]
     while done < flags.size:  # done is a whole number of periods here

@@ -192,7 +192,8 @@ def _scan_records(widths, svals, qvals, rvals, cap):
             decades += grow
         else:
             decades = 0.0
-        records.append((h, s, q, r, s * h, not decades < _UNCHECKED_DECADES))  # a NaN bound checks too
+        # a NaN bound checks too
+        records.append((h, s, q, r, s * h, not decades < _UNCHECKED_DECADES))
     return tuple(records)
 
 
@@ -207,8 +208,9 @@ def _theta_scan(
     boundary_state at a.  A spectrum walk derives both once per problem.
     The keyword-only arguments bind the math functions as locals, and no
     caller passes them.  Returns (winding, frac, u, v) with theta(b) =
-    winding*pi + frac and (u, v) the (rescaled) terminal state.  The angle is exact mod pi at every breakpoint because
-    frac always comes from the state itself.  The state's size is tested
+    winding*pi + frac and (u, v) the (rescaled) terminal state.  The
+    angle is exact mod pi at every breakpoint because frac always comes
+    from the state itself.  The state's size is tested
     after a piece with s = 0, a non-oscillating piece, and an oscillating
     one whose record has check set; a test that finds it overflowed (inf
     or NaN) raises OutOfDomain.

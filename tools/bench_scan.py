@@ -198,7 +198,8 @@ def measure(count: int | None = None, replays: int = REPLAYS, passes: int = PASS
         "l0_ns_per_piece_runs": [round(x, 1) for x in l0_raw],
         "l0_norm_ns_per_piece": statistics.median(l0_norm),
         "l0_norm_ns_per_piece_runs": [round(x, 1) for x in l0_norm],
-        "l0_one_piece_ns_per_scan": statistics.median(1e9 * raw / len(stream) for raw, _ in one_piece_times),
+        "l0_one_piece_ns_per_scan": statistics.median(
+            1e9 * raw / len(stream) for raw, _ in one_piece_times),
         "l0_one_piece_norm_ns_per_scan": statistics.median(
             1e9 * norm / len(stream) for _, norm in one_piece_times),
         "outside_eigenvalue": {"s": statistics.median(out for out, _ in outside),
