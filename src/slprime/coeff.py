@@ -202,8 +202,7 @@ def weyl_constant(coeffs: CoefficientSet) -> float:
     """C = integral of sqrt((r*s)+) dx; the leading eigenvalue growth is n^2 pi^2 / C^2.
 
     Zero on any piece where r*s vanishes, so disjoint-support (finite
-    spectrum) problems have C = 0.  spectrum._scannable_pieces sums the
-    same terms in its own pass over the pieces.
+    spectrum) problems have C = 0.
     """
     widths, svals, _, rvals = coeffs.piece_arrays()
     return math.fsum(

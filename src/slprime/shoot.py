@@ -197,23 +197,18 @@ def _scan_records(widths, svals, qvals, rvals, cap):
     return tuple(records)
 
 
-def _theta_scan(
-    records, state, lam, within=None, *,
-    sqrt=math.sqrt, cos=math.cos, sin=math.sin, atan2=math.atan2, floor=math.floor,
-):
+def _theta_scan(records, state, lam, within=None):
     """Crossing count and terminal angle fraction for real lambda.
 
     records holds one (h, s, q, r, s h, check) tuple per piece
     (_scan_records), lambda within their cap; state is the (u, v) of
     boundary_state at a.  A spectrum walk derives both once per problem.
-    The keyword-only arguments bind the math functions as locals, and no
-    caller passes them.  Returns (winding, frac, u, v) with theta(b) =
-    winding*pi + frac and (u, v) the (rescaled) terminal state.  The
-    angle is exact mod pi at every breakpoint because frac always comes
-    from the state itself.  The state's size is tested
-    after a piece with s = 0, a non-oscillating piece, and an oscillating
-    one whose record has check set; a test that finds it overflowed (inf
-    or NaN) raises OutOfDomain.
+    Returns (winding, frac, u, v) with theta(b) = winding*pi + frac and
+    (u, v) the (rescaled) terminal state.  The angle is exact mod pi at
+    every breakpoint because frac always comes from the state itself.
+    The state's size is tested after a piece with s = 0, a
+    non-oscillating piece, and an oscillating one whose record has check
+    set; a test that finds it overflowed (inf or NaN) raises OutOfDomain.
 
     On an oscillatory piece the phase psi = atan2(w u, -s h v) advances by
     exactly w, and u vanishes where psi is a multiple of pi, so the piece's
@@ -234,6 +229,7 @@ def _theta_scan(
     The two readings agree wherever the computed theta(b) is monotone in
     lambda, which fails only where forward shooting loses the solution at b.
     """
+    sqrt, cos, sin, atan2, floor = math.sqrt, math.cos, math.sin, math.atan2, math.floor
     pi, half_pi, cut = _PI, _HALF_PI, _SERIES_CUT
     u, v = state
     winding = 0

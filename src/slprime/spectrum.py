@@ -118,24 +118,18 @@ def _scannable_pieces(problem: SLProblem, cap: float):
     """A walk's fixed inputs: (records, state, C, shift).
 
     records are _scan_records at cap and state the boundary state (u, v)
-    at a, the theta-scan's inputs.  C is the Weyl constant and shift
-    (1/C) sum h q sqrt(s/r) over s r > 0, or 0; both are read in one pass
-    over the records, C as weyl_constant's fsum of the same terms.
+    at a, the theta-scan's inputs; C is the Weyl constant and shift
+    (1/C) sum h q sqrt(s/r) over s r > 0, or 0.
     """
-    records = _scan_records(*_solver_pieces(problem, cap), cap)
-    weyl_terms, shift_terms = [], []
-    for h, s, q, r, _, _ in records:
-        if s * r > 0.0:
-            weyl_terms.append(h * math.sqrt(s * r))
-            shift_terms.append(h * q * math.sqrt(s / r))
-    weyl_c = math.fsum(weyl_terms)
+    pieces = _solver_pieces(problem, cap)
+    weyl_c = weyl_constant(problem.coeffs)
     shift = 0.0
     if weyl_c > 0.0:
-        shift = sum(shift_terms) / weyl_c
+        shift = sum(h * q * math.sqrt(s / r) for h, s, q, r in zip(*pieces) if s * r > 0.0) / weyl_c
         if not math.isfinite(shift):
             shift = 0.0
     start = boundary_state(problem.bc.alpha)
-    return records, (start.u, start.v), weyl_c, shift
+    return _scan_records(*pieces, cap), (start.u, start.v), weyl_c, shift
 
 
 def _point(lam: float, winding: int, frac: float, rho: float, beta: float, n: int):

@@ -340,19 +340,6 @@ def test_non_finite_weyl_shift_falls_back_to_zero():
         assert ev.value == pytest.approx(4 * ev.index**2 * PI2, rel=1e-12)
 
 
-def test_walk_setup_reads_weyl_constant_and_boundary_state_bit_for_bit():
-    # _scannable_pieces reads C in its own pass over the records, and the
-    # boundary state once per walk: the same bits as weyl_constant and
-    # boundary_state
-    rng = np.random.default_rng(37)
-    for _ in range(200):
-        prob = random_problem(rng, max_pieces=16)
-        _, state, weyl_c, _ = spectrum_mod._scannable_pieces(prob, SolverOptions().lambda_cap)
-        start = boundary_state(prob.bc.alpha)
-        assert weyl_c.hex() == weyl_constant(prob.coeffs).hex()
-        assert state == (start.u, start.v)
-
-
 def test_tight_tolerance_options_respected():
     opts = SolverOptions(angle_tol=1e-8, lambda_tol_rel=1e-10)
     ev = eigenvalue(unit_problem(), 3, opts)
