@@ -8,11 +8,11 @@ two transfer pieces gives v(2) = lambda - 1, so the spectrum is {1}.
 
 from math import pi
 
-from slprime import compute_spectrum, make_piecewise, problem
+from slprime import PiecewiseConstant, compute_spectrum, problem
 
-s = make_piecewise([0.0, 1.0, 2.0], [1.0, 0.0])
-q = make_piecewise([0.0, 1.0, 2.0], [0.0, 0.0])
-r = make_piecewise([0.0, 1.0, 2.0], [0.0, 1.0])
+s = PiecewiseConstant([0.0, 1.0, 2.0], [1.0, 0.0])
+q = PiecewiseConstant([0.0, 1.0, 2.0], [0.0, 0.0])
+r = PiecewiseConstant([0.0, 1.0, 2.0], [0.0, 1.0])
 prob = problem(s, q, r, alpha=0.0, beta=pi / 2)
 
 spec = compute_spectrum(prob, 5)

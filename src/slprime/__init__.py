@@ -25,8 +25,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "coeff": (
         "BoundaryCondition", "CoefficientSet", "DIRICHLET", "Interval", "PiecewiseConstant",
-        "SLProblem", "constant", "make_piecewise", "merged_mesh", "problem",
-        "refine_common_mesh", "unit_problem", "weyl_constant",
+        "SLProblem", "constant", "merged_mesh", "problem", "refine_common_mesh",
+        "unit_problem", "weyl_constant",
     ),
     "errors": (
         "BadConfig", "DegenerateModulus", "DomainMismatch", "EigenvalueNotFound",

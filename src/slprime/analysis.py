@@ -26,7 +26,7 @@ from .errors import (
     OutOfDomain,
 )
 from .primes import _prime_chunks, nth_primes, prime_bounds
-from .shoot import _propagate_scaled, _solver_pieces
+from .shoot import _propagate_scaled, _solver_pieces, boundary_state
 from .spectrum import Spectrum
 
 __all__ = [
@@ -136,7 +136,6 @@ def growth_check(problem: SLProblem, lam: complex) -> GrowthReport:
         raise OutOfDomain(f"growth bound needs |lambda| >= 1, got {abs(lam):g}")
     widths, svals, qvals, rvals = _solver_pieces(problem, abs(lam), "|lambda|", definite=False)
     total = sum(widths)
-    alpha = problem.bc.alpha
     sqrt_mod = math.sqrt(abs(lam))
 
     alloc = [max(1, round(_X_SAMPLES * h / total)) for h in widths]
@@ -144,7 +143,8 @@ def growth_check(problem: SLProblem, lam: complex) -> GrowthReport:
     acc = 0.0
     # (u, v) is the state at the piece's left end; each piece is crossed
     # once, and each sample reached from it across its own tail
-    u, v = complex(math.sin(alpha)), complex(-math.cos(alpha))
+    start = boundary_state(problem.bc.alpha)
+    u, v = complex(start.u), complex(start.v)
     for h, s, q, r, c in zip(widths, svals, qvals, rvals, alloc):
         # W' = 2 Re(conj(u) v (conj(k) - s |lambda|))
         factor = (lam * r - q).conjugate() - s * abs(lam)
@@ -199,14 +199,14 @@ def order_estimate(problem: SLProblem) -> OrderEstimate:
     _solver_pieces(problem, radii[-1], "|lambda|", definite=False)  # names an overflow at R first
     upper_a = 0.5 * sum(h * (r + s) for h, s, r in zip(widths, svals, rvals))  # may overflow: no fsum
     upper_b = 0.5 * sum(h * abs(q) for h, q in zip(widths, qvals))
-    sin_a, cos_a = math.sin(problem.bc.alpha), math.cos(problem.bc.alpha)
+    start = boundary_state(problem.bc.alpha)
 
     def log_abs_u(lam: float) -> float:
-        u, _, ls = _propagate_scaled(*pieces, lam, complex(sin_a), complex(-cos_a))
+        u, _, ls = _propagate_scaled(*pieces, lam, complex(start.u), complex(start.v))
         return math.log(abs(u)) + ls if u else -math.inf
     log_m = tuple(log_abs_u(-rad) for rad in radii)
     log_up = tuple(upper_a * math.sqrt(rad) + upper_b / math.sqrt(rad)
-                   + 0.5 * math.log(sin_a**2 + cos_a**2 / rad) for rad in radii)
+                   + 0.5 * math.log(start.u**2 + start.v**2 / rad) for rad in radii)
     used = tuple(lm > math.log(10.0) for lm in log_m)
     xs = [math.log(rad) for rad, keep in zip(radii, used) if keep]
     if len(xs) < 2:

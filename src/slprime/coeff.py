@@ -33,7 +33,6 @@ __all__ = [
     "CoefficientSet",
     "BoundaryCondition",
     "SLProblem",
-    "make_piecewise",
     "refine_common_mesh",
     "weyl_constant",
 ]
@@ -124,14 +123,9 @@ class PiecewiseConstant:
         return PiecewiseConstant(tuple(mesh), tuple(vals))
 
 
-def make_piecewise(breakpoints, values) -> PiecewiseConstant:
-    """Validate and build a step function from any two sequences of numbers."""
-    return PiecewiseConstant(tuple(breakpoints), tuple(values))
-
-
 def constant(value: float, a: float = 0.0, b: float = 1.0) -> PiecewiseConstant:
     """Single-piece step function equal to `value` on [a, b]."""
-    return make_piecewise((a, b), (value,))
+    return PiecewiseConstant((a, b), (value,))
 
 
 def merged_mesh(*fs: PiecewiseConstant) -> tuple[float, ...]:
@@ -274,7 +268,7 @@ def problem(s, q, r, alpha: float = 0.0, beta: float = math.pi) -> SLProblem:
 def unit_problem(a: float = 0.0, b: float = 1.0) -> SLProblem:
     """s = r = 1, q = 0, Dirichlet: eigenvalues (n pi / (b - a))^2."""
     return problem(
-        make_piecewise((a, b), (1.0,)),
-        make_piecewise((a, b), (0.0,)),
-        make_piecewise((a, b), (1.0,)),
+        PiecewiseConstant((a, b), (1.0,)),
+        PiecewiseConstant((a, b), (0.0,)),
+        PiecewiseConstant((a, b), (1.0,)),
     )

@@ -160,11 +160,6 @@ def worker_count() -> int:
     return auto if cap == 0 else min(cap, auto)
 
 
-def _residual(ev) -> float:
-    """(mu_n - mu*_n) / mu*_n for the eigenvalue mu_n."""
-    return (ev.value - target_mu(ev.index)) / target_mu(ev.index)
-
-
 def _residuals(q: PiecewiseConstant, n_targets: int, stop: float = math.inf):
     """(residuals, mu_n, misfit) for n = 1..n_targets: the one misfit formula.
 
@@ -177,7 +172,8 @@ def _residuals(q: PiecewiseConstant, n_targets: int, stop: float = math.inf):
     res, mus, total = [], [], 0.0
     try:
         for ev in itertools.islice(_ascending(NonlinearProblem(q).base()), n_targets):
-            x = _residual(ev)
+            target = target_mu(ev.index)
+            x = (ev.value - target) / target
             total += x**2
             if total >= stop:
                 return None, None, math.inf

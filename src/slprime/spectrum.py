@@ -107,8 +107,11 @@ class Spectrum:
     problem_hash: str
     eigenvalues: tuple[Eigenvalue, ...]
     n_requested: int
-    truncated: bool = False
-    truncation_note: str | None = None
+    truncation_note: str | None = None  # why the walk ended below n_requested
+
+    @property
+    def truncated(self) -> bool:
+        return self.truncation_note is not None
 
     def values(self) -> list[float]:
         return [ev.value for ev in self.eigenvalues]
@@ -333,7 +336,7 @@ def _ascending(problem: SLProblem, opts: SolverOptions = DEFAULT_OPTIONS):
 def compute_spectrum(
     problem: SLProblem, n_max: int, opts: SolverOptions = DEFAULT_OPTIONS
 ) -> Spectrum:
-    """Eigenvalues 1..n_max; stops early (truncated=True) once an index has none."""
+    """Eigenvalues 1..n_max; stops early, with a truncation note, once an index has none."""
     if n_max < 1:
         raise OutOfDomain(f"n_max must be >= 1, got {n_max}")
     found: list[Eigenvalue] = []
@@ -342,14 +345,8 @@ def compute_spectrum(
         for ev in itertools.islice(_ascending(problem, opts), n_max):
             found.append(ev)
     except EigenvalueNotFound as err:
-        note = f"TRUNCATED at n = {len(found) + 1}: {err}"
-    return Spectrum(
-        problem_hash=problem.content_hash(),
-        eigenvalues=tuple(found),
-        n_requested=n_max,
-        truncated=note is not None,
-        truncation_note=note,
-    )
+        note = f"TRUNCATED at n = {err.index}: {err}"
+    return Spectrum(problem.content_hash(), tuple(found), n_max, truncation_note=note)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from slprime.analysis import (
     partial_sum_primes,
     partial_sum_spectrum,
 )
-from slprime.coeff import constant, make_piecewise, problem, unit_problem, weyl_constant
+from slprime.coeff import PiecewiseConstant, constant, problem, unit_problem, weyl_constant
 from slprime.inverse import SearchConfig, search
 from slprime.nonlinear import NonlinearProblem, invert_map, nonlinear_spectrum
 from slprime.primes import cesaro, nth_prime, pnt_asymptotic
@@ -58,9 +58,9 @@ def test_01_closed_form_spectra(capsys):
 
 def test_02_finite_atkinson_spectrum(capsys):
     t0 = time.perf_counter()
-    s = make_piecewise([0.0, 1.0, 2.0], [1.0, 0.0])
-    q = make_piecewise([0.0, 1.0, 2.0], [0.0, 0.0])
-    r = make_piecewise([0.0, 1.0, 2.0], [0.0, 1.0])
+    s = PiecewiseConstant([0.0, 1.0, 2.0], [1.0, 0.0])
+    q = PiecewiseConstant([0.0, 1.0, 2.0], [0.0, 0.0])
+    r = PiecewiseConstant([0.0, 1.0, 2.0], [0.0, 1.0])
     prob = problem(s, q, r, alpha=0.0, beta=math.pi / 2)
     spec = compute_spectrum(prob, 2)
     elapsed = time.perf_counter() - t0

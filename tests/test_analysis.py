@@ -427,7 +427,6 @@ def test_incompatibility_report_fails_on_prime_like_spectrum():
         problem_hash="0" * 16,
         eigenvalues=evs,
         n_requested=200,
-        truncated=False,
         truncation_note=None,
     )
     rep = incompatibility_report(fake, 200)

@@ -815,7 +815,7 @@ PACKAGE_NAMES = set("""
     OrderEstimate OutOfDomain PiecewiseConstant PrimeTable SLProblem SearchConfig SearchResult
     SlprimeError SolverOptions Spectrum State TargetRow WeylFit analysis boundary_state cesaro
     coeff compute_spectrum constant eigenvalue errors growth_check incompatibility_report
-    integrate_system_scaled inverse invert_map lambda_map make_piecewise merged_mesh nonlinear
+    integrate_system_scaled inverse invert_map lambda_map merged_mesh nonlinear
     nonlinear_spectrum nth_prime nth_primes objective order_estimate partial_sum_primes
     partial_sum_spectrum pnt_asymptotic prime_bounds primes problem prufer_angle
     refine_common_mesh search series_verdict shoot sieve spectrum target_mu unit_problem

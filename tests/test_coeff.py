@@ -14,7 +14,6 @@ from slprime.coeff import (
     PiecewiseConstant,
     SLProblem,
     constant,
-    make_piecewise,
     merged_mesh,
     problem,
     refine_common_mesh,
@@ -51,7 +50,7 @@ def test_piecewise_rejects_bad_input():
 
 
 def test_refine_preserves_values():
-    p = make_piecewise([0.0, 1.0, 3.0], [2.0, 5.0])
+    p = PiecewiseConstant([0.0, 1.0, 3.0], [2.0, 5.0])
     q = p.refine((0.0, 0.25, 1.0, 2.0, 3.0))
     assert q.breakpoints == (0.0, 0.25, 1.0, 2.0, 3.0)
     assert q.values == (2.0, 2.0, 5.0, 5.0)
@@ -62,7 +61,7 @@ def test_refine_preserves_values():
 
 
 def test_integrate_and_merge():
-    p = make_piecewise([0.0, 0.5, 2.0], [3.0, -1.0])
+    p = PiecewiseConstant([0.0, 0.5, 2.0], [3.0, -1.0])
     q = constant(2.0, 0.0, 2.0)
     mesh = merged_mesh(p, q)
     assert mesh == (0.0, 0.5, 2.0)
@@ -96,8 +95,8 @@ def test_weyl_constant_closed_forms():
     )
     assert weyl_constant(pr.coeffs) == pytest.approx(2.0, rel=1e-15)
     # disjoint support: s r == 0 everywhere, so C = 0
-    s = make_piecewise([0.0, 1.0, 2.0], [1.0, 0.0])
-    r = make_piecewise([0.0, 1.0, 2.0], [0.0, 1.0])
+    s = PiecewiseConstant([0.0, 1.0, 2.0], [1.0, 0.0])
+    r = PiecewiseConstant([0.0, 1.0, 2.0], [0.0, 1.0])
     q = constant(0.0, 0.0, 2.0)
     assert weyl_constant(refine_common_mesh(s, q, r)) == 0.0
 
@@ -154,7 +153,7 @@ def test_content_hash_stable_and_sensitive():
     # a one-ulp move of any single number, a moved breakpoint and swapped
     # alpha and beta each give a digest of their own
     def hashed(mesh, s, q, r, alpha, beta):
-        return problem(*(make_piecewise(mesh, v) for v in (s, q, r)), alpha, beta).content_hash()
+        return problem(*(PiecewiseConstant(mesh, v) for v in (s, q, r)), alpha, beta).content_hash()
 
     numbers = [0.0, 0.5, 1.25, 2.0, 1.0, 2.0, 3.0, -4.0, 0.0, 5.0, 1.5, 0.5, 2.5, 0.75, 2.25]
     cut = [0, 4, 7, 10, 13]

@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 
 import slprime.shoot as shoot_mod
 from helpers import hand_piece_matrix, random_problem, rk4_prufer_angle
-from slprime.coeff import constant, make_piecewise, problem, unit_problem
+from slprime.coeff import PiecewiseConstant, constant, problem, unit_problem
 from slprime.errors import NotRightDefinite, OutOfDomain
 from slprime.shoot import (
     _SERIES_CUT,
@@ -159,9 +159,9 @@ def test_integrate_split_consistency():
 def test_scaled_propagation_matches_plain_when_safe():
     # plain: the unscaled product of the hand-derived piece matrices
     prob = problem(
-        make_piecewise([0.0, 0.3, 1.0], [1.0, 2.0]),
-        make_piecewise([0.0, 0.6, 1.0], [5.0, -3.0]),
-        make_piecewise([0.0, 1.0], [1.5]),
+        PiecewiseConstant([0.0, 0.3, 1.0], [1.0, 2.0]),
+        PiecewiseConstant([0.0, 0.6, 1.0], [5.0, -3.0]),
+        PiecewiseConstant([0.0, 1.0], [1.5]),
         alpha=0.4,
     )
     widths, sv, qv, rv = prob.coeffs.piece_arrays()
@@ -256,9 +256,9 @@ def test_prufer_angle_is_the_walks_scan_bit_for_bit(monkeypatch):
 
 
 def test_prufer_angle_requires_right_definite_content():
-    s = make_piecewise([0.0, 1.0], [0.0])
-    q = make_piecewise([0.0, 1.0], [1.0])
-    r = make_piecewise([0.0, 1.0], [1.0])
+    s = PiecewiseConstant([0.0, 1.0], [0.0])
+    q = PiecewiseConstant([0.0, 1.0], [1.0])
+    r = PiecewiseConstant([0.0, 1.0], [1.0])
     with pytest.raises(NotRightDefinite):
         prufer_angle(problem(s, q, r), 1.0)
     with pytest.raises(OutOfDomain):
@@ -278,7 +278,7 @@ def test_prufer_angle_refuses_overflowing_pieces():
     # on [0, 1e200], s h^2 (|q| + |lambda| r) = 1e400: the scan used to return
     # theta(b) = pi (u = sinh x has no zero, theta(b) -> pi/4) at lambda = -1
     # and a bare ValueError at lambda = 1
-    one, zero = make_piecewise([0.0, 1e200], [1.0]), make_piecewise([0.0, 1e200], [0.0])
+    one, zero = PiecewiseConstant([0.0, 1e200], [1.0]), PiecewiseConstant([0.0, 1e200], [0.0])
     wide = problem(one, zero, one)
     for lam in (-1.0, 1.0):
         with pytest.raises(OutOfDomain, match=r"piece 0 on \[0.0, 1e\+200\] overflows the theta-scan"):
@@ -289,9 +289,9 @@ def test_prufer_angle_refuses_overflowing_pieces():
     # (0.84, -8.4e118), and u = 0.84 + s h 8.4e118 overflows piece 1: theta(b) was NaN
     mesh = [0.0, 1.0, 2.0]
     carried = problem(
-        make_piecewise(mesh, [1e-200, 1e200]),
-        make_piecewise(mesh, [1e119, 0.0]),
-        make_piecewise(mesh, [0.0, 1.0]),
+        PiecewiseConstant(mesh, [1e-200, 1e200]),
+        PiecewiseConstant(mesh, [1e119, 0.0]),
+        PiecewiseConstant(mesh, [0.0, 1.0]),
         alpha=1.0,
     )
     with pytest.raises(OutOfDomain, match="theta\\(b\\) at lambda 0.0 is not finite"):
@@ -313,9 +313,9 @@ def _nan_state():
     q = [3.8969425020917765e162, -1.6293214750500667e40, 6.179729093553748e284,
          -1.4159561397882008e284]
     return problem(
-        make_piecewise(mesh, [1.0, 1.0, 0.0, 1.0]),
-        make_piecewise(mesh, q),
-        make_piecewise(mesh, [7.334178569363634e-30, 0.0, 0.0, 0.0]),
+        PiecewiseConstant(mesh, [1.0, 1.0, 0.0, 1.0]),
+        PiecewiseConstant(mesh, q),
+        PiecewiseConstant(mesh, [7.334178569363634e-30, 0.0, 0.0, 0.0]),
         alpha=0.6137152057018777,
     )
 
@@ -662,7 +662,7 @@ def test_theta_scan_keeps_a_zero_that_lands_on_a_breakpoint():
         winding, frac, _, _ = flat_theta_scan([half] * 2, [s] * 2, [q] * 2, [r] * 2, 0.5 * math.pi, lam)
         assert winding == 5, lam
         mesh = [0.0, half, 2 * half]
-        pieces = [make_piecewise(mesh, [c, c]) for c in (s, q, r)]
+        pieces = [PiecewiseConstant(mesh, [c, c]) for c in (s, q, r)]
         ref = rk4_prufer_angle(problem(*pieces, alpha=0.5 * math.pi, beta=0.5 * math.pi), lam)
         assert winding * math.pi + frac == pytest.approx(ref, abs=1e-6), lam
 

@@ -17,7 +17,6 @@ from slprime.coeff import (
     BoundaryCondition,
     PiecewiseConstant,
     constant,
-    make_piecewise,
     problem,
     unit_problem,
     weyl_constant,
@@ -32,6 +31,7 @@ from slprime.errors import (
 from slprime.shoot import _scan_records, boundary_state, prufer_angle
 from slprime.spectrum import (
     SolverOptions,
+    Spectrum,
     compute_spectrum,
     eigenvalue,
     weyl_fit,
@@ -141,18 +141,24 @@ def test_negative_eigenvalues_reachable():
 
 def test_atkinson_finite_spectrum():
     # s lives on [0,1], r on [1,2]: one eigenvalue exactly at 1, then nothing
-    s = make_piecewise([0.0, 1.0, 2.0], [1.0, 0.0])
-    q = make_piecewise([0.0, 1.0, 2.0], [0.0, 0.0])
-    r = make_piecewise([0.0, 1.0, 2.0], [0.0, 1.0])
+    s = PiecewiseConstant([0.0, 1.0, 2.0], [1.0, 0.0])
+    q = PiecewiseConstant([0.0, 1.0, 2.0], [0.0, 0.0])
+    r = PiecewiseConstant([0.0, 1.0, 2.0], [0.0, 1.0])
     prob = problem(s, q, r, beta=math.pi / 2)
     ev = eigenvalue(prob, 1)
     assert ev.value == pytest.approx(1.0, abs=1e-8)
-    with pytest.raises(EigenvalueNotFound):
+    with pytest.raises(EigenvalueNotFound) as missing:
         eigenvalue(prob, 2)
     spec = compute_spectrum(prob, 4)
     assert spec.truncated
     assert [ev.index for ev in spec.eigenvalues] == [1]
-    assert "TRUNCATED at n = 2" in spec.truncation_note
+    # the note names the index the missing eigenvalue's error carries
+    assert missing.value.index == 2
+    assert f"TRUNCATED at n = {missing.value.index}: " in spec.truncation_note
+    # truncated is read off the note, never stored beside it
+    assert not replace(spec, truncation_note=None).truncated
+    with pytest.raises(TypeError):
+        Spectrum(spec.problem_hash, spec.eigenvalues, 4, truncated=False)
 
 
 def test_compute_spectrum_ordering_and_interlacing():
@@ -193,8 +199,8 @@ def test_indices_agree_with_an_rk4_prufer_angle():
 def _search_shape(rng):
     """The inverse search's problem: s = r = 1 on [0, 1], Dirichlet ends, 16 steps of |q| <= 200."""
     mesh = [i / 16 for i in range(17)]
-    one = make_piecewise(mesh, [1.0] * 16)
-    return problem(one, make_piecewise(mesh, rng.uniform(-200.0, 200.0, 16).tolist()), one)
+    one = PiecewiseConstant(mesh, [1.0] * 16)
+    return problem(one, PiecewiseConstant(mesh, rng.uniform(-200.0, 200.0, 16).tolist()), one)
 
 
 @settings(max_examples=60, deadline=None)
@@ -304,9 +310,9 @@ def test_weyl_fit_needs_enough_eigenvalues():
 
 
 def test_solver_rejects_degenerate_coefficients():
-    s = make_piecewise([0.0, 1.0], [0.0])
-    one = make_piecewise([0.0, 1.0], [1.0])
-    zero = make_piecewise([0.0, 1.0], [0.0])
+    s = PiecewiseConstant([0.0, 1.0], [0.0])
+    one = PiecewiseConstant([0.0, 1.0], [1.0])
+    zero = PiecewiseConstant([0.0, 1.0], [0.0])
     with pytest.raises(NotRightDefinite):
         eigenvalue(problem(s, zero, one), 1)
     with pytest.raises(NotRightDefinite):
@@ -328,8 +334,8 @@ def test_non_finite_weyl_shift_falls_back_to_zero():
     # piece 0 passes the overflow rule, but its term h q sqrt(s/r) of the
     # q-aware shift is 0.5 * 1e200 * 1e150 = inf; the guess then takes no shift
     mesh = [0.0, 0.5, 1.0]
-    prob = problem(make_piecewise(mesh, [1.0, 1.0]), make_piecewise(mesh, [1e200, 0.0]),
-                   make_piecewise(mesh, [1e-300, 1.0]))
+    prob = problem(PiecewiseConstant(mesh, [1.0, 1.0]), PiecewiseConstant(mesh, [1e200, 0.0]),
+                   PiecewiseConstant(mesh, [1e-300, 1.0]))
     assert math.isinf(0.5 * 1e200 * math.sqrt(1.0 / 1e-300))
     _, _, weyl_c, shift = spectrum_mod._scannable_pieces(prob, SolverOptions().lambda_cap)
     assert (weyl_c, shift) == (0.5, 0.0)
@@ -385,8 +391,8 @@ def test_low_cap_reports_not_found_with_cap(monkeypatch):
     lams = []
     scan = spectrum_mod._theta_scan
     monkeypatch.setattr(spectrum_mod, "_theta_scan", lambda *a: lams.append(a[2]) or scan(*a))
-    one = make_piecewise([0.0, 1.0], [1.0])
-    prob = problem(one, make_piecewise([0.0, 1.0], [0.0]), one, alpha=3.0, beta=0.1)
+    one = PiecewiseConstant([0.0, 1.0], [1.0])
+    prob = problem(one, PiecewiseConstant([0.0, 1.0], [0.0]), one, alpha=3.0, beta=0.1)
     with pytest.raises(EigenvalueNotFound) as err:
         eigenvalue(prob, 1, SolverOptions(lambda_cap=3.0))
     assert lams == [3.0, 2.0, 1.0, -1.0, -3.0]
@@ -396,7 +402,7 @@ def test_low_cap_reports_not_found_with_cap(monkeypatch):
     )
     # with alpha = 1.5 the guess ((beta - alpha) / C)^2 = 1.96 lies below the
     # cap; expansion still ends at -cap without a bracket
-    prob = problem(one, make_piecewise([0.0, 1.0], [0.0]), one, alpha=1.5, beta=0.1)
+    prob = problem(one, PiecewiseConstant([0.0, 1.0], [0.0]), one, alpha=1.5, beta=0.1)
     with pytest.raises(EigenvalueNotFound) as err:
         eigenvalue(prob, 1, SolverOptions(lambda_cap=3.0))
     assert err.value.index == 1 and err.value.cap == 3.0
@@ -469,7 +475,7 @@ def _impedance_jump_problem():
     """
     mesh = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
     s, q, r = [1.0, 2.0, 0.5, 1.5, 1.0], [5.0, -30.0, 12.0, 0.0, 40.0], [1.0, 0.7, 2.0, 1.0, 3.0]
-    return problem(*(make_piecewise(mesh, v) for v in (s, q, r)), alpha=0.3, beta=2.0)
+    return problem(*(PiecewiseConstant(mesh, v) for v in (s, q, r)), alpha=0.3, beta=2.0)
 
 
 def test_float_exhaustion_returns_the_smaller_residual_end(monkeypatch):
@@ -626,7 +632,7 @@ def test_root_loop_clamps_a_step_next_to_the_far_end():
     # bracket end across from the newest point and is pulled back to it
     s, q, r = 0.7257536083590793, -22.54275261091521, 0.7329464048869161
     length, half_pi = 1.5060403453491558, 0.5 * math.pi
-    coeffs = (make_piecewise([0.0, length], [c]) for c in (s, q, r))
+    coeffs = (PiecewiseConstant([0.0, length], [c]) for c in (s, q, r))
     prob = problem(*coeffs, alpha=half_pi, beta=half_pi)
     code = spectrum_mod.eigenvalue.__code__
     lines, _ = inspect.getsourcelines(code)
@@ -714,7 +720,7 @@ def test_closed_form_scan_budget(monkeypatch):
         for length, s, q, r in ((1.0, 1.0, 0.0, 1.0), (2.0, 0.5, 30.0, 2.0), (0.7, 3.0, -40.0, 0.4)):
             for m in range(1, 5):
                 mesh = [length * i / m for i in range(m + 1)]
-                coeffs = [make_piecewise(mesh, [c] * m) for c in (s, q, r)]
+                coeffs = [PiecewiseConstant(mesh, [c] * m) for c in (s, q, r)]
                 found += len(compute_spectrum(problem(*coeffs, alpha=alpha, beta=beta), 100).eigenvalues)
         assert found == 3 * 4 * 100
         assert calls[0] / found <= 2.0, (name, calls[0] / found)
@@ -752,9 +758,9 @@ def test_boundary_function_has_the_sign_of_the_angle_mismatch(pieces, alpha, bet
 
 def _one_piece(h, s, q, r, alpha, beta):
     return problem(
-        make_piecewise([0.0, h], [s]),
-        make_piecewise([0.0, h], [q]),
-        make_piecewise([0.0, h], [r]),
+        PiecewiseConstant([0.0, h], [s]),
+        PiecewiseConstant([0.0, h], [q]),
+        PiecewiseConstant([0.0, h], [r]),
         alpha=alpha,
         beta=beta,
     )

@@ -1,6 +1,7 @@
 """The benchmark harnesses under tools/ run and report what they promise."""
 
 import importlib.util
+import os
 import subprocess
 import sys
 import time
@@ -214,7 +215,7 @@ def test_cli_snapshot_compare_names_every_change(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         f"only in {old}: gone.txt",
         "invert/out.json: 1 numeric cells changed, largest relative change 0.5 at $.best",
-        "invert/targets.csv: differs in shape",
+        "invert/targets.csv: rows added 1, dropped 0, 0 numeric cells changed",
         "spectrum/out.csv: 1 numeric cells changed, largest relative change 2e-13 at "
         "lambda[2], eigenvalues 0.2 tolerance units",
         "spectrum/stdout.txt: differs",
@@ -232,6 +233,11 @@ def test_cli_snapshot_compare_names_columns_and_compares_the_shared_cells(tmp_pa
                              "n,lambda,residual\n1,1.0,0.0\n2,100.00000000005,1e-12\n"),
         # an added column, every shared cell equal
         "primes/out.csv": ("n,p_n\n1,2\n2,3\n", "n,p_n,gap\n1,2,\n2,3,1\n"),
+        # the last row dropped, and lambda[2] moving 3e-11 (0.3 units) in the row both keep
+        "truncated/out.csv": ("n,lambda,residual\n1,1.0,0.0\n2,100.0,1e-12\n3,400.0,0.0\n",
+                              "n,lambda,residual\n1,1.0,0.0\n2,100.00000000003,1e-12\n"),
+        # a JSON list that grew: its items are keyed by position
+        "invert/out.json": ('{"q": [1.0, 2.0]}', '{"q": [1.0, 2.0, 3.0]}'),
     }
     for name, (old_text, new_text) in files.items():
         for root, text in ((old, old_text), (new, new_text)):
@@ -239,7 +245,22 @@ def test_cli_snapshot_compare_names_columns_and_compares_the_shared_cells(tmp_pa
             (root / name).write_text(text)
     assert cli_snapshot.main(["--compare", str(old), str(new)]) == 1
     assert capsys.readouterr().out.splitlines() == [
+        "invert/out.json: differs in shape",
         "primes/out.csv: added columns gap, 0 numeric cells changed",
         "spectrum/out.csv: dropped columns oscillation, 1 numeric cells changed, largest "
         "relative change 5e-13 at lambda[2], eigenvalues 0.5 tolerance units",
+        "truncated/out.csv: rows added 0, dropped 1, 1 numeric cells changed, largest "
+        "relative change 3e-13 at lambda[2], eigenvalues 0.3 tolerance units",
     ]
+
+
+def test_perfbench_tests_pass():
+    # perfbench pins private bindings (its REQUIRED_HOOKS), and only its own
+    # tests notice a change that breaks one.  They run in a child process:
+    # their conftest sets SLPRIME_THREADS in os.environ when imported
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench/tests"],
+        cwd=TOOLS.parent, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]

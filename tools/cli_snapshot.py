@@ -19,8 +19,9 @@ compare the two:
     python tools/cli_snapshot.py --compare OLD NEW
 
 lists every file that is only in one of them or differs, and exits 1 if
-any does.  For a CSV or JSON file it also gives how many numeric cells
-changed, the largest relative change, and for eigenvalue columns
+any does.  For a CSV or JSON file it also gives the CSV columns and rows
+that came or went (a row is matched by its first cell), how many numeric
+cells changed, the largest relative change, and for eigenvalue columns
 (LAMBDA_COLUMNS) the largest change in the solver's tolerance units,
 max(lambda_tol_abs, lambda_tol_rel |lambda|) at the default options.
 """
@@ -127,6 +128,8 @@ def commands() -> dict:
         "help": ["--help"],
         "spectrum_unit": ["spectrum", *cfg("unit"), "--n-max", "20", "--out", "out.csv"],
         "spectrum_atkinson": ["spectrum", *cfg("atkinson"), "--n-max", "3", "--out", "out.csv"],
+        # no --out: the CSV goes to stdout, and the truncation note follows it there
+        "spectrum_atkinson_stdout": ["spectrum", *cfg("atkinson"), "--n-max", "3"],
         "spectrum_seeded4": ["spectrum", *cfg("seeded4"), "--n-max", "30", "--out", "out.csv"],
         "spectrum_neumann": ["spectrum", *cfg("neumann"), "--n-max", "15", "--out", "out.csv"],
         "spectrum_robin": ["spectrum", *cfg("robin"), "--n-max", "15", "--out", "out.csv"],
@@ -179,17 +182,21 @@ LAMBDA_COLUMNS = ("lambda", "mu", "achieved_mu")  # the columns that hold eigenv
 
 
 def _cells(path: Path) -> dict | None:
-    """{key: (column, value)} of a CSV (key column[row]) or JSON file (key $.path); else None.
+    """{key: (column, row, value)} of a CSV (key column[row]) or JSON file (key $.path); else None.
 
     column is the CSV column or JSON key a value sits under; None marks a
     header or a container's keys or length, compared but never as numbers.
+    row is the first cell of a CSV row (its n, M, x or radius, unique in
+    every file the snapshot writes), so a row keeps its key when rows before
+    it come or go; it is None in JSON, where a list's items are keyed by
+    position.
     """
     if path.suffix == ".csv":
         lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
         header, *rows = csv.reader(lines)
-        cells = {"header": (None, header)}
-        for i, row in enumerate(rows, 1):
-            cells |= {f"{name}[{i}]": (name, cell) for name, cell in zip(header, row)}
+        cells = {"header": (None, None, header)}
+        for row in rows:
+            cells |= {f"{name}[{row[0]}]": (name, row[0], cell) for name, cell in zip(header, row)}
         return cells
     if path.suffix != ".json":
         return None
@@ -197,15 +204,15 @@ def _cells(path: Path) -> dict | None:
 
     def walk(node, key, name):
         if isinstance(node, dict):
-            cells[f"{key} keys"] = (None, list(node))
+            cells[f"{key} keys"] = (None, None, list(node))
             for k, v in node.items():
                 walk(v, f"{key}.{k}", k)
         elif isinstance(node, list):
-            cells[f"{key} length"] = (None, len(node))
+            cells[f"{key} length"] = (None, None, len(node))
             for i, v in enumerate(node):
                 walk(v, f"{key}[{i}]", name)
         else:
-            cells[key] = (name, node)
+            cells[key] = (name, None, node)
 
     walk(json.loads(path.read_text()), "$", None)
     return cells
@@ -226,16 +233,20 @@ def _describe(old: Path, new: Path, tol_abs: float, tol_rel: float) -> str:
     a, b = _cells(old), _cells(new)
     if a is None:
         return "differs"
-    names_a, names_b = ({name for name, _ in cells.values()} - {None} for cells in (a, b))
+    names_a, names_b = ({cell[0] for cell in cells.values()} - {None} for cells in (a, b))
+    rows_a, rows_b = ({cell[1] for cell in cells.values()} - {None} for cells in (a, b))
     dropped, added = names_a - names_b, names_b - names_a
-    if any((a.get(key) or b[key])[0] not in dropped | added for key in a.keys() ^ b.keys()):
-        return "differs in shape"  # rows or containers came or went, not whole columns
+    gone, came = rows_a - rows_b, rows_b - rows_a
+    for key in a.keys() ^ b.keys():
+        name, row, _ = a.get(key) or b[key]
+        if name not in dropped | added and row not in gone | came:
+            return "differs in shape"  # JSON containers changed length, not whole columns or rows
     numeric = text = 0
     worst, worst_key, units = 0.0, None, 0.0
-    for key, (name, x) in a.items():
+    for key, (name, _, x) in a.items():
         if key not in b or name is None and (dropped or added):
-            continue  # a dropped column's cells, or a header the column lists already name
-        y = b[key][1]
+            continue  # a dropped column's or row's cells, or a header the column lists already name
+        y = b[key][2]
         if x == y:
             continue
         fx, fy = _number(x), _number(y)
@@ -250,6 +261,8 @@ def _describe(old: Path, new: Path, tol_abs: float, tol_rel: float) -> str:
             units = max(units, abs(fy - fx) / max(tol_abs, tol_rel * abs(fx)))
     parts = [f"{label} columns {', '.join(sorted(names))}"
              for label, names in (("dropped", dropped), ("added", added)) if names]
+    if gone or came:
+        parts.append(f"rows added {len(came)}, dropped {len(gone)}")
     parts.append(f"{numeric} numeric cells changed")
     if numeric:
         parts.append(f"largest relative change {worst:.3g} at {worst_key}")
