@@ -33,7 +33,7 @@ _EXPORTS = {
         "EpsilonOutOfRange", "InsufficientData", "LengthMismatch", "LimitTooLarge", "NoRoot",
         "NonFiniteValue", "NonMonotoneMesh", "NotRightDefinite", "OutOfDomain", "SlprimeError",
     ),
-    "shoot": ("AngleResult", "State", "boundary_state", "integrate_system_scaled", "prufer_angle"),
+    "shoot": ("AngleResult", "boundary_state", "integrate_system_scaled", "prufer_angle"),
     "spectrum": (
         "DEFAULT_OPTIONS", "Eigenvalue", "SolverOptions", "Spectrum", "WeylFit",
         "compute_spectrum", "eigenvalue", "weyl_fit",

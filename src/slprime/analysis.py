@@ -26,7 +26,7 @@ from .errors import (
     OutOfDomain,
 )
 from .primes import _prime_chunks, nth_primes, prime_bounds
-from .shoot import _propagate_scaled, _solver_pieces, boundary_state
+from .shoot import _propagate_scaled, _solver_pieces, boundary_state, integrate_system_scaled
 from .spectrum import Spectrum
 
 __all__ = [
@@ -143,8 +143,7 @@ def growth_check(problem: SLProblem, lam: complex) -> GrowthReport:
     acc = 0.0
     # (u, v) is the state at the piece's left end; each piece is crossed
     # once, and each sample reached from it across its own tail
-    start = boundary_state(problem.bc.alpha)
-    u, v = complex(start.u), complex(start.v)
+    u, v = map(complex, boundary_state(problem.bc.alpha))
     for h, s, q, r, c in zip(widths, svals, qvals, rvals, alloc):
         # W' = 2 Re(conj(u) v (conj(k) - s |lambda|))
         factor = (lam * r - q).conjugate() - s * abs(lam)
@@ -193,20 +192,20 @@ def order_estimate(problem: SLProblem) -> OrderEstimate:
     bound exceeds log 10, and the type log|u(b; -R)|/(C sqrt(R)) at the
     largest radius, C = weyl_constant.
     """
-    widths, svals, qvals, rvals = pieces = problem.coeffs.piece_arrays()
+    widths, svals, qvals, rvals = problem.coeffs.piece_arrays()
     turn = max((abs(q) / r for q, r in zip(qvals, rvals) if r > 0.0), default=0.0)
     radii = tuple(max(100.0, 10.0 * turn) * 10**k for k in range(5))
     _solver_pieces(problem, radii[-1], "|lambda|", definite=False)  # names an overflow at R first
     upper_a = 0.5 * sum(h * (r + s) for h, s, r in zip(widths, svals, rvals))  # may overflow: no fsum
     upper_b = 0.5 * sum(h * abs(q) for h, q in zip(widths, qvals))
-    start = boundary_state(problem.bc.alpha)
+    u0, v0 = boundary_state(problem.bc.alpha)
 
     def log_abs_u(lam: float) -> float:
-        u, _, ls = _propagate_scaled(*pieces, lam, complex(start.u), complex(start.v))
+        u, _, ls = integrate_system_scaled(problem, lam)
         return math.log(abs(u)) + ls if u else -math.inf
     log_m = tuple(log_abs_u(-rad) for rad in radii)
     log_up = tuple(upper_a * math.sqrt(rad) + upper_b / math.sqrt(rad)
-                   + 0.5 * math.log(start.u**2 + start.v**2 / rad) for rad in radii)
+                   + 0.5 * math.log(u0**2 + v0**2 / rad) for rad in radii)
     used = tuple(lm > math.log(10.0) for lm in log_m)
     xs = [math.log(rad) for rad, keep in zip(radii, used) if keep]
     if len(xs) < 2:

@@ -344,15 +344,15 @@ def _fork(work):
     return pid, os.fdopen(r, "rb")
 
 
-def _run_restarts(cfg: SearchConfig, nw: int, first):
-    """(first(), [outcome of restart k for k < cfg.restarts]), restart k run by worker k mod nw.
+def _run_restarts(cfg: SearchConfig, nw: int):
+    """[outcome of restart k for k < cfg.restarts], restart k run by worker k mod nw.
 
-    Worker 0 is this process.  It forks workers 1..nw-1, calls first() and
-    runs its own share while they run theirs, then reads each child's
-    result to EOF and reaps it.  A share whose child could not be forked,
-    or did not exit 0, runs again here, so an exception surfaces here as it
-    would serially.  If this process's own work raises, every child not yet
-    reaped is killed and reaped.
+    Worker 0 is this process.  It forks workers 1..nw-1 and runs its own
+    share while they run theirs, then reads each child's result to EOF and
+    reaps it.  A share whose child could not be forked, or did not exit 0,
+    runs again here, so an exception surfaces here as it would serially.
+    If this process's own work raises, every child not yet reaped is killed
+    and reaped.
     """
 
     def share(w):
@@ -373,7 +373,6 @@ def _run_restarts(cfg: SearchConfig, nw: int, first):
                 children.append((w, *_fork(lambda w=w: share(w))))
             except OSError:
                 break
-        head = first()
         done[0] = share(0)
         while children:
             w, pid, pipe = children[0]
@@ -395,7 +394,7 @@ def _run_restarts(cfg: SearchConfig, nw: int, first):
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return head, [done[k % nw][k // nw] for k in range(cfg.restarts)]
+    return [done[k % nw][k // nw] for k in range(cfg.restarts)]
 
 
 def search(config: SearchConfig | None = None) -> SearchResult:
@@ -403,24 +402,22 @@ def search(config: SearchConfig | None = None) -> SearchResult:
 
     Restart 0 starts from the constant potential that meets target 1, the
     rest from uniform draws in the box seeded by (config.seed, restart
-    index).  The zero potential is kept as incumbent, so the reported best
-    is never worse than the baseline.  Restarts are independent: this
-    process and up to worker_count() - 1 forked children share them, with
-    bit-identical results for every worker count; where os.fork does not
-    exist, they all run here.
+    index).  The zero potential, scored before any restart starts, is kept
+    as incumbent, so the reported best is never worse than that baseline.
+    Restarts are independent: this process and up to worker_count() - 1
+    forked children share them, with bit-identical results for every
+    worker count; where os.fork does not exist, they all run here.
     """
     cfg = config or SearchConfig()
     mesh = _uniform_mesh(cfg.pieces)
 
     zero = (0.0,) * cfg.pieces
+    baseline = objective(PiecewiseConstant(mesh, zero), cfg.targets)
     nw = min(worker_count(), cfg.restarts) if hasattr(os, "fork") else 1
-    baseline, outcomes = _run_restarts(
-        cfg, nw, lambda: objective(PiecewiseConstant(mesh, zero), cfg.targets)
-    )
 
     best_vals, best_j = zero, baseline
     traces = []
-    for vals, j_val, trace in outcomes:
+    for vals, j_val, trace in _run_restarts(cfg, nw):
         traces.append(trace)
         if j_val < best_j:
             best_vals, best_j = vals, j_val

@@ -65,7 +65,6 @@ from .coeff import SLProblem
 from .errors import NotRightDefinite, OutOfDomain
 
 __all__ = [
-    "State",
     "AngleResult",
     "boundary_state",
     "integrate_system_scaled",
@@ -84,17 +83,9 @@ _HALF_PI = 0.5 * math.pi
 _UNCHECKED_DECADES = 180.0
 
 
-@dataclass(frozen=True)
-class State:
-    """Solution pair (u, v) at a point; v is the quasi-derivative -p u'."""
-
-    u: complex
-    v: complex
-
-
-def boundary_state(alpha: float) -> State:
-    """Unit-amplitude state satisfying the left condition u cos(alpha) + v sin(alpha) = 0."""
-    return State(math.sin(alpha), -math.cos(alpha))
+def boundary_state(alpha: float) -> tuple[float, float]:
+    """(u, v) = (sin alpha, -cos alpha), v = -u'/s: the unit state with u cos(alpha) + v sin(alpha) = 0."""
+    return math.sin(alpha), -math.cos(alpha)
 
 
 def _kernel_series(z):
@@ -144,20 +135,19 @@ def _propagate_scaled(widths, svals, qvals, rvals, lam, u, v):
 
 
 def integrate_system_scaled(problem: SLProblem, lam):
-    """Propagate the left boundary state from a to b: (State, log_scale).
+    """Propagate the left boundary state from a to b: (u, v, log_scale), u and v complex.
 
     Works for real and complex lambda.  The true terminal state is
-    e^log_scale times the returned one; use the log form directly when
-    |lambda| is large enough that exp would overflow.  Raises OutOfDomain
-    for a non-finite lambda, or when a piece overflows at |lambda|.
+    e^log_scale (u, v); use the log form directly when |lambda| is large
+    enough that exp would overflow.  Raises OutOfDomain for a non-finite
+    lambda, or when a piece overflows at |lambda|.
     """
     lam = complex(lam)
     if not cmath.isfinite(lam):
         raise OutOfDomain(f"integrate_system_scaled needs finite lambda, got {lam!r}")
-    state = boundary_state(problem.bc.alpha)
+    u, v = boundary_state(problem.bc.alpha)
     pieces = _solver_pieces(problem, abs(lam), "|lambda|", definite=False)
-    u, v, ls = _propagate_scaled(*pieces, lam, complex(state.u), complex(state.v))
-    return State(u, v), ls
+    return _propagate_scaled(*pieces, lam, complex(u), complex(v))
 
 
 @dataclass(frozen=True)
@@ -378,6 +368,5 @@ def prufer_angle(problem: SLProblem, lam: float) -> AngleResult:
         raise OutOfDomain(f"prufer_angle needs real finite lambda, got {lam!r}")
     cap = abs(lam)
     records = _scan_records(*_solver_pieces(problem, cap, "|lambda|"), cap)
-    start = boundary_state(problem.bc.alpha)
-    winding, frac, _, _ = _theta_scan(records, (start.u, start.v), lam)
+    winding, frac, _, _ = _theta_scan(records, boundary_state(problem.bc.alpha), lam)
     return AngleResult(theta_b=winding * _PI + frac, winding=winding)

@@ -131,8 +131,7 @@ def _scannable_pieces(problem: SLProblem, cap: float):
         shift = sum(h * q * math.sqrt(s / r) for h, s, q, r in zip(*pieces) if s * r > 0.0) / weyl_c
         if not math.isfinite(shift):
             shift = 0.0
-    start = boundary_state(problem.bc.alpha)
-    return _scan_records(*pieces, cap), (start.u, start.v), weyl_c, shift
+    return _scan_records(*pieces, cap), boundary_state(problem.bc.alpha), weyl_c, shift
 
 
 def _point(lam: float, winding: int, frac: float, rho: float, beta: float, n: int):

@@ -173,6 +173,27 @@ def test_growth_matches_an_mpmath_derivative_of_log_w():
                 assert abs(measured - oracle) <= 1e-8 * bound, (prob, lam, x, measured, oracle)
 
 
+def test_growth_fails_only_on_a_non_finite_sample(monkeypatch):
+    # 2|u||v| <= W/sqrt|lambda| and |conj(k) - s|lambda|| <= |lambda| (r + s) + |q|
+    # for every finite state with W > 0, so the bound holds whatever the
+    # propagator returns: finite garbage PASSes, and only a NaN sample FAILs
+    import slprime.analysis as analysis
+
+    rng = np.random.default_rng(11)
+
+    def garbage(*args):
+        u, v = 10.0 ** rng.uniform(-30.0, 30.0, 2) * np.exp(2j * math.pi * rng.random(2))
+        return complex(u), complex(v), 0.0
+
+    monkeypatch.setattr(analysis, "_propagate_scaled", garbage)
+    for _ in range(20):
+        prob = random_problem(rng, max_pieces=6)
+        for lam in (-100.0, 1e6, 1e3j, complex(-3e5, 4e5)):
+            assert growth_check(prob, lam).passed, (prob, lam)
+    monkeypatch.setattr(analysis, "_propagate_scaled", lambda *args: (complex(math.nan), 1j, 0.0))
+    assert growth_check(unit_problem(), -100.0).verdict == "FAIL"
+
+
 def test_growth_guards():
     with pytest.raises(OutOfDomain):
         growth_check(unit_problem(), 0.5)  # |lambda| < 1
@@ -269,13 +290,13 @@ def test_order_estimate_fails_a_lower_bound_above_the_theorem(monkeypatch):
     # propagator reading |u| 2.1 times too large crosses U, and 1.9 times not
     import slprime.analysis as analysis
 
-    exact = analysis._propagate_scaled
+    exact = analysis.integrate_system_scaled
     for factor, verdict in ((1.9, "PASS"), (2.1, "FAIL")):
         def inflated(*args, factor=factor):
             u, v, ls = exact(*args)
             return factor * u, v, ls
 
-        monkeypatch.setattr(analysis, "_propagate_scaled", inflated)
+        monkeypatch.setattr(analysis, "integrate_system_scaled", inflated)
         assert order_estimate(unit_problem()).verdict == verdict, factor
 
 

@@ -813,7 +813,7 @@ PACKAGE_NAMES = set("""
     GrowthReport IncompatReport InsufficientData Interval LengthMismatch LimitTooLarge NoRoot
     NonFiniteValue NonMonotoneMesh NonlinearProblem NonlinearRow NotRightDefinite
     OrderEstimate OutOfDomain PiecewiseConstant PrimeTable SLProblem SearchConfig SearchResult
-    SlprimeError SolverOptions Spectrum State TargetRow WeylFit analysis boundary_state cesaro
+    SlprimeError SolverOptions Spectrum TargetRow WeylFit analysis boundary_state cesaro
     coeff compute_spectrum constant eigenvalue errors growth_check incompatibility_report
     integrate_system_scaled inverse invert_map lambda_map merged_mesh nonlinear
     nonlinear_spectrum nth_prime nth_primes objective order_estimate partial_sum_primes

@@ -321,6 +321,19 @@ def test_no_child_outlives_a_search_whose_own_share_raises(monkeypatch):
     _assert_no_child_left()
 
 
+def test_the_baseline_is_scored_before_the_first_fork(monkeypatch):
+    import slprime.inverse as inverse
+
+    serial, _ = _serial_and_restarts_here(monkeypatch)
+    calls, score, fork = [], inverse.objective, os.fork
+    monkeypatch.setattr(inverse, "objective", lambda *a: calls.append("objective") or score(*a))
+    monkeypatch.setattr(os, "fork", lambda: calls.append("fork") or fork())
+    forked = search(_CFG)
+    assert calls == ["objective", "fork"]
+    assert forked == serial
+    _assert_no_child_left()
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_restarts_past_the_lambda_cap_stop_at_once(monkeypatch, seed):
     # draws in +-1e13 put |q| past lambda_cap 1e12: the solve finds no

@@ -24,12 +24,6 @@ from slprime.shoot import (
 rng = np.random.default_rng(20260814)
 
 
-def start(alpha):
-    """_theta_scan's state argument: boundary_state(alpha) as a (u, v) pair."""
-    state = boundary_state(alpha)
-    return state.u, state.v
-
-
 def kernel_matrix(s, q, r, lam, h):
     """The package's per-piece kernel as a plain 2x2 array, its scale e^ls multiplied back in."""
     m11, m12, m21, m22, ls = _scaled_piece(s, q, r, lam, h)
@@ -38,19 +32,18 @@ def kernel_matrix(s, q, r, lam, h):
 
 def terminal_state(prob, lam):
     """(u(b), v(b)) from integrate_system_scaled, scale multiplied back in."""
-    st, log_scale = integrate_system_scaled(prob, lam)
-    return st.u * math.exp(log_scale), st.v * math.exp(log_scale)
+    u, v, log_scale = integrate_system_scaled(prob, lam)
+    return u * math.exp(log_scale), v * math.exp(log_scale)
 
 
 def test_boundary_state_alignment():
-    st = boundary_state(0.0)
-    assert (st.u, st.v) == (0.0, -1.0)  # Dirichlet start: u = 0
-    st = boundary_state(math.pi / 2)
-    assert st.u == 1.0 and abs(st.v) < 1e-16
+    assert boundary_state(0.0) == (0.0, -1.0)  # Dirichlet start: u = 0
+    u, v = boundary_state(math.pi / 2)
+    assert u == 1.0 and abs(v) < 1e-16
     # the state satisfies u cos(alpha) + v sin(alpha) = 0 for any alpha
     for alpha in rng.uniform(0, math.pi, 20):
-        st = boundary_state(alpha)
-        assert abs(st.u * math.cos(alpha) + st.v * math.sin(alpha)) < 1e-15
+        u, v = boundary_state(alpha)
+        assert abs(u * math.cos(alpha) + v * math.sin(alpha)) < 1e-15
 
 
 def test_phase_kernels_match_series_and_trig():
@@ -124,11 +117,10 @@ def test_integrate_system_against_solve_ivp():
             i = max(i, 0)
             return [-sv[i] * y[1], (lam * rv[i] - qv[i]) * y[0]]
 
-        st0 = boundary_state(prob.bc.alpha)
         sol = solve_ivp(
             rhs,
             (bps[0], bps[-1]),
-            [st0.u, st0.v],
+            list(boundary_state(prob.bc.alpha)),
             rtol=1e-11,
             atol=1e-12,
             dense_output=False,
@@ -165,9 +157,8 @@ def test_scaled_propagation_matches_plain_when_safe():
         alpha=0.4,
     )
     widths, sv, qv, rv = prob.coeffs.piece_arrays()
-    st0 = boundary_state(prob.bc.alpha)
     for lam in (-500.0, 40.0, 1e4, 30.0 - 200.0j):
-        plain = np.array([st0.u, st0.v])
+        plain = np.array(boundary_state(prob.bc.alpha))
         for h, s, q, r in zip(widths, sv, qv, rv):
             plain = hand_piece_matrix(s, q, r, lam, h) @ plain
         u, v = terminal_state(prob, lam)
@@ -179,11 +170,11 @@ def test_scaled_propagation_matches_plain_when_safe():
 def test_scaled_propagation_survives_huge_negative_lambda():
     # |lambda| = 1e10 over unit length: e^(1e5) overflows any float, the
     # scaled path must return finite pieces with the growth in log_scale
-    st, log_scale = integrate_system_scaled(unit_problem(), -1e10)
-    assert math.isfinite(abs(st.u)) and math.isfinite(abs(st.v))
+    u, v, log_scale = integrate_system_scaled(unit_problem(), -1e10)
+    assert math.isfinite(abs(u)) and math.isfinite(abs(v))
     # closed form: u = sinh(w x)/w, v = -cosh(w x), w = 1e5
-    assert log_scale + math.log(abs(st.v)) == pytest.approx(1e5 - math.log(2), rel=1e-9)
-    assert log_scale + math.log(abs(st.u)) == pytest.approx(
+    assert log_scale + math.log(abs(v)) == pytest.approx(1e5 - math.log(2), rel=1e-9)
+    assert log_scale + math.log(abs(u)) == pytest.approx(
         1e5 - math.log(2) - 5 * math.log(10), rel=1e-9
     )
 
@@ -329,7 +320,7 @@ def test_theta_scan_refuses_an_overflowed_state():
     for lam in (-1e12, -1e6, -1.0, 0.0, 1.0, 1e6, 1e12):
         for within in (None, (0, 1)):
             with pytest.raises(OutOfDomain, match=f"^theta\\(b\\) at lambda {lam!r} is not finite"):
-                _theta_scan(records, start(nan_state.bc.alpha), lam, within)
+                _theta_scan(records, boundary_state(nan_state.bc.alpha), lam, within)
 
 
 def test_an_overflowed_state_has_one_refusal(tmp_path, capsys):
@@ -473,7 +464,7 @@ def flat_theta_scan(widths, svals, qvals, rvals, alpha, lam, cap=None):
     The records are built at cap, |lambda| unless given, as prufer_angle builds them.
     """
     cap = abs(lam) if cap is None else cap
-    return _theta_scan(_scan_records(widths, svals, qvals, rvals, cap), start(alpha), lam)
+    return _theta_scan(_scan_records(widths, svals, qvals, rvals, cap), boundary_state(alpha), lam)
 
 
 def _size_tested(widths, svals, qvals, rvals, cap):
@@ -691,7 +682,7 @@ def test_bracketed_scan_matches_the_counted_scan_bit_for_bit():
     for _ in range(200):
         prob = random_problem(local, max_pieces=6, allow_zero=False)
         records = _scan_records(*prob.coeffs.piece_arrays(), 1e6)
-        state = start(prob.bc.alpha)
+        state = boundary_state(prob.bc.alpha)
         for _ in range(10):
             lam = float(local.uniform(-300.0, 3000.0))
             width = 10.0 ** local.uniform(-14.0, 1.0) * max(1.0, abs(lam))
@@ -721,12 +712,12 @@ def test_bracketed_scan_rescans_an_exact_zero_at_b(monkeypatch):
     scan, rescans = _counting_rescans(monkeypatch)
     records = _scan_records(_THIRDS, [1.0] * 3, [0.0] * 3, [1.0] * 3, 1e4)
     for n, lam in zip((7, 28), _UNIT_THIRDS_LAMS):
-        counted = scan(records, start(0.0), lam)
+        counted = scan(records, boundary_state(0.0), lam)
         assert counted[2] == 0.0 and counted[:2] == (n, 0.0)
         for within in ((n - 1, n), (n, n + 1)):
             rescans.clear()
-            assert _bits(scan(records, start(0.0), lam, within)) == _bits(counted)
-            assert rescans == [(records, start(0.0), lam)]
+            assert _bits(scan(records, boundary_state(0.0), lam, within)) == _bits(counted)
+            assert rescans == [(records, boundary_state(0.0), lam)]
 
 
 def test_bracketed_scan_rescans_a_parity_mismatch(monkeypatch):
@@ -735,11 +726,11 @@ def test_bracketed_scan_rescans_a_parity_mismatch(monkeypatch):
     scan, rescans = _counting_rescans(monkeypatch)
     records = _scan_records([1.0], [1.0], [0.0], [1.0], 1e4)
     lam = 30.0  # sqrt(30) / pi = 1.74 turns: winding 1, u(b) < 0
-    counted = scan(records, start(0.0), lam)
+    counted = scan(records, boundary_state(0.0), lam)
     assert counted[0] == 1 and counted[2] < 0.0
     for within in ((0, 1), (1, 1), (1, 2)):
-        assert _bits(scan(records, start(0.0), lam, within)) == _bits(counted)
+        assert _bits(scan(records, boundary_state(0.0), lam, within)) == _bits(counted)
     assert rescans == []
     for within in ((0, 0), (2, 2)):
-        assert _bits(scan(records, start(0.0), lam, within)) == _bits(counted)
-        assert rescans.pop() == (records, start(0.0), lam) and not rescans
+        assert _bits(scan(records, boundary_state(0.0), lam, within)) == _bits(counted)
+        assert rescans.pop() == (records, boundary_state(0.0), lam) and not rescans

@@ -745,8 +745,7 @@ _piece = st.tuples(
 def test_boundary_function_has_the_sign_of_the_angle_mismatch(pieces, alpha, beta, offset, lam):
     widths, svals, qvals, rvals = (list(col) for col in zip(*pieces))
     records = _scan_records(widths, svals, qvals, rvals, abs(lam))
-    state = boundary_state(alpha)
-    winding, frac, u, v = spectrum_mod._theta_scan(records, (state.u, state.v), lam)
+    winding, frac, u, v = spectrum_mod._theta_scan(records, boundary_state(alpha), lam)
     # mostly the index whose target angle lies within pi of theta(b), where
     # h = rho sin f; the neighbours reach the continuation beyond |f| = pi
     n = max(1, winding + 1 + offset)
