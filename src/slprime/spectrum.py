@@ -47,6 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
@@ -155,6 +156,14 @@ def _point(lam: float, winding: int, frac: float, rho: float, beta: float, n: in
     return lam, f, h, winding, frac, rho
 
 
+def _check_index(name: str, n) -> None:
+    """Refuse an index that is not an integer >= 1 (a bool is not one)."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise OutOfDomain(f"{name} must be an integer, got {n!r}")
+    if n < 1:
+        raise OutOfDomain(f"{name} must be >= 1, got {n}")
+
+
 def eigenvalue(
     problem: SLProblem, n: int, opts: SolverOptions = DEFAULT_OPTIONS, _carry: tuple | None = None
 ) -> Eigenvalue:
@@ -165,28 +174,36 @@ def eigenvalue(
     once no float lies strictly inside it (or after 300 steps), and
     returns the bracket end with the smaller |theta(b) - target| as value
     and residual: that is at most angle_tol unless the ends are adjacent
-    floats or the steps ran out.  Raises OutOfDomain for a problem whose
+    floats or the steps ran out.  Raises OutOfDomain for an n that is not
+    an integer >= 1 (a bool is not one), and for a problem whose
     theta-scan could overflow below lambda_cap, or does.
 
     _carry is _ascending's walk state on the same problem and options:
     (_scannable_pieces at lambda_cap, the scan points of index n - 1),
-    whose points are read here for index n and refilled with this
-    index's.  A call without it builds its own pieces and starts cold.
+    whose points are read here for index n.  The list is then refilled
+    with this index's points that lie at or above the final bracket's
+    top: first its starts (the carried ends re-read for n, lower then
+    upper), then its scans in the order they were made.  A call without
+    _carry checks n, builds its own pieces and starts cold; the walk's
+    indices are its own, so it checks none.
     """
-    if n < 1:
-        raise OutOfDomain(f"eigenvalue index must be >= 1, got {n}")
-    pieces, carried = _carry or (_scannable_pieces(problem, opts.lambda_cap), ())
+    if _carry is None:
+        _check_index("eigenvalue index", n)
+        pieces, carried = _scannable_pieces(problem, opts.lambda_cap), ()
+    else:
+        pieces, carried = _carry
     records, state, weyl_c, shift = pieces
     alpha, beta = problem.bc.alpha, problem.bc.beta
     target = beta + (n - 1) * _PI
     scanned = []
 
-    def scan(lam: float, lo: tuple | None = None, hi: tuple | None = None):
-        # lo and hi: scanned points on either side of lam, whose windings
-        # bound the one at lam (_theta_scan)
+    def scan(lam: float, w_lo: int | None = None, w_hi: int | None = None):
+        # w_lo and w_hi: windings of scanned points on either side of lam,
+        # which bound the one at lam (_theta_scan)
         within = None
-        if lo is not None and hi is not None:
-            w_lo, w_hi = (lo[3], hi[3]) if lo[3] <= hi[3] else (hi[3], lo[3])
+        if w_lo is not None and w_hi is not None:
+            if w_lo > w_hi:
+                w_lo, w_hi = w_hi, w_lo
             if w_hi - w_lo <= 1:
                 within = (w_lo, w_hi)
         winding, frac, u, v = _theta_scan(records, state, lam, within)
@@ -214,20 +231,24 @@ def eigenvalue(
         elif hi is None or p[0] < hi[0]:
             hi = p
     if lo is not None:
-        lo = _point(lo[0], *lo[3:], beta, n)
+        lo = _point(lo[0], lo[3], lo[4], lo[5], beta, n)
     if hi is not None:
-        hi = _point(hi[0], *hi[3:], beta, n) if lo is None or hi[0] > lo[0] else None
-    starts = [p for p in (lo, hi) if p is not None]
+        hi = _point(hi[0], hi[3], hi[4], hi[5], beta, n) if lo is None or hi[0] > lo[0] else None
+    starts = (lo, hi)
 
     cap = opts.lambda_cap
     if weyl_c == 0.0:
-        guess = min(cap, float(n * n))
+        guess = float(n * n)
     else:
         # theta advances by beta - alpha + (n - 1) pi; for Dirichlet ends the
         # factor is exactly n, for alpha > beta it is negative at n = 1.
         # x^2 overflows once |x| passes ~1.3e154: clamp it
         x = (n - 1 + (beta - alpha) / _PI) * _PI / weyl_c
-        guess = max(-cap, min(cap, (x**2 if abs(x) < 1e154 else math.inf) + shift))
+        guess = (x**2 if -1e154 < x < 1e154 else _INF) + shift
+    if guess > cap:
+        guess = cap
+    elif guess < -cap:
+        guess = -cap
 
     # expand away from the guess (or the carried end it lies beyond),
     # doubling the step, until the target angle is bracketed: upward while
@@ -237,23 +258,32 @@ def eigenvalue(
     elif hi is not None and guess >= hi[0]:
         near = hi
     else:
-        near = scan(guess, lo, hi)
+        near = scan(guess, None if lo is None else lo[3], None if hi is None else hi[3])
     up = near[1] < 0.0
     end = hi if up else lo
+    w_end = None if end is None else end[3]
     origin = near[0]
-    wide = max(1.0, 0.05 * abs(origin))
+    wide = 0.05 * origin if origin >= 0.0 else -0.05 * origin
+    if wide < 1.0:
+        wide = 1.0
     step = wide
-    if -opts.angle_tol <= near[1] <= opts.angle_tol:
+    tol_abs, tol_rel, angle_tol = opts.lambda_tol_abs, opts.lambda_tol_rel, opts.angle_tol
+    if -angle_tol <= near[1] <= angle_tol:
         # the start already meets the angle test: a probe half a tolerance
         # away brackets the root whenever it is that close, and one that
         # does not costs a scan, not a bracket closed from wide onto tol
-        step = 0.5 * max(opts.lambda_tol_abs, opts.lambda_tol_rel * abs(origin))
+        step = 0.5 * max(tol_abs, tol_rel * abs(origin))
     while True:
         x = origin + step if up else origin - step
         if end is not None and (x >= end[0] if up else x <= end[0]):
             far = end
             break
-        far = scan(min(x, cap) if up else max(x, -cap), near, end)
+        if up:
+            if x > cap:
+                x = cap
+        elif x < -cap:
+            x = -cap
+        far = scan(x, near[3], w_end)
         if (far[1] >= 0.0) == up:
             break
         # a clamped point sits at the cap on its own side of the guess
@@ -268,25 +298,30 @@ def eigenvalue(
                 cap=cap,
             )
         near = far
-        step = max(wide, 2.0 * step)  # back to wide after the probe, then doubling
+        # back to wide after the probe, then doubling
+        step = 2.0 * step if 2.0 * step > wide else wide
     lo, hi = (near, far) if up else (far, near)
 
     # Chandrupatla on f = theta(b) - target, interpolating on h: a is the
-    # newest point, b the other end of the bracket, c the one dropped last.
+    # newest point, b the other end of the bracket, c the one dropped last,
+    # each held as scalars (x, f, h, winding; c needs only x and h).
     # The next point a + t (b - a) stays tol/2 from either end while the
     # bracket is wider than tol, and strictly inside it after that.
-    a, b = (lo, hi) if abs(lo[2]) < abs(hi[2]) else (hi, lo)
-    t = a[2] / (a[2] - b[2])
-    tol_abs, tol_rel, angle_tol = opts.lambda_tol_abs, opts.lambda_tol_rel, opts.angle_tol
+    if abs(lo[2]) < abs(hi[2]):
+        xa, fa, ha, wa, _, _ = lo
+        xb, fb, hb, wb, _, _ = hi
+    else:
+        xa, fa, ha, wa, _, _ = hi
+        xb, fb, hb, wb, _, _ = lo
+    t = ha / (ha - hb)
     for _ in range(300):
-        xa, xb = a[0], b[0]
         w = xb - xa
         tol = tol_rel * xa if xa > 0.0 else -tol_rel * xa
         if tol < tol_abs:
             tol = tol_abs
         tlim = 0.5 * tol / (w if w > 0.0 else -w)
         if tlim >= 0.5:
-            if -angle_tol <= a[1] <= angle_tol or -angle_tol <= b[1] <= angle_tol:
+            if -angle_tol <= fa <= angle_tol or -angle_tol <= fb <= angle_tol:
                 break
         elif t < tlim:
             t = tlim
@@ -297,27 +332,35 @@ def eigenvalue(
             x = xa + 0.5 * w
             if not (x - xa) * (x - xb) < 0.0:
                 break
-        p = scan(x, a, b)
-        if (p[1] >= 0.0) == (a[1] >= 0.0):
-            a, c = p, a
+        _, fp, hp, wp, _, _ = scan(x, wa, wb)
+        if (fp >= 0.0) == (fa >= 0.0):
+            xc, hc = xa, ha
         else:
-            a, b, c = p, a, b
-        ha, hb, hc = a[2], b[2], c[2]
-        xi = (a[0] - b[0]) / (c[0] - b[0])
+            xc, hc = xb, hb
+            xb, fb, hb, wb = xa, fa, ha, wa
+        xa, fa, ha, wa = x, fp, hp, wp
+        xi = (xa - xb) / (xc - xb)
         phi = (ha - hb) / (hc - hb)
         if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
             t = ha / (hb - ha) * hc / (hb - hc) + (
-                (c[0] - a[0]) / (b[0] - a[0]) * ha / (hc - ha) * hb / (hc - hb)
+                (xc - xa) / (xb - xa) * ha / (hc - ha) * hb / (hc - hb)
             )
         else:
             t = 0.5
 
     if _carry is not None:
         # a point below the bracket cannot bound index n + 1 more tightly than it
-        top = max(a[0], b[0])
-        carried[:] = [p for p in starts + scanned if p[0] >= top]
-    best = a if abs(a[1]) <= abs(b[1]) else b
-    return Eigenvalue(index=n, value=best[0], residual=abs(best[1]))
+        top = xa if xa > xb else xb
+        carried.clear()
+        for p in starts:
+            if p is not None and p[0] >= top:
+                carried.append(p)
+        for p in scanned:
+            if p[0] >= top:
+                carried.append(p)
+    if abs(fa) <= abs(fb):
+        return Eigenvalue(n, xa, abs(fa))
+    return Eigenvalue(n, xb, abs(fb))
 
 
 def _ascending(problem: SLProblem, opts: SolverOptions = DEFAULT_OPTIONS):
@@ -335,9 +378,13 @@ def _ascending(problem: SLProblem, opts: SolverOptions = DEFAULT_OPTIONS):
 def compute_spectrum(
     problem: SLProblem, n_max: int, opts: SolverOptions = DEFAULT_OPTIONS
 ) -> Spectrum:
-    """Eigenvalues 1..n_max; stops early, with a truncation note, once an index has none."""
-    if n_max < 1:
-        raise OutOfDomain(f"n_max must be >= 1, got {n_max}")
+    """Eigenvalues 1..n_max; stops early, with a truncation note, once an index has none.
+
+    Raises OutOfDomain for an n_max that is not an integer in 1..sys.maxsize.
+    """
+    _check_index("n_max", n_max)
+    if n_max > sys.maxsize:
+        raise OutOfDomain(f"n_max must be at most {sys.maxsize}, got {n_max}")
     found: list[Eigenvalue] = []
     note = None
     try:

@@ -1,5 +1,6 @@
 """Eigenvalue solver: closed forms, the finite Atkinson spectrum, Weyl fits."""
 
+import hashlib
 import inspect
 import itertools
 import math
@@ -139,12 +140,16 @@ def test_negative_eigenvalues_reachable():
         assert eigenvalue(prob, n).value == pytest.approx(n * n * PI2 - 900.0, rel=1e-9)
 
 
-def test_atkinson_finite_spectrum():
-    # s lives on [0,1], r on [1,2]: one eigenvalue exactly at 1, then nothing
+def _atkinson():
+    """s lives on [0,1], r on [1,2]: one eigenvalue exactly at 1, then nothing."""
     s = PiecewiseConstant([0.0, 1.0, 2.0], [1.0, 0.0])
     q = PiecewiseConstant([0.0, 1.0, 2.0], [0.0, 0.0])
     r = PiecewiseConstant([0.0, 1.0, 2.0], [0.0, 1.0])
-    prob = problem(s, q, r, beta=math.pi / 2)
+    return problem(s, q, r, beta=math.pi / 2)
+
+
+def test_atkinson_finite_spectrum():
+    prob = _atkinson()
     ev = eigenvalue(prob, 1)
     assert ev.value == pytest.approx(1.0, abs=1e-8)
     with pytest.raises(EigenvalueNotFound) as missing:
@@ -159,6 +164,43 @@ def test_atkinson_finite_spectrum():
     assert not replace(spec, truncation_note=None).truncated
     with pytest.raises(TypeError):
         Spectrum(spec.problem_hash, spec.eigenvalues, 4, truncated=False)
+
+
+def test_indices_are_integers_from_one():
+    prob = unit_problem()
+    for bad in (2.5, 3.0, np.float64(2.0), True, False, "3", None, 0, -2):
+        with pytest.raises(OutOfDomain, match="eigenvalue index must be"):
+            eigenvalue(prob, bad)
+        with pytest.raises(OutOfDomain, match="n_max must be"):
+            compute_spectrum(prob, bad)
+    with pytest.raises(OutOfDomain, match=f"n_max must be at most {sys.maxsize}, got"):
+        compute_spectrum(prob, sys.maxsize + 1)
+    with pytest.raises(OutOfDomain, match=r"must be an integer, got 2\.5"):
+        eigenvalue(prob, 2.5)
+    # numpy integers are integers
+    assert eigenvalue(prob, np.int64(2)) == eigenvalue(prob, 2)
+    assert compute_spectrum(prob, np.int32(3)) == compute_spectrum(prob, 3)
+
+
+# sha256 over walk_bits' cases; a change that moves a solver bit on purpose
+# updates it and names the old and new digests
+WALK_DIGEST = "2d43591440aac194b6abeedce1816cf4bbbb105131ffd3d1ccaf61a4b6f5398f"
+
+
+def test_walk_bits_are_pinned():
+    # every value and residual (as float.hex) and every truncation note of
+    # these walks: 40 random documents, the 5-piece one through its
+    # float-floor indices, and the finite Atkinson spectrum
+    rng = np.random.default_rng(39)
+    cases = [(random_problem(rng, max_pieces=6), 20) for _ in range(40)]
+    cases += [(_impedance_jump_problem(), 1000), (_atkinson(), 4)]
+    digest = hashlib.sha256()
+    for prob, n_max in cases:
+        spec = compute_spectrum(prob, n_max)
+        for ev in spec.eigenvalues:
+            digest.update(f"{ev.index} {ev.value.hex()} {ev.residual.hex()}\n".encode())
+        digest.update(f"{spec.truncation_note}\n".encode())
+    assert digest.hexdigest() == WALK_DIGEST
 
 
 def test_compute_spectrum_ordering_and_interlacing():

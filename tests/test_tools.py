@@ -46,7 +46,7 @@ def test_bench_scan_measures_a_small_stream(monkeypatch):
     assert set(run) == {
         "git_head", "python", "machine", "nproc", "problems", "eigenvalues", "scans",
         "pieces_scanned", "scans_per_eigenvalue", "scans_per_call_p50", "scans_per_call_p90",
-        "scans_per_call_max", "unchecked_share", "bracketed_share", "by_kind",
+        "scans_per_call_max", "unchecked_share", "bracketed_share", "by_kind", "bookkeeping",
         "l0_ns_per_piece", "l0_ns_per_piece_runs",
         "l0_one_piece_ns_per_scan", "l0_one_piece_norm_ns_per_scan", "outside_eigenvalue",
         "pass_s", "pass_s_runs", "l0_norm_ns_per_piece", "l0_norm_ns_per_piece_runs",
@@ -83,6 +83,35 @@ def test_bench_scan_measures_a_small_stream(monkeypatch):
     for raw, norm in (("l0_ns_per_piece", "l0_norm_ns_per_piece"), ("pass_s", "pass_norm_s"),
                       ("l0_one_piece_ns_per_scan", "l0_one_piece_norm_ns_per_scan")):
         assert run[norm] == pytest.approx(0.25 * run[raw], rel=1e-12)
+
+
+def test_bench_scan_times_the_walk_around_a_replayed_kernel():
+    bench_scan = _load("bench_scan")
+    import slprime.spectrum as spectrum
+
+    kernel = spectrum._theta_scan
+    run = bench_scan.measure(count=3, replays=1, passes=2)
+    assert spectrum._theta_scan is kernel  # the replay stub is gone again
+    book = run["bookkeeping"]
+    assert set(book) == {"pass_norm_s", "stub_norm_s", "norm_s", "us_per_scan", "us_per_index"}
+    # the pass without the kernel is shorter than the pass with it, and
+    # the stub's own cost is only part of it
+    assert 0.0 < book["stub_norm_s"] < book["pass_norm_s"] < run["pass_norm_s"]
+    assert book["norm_s"] == book["pass_norm_s"] - book["stub_norm_s"]
+    assert book["us_per_scan"] == pytest.approx(1e6 * book["norm_s"] / run["scans"])
+    # at least one scan per index, so an index costs more than a scan
+    assert book["us_per_index"] >= book["us_per_scan"] > 0.0
+
+    # the stub returns the recorded results in order, and refuses a call
+    # whose lam or within is not the recorded one
+    stream = [("records", "state", 1.5, None), ("records", "state", 2.5, (3, 4))]
+    replay = bench_scan.replayer(stream, ["first", "second"])
+    assert replay("r", "s", 1.5, None) == "first" and replay("r", "s", 2.5, (3, 4)) == "second"
+    with pytest.raises(RuntimeError, match="scan 2"):
+        replay("r", "s", 3.5, None)
+    for lam, within in ((1.5, (0, 1)), (1.5000000000000002, None)):
+        with pytest.raises(RuntimeError, match="scan 0"):
+            bench_scan.replayer(stream, ["first", "second"])("r", "s", lam, within)
 
 
 def test_bench_invert_measures_a_tiny_search(monkeypatch):

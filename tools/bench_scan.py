@@ -29,6 +29,12 @@ outside_eigenvalue times passes with spectrum.eigenvalue wrapped by a
 clock: the pass time spent outside eigenvalue calls (per-call set-up,
 the content hash, the walk itself; the wrapper's own cost lands partly
 there), as seconds and as a share of each pass (medians).
+bookkeeping times passes with spectrum._theta_scan replaced by a replay
+of the recorded results in order, which raises unless each call's
+(lam, within) is the recorded one: the pass without the kernel, that is
+the walk's bookkeeping plus the replay stub, next to the stub's own cost
+(the stub called on the recorded stream alone), both normalised, and
+their difference per scan and per index (eigenvalue call).
 The run is stored under LABEL in the output JSON, next to the runs
 already there, so one file can hold the same harness run on two
 checkouts.
@@ -109,18 +115,37 @@ def _outside_eigenvalue(spectrum, cases) -> tuple[float, float]:
     return total - inside[0], total
 
 
+def replayer(stream: list, results: list):
+    """A stand-in for spectrum._theta_scan that returns results in order.
+
+    Call i must pass the lam and within of stream[i] (a recorded argument
+    tuple), or it raises RuntimeError: a replay that drifts from the
+    recorded walk measures nothing.
+    """
+    position = iter(range(len(results)))
+
+    def replay(records, state, lam, within=None):
+        i = next(position, len(results))
+        if i == len(results) or stream[i][2:] != (lam, within):
+            raise RuntimeError(f"scan {i} at lam = {lam!r}, within = {within!r} is not the recorded one")
+        return results[i]
+
+    return replay
+
+
 def measure(count: int | None = None, replays: int = REPLAYS, passes: int = PASSES) -> dict:
     import slprime.shoot as shoot
     import slprime.spectrum as spectrum
 
     cases = problems(count)
-    stream = []
+    stream, results = [], []
     per_eigenvalue = []  # theta-scans of each eigenvalue call, found or not
     inner, solve = spectrum._theta_scan, spectrum.eigenvalue
 
     def recording(*args):
         stream.append(args)
-        return inner(*args)
+        results.append(inner(*args))
+        return results[-1]
 
     def counting(*args, **kwargs):
         start = len(stream)
@@ -173,6 +198,16 @@ def measure(count: int | None = None, replays: int = REPLAYS, passes: int = PASS
     one_piece_times = [_paired(replay, one_piece_chunks) for _ in range(replays)]
     pass_times = [_paired(lambda case: _solve_all([case]), cases) for _ in range(passes)]
     outside = [_outside_eigenvalue(spectrum, cases) for _ in range(passes)]
+    replayed, stub = [], []
+    try:
+        for _ in range(passes):
+            spectrum._theta_scan = replayer(stream, results)
+            replayed.append(_paired(lambda case: _solve_all([case]), cases)[1])
+            alone = replayer(stream, results)
+            stub.append(_paired(lambda chunk: [alone(*args) for args in chunk], chunks)[1])
+    finally:
+        spectrum._theta_scan = inner
+    bookkeeping = statistics.median(replayed) - statistics.median(stub)
     l0_raw = [1e9 * raw / pieces for raw, _ in replay_times]
     l0_norm = [1e9 * norm / pieces for _, norm in replay_times]
     pass_raw = [raw for raw, _ in pass_times]
@@ -204,6 +239,11 @@ def measure(count: int | None = None, replays: int = REPLAYS, passes: int = PASS
             1e9 * norm / len(stream) for _, norm in one_piece_times),
         "outside_eigenvalue": {"s": statistics.median(out for out, _ in outside),
                                "share": statistics.median(out / total for out, total in outside)},
+        "bookkeeping": {"pass_norm_s": statistics.median(replayed),
+                        "stub_norm_s": statistics.median(stub),
+                        "norm_s": bookkeeping,
+                        "us_per_scan": 1e6 * bookkeeping / len(stream),
+                        "us_per_index": 1e6 * bookkeeping / len(per_eigenvalue)},
         "pass_s": statistics.median(pass_raw),
         "pass_s_runs": [round(x, 4) for x in pass_raw],
         "pass_norm_s": statistics.median(pass_norm),
@@ -221,7 +261,10 @@ def main(argv) -> int:
           f"unchecked, {run['bracketed_share']['pieces']:.3f} bracketed), "
           f"pass {run['pass_s']:.4f} s ({run['outside_eigenvalue']['share']:.3f} outside "
           f"eigenvalue), {run['l0_one_piece_ns_per_scan']:.0f} ns per 1-piece scan; normalised "
-          f"{run['l0_norm_ns_per_piece']:.1f} ns/piece, pass {run['pass_norm_s']:.4f} s",
+          f"{run['l0_norm_ns_per_piece']:.1f} ns/piece, pass {run['pass_norm_s']:.4f} s, "
+          f"bookkeeping {run['bookkeeping']['norm_s']:.4f} s ({run['bookkeeping']['us_per_scan']:.2f} "
+          f"us/scan, {run['bookkeeping']['us_per_index']:.2f} us/index; stub "
+          f"{run['bookkeeping']['stub_norm_s']:.4f} s)",
           file=sys.stderr)
     record(args.out, args.label, run)
     return 0
