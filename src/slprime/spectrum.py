@@ -197,9 +197,9 @@ def eigenvalue(
     target = beta + (n - 1) * _PI
     scanned = []
 
-    def scan(lam: float, w_lo: int | None = None, w_hi: int | None = None):
+    def scan(lam: float, w_lo: int | None, w_hi: int | None):
         # w_lo and w_hi: windings of scanned points on either side of lam,
-        # which bound the one at lam (_theta_scan)
+        # which bound the one at lam (_theta_scan); None for a side with none
         within = None
         if w_lo is not None and w_hi is not None:
             if w_lo > w_hi:
