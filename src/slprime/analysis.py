@@ -70,16 +70,12 @@ def incompatibility_report(spectrum: Spectrum, n_max: int) -> IncompatReport:
             f"spectrum holds {len(spectrum.eigenvalues)} eigenvalues, report needs {n_max}"
         )
     eigs = spectrum.eigenvalues[:n_max]
-    rows = [
+    rows = tuple(
         (ev.index, ev.value, p, p / ev.value if ev.value > 0.0 else None)
         for ev, p in zip(eigs, nth_primes([ev.index for ev in eigs]))
-    ]
+    )
     if n_max < 100:
-        return IncompatReport(
-            rows=tuple(rows),
-            verdict="INCONCLUSIVE",
-            note=f"verdict withheld below n = 100 (got {n_max})",
-        )
+        return IncompatReport(rows, "INCONCLUSIVE", f"verdict withheld below n = 100 (got {n_max})")
     # a missing ratio reads NaN, which fails every comparison below
     ratios = [math.nan if row[3] is None else row[3] for row in rows]
     first = next((row[3] for row in rows if row[3] is not None), math.nan)
@@ -95,14 +91,11 @@ def incompatibility_report(spectrum: Spectrum, n_max: int) -> IncompatReport:
             f"ratio falls from {first:.3e} to {ratios[-1]:.3e}; "
             "prime growth n log n cannot keep up with n^2 eigenvalues"
         )
+    elif not decreasing:
+        verdict, note = "FAIL", "block means not decreasing over the top half"
     else:
-        verdict = "FAIL"
-        note = (
-            f"block means not decreasing over the top half"
-            if not decreasing
-            else f"final ratio {ratios[-1]:.3e} not below 1% of first {first:.3e}"
-        )
-    return IncompatReport(rows=tuple(rows), verdict=verdict, note=note)
+        verdict, note = "FAIL", f"final ratio {ratios[-1]:.3e} not below 1% of first {first:.3e}"
+    return IncompatReport(rows, verdict, note)
 
 
 @dataclass(frozen=True)
@@ -248,9 +241,9 @@ def partial_sum_primes(epsilon: float, n_terms: int):
 
     The full series diverges for every eps < 1/2 (p_n ~ n log n makes the
     terms ~ n^(-(1/2+eps)) up to logs); the checkpoints grow without any
-    visible ceiling, which is the divergent half of the dichotomy.  The
-    primes stream in one 1 MB sieve segment at a time, so memory does not
-    grow with n_terms.
+    visible ceiling, which is the divergent half of the dichotomy.  Alive
+    at once, whatever n_terms is: one segment's 1 MB of sieve flags, and
+    one chunk of at most 155,611 primes with its terms (1.2 MB each).
     """
     _series_terms(epsilon, n_terms)
     import numpy as np
@@ -263,9 +256,9 @@ def partial_sum_primes(epsilon: float, n_terms: int):
 def _running_sums(chunks, checkpoints: list[int]) -> list[tuple[int, float]]:
     """(m, sum of the first m terms) at each ascending checkpoint, over a stream of term arrays.
 
-    Each chunk's sums start from the carried total, which is the same
-    sequential float64 accumulation as one cumsum over every term: the
-    sums are bit-identical to it whatever the chunk sizes.
+    Each chunk (float64, owned here) takes the carried total into its first
+    term and is cumsummed onto itself: the one sequential accumulation of a
+    cumsum over every term, bit-identical to it, with one chunk alive at once.
     """
     import numpy as np
 
@@ -273,13 +266,14 @@ def _running_sums(chunks, checkpoints: list[int]) -> list[tuple[int, float]]:
     carry = 0.0  # the sum of the done terms before this chunk
     done = 0
     for terms in chunks:
-        sums = np.concatenate(((carry,), terms))
-        np.cumsum(sums, out=sums)
+        terms[0] += carry
+        np.cumsum(terms, out=terms)
         while len(rows) < len(checkpoints) and checkpoints[len(rows)] <= done + terms.size:
             m = checkpoints[len(rows)]
-            rows.append((m, float(sums[m - done])))
-        carry = float(sums[-1])
+            rows.append((m, float(terms[m - done - 1])))
+        carry = float(terms[-1])
         done += terms.size
+        del terms
     return rows
 
 
@@ -289,14 +283,18 @@ def partial_sum_spectrum(c: float, epsilon: float, n_terms: int):
     Rows are (M, S(M), tail_bound(M)) with tail_bound(M) =
     c^(-(1/2+eps)) M^(-2 eps) / (2 eps) >= S(inf) - S(M): the convergent
     half of the dichotomy, valid for any model spectrum lambda_n = c n^2.
-    The terms are summed _MODEL_CHUNK at a time, so memory does not grow
-    with n_terms.
+    The terms are computed and summed _MODEL_CHUNK at a time on one index
+    buffer, so one 512 KB chunk is alive whatever n_terms is.
     """
     _series_terms(epsilon, n_terms)
     if c <= 0.0 or not math.isfinite(c):
         raise OutOfDomain(f"growth constant must be positive, got {c}")
+    import numpy as np
+
     expo = 0.5 + epsilon
-    chunks = ((c * n**2) ** (-expo) for n in _index_chunks(0, n_terms))
+    # (c n^2)^(-expo) on each index buffer; map, unlike a generator, holds none between chunks
+    chunks = map(lambda n: np.power(np.multiply(np.square(n, out=n), c, out=n), -expo, out=n),
+                 _index_chunks(0, n_terms))
     scale = c ** (-expo)
     return tuple(
         (m, s, scale * m ** (-2.0 * epsilon) / (2.0 * epsilon))

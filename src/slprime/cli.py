@@ -160,18 +160,11 @@ def _load_problem(path: str) -> tuple[SLProblem, SolverOptions, dict]:
 # ---------------------------------------------------------------- output
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(out_path: str | None, command: str, header, rows, **config) -> None:
     """Header and rows as CSV, after a line hashing the effective {"command": command, **config}.
 
-    Each row goes straight to out_path (stdout if None), so no copy of the file is held.
+    Each row goes straight to out_path (stdout if None), so no copy of the file is held;
+    csv writes None as an empty cell, a float by repr and anything else by str.
     """
     import contextlib
     import csv
@@ -185,7 +178,7 @@ def _write_csv(out_path: str | None, command: str, header, rows, **config) -> No
         fh.write(f"# slprime {__version__} config_sha256={digest}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([_fmt(v) for v in row] for row in rows)
+        writer.writerows(rows)
 
 
 def _verdict(tag: str, verdict: str) -> int:
@@ -201,7 +194,7 @@ def _cmd_spectrum(args) -> int:
 
     problem, opts, doc = _load_problem(args.config)
     spec = compute_spectrum(problem, args.n_max, opts)
-    rows = [(ev.index, ev.value, ev.residual) for ev in spec.eigenvalues]
+    rows = ((ev.index, ev.value, ev.residual) for ev in spec.eigenvalues)
     _write_csv(args.out, args.command, ("n", "lambda", "residual"), rows,
                doc=doc, n_max=args.n_max)
     if spec.truncated:
@@ -230,10 +223,10 @@ def _cmd_nonlinear(args) -> int:
     composed = _composed_rows(spec)
     # read the primes of the rows printed, not of the n_max asked for: a
     # truncated spectrum needs only its own
-    rows = [
+    rows = (
         (row.index, row.mu, row.lam, p, None if row.lam is None else row.lam - p)
         for row, p in zip(composed, nth_primes([row.index for row in composed]))
-    ]
+    )
     _write_csv(args.out, args.command, ("n", "mu", "lambda", "p_n", "lambda_minus_p"), rows,
                doc=doc, n_max=args.n_max)
     if spec.truncated:

@@ -9,7 +9,9 @@ bare n log n undershoots by ~10% even at n = 10^6.
 
 All primes come from one segment walker, _segments.  Every p_n the
 package reads comes from nth_primes, and the partial sums in analysis
-stream the same walk: each holds one 1 MB segment however far it reads.
+stream the same walk.  Each holds one 1 MB segment of flags however far
+it reads, and the primes of one segment at a time (with their terms, in
+the partial sums).
 sieve keeps every prime up to a limit, for callers that want the table.
 nth_primes up to n = 145,969, a walk of one segment, never imports numpy,
 whose import costs more than that sieve (see _segments).
@@ -215,7 +217,8 @@ def nth_primes(ns) -> list[int]:
 
     Each segment's primes are counted, only a segment holding a wanted
     index is turned into primes, and the walk stops at the one holding the
-    last.  Memory stays at one 1 MB segment whatever max(ns) is.
+    last.  Alive at once, whatever max(ns) is: one segment's 1 MB of flags
+    and at most one segment's primes, dropped before the next is sieved.
     """
     ns = [int(n) for n in ns]
     if not ns:
@@ -238,6 +241,7 @@ def nth_primes(ns) -> list[int]:
                 out.append(int(primes[ns[len(out)] - count - 1]))
             if len(out) == len(ns):
                 break
+            del primes
         count = count_here
     return out
 

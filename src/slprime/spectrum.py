@@ -164,6 +164,15 @@ def _check_index(name: str, n) -> None:
         raise OutOfDomain(f"{name} must be >= 1, got {n}")
 
 
+def _not_found(n: int, beta: float, cap: float, up: bool) -> EigenvalueNotFound:
+    """Index n's refusal: theta(b) stays below (up) or above its target angle out to the cap."""
+    target = beta + (n - 1) * _PI if n - 1 <= sys.float_info.max else _INF
+    return EigenvalueNotFound(
+        f"theta(b) stays below the target angle {target:.6g} up to the lambda cap {cap:g}; "
+        f"no eigenvalue n = {n}" if up else f"no lambda above -{cap:g} brings theta(b) below "
+        f"the target angle {target:.6g} for n = {n}", index=n, cap=cap)
+
+
 def eigenvalue(
     problem: SLProblem, n: int, opts: SolverOptions = DEFAULT_OPTIONS, _carry: tuple | None = None
 ) -> Eigenvalue:
@@ -176,7 +185,8 @@ def eigenvalue(
     and residual: that is at most angle_tol unless the ends are adjacent
     floats or the steps ran out.  Raises OutOfDomain for an n that is not
     an integer >= 1 (a bool is not one), and for a problem whose
-    theta-scan could overflow below lambda_cap, or does.
+    theta-scan could overflow below lambda_cap, or does; EigenvalueNotFound
+    for an n whose target angle, past the float range, no theta(b) reaches.
 
     _carry is _ascending's walk state on the same problem and options:
     (_scannable_pieces at lambda_cap, the scan points of index n - 1),
@@ -190,11 +200,12 @@ def eigenvalue(
     if _carry is None:
         _check_index("eigenvalue index", n)
         pieces, carried = _scannable_pieces(problem, opts.lambda_cap), ()
+        if n - 1 > sys.float_info.max:  # no scan's f could be formed
+            raise _not_found(n, problem.bc.beta, opts.lambda_cap, True)
     else:
         pieces, carried = _carry
     records, state, weyl_c, shift = pieces
     alpha, beta = problem.bc.alpha, problem.bc.beta
-    target = beta + (n - 1) * _PI
     scanned = []
 
     def scan(lam: float, w_lo: int | None, w_hi: int | None):
@@ -238,7 +249,7 @@ def eigenvalue(
 
     cap = opts.lambda_cap
     if weyl_c == 0.0:
-        guess = float(n * n)
+        guess = float(n * n) if n < 1e154 else _INF  # clamped as x^2 is below
     else:
         # theta advances by beta - alpha + (n - 1) pi; for Dirichlet ends the
         # factor is exactly n, for alpha > beta it is negative at n = 1.
@@ -288,15 +299,7 @@ def eigenvalue(
             break
         # a clamped point sits at the cap on its own side of the guess
         if abs(far[0]) >= cap:
-            raise EigenvalueNotFound(
-                f"theta(b) stays below the target angle {target:.6g} up to the "
-                f"lambda cap {cap:g}; no eigenvalue n = {n}"
-                if up
-                else f"no lambda above -{cap:g} brings theta(b) below the target angle "
-                f"{target:.6g} for n = {n}",
-                index=n,
-                cap=cap,
-            )
+            raise _not_found(n, beta, cap, up)
         near = far
         # back to wide after the probe, then doubling
         step = 2.0 * step if 2.0 * step > wide else wide

@@ -569,16 +569,18 @@ def test_streamed_partial_sums_match_one_cumsum_bit_for_bit():
 
 
 def test_streamed_partial_sums_hold_one_chunk_not_a_table():
-    for call in (lambda: partial_sum_primes(0.25, 10**6),
-                 lambda: partial_sum_spectrum(PI2, 0.25, 10**6)):
+    # 10^6 float64 terms alone are 8 MB.  The primes hold one 1 MB segment
+    # of flags and one chunk of at most 155,611 primes with its terms
+    # (1.2 MB each); the model one 512 KB chunk of indices, its terms in place
+    for call, bound in ((lambda: partial_sum_primes(0.25, 10**6), 4 * 2**20),
+                        (lambda: partial_sum_spectrum(PI2, 0.25, 10**6), 2**20)):
         tracemalloc.start()
         try:
             call()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 10^6 float64 terms alone are 8 MB
-        assert peak < 8 * 2**20, peak
+        assert peak < bound, peak
 
 
 def test_partial_sum_guards():

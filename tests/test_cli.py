@@ -126,6 +126,22 @@ def test_spectrum_command_csv(tmp_path, capsys):
     assert capsys.readouterr().out == out.read_text()
 
 
+def test_csv_cells_keep_their_format(tmp_path):
+    # csv writes each cell: None empty, a float by repr, anything else by str
+    import hashlib
+
+    from slprime.cli import _write_csv
+
+    out = tmp_path / "cells.csv"
+    row = (None, 2**63 + 1, -0.0, math.inf, 1e-300, 0.1, True)
+    _write_csv(str(out), "cells", "abcdefg", (r for r in [row]), n_max=1)
+    digest = hashlib.sha256(b'{"command":"cells","n_max":1}').hexdigest()
+    assert out.read_bytes() == (
+        f"# slprime 0.1.0 config_sha256={digest}\n".encode()
+        + b"a,b,c,d,e,f,g\n,9223372036854775809,-0.0,inf,1e-300,0.1,True\n"
+    )
+
+
 def test_spectrum_truncation_is_exit_zero(tmp_path, capsys):
     cfg = write_doc(tmp_path, ATKINSON_DOC)
     code = run(["spectrum", "--config", cfg, "--n-max", "3"])

@@ -182,6 +182,20 @@ def test_indices_are_integers_from_one():
     assert compute_spectrum(prob, np.int32(3)) == compute_spectrum(prob, 3)
 
 
+def test_an_index_past_the_float_range_is_not_found_at_the_cap():
+    # the guess n^2 (C = 0), the guess's Weyl x and the target angle once
+    # overflowed; every such index now ends as one below the cap does
+    cases = [(_atkinson(), 10**200), (_atkinson(), 10**400), (unit_problem(), 10**200),
+             (unit_problem(), 10**400), (unit_problem(), 2**1024 // 3)]
+    for prob, n in cases:
+        with pytest.raises(EigenvalueNotFound, match="stays below the target angle .* up to "
+                           r"the lambda cap 1e\+12; no eigenvalue n = ") as missing:
+            eigenvalue(prob, n)
+        assert (missing.value.index, missing.value.cap) == (n, 1e12)
+    with pytest.raises(EigenvalueNotFound, match="target angle inf "):
+        eigenvalue(unit_problem(), 10**400)
+
+
 # sha256 over walk_bits' cases; a change that moves a solver bit on purpose
 # updates it and names the old and new digests
 WALK_DIGEST = "2d43591440aac194b6abeedce1816cf4bbbb105131ffd3d1ccaf61a4b6f5398f"

@@ -207,7 +207,7 @@ def test_bench_sieve_measures_small_runs():
     # series builds arrays; every other read here fits one sieve segment
     imported = {name: proc["numpy_imported"] for name, proc in run["processes"].items()}
     assert imported == {"primes": False, "series": True, "nonlinear": False, "incompat": False,
-                        "invert": False}
+                        "invert": False, "spectrum": False}
 
 
 def test_cli_snapshot_runs_every_subcommand():

@@ -8,16 +8,18 @@ peak (one traced call) of three calls: p_n at the checkpoints of
 `primes --n-max 10000000`, partial_sum_primes(0.25, 10**6) and
 partial_sum_spectrum(pi^2, 0.25, 10**6).  End to end it runs
 `python -m slprime.cli primes --n-max 10000000` and `series --n-max
-1000000`, and the short prime reads of perfbench's cli round
-(`nonlinear --n-max 1000`, `incompat --n-max 10000` on the unit string,
-and `invert` on a 1-piece, 1-restart search), REPS times each, as child
-processes of the same package.  It records wall time, max RSS (ru_maxrss
-from os.wait4) and whether the process imported numpy, read from one more
-run under `-X importtime` so that the timed runs stay plain.  --ceiling
-adds one run of `primes --n-max 50847534`, pi(10^9), the largest index
-the sieve serves.  The run is stored under LABEL in the output JSON,
-next to the runs already there, so one file can hold the same harness
-run on two checkouts.
+1000000`, the short prime reads of perfbench's cli round (`nonlinear
+--n-max 1000`, `incompat --n-max 10000` on the unit string, and `invert`
+on a 1-piece, 1-restart search) and the long table `spectrum --n-max
+100000` on the unit string, REPS times each, as child processes of the
+same package.  It records wall time, max RSS (ru_maxrss from os.wait4)
+and whether the process imported numpy, read from one more run under
+`-X importtime` so that the timed runs stay plain.  Times are stored
+unrounded, so a layer that runs in microseconds never reads 0.
+--ceiling adds one run of `primes --n-max 50847534`, pi(10^9), the
+largest index the sieve serves.  The run is stored under LABEL in the
+output JSON, next to the runs already there, so one file can hold the
+same harness run on two checkouts.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ SHORT_READS = {
     "incompat": ["incompat", "--config", "unit.json", "--n-max", "10000"],
     "invert": ["invert", "--config", "invert.json"],
 }
+# the long table: 10^5 rows of the unit string's spectrum, written as they are made
+LONG_TABLE = ["spectrum", "--config", "unit.json", "--n-max", "100000"]
 
 
 def _layer(call, reps: int) -> dict:
@@ -70,8 +74,8 @@ def _layer(call, reps: int) -> dict:
     finally:
         tracemalloc.stop()
     return {
-        "wall_s": round(statistics.median(walls), 4),
-        "wall_s_runs": [round(w, 4) for w in walls],
+        "wall_s": statistics.median(walls),
+        "wall_s_runs": walls,
         "traced_peak_mb": round(peak / 2**20, 2),
     }
 
@@ -97,8 +101,8 @@ def _process(src: Path, work: str, args: list[str], reps: int) -> dict:
     imports = _run_cli(src, work, [*args, "--out", "out.csv"], ("-X", "importtime"))[2]
     return {
         "argv": args,
-        "wall_s": round(statistics.median(w for w, _ in runs), 4),
-        "wall_s_runs": [round(w, 4) for w, _ in runs],
+        "wall_s": statistics.median(w for w, _ in runs),
+        "wall_s_runs": [w for w, _ in runs],
         "max_rss_mb": round(statistics.median(r for _, r in runs), 2),
         "max_rss_mb_runs": [round(r, 2) for _, r in runs],
         "numpy_imported": any(line.rsplit(b"|", 1)[-1].strip() == b"numpy"
@@ -118,6 +122,7 @@ def measure(primes_n: int = PRIMES_N, series_n: int = SERIES_N, reps: int = REPS
             "primes": _process(src, work, ["primes", "--n-max", str(primes_n)], reps),
             "series": _process(src, work, ["series", "--n-max", str(series_n)], reps),
             **{name: _process(src, work, args, reps) for name, args in SHORT_READS.items()},
+            "spectrum": _process(src, work, LONG_TABLE, reps),
         }
         if ceiling:
             processes["primes_ceiling"] = _process(
