@@ -134,7 +134,7 @@ def test_csv_cells_keep_their_format(tmp_path):
 
     out = tmp_path / "cells.csv"
     row = (None, 2**63 + 1, -0.0, math.inf, 1e-300, 0.1, True)
-    _write_csv(str(out), "cells", "abcdefg", (r for r in [row]), n_max=1)
+    _write_csv(str(out), "cells", "abcdefg", iter([row]), n_max=1)
     digest = hashlib.sha256(b'{"command":"cells","n_max":1}').hexdigest()
     assert out.read_bytes() == (
         f"# slprime 0.1.0 config_sha256={digest}\n".encode()
