@@ -161,7 +161,16 @@ def _check_index(name: str, n) -> None:
     if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise OutOfDomain(f"{name} must be an integer, got {n!r}")
     if n < 1:
-        raise OutOfDomain(f"{name} must be >= 1, got {n}")
+        raise OutOfDomain(f"{name} must be >= 1, got {_named(n)}")
+
+
+def _named(n) -> str:
+    """Integer n in decimal below 2**2000 in size, where str() never refuses it; else its digits."""
+    bits = int(n).bit_length()
+    if bits < 2000:
+        return str(n)
+    digits = int(bits * math.log10(2)) + 1
+    return f"{'a negative' if n < 0 else 'an'} integer of about {digits} digits"
 
 
 def _not_found(n: int, beta: float, cap: float, up: bool) -> EigenvalueNotFound:
@@ -169,8 +178,8 @@ def _not_found(n: int, beta: float, cap: float, up: bool) -> EigenvalueNotFound:
     target = beta + (n - 1) * _PI if n - 1 <= sys.float_info.max else _INF
     return EigenvalueNotFound(
         f"theta(b) stays below the target angle {target:.6g} up to the lambda cap {cap:g}; "
-        f"no eigenvalue n = {n}" if up else f"no lambda above -{cap:g} brings theta(b) below "
-        f"the target angle {target:.6g} for n = {n}", index=n, cap=cap)
+        f"no eigenvalue n = {_named(n)}" if up else f"no lambda above -{cap:g} brings theta(b) "
+        f"below the target angle {target:.6g} for n = {_named(n)}", index=n, cap=cap)
 
 
 def eigenvalue(
@@ -387,7 +396,7 @@ def compute_spectrum(
     """
     _check_index("n_max", n_max)
     if n_max > sys.maxsize:
-        raise OutOfDomain(f"n_max must be at most {sys.maxsize}, got {n_max}")
+        raise OutOfDomain(f"n_max must be at most {sys.maxsize}, got {_named(n_max)}")
     found: list[Eigenvalue] = []
     note = None
     try:

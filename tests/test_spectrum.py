@@ -196,6 +196,19 @@ def test_an_index_past_the_float_range_is_not_found_at_the_cap():
         eigenvalue(unit_problem(), 10**400)
 
 
+@pytest.mark.parametrize("solve, sign, error, message", [
+    (eigenvalue, 1, EigenvalueNotFound, "no eigenvalue n = an integer of about 5001 digits"),
+    (eigenvalue, -1, OutOfDomain, "must be >= 1, got a negative integer of about 5001 digits"),
+    (compute_spectrum, 1, OutOfDomain, f"at most {sys.maxsize}, got an integer of about 5001"),
+    (compute_spectrum, -1, OutOfDomain, "must be >= 1, got a negative integer of about 5001"),
+])
+def test_an_index_past_str_range_is_refused_by_its_size(solve, sign, error, message):
+    # str() refuses an integer of more than 4300 digits, so a refusal names
+    # such an index by its size instead of ending in a raw ValueError
+    with pytest.raises(error, match=message):
+        solve(unit_problem(), sign * 10**5000)
+
+
 # sha256 over walk_bits' cases; a change that moves a solver bit on purpose
 # updates it and names the old and new digests
 WALK_DIGEST = "2d43591440aac194b6abeedce1816cf4bbbb105131ffd3d1ccaf61a4b6f5398f"

@@ -46,73 +46,23 @@ def test_bench_scan_measures_a_small_stream(monkeypatch):
     assert set(run) == {
         "git_head", "python", "machine", "nproc", "problems", "eigenvalues", "scans",
         "pieces_scanned", "scans_per_eigenvalue", "scans_per_call_p50", "scans_per_call_p90",
-        "scans_per_call_max", "unchecked_share", "bracketed_share", "by_kind", "bookkeeping",
-        "l0_ns_per_piece", "l0_ns_per_piece_runs",
-        "l0_one_piece_ns_per_scan", "l0_one_piece_norm_ns_per_scan", "outside_eigenvalue",
-        "pass_s", "pass_s_runs", "l0_norm_ns_per_piece", "l0_norm_ns_per_piece_runs",
-        "pass_norm_s", "pass_norm_s_runs",
+        "scans_per_call_max", "l0_ns_per_piece", "l0_ns_per_piece_runs", "l0_norm_ns_per_piece",
+        "l0_norm_ns_per_piece_runs", "pass_s", "pass_s_runs", "pass_norm_s", "pass_norm_s_runs",
     }
     assert run["problems"] == 5 and run["eigenvalues"] > 0
     assert run["scans_per_eigenvalue"] == run["scans"] / run["eigenvalues"] > 1.0
     assert 1 <= run["scans_per_call_p50"] <= run["scans_per_call_p90"] <= run["scans_per_call_max"]
     assert run["pieces_scanned"] >= run["scans"]
-    # these one-piece problems meet the growth bound: no oscillating piece is size-tested
-    assert run["unchecked_share"] == {"problems": 1.0, "pieces": 1.0}
-    # scans between two scanned points are bracketed, those with no scanned
-    # point on one side (a cold first guess, most expansion steps) are not,
-    # and each kind is replayed on its own
-    share = run["bracketed_share"]
-    assert 0.0 < share["scans"] < 1.0 and 0.0 < share["pieces"] < 1.0
-    kinds = run["by_kind"]
-    assert set(kinds) == {"counted", "bracketed"}
-    assert kinds["counted"]["pieces"] + kinds["bracketed"]["pieces"] == run["pieces_scanned"]
-    assert kinds["bracketed"]["pieces"] == pytest.approx(share["pieces"] * run["pieces_scanned"])
-    for kind in kinds.values():
-        assert kind["l0_ns_per_piece"] > 0.0 and kind["l0_norm_ns_per_piece"] > 0.0
     for raw, norm, count in (("l0_ns_per_piece", "l0_norm_ns_per_piece", 2),
                              ("pass_s", "pass_norm_s", 1)):
         assert run[raw] > 0.0 and len(run[f"{raw}_runs"]) == count
         assert run[norm] > 0.0 and len(run[f"{norm}_runs"]) == count
-    # the fixed costs: a 1-piece scan's time, and the pass time outside eigenvalue
-    assert run["l0_one_piece_ns_per_scan"] > 0.0 and run["l0_one_piece_norm_ns_per_scan"] > 0.0
-    assert run["outside_eigenvalue"]["s"] > 0.0 and 0.0 < run["outside_eigenvalue"]["share"] < 1.0
 
     # on a core where the reference loop takes 4 ms, every time counts a quarter
     monkeypatch.setattr(bench_scan, "reference_seconds", lambda: 4.0 * gauge.REF_NOMINAL_S)
     run = bench_scan.measure(count=2, replays=3, passes=2)
-    for raw, norm in (("l0_ns_per_piece", "l0_norm_ns_per_piece"), ("pass_s", "pass_norm_s"),
-                      ("l0_one_piece_ns_per_scan", "l0_one_piece_norm_ns_per_scan")):
+    for raw, norm in (("l0_ns_per_piece", "l0_norm_ns_per_piece"), ("pass_s", "pass_norm_s")):
         assert run[norm] == pytest.approx(0.25 * run[raw], rel=1e-12)
-
-
-def test_bench_scan_times_the_walk_around_a_replayed_kernel():
-    bench_scan = _load("bench_scan")
-    import slprime.spectrum as spectrum
-
-    kernel = spectrum._theta_scan
-    run = bench_scan.measure(count=3, replays=1, passes=2)
-    assert spectrum._theta_scan is kernel  # the replay stub is gone again
-    book = run["bookkeeping"]
-    assert set(book) == {"pass_norm_s", "stub_norm_s", "norm_s", "us_per_scan", "us_per_index"}
-    # the pass without the kernel is shorter than the pass with it, and
-    # the stub's own cost is only part of it
-    assert 0.0 < book["stub_norm_s"] < book["pass_norm_s"] < run["pass_norm_s"]
-    assert book["norm_s"] == book["pass_norm_s"] - book["stub_norm_s"]
-    assert book["us_per_scan"] == pytest.approx(1e6 * book["norm_s"] / run["scans"])
-    # at least one scan per index, so an index costs more than a scan
-    assert book["us_per_index"] >= book["us_per_scan"] > 0.0
-
-    # the stub returns the recorded results in order, and refuses a call
-    # whose lam or within is not the recorded one
-    stream = [("records", "state", 1.5, None), ("records", "state", 2.5, (3, 4))]
-    replay = bench_scan.replayer(stream, ["first", "second"])
-    assert replay("r", "s", 1.5, None) == "first" and replay("r", "s", 2.5, (3, 4)) == "second"
-    with pytest.raises(RuntimeError, match="scan 2"):
-        replay("r", "s", 3.5, None)
-    for lam, within in ((1.5, (0, 1)), (1.5000000000000002, None)):
-        with pytest.raises(RuntimeError, match="scan 0"):
-            bench_scan.replayer(stream, ["first", "second"])("r", "s", lam, within)
-
 
 def test_bench_invert_measures_a_tiny_search(monkeypatch):
     monkeypatch.setenv("SLPRIME_THREADS", "0")  # measure sets it to 1; undone after the test
@@ -143,7 +93,6 @@ def test_bench_invert_measures_a_tiny_search(monkeypatch):
         assert r["wall_s"] > 0.0 and r["slowdown"] == 4.0
         assert r["wall_norm_s"] == pytest.approx(0.25 * r["wall_s"], rel=1e-12)
         assert r["evaluations"] > 1 and r["theta_scans"] > r["evaluations"] and r["jacobians"] > 0
-        assert 0.0 < r["bracketed_share"] < 1.0
         assert r["ratio"] == r["best_objective"] / r["baseline_objective"] <= 1.0
     assert run["total_wall_s"] == pytest.approx(sum(r["wall_s"] for r in run["runs"]))
     assert run["total_norm_s"] == pytest.approx(0.25 * run["total_wall_s"], rel=1e-12)
@@ -204,10 +153,6 @@ def test_bench_sieve_measures_small_runs():
     for proc in run["processes"].values():
         assert proc["wall_s"] > 0.0 and len(proc["max_rss_mb_runs"]) == 1
         assert proc["max_rss_mb"] > 1.0
-    # series builds arrays; every other read here fits one sieve segment
-    imported = {name: proc["numpy_imported"] for name, proc in run["processes"].items()}
-    assert imported == {"primes": False, "series": True, "nonlinear": False, "incompat": False,
-                        "invert": False, "spectrum": False}
 
 
 def test_cli_snapshot_runs_every_subcommand():

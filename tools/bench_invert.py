@@ -4,14 +4,15 @@
 
 Runs search(SearchConfig(seed=s)) for s = 101..110 one after another in
 this process (SLPRIME_THREADS=1, so every count is made here and repeats
-exactly) against whichever slprime the import finds.  For each seed it
-records best/baseline, wall time, evaluations (spectrum solves the search
-starts, the q = 0 baseline included, whether or not it finishes them),
-theta-scans, the share of them passed the windings of two scanned points
-around them (bracketed_share: any scan between two scanned points), and
-Jacobians (eigenfunction walks).  The run is stored under LABEL in the
-output JSON, next to the runs already there, so one file can hold the
-same harness run on two checkouts.
+exactly) against whichever slprime the import finds.  Besides git_head,
+python, machine and nproc, it records config (the SearchConfig fields
+besides the seed), seeds, total_wall_s, total_norm_s and runs, one per
+seed: seed, best_objective, baseline_objective, ratio (best/baseline),
+wall_s, evaluations (spectrum solves the search starts, the q = 0
+baseline included, whether or not it finishes them), theta_scans,
+jacobians (eigenfunction walks), slowdown and wall_norm_s.  The run is
+stored under LABEL in the output JSON, next to the runs already there,
+so one file can hold the same harness run on two checkouts.
 
 Core speed on a shared VM drifts by up to 2x between runs and within a
 3 s search, so the searches run beside perfbench's gauge process
@@ -65,14 +66,12 @@ def measure(seeds=SEEDS, shape: dict | None = None) -> dict:
     import slprime.spectrum as spectrum
 
     shape = shape or {}
-    counts = {"evaluations": 0, "_theta_scan": 0, "bracketed": 0, "_jacobian": 0}
+    counts = {"evaluations": 0, "_theta_scan": 0, "_jacobian": 0}
     restore = [
         # every spectrum solve, whole or cut short, starts with index 1
         _counted(spectrum, "eigenvalue", counts,
                  lambda args: "evaluations" if args[1] == 1 else None),
-        # a scan passed two windings (none on a kernel without them)
-        _counted(spectrum, "_theta_scan", counts,
-                 lambda args: "_theta_scan" if args[3:] in ((), (None,)) else "bracketed"),
+        _counted(spectrum, "_theta_scan", counts),
         _counted(inverse, "_jacobian", counts),
     ]
     runs, windows = [], []
@@ -86,7 +85,6 @@ def measure(seeds=SEEDS, shape: dict | None = None) -> dict:
                 t0 = time.perf_counter()
                 res = inverse.search(inverse.SearchConfig(seed=seed, **shape))
                 windows.append((t0, time.perf_counter()))
-                scans = counts["_theta_scan"] + counts["bracketed"]
                 runs.append({
                     "seed": seed,
                     "best_objective": res.best_objective,
@@ -94,8 +92,7 @@ def measure(seeds=SEEDS, shape: dict | None = None) -> dict:
                     "ratio": res.best_objective / res.baseline_objective,
                     "wall_s": windows[-1][1] - t0,
                     "evaluations": counts["evaluations"],
-                    "theta_scans": scans,
-                    "bracketed_share": counts["bracketed"] / scans,
+                    "theta_scans": counts["_theta_scan"],
                     "jacobians": counts["_jacobian"],
                 })
     finally:
@@ -106,8 +103,7 @@ def measure(seeds=SEEDS, shape: dict | None = None) -> dict:
         run["wall_norm_s"] = run["wall_s"] / run["slowdown"]
         print(f"seed {run['seed']}: ratio {run['ratio']!r} in {run['wall_s']:.2f} s "
               f"({run['wall_norm_s']:.2f} s normalised), "
-              f"{run['evaluations']} evaluations, {run['theta_scans']} theta-scans "
-              f"({run['bracketed_share']:.3f} bracketed), "
+              f"{run['evaluations']} evaluations, {run['theta_scans']} theta-scans, "
               f"{run['jacobians']} Jacobians", file=sys.stderr)
     config = dataclasses.asdict(inverse.SearchConfig(**shape))
     del config["seed"]
