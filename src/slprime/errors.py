@@ -1,8 +1,20 @@
 """Exception types shared across the toolkit.
 
 Every error raised on a violated precondition derives from SlprimeError,
-so callers (and the CLI) can catch one base class.
+so callers (and the CLI) can catch one base class.  _named writes an
+integer into their messages.
 """
+
+import math
+
+
+def _named(n) -> str:
+    """Integer n in decimal below 2**2000 in size, where str() never refuses it; else its digits."""
+    bits = int(n).bit_length()
+    if bits < 2000:
+        return str(n)
+    digits = int(bits * math.log10(2)) + 1
+    return f"{'a negative' if n < 0 else 'an'} integer of about {digits} digits"
 
 
 class SlprimeError(Exception):

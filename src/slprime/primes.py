@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import TYPE_CHECKING
 
-from .errors import LimitTooLarge, OutOfDomain
+from .errors import LimitTooLarge, OutOfDomain, _named
 
 if TYPE_CHECKING:
     import numpy as np
@@ -204,9 +204,9 @@ def _rosser_bound(n: int) -> int:
     index it cannot serve.
     """
     if n < 1:
-        raise OutOfDomain(f"prime index must be >= 1, got {n}")
+        raise OutOfDomain(f"prime index must be >= 1, got {_named(n)}")
     if n > _PI_SIEVE_MAX:
-        raise LimitTooLarge(f"prime #{n} lies beyond the sieve ceiling {_SIEVE_MAX}")
+        raise LimitTooLarge(f"prime #{_named(n)} lies beyond the sieve ceiling {_SIEVE_MAX}")
     if n < 6:
         return 15
     return min(math.ceil(prime_bounds(n)[1]) + 10, _SIEVE_MAX)

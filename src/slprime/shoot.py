@@ -3,13 +3,15 @@
 On a piece of width h with constant (s, q, r) and k = lambda*r - q, the
 system u' = -s v, v' = k u has the closed-form transfer matrix
 
-    [ c(z)        -s h sigma(z) ]          z = s * k * h^2,
-    [ k h sigma(z)      c(z)    ]
+    [ c(z)        -s h sigma(z) ]          k h = lambda (r h) - q h,
+    [ k h sigma(z)      c(z)    ]          z = (s h)(k h) = s k h^2,
 
 with c(z) = cos(sqrt(z)) and sigma(z) = sin(sqrt(z))/sqrt(z) continued
 analytically through z = 0 (hyperbolic for z < 0).  Both kernels are
 entire in z, so one formula covers oscillatory, linear and exponential
-pieces, for real and complex lambda alike.
+pieces, for real and complex lambda alike.  The theta-scan keeps r h, q h
+and s h per piece, so a piece costs it one multiply-subtract for k h and
+one product for z.
 
 The Prufer angle theta is defined by u = rho sin(theta), v = -rho
 cos(theta) with theta(a) = alpha; it satisfies
@@ -31,7 +33,7 @@ The scan carries (u, v) unnormalised and rescales it when its size
 (the energy behind the scaled Prufer method; Pryce, Numerical Solution
 of Sturm-Liouville Problems, 1993), so it moves |(u, v)| by a factor of
 at most max(sqrt(k/s), sqrt(s/k)), below max(sqrt((|q| + cap r)/s),
-100 s h) for |lambda| <= cap since z = s k h^2 > 1e-4 there.  Where
+100 s h) for |lambda| <= cap since z = (s h)(k h) > 1e-4 there.  Where
 those bounds multiply to less than 1e180 over the pieces with s > 0
 since the last size test, a state that left it inside 1e+-120 stays
 inside 1e+-300.  So the scan tests the size after the pieces that can
@@ -159,10 +161,12 @@ class AngleResult:
 
 
 def _scan_records(widths, svals, qvals, rvals, cap):
-    """One (h, s, q, r, s h, check) record per piece: the rows _theta_scan walks at |lambda| <= cap.
+    """One (r h, q h, s h, check) record per piece: the rows _theta_scan walks at |lambda| <= cap.
 
-    check says whether _theta_scan tests the state's size after the piece
-    when it oscillates.  A piece with s > 0 can move |(u, v)| by at most
+    The products are the piece's constants for the whole walk: the scan
+    forms k h = lambda (r h) - q h and z = (s h)(k h) from them.  check
+    says whether _theta_scan tests the state's size after the piece when
+    it oscillates.  A piece with s > 0 can move |(u, v)| by at most
     log10(1 + max(sqrt((|q| + cap r)/s), 100 s h)) decades (see the module
     docstring); those decades add up from the last piece after which the
     size is always tested (one with check set, or with s = 0).  check is
@@ -177,26 +181,28 @@ def _scan_records(widths, svals, qvals, rvals, cap):
         if s > 0.0:
             grow = math.log10(1.0 + max(math.sqrt((abs(q) + cap * r) / s), 100.0 * s * h))
             if records and not decades + grow < _UNCHECKED_DECADES:
-                records[-1] = (*records[-1][:5], True)
+                records[-1] = (*records[-1][:3], True)
                 decades = 0.0
             decades += grow
         else:
             decades = 0.0
         # a NaN bound checks too
-        records.append((h, s, q, r, s * h, not decades < _UNCHECKED_DECADES))
+        records.append((r * h, q * h, s * h, not decades < _UNCHECKED_DECADES))
     return tuple(records)
 
 
 def _theta_scan(records, state, lam, within=None):
     """Crossing count and terminal angle fraction for real lambda.
 
-    records holds one (h, s, q, r, s h, check) tuple per piece
+    records holds one (r h, q h, s h, check) tuple per piece
     (_scan_records), lambda within their cap; state is the (u, v) of
     boundary_state at a.  A spectrum walk derives both once per problem.
     Returns (winding, frac, u, v) with theta(b) = winding*pi + frac and
     (u, v) the (rescaled) terminal state.  The angle is exact mod pi at
     every breakpoint because frac always comes from the state itself.
-    The state's size is tested after a piece with s = 0, a
+    Each piece forms k h = lambda (r h) - q h and z = (s h)(k h), and
+    uses k h wherever the transfer matrix has it.
+    The state's size is tested after a piece with s h = 0, a
     non-oscillating piece, and an oscillating one whose record has check
     set; a test that finds it overflowed (inf or NaN) raises OutOfDomain.
 
@@ -223,20 +229,20 @@ def _theta_scan(records, state, lam, within=None):
     pi, half_pi, cut = _PI, _HALF_PI, _SERIES_CUT
     u, v = state
     winding = 0
-    for h, s, q, r, sh, check in records:
-        k = lam * r - q
-        if s == 0.0:
+    for rh, qh, sh, check in records:
+        kh = lam * rh - qh
+        if sh == 0.0:
             # u is frozen on the piece; theta cannot reach a multiple of pi
-            v += k * h * u
+            v += kh * u
             check = True
         else:
-            z = s * k * h * h
+            z = sh * kh
             if z > cut:
                 w = sqrt(z)
                 cw = cos(w)
                 sg = sin(w) / w
                 u1 = cw * u - sh * sg * v
-                v1 = k * h * sg * u + cw * v
+                v1 = kh * sg * u + cw * v
                 if within is None:
                     # psi advances exactly linearly (by w) and u = 0 iff psi
                     # is a multiple of pi, so crossings are a floor count.
@@ -280,14 +286,14 @@ def _theta_scan(records, state, lam, within=None):
                 else:
                     cw, sg = _kernel_series(z)
                 u1 = cw * u - sh * sg * v
-                v1 = k * h * sg * u + cw * v
+                v1 = kh * sg * u + cw * v
                 if u1 == 0.0 and v1 == 0.0:
                     # the incoming state lay on the decaying direction and the
                     # e^w parts cancelled exactly (only possible when z < 0);
                     # redo the piece with e^w factored out so the e^{-2w}
                     # remainder keeps the state off (0, 0)
                     a = sh / w
-                    b = k * h / w
+                    b = kh / w
                     e = math.exp(-2.0 * w)
                     u1 = (u - a * v) + e * (u + a * v)
                     v1 = (b * u + v) + e * (v - b * u)
@@ -333,26 +339,38 @@ def _theta_scan(records, state, lam, within=None):
 def _solver_pieces(problem: SLProblem, cap: float, at: str = "lambda_cap", definite: bool = True):
     """(widths, s, q, r), refusing a piece whose kernels overflow for some |lambda| <= cap.
 
-    On a piece |lambda r - q| <= |q| + cap r, so z = s k h^2, k h and s h
-    stay finite (products in the kernels' order) when these do; `at` names
-    cap in the message.  definite: theta(b) must also locate eigenvalues.
+    definite, the theta-scan's case (theta(b) must also locate
+    eigenvalues): its records hold s h, r h and q h, and on a piece
+    |lambda (r h) - q h| <= cap (r h) + |q h|, so k h and z = (s h)(k h)
+    stay finite where s h, r h, |q| h, cap (r h) + |q| h and s h times
+    that sum do.  Rounding is monotone, so these bound the scan's own
+    products exactly; an inf or NaN among them carries into the last,
+    which is the one tested.  Otherwise, the complex propagator's case:
+    z = s k h^2, k h and s h with |lambda r - q| <= |q| + cap r.  `at`
+    names cap in the message.
     """
     widths, svals, qvals, rvals = problem.coeffs.piece_arrays()
     if definite and not any(v > 0.0 for v in svals):
         raise NotRightDefinite("s vanishes identically; u cannot oscillate")
     if definite and not any(v > 0.0 for v in rvals):
         raise NotRightDefinite("r vanishes identically; theta(b) does not depend on lambda")
+    sym = "cap" if at == "lambda_cap" else at
     for i, (h, s, q, r) in enumerate(zip(widths, svals, qvals, rvals)):
-        k = abs(q) + cap * r
         # NaN (an infinite width times a zero) fails these tests too
-        if not (s * k * h * h < math.inf and k * h < math.inf and s * h < math.inf):
-            x0, x1 = problem.coeffs.breakpoints[i : i + 2]
-            sym = "cap" if at == "lambda_cap" else at
-            raise OutOfDomain(
-                f"piece {i} on [{x0!r}, {x1!r}] overflows the "
-                f"{'theta-scan' if definite else 'propagator'} at {at} {cap:g}: "
-                f"s h^2 (|q| + {sym} r), h (|q| + {sym} r) and s h must be finite"
-            )
+        if definite:
+            if s * h * (cap * (r * h) + abs(q) * h) < math.inf:
+                continue
+            needed = f"s h, r h, |q| h, {sym} r h + |q| h and s h ({sym} r h + |q| h)"
+        else:
+            k = abs(q) + cap * r
+            if s * k * h * h < math.inf and k * h < math.inf and s * h < math.inf:
+                continue
+            needed = f"s h^2 (|q| + {sym} r), h (|q| + {sym} r) and s h"
+        x0, x1 = problem.coeffs.breakpoints[i : i + 2]
+        raise OutOfDomain(
+            f"piece {i} on [{x0!r}, {x1!r}] overflows the "
+            f"{'theta-scan' if definite else 'propagator'} at {at} {cap:g}: {needed} must be finite"
+        )
     return widths, svals, qvals, rvals
 
 

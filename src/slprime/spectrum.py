@@ -52,7 +52,7 @@ from dataclasses import dataclass, fields
 from typing import ClassVar
 
 from .coeff import CoefficientSet, SLProblem, _as_float, weyl_constant
-from .errors import BadConfig, EigenvalueNotFound, InsufficientData, OutOfDomain
+from .errors import BadConfig, EigenvalueNotFound, InsufficientData, OutOfDomain, _named
 from .shoot import _scan_records, _solver_pieces, _theta_scan, boundary_state
 
 __all__ = [
@@ -162,15 +162,6 @@ def _check_index(name: str, n) -> None:
         raise OutOfDomain(f"{name} must be an integer, got {n!r}")
     if n < 1:
         raise OutOfDomain(f"{name} must be >= 1, got {_named(n)}")
-
-
-def _named(n) -> str:
-    """Integer n in decimal below 2**2000 in size, where str() never refuses it; else its digits."""
-    bits = int(n).bit_length()
-    if bits < 2000:
-        return str(n)
-    digits = int(bits * math.log10(2)) + 1
-    return f"{'a negative' if n < 0 else 'an'} integer of about {digits} digits"
 
 
 def _not_found(n: int, beta: float, cap: float, up: bool) -> EigenvalueNotFound:

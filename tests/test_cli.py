@@ -237,6 +237,14 @@ def test_validation_errors_exit_two(tmp_path, capsys):
         assert run(["spectrum", "--config", write_doc(tmp_path, doc), "--n-max", "3"]) == 2
         err = capsys.readouterr().err
         assert f"piece 0 on {piece} overflows the theta-scan at lambda_cap 1e+12" in err
+    # r h = 1e310 on [0, 1e10], reachable only with lambda_cap < 1: the scan
+    # keeps r h per piece, so this is refused although s h^2 (|q| + cap r) is finite
+    folded = first_piece(1.0, 0.0)
+    folded["coefficients"]["r"]["values"] = [1e300, 1.0]
+    folded["solver"] = {"lambda_cap": 1e-20}
+    assert run(["spectrum", "--config", write_doc(tmp_path, folded), "--n-max", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "piece 0 on [0.0, 10000000000.0] overflows the theta-scan at lambda_cap 1e-20" in err
     # growth and order propagate up to |lambda| under the same rule; before it,
     # they wrote all-nan CSVs with a false FAIL, or died in a math domain error
     huge_q = json.loads(json.dumps(huge))

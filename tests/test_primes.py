@@ -119,6 +119,18 @@ def test_prime_reads_fail_before_sieving_past_the_ceiling(monkeypatch):
     assert walks == [1_000_000_000] and limits == []
 
 
+@pytest.mark.parametrize("read", [nth_prime, lambda n: nth_primes([n])], ids=["one", "list"])
+@pytest.mark.parametrize("sign, error, message", [
+    (1, LimitTooLarge, "prime #an integer of about 5001 digits lies beyond the sieve ceiling"),
+    (-1, OutOfDomain, "must be >= 1, got a negative integer of about 5001 digits"),
+], ids=["above", "below"])
+def test_a_prime_index_past_str_range_is_refused_by_its_size(read, sign, error, message):
+    # str() refuses an integer of more than 4300 digits; the refusal names
+    # such an index by its size instead of ending in a raw ValueError
+    with pytest.raises(error, match=message):
+        read(sign * 10**5000)
+
+
 def test_streamed_nth_primes_match_the_table_at_segment_edges():
     table = sieve(8 * SEG + 1)
     edges = sieve_edge_indices(table)

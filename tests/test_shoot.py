@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import slprime.shoot as shoot_mod
+import slprime.spectrum as spectrum_mod
 from helpers import hand_piece_matrix, random_problem, rk4_prufer_angle
 from slprime.coeff import PiecewiseConstant, constant, problem, unit_problem
 from slprime.errors import NotRightDefinite, OutOfDomain
@@ -222,8 +223,6 @@ def test_prufer_angle_is_the_walks_scan_bit_for_bit(monkeypatch):
     # lambda a walk scans with counting, both read the same winding and
     # theta(b), bit for bit, though the walk's records are built at the
     # lambda cap and prufer_angle's at |lambda|
-    import slprime.spectrum as spectrum_mod
-
     scan, scanned = spectrum_mod._theta_scan, []
 
     def recording(records, state, lam, within):
@@ -291,6 +290,20 @@ def test_prufer_angle_refuses_overflowing_pieces():
     for lam in (-1e12, -1e6, 0.0, 1e6):
         with pytest.raises(OutOfDomain, match=f"theta\\(b\\) at lambda {lam!r} is not finite"):
             prufer_angle(nan_state, lam)
+
+
+def test_scan_refuses_r_h_past_the_float_range():
+    # s = 1, q = 0, r = 1e300 on [0, 1e10]: at lambda_cap 1e-20, s k h^2 =
+    # 1e300 and k h = 1e290 are finite, but the scan's record holds
+    # r h = 1e310, and k h = lambda (r h) would be inf or NaN in the scan
+    wide = problem(constant(1.0, 0.0, 1e10), constant(0.0, 0.0, 1e10), constant(1e300, 0.0, 1e10))
+    piece = r"^piece 0 on \[0.0, 10000000000.0\] overflows the theta-scan at "
+    with pytest.raises(OutOfDomain, match=piece + r"lambda_cap 1e-20: s h, r h, \|q\| h, "):
+        spectrum_mod.compute_spectrum(wide, 3, spectrum_mod.SolverOptions(lambda_cap=1e-20))
+    with pytest.raises(OutOfDomain, match=piece + r"\|lambda\| 0: "):
+        prufer_angle(wide, 0.0)
+    # the complex propagator keeps its own products: k h = 0 at lambda = 0
+    assert integrate_system_scaled(wide, 0.0)[0] == 1.0
 
 
 def _nan_state():
@@ -369,24 +382,26 @@ def reference_theta_scan(widths, svals, qvals, rvals, alpha, lam):
     """The theta-scan kernel before it was inlined, kept as the bit-for-bit reference.
 
     It takes psi0's sector from the rounded atan2, so it undercounts when
-    a zero of u lands on a breakpoint; on generic inputs it is exact.
+    a zero of u lands on a breakpoint; on generic inputs it is exact.  It
+    forms k h = lambda (r h) - q h and z = (s h)(k h) per piece, in the
+    kernel's order.
     """
     u = math.sin(alpha)
     v = -math.cos(alpha)
     winding = 0
     for h, s, q, r in zip(widths, svals, qvals, rvals):
-        k = lam * r - q
-        if s == 0.0:
-            v += k * h * u
+        kh = lam * (r * h) - q * h
+        if s * h == 0.0:
+            v += kh * u
         else:
-            z = s * k * h * h
+            z = s * h * kh
             ss = _reference_start_sign(u, v)
             if z > _SERIES_CUT:
                 w = math.sqrt(z)
                 cw = math.cos(w)
                 sg = math.sin(w) / w
                 u1 = cw * u - s * h * sg * v
-                v1 = k * h * sg * u + cw * v
+                v1 = kh * sg * u + cw * v
                 psi0 = math.atan2(w * u, -s * h * v)
                 psi1 = psi0 + w
                 zc = math.floor(psi1 / math.pi) - math.floor(psi0 / math.pi)
@@ -409,10 +424,10 @@ def reference_theta_scan(widths, svals, qvals, rvals, alpha, lam):
                 else:
                     cw, sg = _kernel_series(z)
                 u1 = cw * u - s * h * sg * v
-                v1 = k * h * sg * u + cw * v
+                v1 = kh * sg * u + cw * v
                 if u1 == 0.0 and v1 == 0.0:
                     a = s * h / w
-                    b = k * h / w
+                    b = kh / w
                     e = math.exp(-2.0 * w)
                     u1 = (u - a * v) + e * (u + a * v)
                     v1 = (b * u + v) + e * (v - b * u)
@@ -495,15 +510,12 @@ def _bound_missing_args(local):
     return widths, svals, qvals, rvals, alpha, lam, 1e12
 
 
-# two equal pieces whose phase leaves the first on 3 pi at these lambda
-# (test_theta_scan_keeps_a_zero_that_lands_on_a_breakpoint)
+# two equal pieces whose phase leaves the first on 3 pi at the first of
+# these lambda, the only float within 3000 ulps where it does; the second
+# is the next float up (test_theta_scan_keeps_a_zero_that_lands_on_a_breakpoint)
 _BREAKPOINT_HALF = 1.8314215536284029 / 2
 _BREAKPOINT_SQR = (1.2527198028361937, 28.462667776984148, 0.7698723122733672)
-_BREAKPOINT_LAMS = (
-    113.24708370230032,
-    113.24708370230033,
-    math.nextafter(113.24708370230033, math.inf),
-)
+_BREAKPOINT_LAMS = (113.2470837023003, math.nextafter(113.2470837023003, math.inf))
 
 
 # the unit problem cut into three pieces: at its lambda_7 = 49 pi^2 and
@@ -543,13 +555,13 @@ def _breakpoint_zero_args(local):
         alpha, lam = 0.0, float(local.choice(_UNIT_THIRDS_LAMS))
     else:
         # within ulps of the breakpoint test's lambda; the reference kernel
-        # loses 2 pi at the first two of its lambda (see its docstring), so
-        # those are left to that test, which checks them against RK4
-        lam = _BREAKPOINT_LAMS[2]
+        # loses 2 pi at the first of its lambda (see its docstring), so
+        # that one is left to that test, which checks it against RK4
+        lam = _BREAKPOINT_LAMS[1]
         for _ in range(int(local.integers(-60, 60))):
             lam = math.nextafter(lam, -math.inf)
-        if lam in _BREAKPOINT_LAMS[:2]:
-            lam = _BREAKPOINT_LAMS[2]
+        if lam == _BREAKPOINT_LAMS[0]:
+            lam = _BREAKPOINT_LAMS[1]
         s, q, r = _BREAKPOINT_SQR
         head = ([_BREAKPOINT_HALF] * 2, [s] * 2, [q] * 2, [r] * 2)
         alpha = 0.5 * math.pi
@@ -644,13 +656,16 @@ def test_theta_scan_stays_finite_just_inside_the_growth_bound():
 
 
 def test_theta_scan_keeps_a_zero_that_lands_on_a_breakpoint():
-    # two equal pieces: at these lambda the phase leaves piece 0 on 3 pi
+    # two equal pieces: at the first lambda the phase leaves piece 0 on 3 pi
     # exactly with u = +3e-16, and atan2 rounds piece 1's starting phase
     # onto pi although u > 0; the crossing at the breakpoint must still count
     half = _BREAKPOINT_HALF
     s, q, r = _BREAKPOINT_SQR
+    # the reference kernel takes the rounded sector there and loses 2 pi
+    args = ([half] * 2, [s] * 2, [q] * 2, [r] * 2, 0.5 * math.pi)
+    assert [reference_theta_scan(*args, lam)[0] for lam in _BREAKPOINT_LAMS] == [3, 5]
     for lam in _BREAKPOINT_LAMS:
-        winding, frac, _, _ = flat_theta_scan([half] * 2, [s] * 2, [q] * 2, [r] * 2, 0.5 * math.pi, lam)
+        winding, frac, _, _ = flat_theta_scan(*args, lam)
         assert winding == 5, lam
         mesh = [0.0, half, 2 * half]
         pieces = [PiecewiseConstant(mesh, [c, c]) for c in (s, q, r)]
@@ -694,7 +709,8 @@ def test_bracketed_scan_matches_the_counted_scan_bit_for_bit():
             got = _theta_scan(records, state, lam, (w_lo, w_hi))
             assert _bits(got) == _bits(_theta_scan(records, state, lam)), (prob, lo, lam, hi)
             non_oscillating += any(
-                s * (lam * r - q) * h * h <= _SERIES_CUT for h, s, q, r, _, _ in records
+                s * (lam * r - q) * h * h <= _SERIES_CUT
+                for h, s, q, r in zip(*prob.coeffs.piece_arrays())
             )
     assert checked > 1500 and non_oscillating > 150, (checked, non_oscillating)
 

@@ -211,7 +211,7 @@ def test_an_index_past_str_range_is_refused_by_its_size(solve, sign, error, mess
 
 # sha256 over walk_bits' cases; a change that moves a solver bit on purpose
 # updates it and names the old and new digests
-WALK_DIGEST = "2d43591440aac194b6abeedce1816cf4bbbb105131ffd3d1ccaf61a4b6f5398f"
+WALK_DIGEST = "b0fa6b0b8ad17b6e0690be4f3cc4d08266ea414f5590e7dd43a6dbc59a3fe246"
 
 
 def test_walk_bits_are_pinned():
