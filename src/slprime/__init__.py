@@ -29,14 +29,14 @@ _EXPORTS = {
         "unit_problem", "weyl_constant",
     ),
     "errors": (
-        "BadConfig", "DegenerateModulus", "DomainMismatch", "EigenvalueNotFound",
-        "EpsilonOutOfRange", "InsufficientData", "LengthMismatch", "LimitTooLarge", "NoRoot",
-        "NonFiniteValue", "NonMonotoneMesh", "NotRightDefinite", "OutOfDomain", "SlprimeError",
+        "BadConfig", "DomainMismatch", "EigenvalueNotFound", "EpsilonOutOfRange",
+        "InsufficientData", "LengthMismatch", "LimitTooLarge", "NoRoot", "NonFiniteValue",
+        "NonMonotoneMesh", "NotRightDefinite", "OutOfDomain", "SlprimeError",
     ),
     "shoot": ("AngleResult", "boundary_state", "integrate_system_scaled", "prufer_angle"),
     "spectrum": (
-        "DEFAULT_OPTIONS", "Eigenvalue", "SolverOptions", "Spectrum", "WeylFit",
-        "compute_spectrum", "eigenvalue", "weyl_fit",
+        "DEFAULT_OPTIONS", "Eigenvalue", "SolverOptions", "Spectrum", "compute_spectrum",
+        "eigenvalue",
     ),
     "primes": (
         "PrimeTable", "cesaro", "nth_prime", "nth_primes", "pnt_asymptotic", "prime_bounds",

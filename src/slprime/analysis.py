@@ -18,13 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 from .coeff import SLProblem, weyl_constant
-from .errors import (
-    DegenerateModulus,
-    EpsilonOutOfRange,
-    InsufficientData,
-    LimitTooLarge,
-    OutOfDomain,
-)
+from .errors import EpsilonOutOfRange, InsufficientData, LimitTooLarge, OutOfDomain, _check_index
 from .primes import _prime_chunks, nth_primes, prime_bounds
 from .shoot import _propagate_scaled, _solver_pieces, boundary_state, integrate_system_scaled
 from .spectrum import Spectrum
@@ -63,6 +57,7 @@ def incompatibility_report(spectrum: Spectrum, n_max: int) -> IncompatReport:
     n_max = 100 the trend is not yet meaningful and the verdict is
     withheld.
     """
+    _check_index("n_max", n_max)
     if n_max < 10:
         raise InsufficientData(f"need n_max >= 10, got {n_max}")
     if len(spectrum.eigenvalues) < n_max:
@@ -161,8 +156,8 @@ class OrderEstimate:
     radii: tuple[float, ...]
     log_max_modulus: tuple[float, ...]  # the lower bound, log|u(b; -R)|
     log_max_modulus_upper: tuple[float, ...]  # the upper bound, U(R)
-    slope: float  # a reading: log log|u(b; -R)| on log R
-    slope_upper: float  # log log U(R) on log R
+    slope: float  # a reading: log log|u(b; -R)| on log R; NaN below two radii past log 10
+    slope_upper: float  # log log U(R) on log R, over the same radii
     used: tuple[bool, ...]
     verdict: str
     type_ratio: float  # a reading: log|u(b; -R)| / (C sqrt(R)) at the largest radius
@@ -182,8 +177,9 @@ def order_estimate(problem: SLProblem) -> OrderEstimate:
     The radii R_0 10^k, k = 0..4, R_0 = max(100, 10 max |q|/r where r > 0),
     pass every turning point R r = |q| tenfold.  Readings that cannot FAIL:
     the slopes of log log|u(b; -R)| and log U(R) on log R where the lower
-    bound exceeds log 10, and the type log|u(b; -R)|/(C sqrt(R)) at the
-    largest radius, C = weyl_constant.
+    bound exceeds log 10, NaN where fewer than two radii do (the verdict
+    stands), and the type log|u(b; -R)|/(C sqrt(R)) at the largest radius,
+    C = weyl_constant.
     """
     widths, svals, qvals, rvals = problem.coeffs.piece_arrays()
     turn = max((abs(q) / r for q, r in zip(qvals, rvals) if r > 0.0), default=0.0)
@@ -201,15 +197,15 @@ def order_estimate(problem: SLProblem) -> OrderEstimate:
                    + 0.5 * math.log(u0**2 + v0**2 / rad) for rad in radii)
     used = tuple(lm > math.log(10.0) for lm in log_m)
     xs = [math.log(rad) for rad, keep in zip(radii, used) if keep]
-    if len(xs) < 2:
-        raise DegenerateModulus("max modulus never exceeded 10; no order slope can be fitted")
-    x_mean = math.fsum(xs) / len(xs)
-    dxs = [x - x_mean for x in xs]  # the least-squares slopes, in closed form
-    slopes = []
-    for logs in (log_m, log_up):  # NaN where U(R) is not positive and finite
-        ys = [math.log(v) if 0.0 < v < math.inf else math.nan for v, keep in zip(logs, used) if keep]
-        y_mean = math.fsum(ys) / len(ys)
-        slopes.append(math.fsum(dx * (y - y_mean) for dx, y in zip(dxs, ys)) / math.fsum(d * d for d in dxs))
+    slopes = [math.nan, math.nan]  # unfitted below two radii
+    if len(xs) > 1:
+        x_mean = math.fsum(xs) / len(xs)
+        dxs = [x - x_mean for x in xs]  # the least-squares slopes, in closed form
+        sxx = math.fsum(d * d for d in dxs)
+        for i, logs in enumerate((log_m, log_up)):  # NaN where U(R) is not positive and finite
+            ys = [math.log(v) if 0.0 < v < math.inf else math.nan for v, keep in zip(logs, used) if keep]
+            y_mean = math.fsum(ys) / len(ys)
+            slopes[i] = math.fsum(dx * (y - y_mean) for dx, y in zip(dxs, ys)) / sxx
     c = weyl_constant(problem.coeffs)
     type_ratio = log_m[-1] / (c * math.sqrt(radii[-1])) if c > 0.0 else math.inf
     verdict = "FAIL" if any(lo > up + 1e-9 * abs(up) for lo, up in zip(log_m, log_up)) else "PASS"
@@ -230,8 +226,7 @@ def _series_terms(epsilon: float, n_terms: int) -> None:
     """Refuse a series exponent outside (0, 1/2) or a term count outside 1..1e7."""
     if not 0.0 < epsilon < 0.5:
         raise EpsilonOutOfRange(f"epsilon must lie in (0, 1/2), got {epsilon}")
-    if n_terms < 1:
-        raise OutOfDomain(f"need at least one term, got {n_terms}")
+    _check_index("n_terms", n_terms)
     if n_terms > 10**7:
         raise LimitTooLarge(f"n_terms capped at 1e7, got {n_terms}")
 

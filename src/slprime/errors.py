@@ -2,10 +2,11 @@
 
 Every error raised on a violated precondition derives from SlprimeError,
 so callers (and the CLI) can catch one base class.  _named writes an
-integer into their messages.
+integer into their messages, and _check_index is the one rule for an index.
 """
 
 import math
+import numbers
 
 
 def _named(n) -> str:
@@ -15,6 +16,17 @@ def _named(n) -> str:
         return str(n)
     digits = int(bits * math.log10(2)) + 1
     return f"{'a negative' if n < 0 else 'an'} integer of about {digits} digits"
+
+
+def _check_index(name: str, n, least: int = 1) -> None:
+    """Refuse an index that is not an integer >= least (a bool is not one).
+
+    A plain int skips the ABC check, which would triple nth_primes' cost.
+    """
+    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, numbers.Integral)):
+        raise OutOfDomain(f"{name} must be an integer, got {n!r}")
+    if n < least:
+        raise OutOfDomain(f"{name} must be >= {least}, got {_named(n)}")
 
 
 class SlprimeError(Exception):
@@ -72,10 +84,6 @@ class LimitTooLarge(SlprimeError):
 
 class EpsilonOutOfRange(SlprimeError):
     """Series exponent offset must satisfy 0 < epsilon < 1/2."""
-
-
-class DegenerateModulus(SlprimeError):
-    """Max modulus never exceeded the noise floor; no order slope available."""
 
 
 class BadConfig(SlprimeError):

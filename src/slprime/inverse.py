@@ -31,9 +31,9 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 from .coeff import PiecewiseConstant, _as_float
-from .errors import BadConfig, EigenvalueNotFound
+from .errors import BadConfig, EigenvalueNotFound, SlprimeError
 from .nonlinear import NonlinearProblem, lambda_map, nonlinear_spectrum
-from .primes import nth_prime, nth_primes
+from .primes import _rosser_bound, nth_prime, nth_primes
 from .shoot import _SERIES_CUT, _kernel_series
 # nothing here calls compute_spectrum: perfbench's hook test pins this binding
 from .spectrum import _ascending, compute_spectrum  # noqa: F401
@@ -75,10 +75,17 @@ def _uniform_mesh(pieces: int) -> tuple[float, ...]:
     return (*(i * step for i in range(pieces)), 1.0)
 
 
+def _check_targets(name: str, n) -> None:
+    """Refuse a target count that is not a prime index the sieve serves, as BadConfig naming it."""
+    try:
+        _rosser_bound(n)
+    except SlprimeError as err:
+        raise BadConfig(f"{name}: {err}") from None
+
+
 def objective(q: PiecewiseConstant, n_targets: int) -> float:
     """Relative squared misfit sum_n ((mu_n(q) - mu*_n) / mu*_n)^2, as the search's trials sum it."""
-    if n_targets < 1:
-        raise BadConfig(f"need at least one target, got {n_targets}")
+    _check_targets("n_targets", n_targets)
     return _residuals(q, n_targets)[2]
 
 
@@ -115,8 +122,7 @@ class SearchConfig:
             raise BadConfig(f"2 * bound must be finite, got bound = {self.bound}")
         if self.seed < 0:
             raise BadConfig(f"seed must be >= 0, got {self.seed}")
-        if self.targets < 1:
-            raise BadConfig(f"targets must be >= 1, got {self.targets}")
+        _check_targets("targets", self.targets)
         if self.restarts < 1:
             raise BadConfig(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters < 1:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import TYPE_CHECKING
 
-from .errors import LimitTooLarge, OutOfDomain, _named
+from .errors import LimitTooLarge, OutOfDomain, _check_index, _named
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,11 +71,9 @@ def sieve(limit: int) -> PrimeTable:
     # numpy is imported where arrays are built: commands that build none start without it
     import numpy as np
 
-    limit = int(limit)
-    if limit < 2:
-        raise OutOfDomain(f"sieve limit must be >= 2, got {limit}")
+    _check_index("sieve limit", limit, 2)
     if limit > _SIEVE_MAX:
-        raise LimitTooLarge(f"sieve limit {limit} exceeds {_SIEVE_MAX}")
+        raise LimitTooLarge(f"sieve limit {_named(limit)} exceeds {_SIEVE_MAX}")
     out = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
     count = 0
     for lo, flags in _segments(limit):
@@ -197,14 +195,13 @@ def prime_bounds(n):
 
 
 def _rosser_bound(n: int) -> int:
-    """A sieve limit that holds the first n primes (n >= 1).
+    """A sieve limit that holds the first n primes (n an integer >= 1).
 
     prime_bounds' hi, plus a margin; the primes below 15 cover n < 6.
     Past pi(_SIEVE_MAX) it raises, so no caller sieves anything for an
     index it cannot serve.
     """
-    if n < 1:
-        raise OutOfDomain(f"prime index must be >= 1, got {_named(n)}")
+    _check_index("prime index", n)
     if n > _PI_SIEVE_MAX:
         raise LimitTooLarge(f"prime #{_named(n)} lies beyond the sieve ceiling {_SIEVE_MAX}")
     if n < 6:
@@ -213,19 +210,20 @@ def _rosser_bound(n: int) -> int:
 
 
 def nth_primes(ns) -> list[int]:
-    """p_n for each of the ascending indices ns (n >= 1), from one streamed walk.
+    """p_n for each of the ascending integer indices ns (n >= 1), from one streamed walk.
 
     Each segment's primes are counted, only a segment holding a wanted
     index is turned into primes, and the walk stops at the one holding the
     last.  Alive at once, whatever max(ns) is: one segment's 1 MB of flags
     and at most one segment's primes, dropped before the next is sieved.
     """
-    ns = [int(n) for n in ns]
+    ns = list(ns)
     if not ns:
         return []
+    for n in ns:
+        _check_index("prime index", n)
     if any(b < a for a, b in zip(ns, ns[1:])):
         raise OutOfDomain("prime indices must be ascending")
-    _rosser_bound(ns[0])  # the smallest index meets the same rules as the largest
     out = []
     count = 0  # primes in the segments before this one
     for lo, flags in _segments(_rosser_bound(ns[-1])):

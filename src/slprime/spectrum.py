@@ -51,18 +51,16 @@ import sys
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
-from .coeff import CoefficientSet, SLProblem, _as_float, weyl_constant
-from .errors import BadConfig, EigenvalueNotFound, InsufficientData, OutOfDomain, _named
+from .coeff import SLProblem, _as_float, weyl_constant
+from .errors import BadConfig, EigenvalueNotFound, OutOfDomain, _check_index, _named
 from .shoot import _scan_records, _solver_pieces, _theta_scan, boundary_state
 
 __all__ = [
     "SolverOptions",
     "Eigenvalue",
     "Spectrum",
-    "WeylFit",
     "eigenvalue",
     "compute_spectrum",
-    "weyl_fit",
 ]
 
 _PI = math.pi
@@ -154,14 +152,6 @@ def _point(lam: float, winding: int, frac: float, rho: float, beta: float, n: in
     if not 0.0 < abs(h) < _INF:
         h = f
     return lam, f, h, winding, frac, rho
-
-
-def _check_index(name: str, n) -> None:
-    """Refuse an index that is not an integer >= 1 (a bool is not one)."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise OutOfDomain(f"{name} must be an integer, got {n!r}")
-    if n < 1:
-        raise OutOfDomain(f"{name} must be >= 1, got {_named(n)}")
 
 
 def _not_found(n: int, beta: float, cap: float, up: bool) -> EigenvalueNotFound:
@@ -396,28 +386,3 @@ def compute_spectrum(
     except EigenvalueNotFound as err:
         note = f"TRUNCATED at n = {err.index}: {err}"
     return Spectrum(problem.content_hash(), tuple(found), n_max, truncation_note=note)
-
-
-@dataclass(frozen=True)
-class WeylFit:
-    """Median growth constant of lambda_n / n^2 against the reference pi^2/C^2."""
-
-    fitted: float
-    reference: float
-    deviation: float
-
-
-def weyl_fit(spectrum: Spectrum, coeffs: CoefficientSet) -> WeylFit:
-    """Fit lambda_n ~ K n^2 (median over the top half of indices) and compare to pi^2/C^2."""
-    evs = spectrum.eigenvalues
-    if len(evs) < 10:
-        raise InsufficientData(
-            f"weyl_fit needs at least 10 eigenvalues, got {len(evs)}"
-        )
-    c = weyl_constant(coeffs)
-    reference = (_PI / c) ** 2 if c > 0.0 else math.inf
-    half = sorted(ev.value / ev.index**2 for ev in evs if ev.index > len(evs) // 2)
-    mid = len(half) // 2
-    fitted = half[mid] if len(half) % 2 == 1 else 0.5 * (half[mid - 1] + half[mid])
-    deviation = abs(fitted - reference) / reference if math.isfinite(reference) else math.nan
-    return WeylFit(fitted=fitted, reference=reference, deviation=deviation)

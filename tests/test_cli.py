@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -468,9 +469,12 @@ def test_order_command(tmp_path, capsys):
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("slope 0.3599") and lines[-1] == "VERDICT: PASS order"
-    # C = 0: u(b; lambda) = 1 on Atkinson's document, so no slope can be fitted
-    assert run(["order", "--config", write_doc(tmp_path, ATKINSON_DOC, "atk.json")]) == 2
-    assert "max modulus never exceeded 10" in capsys.readouterr().err
+    # C = 0: u(b; lambda) = 1 on Atkinson's document, so no slope can be
+    # fitted; the slopes read nan and U(R) still certifies, exit 0
+    assert run(["order", "--config", write_doc(tmp_path, ATKINSON_DOC, "atk.json"),
+                "--out", str(tmp_path / "o4.csv")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["slope nan", "slope_upper nan"] and lines[-1] == "VERDICT: PASS order"
 
 
 @settings(max_examples=40, deadline=None)
@@ -682,6 +686,19 @@ def test_invert_rejects_initial_step(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+def test_invert_refuses_targets_past_the_prime_ceiling(tmp_path, capsys):
+    # pi(10^9) = 50,847,534 primes lie below the sieve ceiling: one target
+    # more is refused at once, before the q = 0 baseline solves anything
+    cfg = tmp_path / "search.json"
+    cfg.write_text(json.dumps({"targets": 50_847_535}))
+    start = time.monotonic()
+    assert run(["invert", "--config", str(cfg), "--out", str(tmp_path / "res.json")]) == 2
+    assert time.monotonic() - start < 5.0
+    assert capsys.readouterr().err == (
+        "error: targets: prime #50847535 lies beyond the sieve ceiling 1000000000\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
@@ -833,17 +850,17 @@ def test_importing_cli_binds_every_layer():
 
 PACKAGE_NAMES = set("""
     AngleResult BRANCH_MIN BadConfig BoundaryCondition CoefficientSet DEFAULT_OPTIONS
-    DIRICHLET DegenerateModulus DomainMismatch Eigenvalue EigenvalueNotFound EpsilonOutOfRange
+    DIRICHLET DomainMismatch Eigenvalue EigenvalueNotFound EpsilonOutOfRange
     GrowthReport IncompatReport InsufficientData Interval LengthMismatch LimitTooLarge NoRoot
     NonFiniteValue NonMonotoneMesh NonlinearProblem NonlinearRow NotRightDefinite
     OrderEstimate OutOfDomain PiecewiseConstant PrimeTable SLProblem SearchConfig SearchResult
-    SlprimeError SolverOptions Spectrum TargetRow WeylFit analysis boundary_state cesaro
+    SlprimeError SolverOptions Spectrum TargetRow analysis boundary_state cesaro
     coeff compute_spectrum constant eigenvalue errors growth_check incompatibility_report
     integrate_system_scaled inverse invert_map lambda_map merged_mesh nonlinear
     nonlinear_spectrum nth_prime nth_primes objective order_estimate partial_sum_primes
     partial_sum_spectrum pnt_asymptotic prime_bounds primes problem prufer_angle
     refine_common_mesh search series_verdict shoot sieve spectrum target_mu unit_problem
-    weyl_constant weyl_fit worker_count
+    weyl_constant worker_count
 """.split())
 
 
@@ -906,13 +923,16 @@ def test_cli_snapshot_exit_codes(tmp_path):
         f"{command}_{doc}"
         for command in ("spectrum", "growth", "order")
         for doc in ("wide", "huge")
-    } | {"spectrum_missing", "spectrum_nanstate"}
+    } | {"spectrum_missing", "spectrum_nanstate", "invert_ceiling"}
     assert len(codes) == len(table) >= 25
     assert codes == {name: failing.get(name, 2 if name in refused else 0) for name in codes}
     last_err = {name: err for name, _, err in table}
-    for name in refused - {"spectrum_missing", "spectrum_nanstate"}:
+    for name in refused - {"spectrum_missing", "spectrum_nanstate", "invert_ceiling"}:
         assert "piece 0 on" in last_err[name] and "overflows the" in last_err[name]
     assert "is not finite" in last_err["spectrum_nanstate"]
+    assert "beyond the sieve ceiling 1000000000" in last_err["invert_ceiling"]
+    assert (tmp_path / "order_atkinson" / "stdout.txt").read_text().startswith(
+        "slope nan\nslope_upper nan\n")
     assert all(last_err[name] == "" for name, code in codes.items() if code != 2)
     assert (tmp_path / "spectrum_split_mesh" / "out.csv").exists()
     assert (tmp_path / "nonlinear_capped" / "stdout.txt").read_text().startswith(

@@ -404,6 +404,10 @@ def test_search_config_validation():
         SearchConfig(bound=-5.0)
     with pytest.raises(BadConfig):
         SearchConfig(targets=0)
+    # every target reads a prime, and pi(10^9) of them lie below the sieve ceiling
+    with pytest.raises(BadConfig, match="^targets: prime #50847535 lies beyond the sieve ceiling"):
+        SearchConfig(targets=50_847_535)
+    assert SearchConfig(targets=50_847_534).targets == 50_847_534
     with pytest.raises(BadConfig):
         SearchConfig(restarts=0)
     with pytest.raises(BadConfig):

@@ -1,6 +1,7 @@
 """Sieve, nth prime, and the two asymptotic expansions."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,8 +9,11 @@ import pytest
 
 import slprime.primes as primes_mod
 from helpers import sieve_edge_indices, trial_division_primes
+from slprime.analysis import incompatibility_report, partial_sum_primes, partial_sum_spectrum
 from slprime.cli import _prime_checkpoints
-from slprime.errors import LimitTooLarge, OutOfDomain
+from slprime.coeff import constant, unit_problem
+from slprime.errors import BadConfig, LimitTooLarge, OutOfDomain
+from slprime.inverse import objective, target_mu
 from slprime.primes import (
     PrimeTable,
     cesaro,
@@ -19,6 +23,7 @@ from slprime.primes import (
     prime_bounds,
     sieve,
 )
+from slprime.spectrum import compute_spectrum
 
 SEG = primes_mod._SEGMENT
 
@@ -129,6 +134,30 @@ def test_a_prime_index_past_str_range_is_refused_by_its_size(read, sign, error, 
     # such an index by its size instead of ending in a raw ValueError
     with pytest.raises(error, match=message):
         read(sign * 10**5000)
+
+
+@pytest.mark.parametrize("read, arg, error, message", [
+    (nth_prime, 2.7, OutOfDomain, "prime index must be an integer, got 2.7"),
+    (nth_prime, True, OutOfDomain, "prime index must be an integer, got True"),
+    (nth_primes, [1.5, 3.9], OutOfDomain, "prime index must be an integer, got 1.5"),
+    (target_mu, 2.5, OutOfDomain, "prime index must be an integer, got 2.5"),
+    (sieve, 2.5, OutOfDomain, "sieve limit must be an integer, got 2.5"),
+    (sieve, 1, OutOfDomain, "sieve limit must be >= 2, got 1"),
+    (lambda n: partial_sum_primes(0.25, n), 1000.5, OutOfDomain,
+     "n_terms must be an integer, got 1000.5"),
+    (lambda n: partial_sum_spectrum(1.0, 0.25, n), 1000.5, OutOfDomain,
+     "n_terms must be an integer, got 1000.5"),
+    (lambda n: incompatibility_report(compute_spectrum(unit_problem(), 20), n), 150.5,
+     OutOfDomain, "n_max must be an integer, got 150.5"),
+    (lambda n: objective(constant(0.0), n), 2.5, BadConfig,
+     "n_targets: prime index must be an integer, got 2.5"),
+], ids=["nth_prime-float", "nth_prime-bool", "nth_primes-floats", "target_mu",
+        "sieve-float", "sieve-1", "primes-series", "model-series", "incompat", "objective"])
+def test_one_index_rule_refuses_what_is_not_an_integer_in_range(read, arg, error, message):
+    # prime reads, the sieve and the analysis counts share errors._check_index:
+    # a float or bool is refused, never truncated to a neighbouring index
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        read(arg)
 
 
 def test_streamed_nth_primes_match_the_table_at_segment_edges():

@@ -25,7 +25,6 @@ from slprime.coeff import (
 from slprime.errors import (
     BadConfig,
     EigenvalueNotFound,
-    InsufficientData,
     NotRightDefinite,
     OutOfDomain,
 )
@@ -35,7 +34,6 @@ from slprime.spectrum import (
     Spectrum,
     compute_spectrum,
     eigenvalue,
-    weyl_fit,
 )
 
 PI2 = math.pi**2
@@ -355,27 +353,6 @@ def test_compute_spectrum_deterministic():
     a = compute_spectrum(prob, 8)
     b = compute_spectrum(prob, 8)
     assert a == b  # bit-identical, not merely close
-
-
-def test_weyl_fit_matches_reference():
-    prob = unit_problem()
-    spec = compute_spectrum(prob, 200)
-    fit = weyl_fit(spec, prob.coeffs)
-    assert fit.reference == pytest.approx(PI2, rel=1e-15)
-    assert fit.deviation < 1e-10
-
-    prob4 = problem(
-        constant(1.0, 0.0, 1.0), constant(0.0, 0.0, 1.0), constant(4.0, 0.0, 1.0)
-    )
-    fit4 = weyl_fit(compute_spectrum(prob4, 120), prob4.coeffs)
-    assert fit4.reference == pytest.approx(PI2 / 4.0, rel=1e-15)
-    assert fit4.deviation < 1e-10
-
-
-def test_weyl_fit_needs_enough_eigenvalues():
-    spec = compute_spectrum(unit_problem(), 9)
-    with pytest.raises(InsufficientData):
-        weyl_fit(spec, unit_problem().coeffs)
 
 
 def test_solver_rejects_degenerate_coefficients():

@@ -117,6 +117,8 @@ def documents() -> dict:
                           "max_iters": 20},
         "invert_3piece": {"pieces": 3, "bound": 80.0, "targets": 3, "restarts": 2,
                           "max_iters": 6},
+        # one target past pi(10^9), the primes below the sieve ceiling
+        "invert_ceiling": {"targets": 50_847_535},
     }
 
 
@@ -165,6 +167,8 @@ def commands() -> dict:
         "order_huge": ["order", *cfg("huge"), "--out", "out.csv"],
         "order_smallc": ["order", *cfg("smallc"), "--out", "out.csv"],
         "order_r0heavy": ["order", *cfg("r0heavy"), "--out", "out.csv"],
+        # u(b; lambda) = 1: no radius passes log 10, and both slopes read nan
+        "order_atkinson": ["order", *cfg("atkinson"), "--out", "out.csv"],
         "series_100000": ["series", "--n-max", "100000", "--out", "out.csv"],
         "series_2000000": ["series", "--n-max", "2000000", "--out", "out.csv"],
         # eps = 0.3: S(1e6) < 2 S(1e4), though the prime series diverges
@@ -172,6 +176,7 @@ def commands() -> dict:
         "invert_1piece": ["invert", *cfg("invert_1piece"), "--seed", "3", "--out", "out.json"],
         "invert_3piece": ["invert", *cfg("invert_3piece"), "--seed", "5", "--out", "out.json",
                           "--csv", "targets.csv"],
+        "invert_ceiling": ["invert", *cfg("invert_ceiling"), "--out", "out.json"],
     }
 
 
