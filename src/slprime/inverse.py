@@ -69,6 +69,13 @@ def target_mu(n: int) -> float:
     return lambda_map(nth_prime(n))
 
 
+@lru_cache(maxsize=None)
+def _targets(n: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """(primes, targets): p_m and target_mu(m) for m = 1..n, read in one sieve walk."""
+    primes = tuple(nth_primes(range(1, n + 1)))
+    return primes, tuple(lambda_map(p) for p in primes)
+
+
 def _uniform_mesh(pieces: int) -> tuple[float, ...]:
     # the floats np.linspace(0, 1, pieces + 1) gives: i * step, then exactly 1 at the end
     step = 1.0 / pieces
@@ -175,10 +182,11 @@ def _residuals(q: PiecewiseConstant, n_targets: int, stop: float = math.inf):
     solves are skipped.  Returns (None, None, inf) for a truncated
     spectrum or one cut short at stop.
     """
+    targets = _targets(n_targets)[1]
     res, mus, total = [], [], 0.0
     try:
         for ev in itertools.islice(_ascending(NonlinearProblem(q).base()), n_targets):
-            target = target_mu(ev.index)
+            target = targets[ev.index - 1]
             x = (ev.value - target) / target
             total += x**2
             if total >= stop:
@@ -270,10 +278,10 @@ def _lm_restart(cfg: SearchConfig, k: int):
     mesh = _uniform_mesh(cfg.pieces)
     widths = [x1 - x0 for x0, x1 in zip(mesh, mesh[1:])]
     n, bound = cfg.targets, cfg.bound
-    scale = [target_mu(m) for m in range(1, n + 1)]
+    scale = _targets(n)[1]
     if k == 0:
         # a constant shift matching the first target exactly: mu_1(c) = pi^2 + c
-        vals = [min(bound, max(-bound, target_mu(1) - _PI_SQ))] * cfg.pieces
+        vals = [min(bound, max(-bound, scale[0] - _PI_SQ))] * cfg.pieces
     else:
         # numpy only for its seeded generator: the draws stay those of (seed, k)
         import numpy as np
@@ -430,15 +438,16 @@ def search(config: SearchConfig | None = None) -> SearchResult:
 
     best_q = PiecewiseConstant(mesh, best_vals)
     composed = nonlinear_spectrum(NonlinearProblem(best_q), cfg.targets)
+    primes, targets = _targets(cfg.targets)
     rows = [
         TargetRow(
             index=row.index,
-            prime=p,
-            target=target_mu(row.index),
+            prime=primes[row.index - 1],
+            target=targets[row.index - 1],
             achieved=row.mu,
             implied_lambda=row.lam,
         )
-        for row, p in zip(composed, nth_primes([row.index for row in composed]))
+        for row in composed
     ]
     return SearchResult(
         config=cfg,

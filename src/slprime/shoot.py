@@ -23,10 +23,11 @@ makes eigenvalue counting exact: theta(b) is advanced per piece by the
 principal angle difference plus pi times the number of interior zeros
 of u, never by blind unwrapping.
 
-On an oscillatory piece the phase of (u, v) advances by exactly
-w = sqrt(z), and u vanishes where the phase is a multiple of pi, so the
-theta-scan counts the phase's pi-multiples from atan2; on a
-non-oscillatory piece u has at most one zero, seen as a sign flip.
+A piece holds no zero of u where s = 0 (u is frozen); at most one, seen
+as a sign flip of u, where it does not oscillate or the phase of (u, v)
+advances by w = sqrt(z) < pi; and where w >= pi, the phase advances by
+exactly w and u vanishes at its multiples of pi, which the theta-scan
+counts from atan2.
 
 The scan carries (u, v) unnormalised and rescales it when its size
 |u| + |v| leaves 1e+-120.  An oscillating piece conserves k u^2 + s v^2
@@ -206,17 +207,18 @@ def _theta_scan(records, state, lam, within=None):
     non-oscillating piece, and an oscillating one whose record has check
     set; a test that finds it overflowed (inf or NaN) raises OutOfDomain.
 
-    On an oscillatory piece the phase psi = atan2(w u, -s h v) advances by
-    exactly w, and u vanishes where psi is a multiple of pi, so the piece's
-    zeros are counted by the floor of psi.  psi starts in the sector (0 or
-    -1, in units of pi) that the sign of u just inside the piece gives,
-    not the one the rounded atan2 gives: psi0 can round onto pi while
-    u > 0.  Roundoff can still mis-bin a zero that falls on a piece
-    boundary; the count is then off by one, which would shift theta by a
-    whole pi.  Its parity must match the sign flip of u, so a mismatch is
-    adjusted by +-1, the direction chosen by which side of a pi-multiple
-    the phase ended on.  A non-oscillatory piece holds at most one zero,
-    counted where u flips sign.
+    A piece's zeros are counted after its transfer: none where s h = 0;
+    at most one, where u flips sign, on a non-oscillatory piece or one
+    with w = sqrt(z) < pi; and where w >= pi, by the floor of the phase
+    psi = atan2(w u, -s h v), which advances by exactly w and is a
+    multiple of pi where u vanishes.  psi starts in the sector (0 or -1,
+    in units of pi) that the sign of u just inside the piece gives, not
+    the one the rounded atan2 gives: psi0 can round onto pi while u > 0.
+    Roundoff can still mis-bin a zero that falls on a piece boundary; the
+    count is then off by one, which would shift theta by a whole pi.  Its
+    parity must match the sign flip of u, so a mismatch is adjusted by
+    +-1, the direction chosen by which side of a pi-multiple the phase
+    ended on.
 
     within = (w_lo, w_hi), w_hi - w_lo <= 1, holds the windings of two
     scans on either side of lambda; no piece's zeros are then counted,
@@ -243,35 +245,6 @@ def _theta_scan(records, state, lam, within=None):
                 sg = sin(w) / w
                 u1 = cw * u - sh * sg * v
                 v1 = kh * sg * u + cw * v
-                if within is None:
-                    # psi advances exactly linearly (by w) and u = 0 iff psi
-                    # is a multiple of pi, so crossings are a floor count.
-                    # up is the sign of u just inside the piece; at u == 0
-                    # that of u'(0+) = -s v
-                    up = u > 0.0 or (u == 0.0 and v < 0.0)
-                    psi0 = atan2(w * u, -sh * v)
-                    sector = 0 if up else -1
-                    if not up and psi0 > 0.0:
-                        # u = +0 with v > 0: atan2 gives +pi for the sector's -pi
-                        psi0 -= 2.0 * pi
-                    psi1 = psi0 + w
-                    f1 = floor(psi1 / pi)
-                    end_frac = psi1 - pi * f1
-                    if u1 != 0.0:
-                        zc = f1 - sector
-                        end_up = u1 > 0.0
-                    else:
-                        # zero exactly at the right end: it belongs to this
-                        # piece, and the sign just before it is that of v1
-                        zc = f1 - sector - 1
-                        end_up = v1 > 0.0
-                    if (up != end_up) == (zc % 2 == 0):
-                        zc += 1 if end_frac > half_pi else -1
-                        if zc < 0:
-                            zc += 2
-                    if u1 == 0.0:
-                        zc += 1
-                    winding += zc
             else:
                 if z < -cut:
                     w = sqrt(-z)
@@ -301,13 +274,40 @@ def _theta_scan(records, state, lam, within=None):
                         # e underflowed (w > ~370): the e^{-w} part alone
                         # gives the direction
                         u1, v1 = u + a * v, v - b * u
-                if within is None:
-                    # non-oscillatory: at most one zero in (0, h], seen as a
-                    # sign flip from up (the sign just inside, as above)
-                    up = u > 0.0 or (u == 0.0 and v < 0.0)
-                    if u1 == 0.0 or up != (u1 > 0.0):
-                        winding += 1
                 check = True
+            if within is None:
+                # up is the sign of u just inside the piece; at u == 0 that
+                # of u'(0+) = -s v
+                up = u > 0.0 or (u == 0.0 and v < 0.0)
+                if z > cut and w >= pi:
+                    # psi advances exactly linearly (by w) and u = 0 iff psi
+                    # is a multiple of pi, so crossings are a floor count
+                    psi0 = atan2(w * u, -sh * v)
+                    sector = 0 if up else -1
+                    if not up and psi0 > 0.0:
+                        # u = +0 with v > 0: atan2 gives +pi for the sector's -pi
+                        psi0 -= 2.0 * pi
+                    psi1 = psi0 + w
+                    f1 = floor(psi1 / pi)
+                    end_frac = psi1 - pi * f1
+                    if u1 != 0.0:
+                        zc = f1 - sector
+                        end_up = u1 > 0.0
+                    else:
+                        # zero exactly at the right end: it belongs to this
+                        # piece, and the sign just before it is that of v1
+                        zc = f1 - sector - 1
+                        end_up = v1 > 0.0
+                    if (up != end_up) == (zc % 2 == 0):
+                        zc += 1 if end_frac > half_pi else -1
+                        if zc < 0:
+                            zc += 2
+                    if u1 == 0.0:
+                        zc += 1
+                    winding += zc
+                elif u1 == 0.0 or up != (u1 > 0.0):
+                    # at most one zero in (0, h], seen as a sign flip
+                    winding += 1
             u, v = u1, v1
         if check:
             n = abs(u) + abs(v)

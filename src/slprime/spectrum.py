@@ -208,33 +208,23 @@ def eigenvalue(
             if w_hi - w_lo <= 1:
                 within = (w_lo, w_hi)
         winding, frac, u, v = _theta_scan(records, state, lam, within)
-        # _point, inlined: one call less per scan
-        rho = _hypot(u, v)
-        f = (winding - n + 1) * _PI + (frac - beta)
-        if -_PI < f < _PI:
-            h = rho * _sin(f)
-        else:
-            h = _copysign(rho * (1.0 + abs(f) - _PI), f)
-        if not 0.0 < abs(h) < _INF:
-            h = f
-        point = (lam, f, h, winding, frac, rho)
+        point = _point(lam, winding, frac, _hypot(u, v), beta, n)
         scanned.append(point)
         return point
 
-    # a point of index n - 1 reads one pi lower here, exactly (_point's f
-    # from its winding and frac); only the signs so read are trusted, not
+    # a point of index n - 1 reads one pi lower here, exactly (_point forms
+    # f from its winding and frac); only the signs so read are trusted, not
     # monotonicity between points
     lo = hi = None
-    for p in carried:
-        if (p[3] - n + 1) * _PI + (p[4] - beta) < 0.0:
+    for lam, _, _, winding, frac, rho in carried:
+        p = _point(lam, winding, frac, rho, beta, n)
+        if p[1] < 0.0:
             if lo is None or p[0] > lo[0]:
                 lo = p
         elif hi is None or p[0] < hi[0]:
             hi = p
-    if lo is not None:
-        lo = _point(lo[0], lo[3], lo[4], lo[5], beta, n)
-    if hi is not None:
-        hi = _point(hi[0], hi[3], hi[4], hi[5], beta, n) if lo is None or hi[0] > lo[0] else None
+    if hi is not None and lo is not None and hi[0] <= lo[0]:
+        hi = None
     starts = (lo, hi)
 
     cap = opts.lambda_cap

@@ -2,6 +2,7 @@
 
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,6 +381,34 @@ def test_search_seed_changes_restart_draws():
     b = search(SearchConfig(seed=2, **base))
     # restart 0 is deterministic (constant start) but the random restart differs
     assert a.trace[1] != b.trace[1]
+
+
+def test_a_search_reads_its_targets_in_one_sieve_walk(monkeypatch):
+    # p_m and target_mu(m) for m = 1..targets come from one walk of the
+    # sieve, where reading them per index walked it once for each; both
+    # readings give the same search on perfbench's inverse configs
+    import slprime.inverse as inverse
+    import slprime.primes as primes
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    def per_index(n):
+        ms = range(1, n + 1)
+        return tuple(nth_prime(m) for m in ms), tuple(target_mu(m) for m in ms)
+
+    walk, walks = primes._segments, []
+    monkeypatch.setattr(primes, "_segments", lambda limit: walks.append(limit) or walk(limit))
+    monkeypatch.setenv("SLPRIME_THREADS", "1")
+    for seed in (1, 2):
+        for cfg in workloads.inverse_configs(seed, 4):
+            inverse._targets.cache_clear()
+            walks.clear()
+            got = search(cfg)
+            assert len(walks) == 1, (cfg, walks)
+            with monkeypatch.context() as m:
+                m.setattr(inverse, "_targets", per_index)
+                assert search(cfg) == got, cfg
 
 
 def test_per_target_rows_flag_branch_minimum():

@@ -384,7 +384,8 @@ def reference_theta_scan(widths, svals, qvals, rvals, alpha, lam):
     It takes psi0's sector from the rounded atan2, so it undercounts when
     a zero of u lands on a breakpoint; on generic inputs it is exact.  It
     forms k h = lambda (r h) - q h and z = (s h)(k h) per piece, in the
-    kernel's order.
+    kernel's order.  It counts every oscillating piece by its phase,
+    whatever w, so it checks the kernel's sign-flip count where w < pi.
     """
     u = math.sin(alpha)
     v = -math.cos(alpha)
@@ -524,17 +525,47 @@ _THIRDS = [0.3333333333333333, 0.3333333333333333, 0.33333333333333337]
 _UNIT_THIRDS_LAMS = (483.61061565337855, 7737.769850454057)
 
 
+def _scanned_w(h, s, q, r, lam):
+    """w = sqrt(z) of a piece as _theta_scan forms it from the piece's record."""
+    return math.sqrt((s * h) * (lam * (r * h) - q * h))
+
+
 def _near_integer_turns_args(local):
-    """_random_scan_args with oscillatory pieces resized so h sqrt(s k) lies within 1e-9 of K pi."""
+    """_random_scan_args with oscillatory pieces resized so h sqrt(s k) lies near K pi.
+
+    Half the resized pieces lie within 1e-9 of K pi.  The others take K in
+    1-3 and lie 0-3 ulps below K pi or 0-3 above it, in the w the scan
+    computes: where its sign-flip count (w < pi) meets its phase count.
+    A piece that starts on the exact zero of a Dirichlet start stays
+    within 1e-9: a few ulps from K pi its end would fall within rounding
+    of a zero, where the reference kernel undercounts.
+    """
     widths, svals, qvals, rvals, alpha, lam = _random_scan_args(local)
     if local.random() < 0.3:
         lam = 1e12 * (1.0 - local.uniform(0.0, 1e-6))
+    live = alpha != 0.0  # u is off zero at this piece's start
     for i, (s, q, r) in enumerate(zip(svals, qvals, rvals)):
         k = lam * r - q
         if s > 0.0 and k > 0.0 and local.random() < 0.6:
             root = math.sqrt(s * k)
-            turns = max(1, round(widths[i] * root / math.pi))
-            widths[i] = (turns * math.pi + local.uniform(-1e-9, 1e-9)) / root
+            if not live or local.random() < 0.5:
+                turns = max(1, round(widths[i] * root / math.pi))
+                widths[i] = (turns * math.pi + local.uniform(-1e-9, 1e-9)) / root
+            else:
+                target = int(local.integers(1, 4)) * math.pi
+                h = target / root
+                # the least width whose w reaches target, then 0-3 ulps past it or below it
+                while _scanned_w(h, s, q, r, lam) >= target:
+                    h = math.nextafter(h, 0.0)
+                while _scanned_w(h, s, q, r, lam) < target:
+                    h = math.nextafter(h, math.inf)
+                above = local.random() < 0.5
+                if not above:
+                    h = math.nextafter(h, 0.0)
+                for _ in range(int(local.integers(0, 4))):
+                    h = math.nextafter(h, math.inf if above else 0.0)
+                widths[i] = h
+        live = live or s > 0.0
     return widths, svals, qvals, rvals, alpha, lam
 
 
@@ -574,6 +605,8 @@ def test_theta_scan_matches_reference_kernel_bit_for_bit():
     margin = 1e-6  # w/pi this close to an integer counts as near-integer
     series = near_integer = off_margin = zero_starts = 0
     tested = {False: 0, True: 0}  # draws by whether every piece's size is tested
+    # pieces within 8 ulps of K pi, K = 1-3, by (K, whether w >= K pi)
+    edges = {(turns, above): 0 for turns in (1, 2, 3) for above in (False, True)}
     draws = [_random_scan_args] * 6000 + [_near_integer_turns_args] * 1500
     draws += [_breakpoint_zero_args] * 600 + [_bound_missing_args] * 600
     for draw in draws:
@@ -603,13 +636,19 @@ def test_theta_scan_matches_reference_kernel_bit_for_bit():
                     off_margin += 1
                 # a Dirichlet start leaves u exactly 0 until s turns on
                 zero_starts += alpha == 0.0 and not live
+                w = _scanned_w(h, s, q, r, lam)
+                turns = round(w / math.pi)
+                if turns in (1, 2, 3) and abs(w - turns * math.pi) <= 8 * math.ulp(w):
+                    edges[turns, w >= turns * math.pi] += 1
             live = True
     assert series > 500  # the series branch really was exercised
-    # the phase count ran on pieces whose w/pi lies near an integer, on
-    # pieces well away from one, and on oscillatory pieces that start on
-    # an exact zero of u
+    # oscillatory pieces were counted whose w/pi lies near an integer,
+    # well away from one, and that start on an exact zero of u
     assert near_integer > 1000 and off_margin > 10000, (near_integer, off_margin)
     assert zero_starts > 1000, zero_starts
+    # pieces a few ulps either side of pi, 2 pi and 3 pi: at pi the count
+    # moves from the sign flip (w < pi) to the phase (w >= pi)
+    assert min(edges.values()) > 100, edges
     # both record kinds ran: the size tested after some oscillating
     # pieces, and only after the pieces that can move it past the growth bound
     assert tested[True] > 250 and tested[False] > 6000, tested

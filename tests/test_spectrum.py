@@ -555,26 +555,6 @@ def test_float_exhaustion_returns_the_smaller_residual_end(monkeypatch):
     assert exhausted >= 6  # the phase really ran
 
 
-def test_scanned_points_read_as_point_reads_them():
-    # eigenvalue's scan builds its point inline; every point a walk
-    # carries to the next index, scanned or re-read, is _point's reading
-    opts = SolverOptions()
-    rng = np.random.default_rng(36)
-    cases = [_impedance_jump_problem()] + [random_problem(rng, max_pieces=6) for _ in range(40)]
-    checked = 0
-    for prob in cases:
-        walk = (spectrum_mod._scannable_pieces(prob, opts.lambda_cap), [])
-        for n in range(1, 31):
-            try:
-                eigenvalue(prob, n, opts, walk)
-            except EigenvalueNotFound:
-                break
-            for p in walk[1]:
-                assert spectrum_mod._point(p[0], *p[3:], prob.bc.beta, n) == p, (prob, n, p)
-                checked += 1
-    assert checked > 1000, checked
-
-
 def test_bracketed_scans_leave_every_spectrum_bit_for_bit(monkeypatch):
     # a scan between two scanned points is passed their windings, and
     # _theta_scan then takes the winding from the sign of u(b); a run that
